@@ -7,15 +7,14 @@ transfers). A scipy/HiGHS backend solves the model; an independent evaluator
 re-prices fixed designs; a brute-force oracle certifies toy instances.
 """
 
-from .backend import (BACKENDS, DecodeError, SolverConfig, SolveResult,
-                      SolverError, decode_plan, get_backend, solve,
-                      solve_parsed_lp)
+from .backend import (DecodeError, SolverConfig, SolveResult, SolverError,
+                      decode_plan, solve)
 from .combos import (Combination, CombinationSet, enumerate_combinations,
                      frequency_shares, perceived_headway)
 from .evaluator import (EvaluationError, Metrics, UnroutableDemandError,
                         assign_flows, compute_metrics, conservation_residuals,
                         fleet_requirement)
-from .lpio import LpFormatError, parse_lp, variable_name, write_lp
+from .lpio import variable_name, write_lp
 from .model import (BuildError, MilpModel, Row, Var, big_m_flow, build_model,
                     fix_baseline, model_stats)
 from .network import (DemandMatrix, OptionFlags, PeriodSpec, RouteSpec,

@@ -1,21 +1,22 @@
-"""Solver contract, the scipy/HiGHS reference backend, and solution decoding.
+"""Solver contract, the sparse row assembler, HiGHS via scipy, and solution
+decoding.
 
-Backends are pluggable: anything that can take the sparse arrays of a built
-model (or the exported LP text) and return variable values qualifies. The
-environment variable ``TRANSITOPT_BACKEND`` selects one by name.
+A built model becomes sparse arrays (``_model_arrays``), HiGHS solves them
+through ``scipy.optimize.milp`` (``solve_arrays``), and ``decode_plan`` turns
+the assignment back into domain objects.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
+from itertools import chain
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_matrix
 
-from .lpio import ParsedLp
 from .model import MilpModel
 from .network import Scenario
 from .plan import FlowAssignment, PatternPlan, RoutePeriodPlan, ServicePlan
@@ -26,20 +27,15 @@ __all__ = [
     "SolverError",
     "DecodeError",
     "solve",
-    "solve_parsed_lp",
     "decode_plan",
-    "get_backend",
-    "BACKENDS",
 ]
 
 BINARY_TOL = 1e-6
 FLOW_CLAMP_TOL = 1e-9
 
-BACKEND_ENV_VAR = "TRANSITOPT_BACKEND"
-
 
 class SolverError(RuntimeError):
-    """Backend missing or numerical failure inside the solver."""
+    """Malformed input or numerical failure inside the solver."""
 
 
 class DecodeError(ValueError):
@@ -48,18 +44,10 @@ class DecodeError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Backend-neutral solve parameters.
-
-    rel_gap 0.0 asks for a proven optimum. ``threads`` and ``seed`` are hints;
-    the scipy/HiGHS backend is single-threaded and deterministic and ignores
-    both.
-    """
+    """Solve parameters. rel_gap 0.0 asks for a proven optimum."""
 
     time_limit_s: float = 600.0
     rel_gap: float = 0.0
-    threads: int = 0
-    seed: int | None = None
-    backend: str | None = None
 
     def __post_init__(self):
         if self.time_limit_s <= 0:
@@ -82,6 +70,26 @@ class SolveResult:
         return self.status in ("optimal", "feasible")
 
 
+def assemble_rows(coeffs: Sequence[Sequence[tuple[int, float]]], senses: Sequence[str],
+                  rhs: Sequence[float], ncols: int):
+    """Turn rows given as parallel ``coeffs`` (``(column, value)`` pairs),
+    ``senses`` (``<=``, ``>=``, ``=``) and ``rhs`` into the CSR matrix and the
+    two-sided bounds of ``lo <= A x <= hi``."""
+    nrows = len(coeffs)
+    lengths = np.fromiter(map(len, coeffs), dtype=np.int64, count=nrows)
+    # column ids ride along as float64, exact far beyond any model size
+    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(coeffs)), dtype=np.float64,
+                        count=2 * int(lengths.sum())).reshape(-1, 2)
+    row_ids = np.repeat(np.arange(nrows, dtype=np.int64), lengths)
+    a = coo_matrix((pairs[:, 1], (row_ids, pairs[:, 0].astype(np.int64))),
+                   shape=(nrows, ncols)).tocsr()
+    rhs_arr = np.fromiter(rhs, dtype=np.float64, count=nrows)
+    sense_arr = np.array(senses, dtype=str)
+    lo = np.where(sense_arr == "<=", -np.inf, rhs_arr)
+    hi = np.where(sense_arr == ">=", np.inf, rhs_arr)
+    return a, lo, hi
+
+
 def _model_arrays(model: MilpModel):
     nvar = len(model.variables)
     c = np.zeros(nvar)
@@ -95,27 +103,9 @@ def _model_arrays(model: MilpModel):
         ub[v.id] = v.ub
         if v.kind != "C":
             integrality[v.id] = 1
-    nrows = len(model.rows)
-    nnz = sum(len(r.coeffs) for r in model.rows)
-    data = np.empty(nnz)
-    ri = np.empty(nnz, dtype=np.int64)
-    ci = np.empty(nnz, dtype=np.int64)
-    lo = np.empty(nrows)
-    hi = np.empty(nrows)
-    k = 0
-    for ridx, row in enumerate(model.rows):
-        for vid, coef in row.coeffs:
-            data[k] = coef
-            ri[k] = ridx
-            ci[k] = vid
-            k += 1
-        if row.sense == "<=":
-            lo[ridx], hi[ridx] = -np.inf, row.rhs
-        elif row.sense == ">=":
-            lo[ridx], hi[ridx] = row.rhs, np.inf
-        else:
-            lo[ridx] = hi[ridx] = row.rhs
-    a = coo_matrix((data, (ri, ci)), shape=(nrows, nvar)).tocsr()
+    rows = model.rows
+    a, lo, hi = assemble_rows([r.coeffs for r in rows], [r.sense for r in rows],
+                              [r.rhs for r in rows], nvar)
     return c, a, lo, hi, integrality, lb, ub
 
 
@@ -158,69 +148,8 @@ def solve_arrays(c, a, row_lo, row_hi, integrality, lb, ub, cfg: SolverConfig) -
     return SolveResult("error", None, None, wall, message=str(res.message))
 
 
-class ScipyHighsBackend:
-    """Reference backend: HiGHS via scipy.optimize.milp."""
-
-    name = "scipy"
-
-    def solve(self, model: MilpModel, cfg: SolverConfig) -> SolveResult:
-        return solve_arrays(*_model_arrays(model), cfg)
-
-
-BACKENDS: dict[str, object] = {"scipy": ScipyHighsBackend()}
-
-
-def get_backend(name: str | None = None):
-    chosen = name or os.environ.get(BACKEND_ENV_VAR) or "scipy"
-    if chosen not in BACKENDS:
-        raise SolverError(
-            f"unknown solver backend {chosen!r}; available: {sorted(BACKENDS)}")
-    return BACKENDS[chosen]
-
-
 def solve(model: MilpModel, cfg: SolverConfig | None = None) -> SolveResult:
-    cfg = cfg or SolverConfig()
-    backend = get_backend(cfg.backend)
-    return backend.solve(model, cfg)
-
-
-def solve_parsed_lp(parsed: ParsedLp, cfg: SolverConfig | None = None) -> SolveResult:
-    """Solve a problem recovered from LP text (round-trip path)."""
-    cfg = cfg or SolverConfig()
-    names = parsed.var_names
-    pos = {nm: k for k, nm in enumerate(names)}
-    nvar = len(names)
-    c = np.zeros(nvar)
-    for nm, coef in parsed.objective.items():
-        c[pos[nm]] = coef
-    lb = np.zeros(nvar)
-    ub = np.full(nvar, np.inf)
-    integrality = np.zeros(nvar, dtype=np.uint8)
-    for nm in parsed.binaries:
-        k = pos[nm]
-        integrality[k] = 1
-        ub[k] = min(ub[k], 1.0)
-    for nm in parsed.generals:
-        integrality[pos[nm]] = 1
-    for nm, (lo_b, hi_b) in parsed.bounds.items():
-        k = pos[nm]
-        lb[k], ub[k] = lo_b, hi_b
-    data, ri, ci = [], [], []
-    lo = np.empty(len(parsed.rows))
-    hi = np.empty(len(parsed.rows))
-    for ridx, (_, coeffs, sense, rhs) in enumerate(parsed.rows):
-        for nm, coef in coeffs.items():
-            data.append(coef)
-            ri.append(ridx)
-            ci.append(pos[nm])
-        if sense == "<=":
-            lo[ridx], hi[ridx] = -np.inf, rhs
-        elif sense == ">=":
-            lo[ridx], hi[ridx] = rhs, np.inf
-        else:
-            lo[ridx] = hi[ridx] = rhs
-    a = coo_matrix((data, (ri, ci)), shape=(len(parsed.rows), nvar)).tocsr()
-    return solve_arrays(c, a, lo, hi, integrality, lb, ub, cfg)
+    return solve_arrays(*_model_arrays(model), cfg or SolverConfig())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Command-line pipeline: validate, solve, evaluate, compare, oracle, export.
 
 Exit codes are a stable contract: 0 success, 1 validation failure, 2 I/O
-failure, 3 infeasible, 4 oracle mismatch. All artifacts land under --out with
-fixed names; a manifest records checksums of everything written.
+failure, 3 infeasible, 4 oracle mismatch, 5 solver, decode or evaluator
+failure. All artifacts land under --out with fixed names; a manifest records
+checksums of everything written.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .backend import SolveResult, SolverConfig, decode_plan, solve
-from .evaluator import UnroutableDemandError, assign_flows, compute_metrics
+from .backend import DecodeError, SolverConfig, SolverError, decode_plan, solve
+from .evaluator import (EvaluationError, UnroutableDemandError, assign_flows,
+                        compute_metrics)
 from .lpio import write_lp
 from .model import build_model, model_stats
 from .network import Scenario, ScenarioError, load_scenario, validate_scenario
@@ -28,6 +30,7 @@ EXIT_INVALID = 1
 EXIT_IO = 2
 EXIT_INFEASIBLE = 3
 EXIT_MISMATCH = 4
+EXIT_FAILURE = 5
 
 __all__ = ["main", "entry"]
 
@@ -124,11 +127,7 @@ def _validated(args) -> Scenario | int:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        time_limit_s=args.time_limit,
-        rel_gap=args.gap,
-        seed=args.seed,
-    )
+    return SolverConfig(time_limit_s=args.time_limit, rel_gap=args.gap)
 
 
 def render_patterns(scenario: Scenario, plan: ServicePlan) -> str:
@@ -360,7 +359,8 @@ def _add_common(p: argparse.ArgumentParser, *, out_required: bool = True) -> Non
         p.add_argument("--out", required=True, help="output directory for artifacts")
     p.add_argument("--time-limit", type=float, default=600.0, help="solver time limit (s)")
     p.add_argument("--gap", type=float, default=0.0, help="relative MIP gap target")
-    p.add_argument("--seed", type=int, default=None, help="backend seed hint")
+    p.add_argument("--seed", type=int, default=None,
+                   help="recorded in the manifest; the solver is deterministic")
     p.add_argument("--no-transfers", action="store_true", help="disable transfer flows")
     p.add_argument("--symmetry", action="store_true", help="force mirrored patterns")
     p.add_argument("--capacity", action="store_true", help="enforce vehicle capacity")
@@ -408,7 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (SolverError, DecodeError, EvaluationError) as exc:
+        _err(f"error: {type(exc).__name__}: {exc}")
+        return EXIT_FAILURE
 
 
 def entry() -> None:

@@ -77,12 +77,6 @@ class Combination:
     active_patterns: tuple[int, ...]
     shares: tuple[float, ...]
 
-    def headway_of(self, p: int, menu: Sequence[float]) -> float:
-        h = self.headway_indices[p]
-        if h == 0:
-            raise CombinationError(f"pattern {p} is out of service in {self.headway_indices}")
-        return menu[h - 1]
-
 
 class CombinationSet:
     """All combinations for one (route, period) pair, in lexicographic order."""

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import coo_matrix
 
+from .backend import assemble_rows
 from .combos import CombinationSet, enumerate_combinations
 from .network import RouteSpec, Scenario
 from .plan import FlowAssignment, RoutePeriodPlan, ServicePlan
@@ -194,7 +194,9 @@ class _MiniLp:
     def __init__(self):
         self.costs: list[float] = []
         self.is_binary: list[bool] = []
-        self.rows: list[tuple[list[tuple[int, float]], str, float]] = []
+        self.row_coeffs: list[list[tuple[int, float]]] = []
+        self.senses: list[str] = []
+        self.rhs: list[float] = []
 
     def var(self, cost: float = 0.0, binary: bool = False) -> int:
         self.costs.append(cost)
@@ -202,7 +204,9 @@ class _MiniLp:
         return len(self.costs) - 1
 
     def add(self, coeffs: list[tuple[int, float]], sense: str, rhs: float) -> None:
-        self.rows.append((coeffs, sense, rhs))
+        self.row_coeffs.append(coeffs)
+        self.senses.append(sense)
+        self.rhs.append(rhs)
 
     def solve(self):
         n = len(self.costs)
@@ -210,21 +214,7 @@ class _MiniLp:
         integrality = np.asarray(self.is_binary, dtype=np.uint8)
         ub = np.where(integrality == 1, 1.0, np.inf)
         lb = np.zeros(n)
-        data, ri, ci = [], [], []
-        lo = np.empty(len(self.rows))
-        hi = np.empty(len(self.rows))
-        for k, (coeffs, sense, rhs) in enumerate(self.rows):
-            for vid, coef in coeffs:
-                data.append(coef)
-                ri.append(k)
-                ci.append(vid)
-            if sense == "<=":
-                lo[k], hi[k] = -np.inf, rhs
-            elif sense == ">=":
-                lo[k], hi[k] = rhs, np.inf
-            else:
-                lo[k] = hi[k] = rhs
-        a = coo_matrix((data, (ri, ci)), shape=(len(self.rows), n)).tocsr()
+        a, lo, hi = assemble_rows(self.row_coeffs, self.senses, self.rhs, n)
         res = milp(c=c, constraints=LinearConstraint(a, lo, hi),
                    integrality=integrality, bounds=Bounds(lb, ub),
                    options={"presolve": True, "disp": False, "mip_rel_gap": 0.0})

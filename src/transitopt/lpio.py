@@ -1,23 +1,22 @@
-"""LP-format interchange: deterministic writer and a matching reader.
+"""LP-format export: a deterministic writer.
 
 Variable names are derived from the family prefix and the tag indices, e.g.
 ``x_t0_r0_p1_i3_j5`` for the pattern arc of period 0, route 0, pattern 1 from
 direction stop 3 to 5. Rows are named by constraint family plus indices and
 written grouped by family, so identical models export byte-identically.
 
-The reader understands exactly the dialect the writer produces (a common
-subset of the CPLEX LP format) and returns plain arrays a solver can consume.
+The text is a subset of the CPLEX LP format; the test suite reads it back
+with HiGHS's own LP reader and checks the row and column counts and the
+optimum.
 """
 
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass, field
 
 from .model import MilpModel, Var
 
-__all__ = ["variable_name", "write_lp", "parse_lp", "ParsedLp", "LpFormatError"]
+__all__ = ["variable_name", "write_lp"]
 
 _VAR_LABELS = {
     "x": ("t", "r", "p", "i", "j"),
@@ -33,10 +32,6 @@ _VAR_LABELS = {
 }
 
 _TERMS_PER_LINE = 8
-
-
-class LpFormatError(ValueError):
-    """Raised for text the LP reader cannot interpret."""
 
 
 def variable_name(var: Var) -> str:
@@ -123,197 +118,3 @@ def write_lp(model: MilpModel, name: str = "transitopt") -> str:
 
     out.append("End")
     return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Reader
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ParsedLp:
-    """Raw problem data recovered from LP text (minimization assumed)."""
-
-    var_names: list[str] = field(default_factory=list)
-    objective: dict[str, float] = field(default_factory=dict)
-    rows: list[tuple[str, dict[str, float], str, float]] = field(default_factory=list)
-    bounds: dict[str, tuple[float, float]] = field(default_factory=dict)
-    binaries: set[str] = field(default_factory=set)
-    generals: set[str] = field(default_factory=set)
-    _seen: set[str] = field(default_factory=set, repr=False)
-
-    def register(self, name: str) -> None:
-        if name not in self._seen:
-            self._seen.add(name)
-            self.var_names.append(name)
-
-
-_TOKEN_RE = re.compile(
-    r"(?P<num>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_.]*)"
-    r"|(?P<op><=|>=|=<|=>|=|\+|-|:)"
-)
-
-_SECTION_RE = re.compile(
-    r"^\s*(minimize|maximize|subject\s+to|st|s\.t\.|bounds|binaries|binary|bin|"
-    r"generals|general|gen|end)\s*$",
-    re.IGNORECASE,
-)
-
-
-def _strip_comments(text: str) -> list[str]:
-    lines = []
-    for line in text.splitlines():
-        cut = line.find("\\")
-        if cut >= 0:
-            line = line[:cut]
-        lines.append(line)
-    return lines
-
-
-def _tokens(body: str) -> list[tuple[str, str]]:
-    toks = []
-    pos = 0
-    for m in _TOKEN_RE.finditer(body):
-        between = body[pos:m.start()]
-        if between.strip():
-            raise LpFormatError(f"unexpected text {between.strip()!r}")
-        pos = m.end()
-        kind = m.lastgroup
-        toks.append((kind, m.group()))
-    if body[pos:].strip():
-        raise LpFormatError(f"unexpected trailing text {body[pos:].strip()!r}")
-    return toks
-
-
-def _parse_linear(toks: list[tuple[str, str]], k: int, parsed: ParsedLp):
-    """Parse a linear expression starting at token k. Returns (coeffs, k)."""
-    coeffs: dict[str, float] = {}
-    sign = 1.0
-    pending: float | None = None
-    while k < len(toks):
-        kind, val = toks[k]
-        if kind == "op" and val in ("<=", ">=", "=", "=<", "=>"):
-            break
-        if kind == "op" and val == "+":
-            sign, pending = 1.0, None
-            k += 1
-        elif kind == "op" and val == "-":
-            sign, pending = -1.0, None
-            k += 1
-        elif kind == "num":
-            pending = float(val)
-            k += 1
-        elif kind == "name":
-            # lookahead: a name followed by ':' starts the next constraint
-            if k + 1 < len(toks) and toks[k + 1] == ("op", ":"):
-                break
-            coef = sign * (pending if pending is not None else 1.0)
-            coeffs[val] = coeffs.get(val, 0.0) + coef
-            parsed.register(val)
-            sign, pending = 1.0, None
-            k += 1
-        else:
-            raise LpFormatError(f"unexpected token {val!r} in expression")
-    return coeffs, k
-
-
-def parse_lp(text: str) -> ParsedLp:
-    """Parse LP text produced by write_lp (or an equivalent dialect)."""
-    lines = _strip_comments(text)
-    sections: list[tuple[str, list[str]]] = []
-    current: tuple[str, list[str]] | None = None
-    for line in lines:
-        m = _SECTION_RE.match(line)
-        if m:
-            word = re.sub(r"\s+", " ", m.group(1).lower())
-            canon = {
-                "minimize": "objective", "maximize": "maximize",
-                "subject to": "rows", "st": "rows", "s.t.": "rows",
-                "bounds": "bounds", "binaries": "binaries", "binary": "binaries",
-                "bin": "binaries", "generals": "generals", "general": "generals",
-                "gen": "generals", "end": "end",
-            }[word]
-            if canon == "maximize":
-                raise LpFormatError("only minimization problems are supported")
-            current = (canon, [])
-            sections.append(current)
-        elif current is not None:
-            current[1].append(line)
-        elif line.strip():
-            raise LpFormatError(f"text before first section: {line.strip()!r}")
-
-    parsed = ParsedLp()
-    got = {name for name, _ in sections}
-    if "objective" not in got or "rows" not in got:
-        raise LpFormatError("LP text must contain Minimize and Subject To sections")
-
-    for name, body_lines in sections:
-        body = "\n".join(body_lines)
-        if name == "objective":
-            toks = _tokens(body)
-            k = 0
-            if len(toks) >= 2 and toks[0][0] == "name" and toks[1] == ("op", ":"):
-                k = 2
-            coeffs, k = _parse_linear(toks, k, parsed)
-            if k != len(toks):
-                raise LpFormatError("trailing tokens after objective")
-            parsed.objective = coeffs
-        elif name == "rows":
-            toks = _tokens(body)
-            k = 0
-            while k < len(toks):
-                if not (toks[k][0] == "name" and k + 1 < len(toks) and toks[k + 1] == ("op", ":")):
-                    raise LpFormatError(f"expected constraint name, got {toks[k][1]!r}")
-                rname = toks[k][1]
-                coeffs, k = _parse_linear(toks, k + 2, parsed)
-                if k >= len(toks) or toks[k][0] != "op":
-                    raise LpFormatError(f"constraint {rname} has no sense")
-                sense = {"<=": "<=", "=<": "<=", ">=": ">=", "=>": ">=", "=": "="}[toks[k][1]]
-                k += 1
-                sign = 1.0
-                if k < len(toks) and toks[k] == ("op", "-"):
-                    sign, k = -1.0, k + 1
-                elif k < len(toks) and toks[k] == ("op", "+"):
-                    k += 1
-                if k >= len(toks) or toks[k][0] != "num":
-                    raise LpFormatError(f"constraint {rname} has no right-hand side")
-                rhs = sign * float(toks[k][1])
-                k += 1
-                parsed.rows.append((rname, coeffs, sense, rhs))
-        elif name == "bounds":
-            for line in body_lines:
-                line = line.strip()
-                if not line:
-                    continue
-                toks = _tokens(line)
-                vals = [t[1] for t in toks]
-                if len(toks) == 2 and toks[0][0] == "name" and vals[1].lower() == "free":
-                    parsed.bounds[vals[0]] = (-math.inf, math.inf)
-                elif len(toks) == 3 and toks[0][0] == "name":
-                    name_, op, num = vals
-                    parsed.register(name_)
-                    lo, hi = parsed.bounds.get(name_, (0.0, math.inf))
-                    if op in ("<=", "=<"):
-                        parsed.bounds[name_] = (lo, float(num))
-                    elif op in (">=", "=>"):
-                        parsed.bounds[name_] = (float(num), hi)
-                    elif op == "=":
-                        parsed.bounds[name_] = (float(num), float(num))
-                    else:
-                        raise LpFormatError(f"bad bound line: {line!r}")
-                elif len(toks) == 5 and toks[0][0] == "num" and toks[2][0] == "name":
-                    lo, op1, name_, op2, hi = vals
-                    if op1 not in ("<=", "=<") or op2 not in ("<=", "=<"):
-                        raise LpFormatError(f"bad bound line: {line!r}")
-                    parsed.register(name_)
-                    parsed.bounds[name_] = (float(lo), float(hi))
-                else:
-                    raise LpFormatError(f"bad bound line: {line!r}")
-        elif name in ("binaries", "generals"):
-            for tok_kind, tok in _tokens(body):
-                if tok_kind != "name":
-                    raise LpFormatError(f"unexpected token {tok!r} in {name} section")
-                parsed.register(tok)
-                (parsed.binaries if name == "binaries" else parsed.generals).add(tok)
-
-    return parsed

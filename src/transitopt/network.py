@@ -213,9 +213,6 @@ class DemandMatrix:
     def total_into(self, t: int, d: int) -> float:
         return sum(v for (tt, _, dd), v in self.entries.items() if tt == t and dd == d)
 
-    def origins_into(self, t: int, d: int) -> list[int]:
-        return sorted({o for (tt, o, dd), v in self.entries.items() if tt == t and dd == d and v > 0})
-
     def total(self, t: int | None = None) -> float:
         if t is None:
             return sum(self.entries.values())
@@ -235,9 +232,6 @@ class Scenario:
     gamma_transfer: float
     transfer_time: float
     options: OptionFlags = OptionFlags()
-
-    def route_demand(self, r: int) -> DemandMatrix:
-        return self.demand[r]
 
     def total_riders(self) -> float:
         return sum(dm.total() for dm in self.demand)

@@ -206,6 +206,3 @@ class FlowAssignment:
     exit: dict[tuple, float] = field(default_factory=dict)
     transfer: dict[tuple, float] = field(default_factory=dict)
     combo_choice: dict[tuple, int] = field(default_factory=dict)
-
-    def total_transfers(self) -> float:
-        return sum(self.transfer.values())

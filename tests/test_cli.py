@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+import transitopt.cli
+from transitopt.backend import DecodeError, SolverError
 from transitopt.cli import main
 
 from _factories import full_pattern_plan_doc, random_toy_doc, scenario_doc
@@ -79,6 +81,23 @@ class TestSolve:
     def test_invalid_scenario_exit_one(self, tmp_path):
         path = write_doc(tmp_path, scenario_doc(menu=(7.0, 5.0)))
         assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    def test_decode_failure_exit_five(self, scenario_file, tmp_path, monkeypatch, capsys):
+        def split_loops(model, result):
+            raise DecodeError("period 0 route 0 pattern 0: arcs split into multiple loops")
+        monkeypatch.setattr(transitopt.cli, "decode_plan", split_loops)
+        assert main(["solve", "--scenario", str(scenario_file),
+                     "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: DecodeError: period 0 route 0 pattern 0: arcs split into multiple loops")
+
+    def test_solver_failure_exit_five(self, scenario_file, tmp_path, monkeypatch, capsys):
+        def broken(model, cfg):
+            raise SolverError("solver failure: bad input")
+        monkeypatch.setattr(transitopt.cli, "solve", broken)
+        assert main(["solve", "--scenario", str(scenario_file),
+                     "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err == "error: SolverError: solver failure: bad input\n"
 
 
 class TestEvaluate:
