@@ -222,13 +222,7 @@ def decode_plan(model: MilpModel, result: SolveResult,
                     for j in range(route.n_dir):
                         if not route.arc_allowed(i, j):
                             continue
-                        xv = _binary_value(x, index[("x", t, r, p, i, j)])
-                        hsum = sum(_binary_value(x, index[("xh", t, r, p, i, j, h)])
-                                   for h in range(1, len(menu) + 1))
-                        if hsum != xv:
-                            raise DecodeError(
-                                f"{where}: arc ({i},{j}) headway products sum to {hsum}, arc is {xv}")
-                        if xv:
+                        if _binary_value(x, index[("x", t, r, p, i, j)]):
                             arc_set.add((i, j))
                 seq = _trace_loop(arc_set, where)
                 if hidx == 0:
@@ -236,6 +230,8 @@ def decode_plan(model: MilpModel, result: SolveResult,
                         raise DecodeError(f"{where}: out of service but serves stops {seq}")
                     pats.append(PatternPlan(stops=(), headway=None, headway_index=0))
                 else:
+                    if not seq:
+                        raise DecodeError(f"{where}: in service but serves no stops")
                     pats.append(PatternPlan(stops=seq, headway=menu[hidx - 1], headway_index=hidx))
             for p1 in range(len(chosen_idx)):
                 for p2 in range(p1 + 1, len(chosen_idx)):
@@ -249,41 +245,18 @@ def decode_plan(model: MilpModel, result: SolveResult,
         cells.append(tuple(row))
     plan = ServicePlan(cells=tuple(cells))
 
-    def flow(vid: int, key_desc: tuple) -> float:
-        v = float(x[vid])
-        if v < -FLOW_CLAMP_TOL:
-            raise DecodeError(f"flow {key_desc} is negative beyond tolerance: {v}")
-        return max(v, 0.0)
-
     fa = FlowAssignment()
+    targets = {"fw": fa.entry, "fa": fa.boarding, "fl": fa.inter_stop,
+               "fb": fa.exit, "fx": fa.transfer}
     for v in model.variables:
-        if v.family not in ("fw", "fa", "fl", "fb", "fx"):
+        target = targets.get(v.family)
+        if target is None:
             continue
-        if v.family == "fw":
-            t, r, d, i, c = v.key
-            val = flow(v.id, v.key)
-            if val > 0.0:
-                fa.entry[(t, r, d, i, c)] = val
-        elif v.family == "fa":
-            t, r, d, i, c, p = v.key
-            val = flow(v.id, v.key)
-            if val > 0.0:
-                fa.boarding[(t, r, d, i, c, p)] = val
-        elif v.family == "fl":
-            t, r, d, p, i, j = v.key
-            val = flow(v.id, v.key)
-            if val > 0.0:
-                fa.inter_stop[(t, r, d, p, i, j)] = val
-        elif v.family == "fb":
-            t, r, j, p = v.key
-            val = flow(v.id, v.key)
-            if val > 0.0:
-                fa.exit[(t, r, j, p)] = val
-        elif v.family == "fx":
-            t, r, d, i, j, p, c = v.key
-            val = flow(v.id, v.key)
-            if val > 0.0:
-                fa.transfer[(t, r, d, i, j, p, c)] = val
+        val = float(x[v.id])
+        if val < -FLOW_CLAMP_TOL:
+            raise DecodeError(f"flow {v.key} is negative beyond tolerance: {val}")
+        if val > 0.0:
+            target[v.key] = val
 
     for v in model.variables:
         if v.family != "z":

@@ -32,6 +32,9 @@ EXIT_INFEASIBLE = 3
 EXIT_MISMATCH = 4
 EXIT_FAILURE = 5
 
+# Failures that end a command with EXIT_FAILURE.
+_FAILURES = (SolverError, DecodeError, EvaluationError)
+
 __all__ = ["main", "entry"]
 
 
@@ -181,19 +184,26 @@ def cmd_validate(args) -> int:
 
 
 def _solve_pipeline(scenario: Scenario, args, run: _Run):
-    """Shared by solve/compare: build, export, solve, decode, report."""
+    """Shared by solve/compare: build, export, solve, decode, report.
+
+    On a solver, decode or evaluator failure the manifest is written before
+    the error propagates, so it lists the artifacts already under --out."""
     model = build_model(scenario)
     run.write_json("model_stats.json", model_stats(model))
     run.write_text("model.lp", write_lp(model))
-    result = solve(model, _solver_config(args))
-    run.extra["solver_status"] = result.status
-    run.extra["solver_wall_time_s"] = result.wall_time_s
-    _err(f"solver: status={result.status} objective={result.objective} "
-         f"wall={result.wall_time_s:.2f}s")
-    if not result.ok:
-        return result, None, None
-    plan, flows = decode_plan(model, result)
-    metrics = compute_metrics(flows, scenario, plan)
+    try:
+        result = solve(model, _solver_config(args))
+        run.extra["solver_status"] = result.status
+        run.extra["solver_wall_time_s"] = result.wall_time_s
+        _err(f"solver: status={result.status} objective={result.objective} "
+             f"wall={result.wall_time_s:.2f}s")
+        if not result.ok:
+            return result, None, None
+        plan, flows = decode_plan(model, result)
+        metrics = compute_metrics(flows, scenario, plan)
+    except _FAILURES:
+        run.finish()
+        raise
     return result, plan, metrics
 
 
@@ -410,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SolverError, DecodeError, EvaluationError) as exc:
+    except _FAILURES as exc:
         _err(f"error: {type(exc).__name__}: {exc}")
         return EXIT_FAILURE
 

@@ -21,7 +21,7 @@ __all__ = ["variable_name", "write_lp"]
 _VAR_LABELS = {
     "x": ("t", "r", "p", "i", "j"),
     "y": ("t", "r", "p", "h"),
-    "xh": ("t", "r", "p", "i", "j", "h"),
+    "cy": ("t", "r", "p", "h"),
     "z": ("t", "r", "i", "d", "c"),
     "fw": ("t", "r", "d", "i", "c"),
     "fa": ("t", "r", "d", "i", "c", "p"),
@@ -32,6 +32,7 @@ _VAR_LABELS = {
 }
 
 _TERMS_PER_LINE = 8
+_HEADER = "\\ transitopt"
 
 
 def variable_name(var: Var) -> str:
@@ -63,10 +64,10 @@ def _expr_lines(terms: list[tuple[float, str]], head: str) -> list[str]:
     return lines
 
 
-def write_lp(model: MilpModel, name: str = "transitopt") -> str:
+def write_lp(model: MilpModel) -> str:
     """Serialize the model as LP-format text, byte-stable across runs."""
     names = [variable_name(v) for v in model.variables]
-    out: list[str] = [f"\\ {name}", "Minimize"]
+    out: list[str] = [_HEADER, "Minimize"]
 
     obj_terms = [(coef, names[vid]) for vid, coef in model.objective.items() if coef != 0.0]
     if not obj_terms:

@@ -2,9 +2,11 @@
 
 The model couples, per route and period:
 
-* pattern arcs (binary) that chain direction stops into closed vehicle loops,
+* pattern arcs (binary) that chain direction stops into one closed vehicle
+  loop per in-service pattern and none for a pattern out of service,
 * a headway pick per pattern from a discrete menu (index 0 = out of service),
-* arc-headway products that price vehicle requirements linearly,
+* cycle minutes per (pattern, headway), nonzero only under the picked
+  headway, that price vehicle requirements linearly,
 * a combination pick per (entry stop, destination) that fixes which patterns
   riders may board and the perceived headway they wait,
 * destination-labeled flows for entering, boarding, riding, exiting and
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Sequence
+from typing import Any
 
 from .combos import CombinationSet, enumerate_combinations
 from .network import Scenario, validate_scenario
@@ -47,7 +49,7 @@ class BuildError(ValueError):
 # Wire prefixes of the variable families. Key layout per family:
 #   x  (t, r, p, i, j)        pattern arc                      binary
 #   y  (t, r, p, h)           headway pick, h=0 means off      binary
-#   xh (t, r, p, i, j, h)     arc under headway h >= 1         binary
+#   cy (t, r, p, h)           cycle minutes under headway h>=1 continuous
 #   z  (t, r, i, d, c)        combination pick                 binary
 #   fw (t, r, d, i, c)        entry flow
 #   fa (t, r, d, i, c, p)     boarding flow
@@ -55,18 +57,19 @@ class BuildError(ValueError):
 #   fb (t, r, j, p)           exit flow
 #   fx (t, r, d, i, j, p, c)  transfer flow (alight i, board j)
 #   n  (r, t)                 fleet allocated to route r in period t
-VAR_FAMILIES = ("x", "y", "xh", "z", "fw", "fa", "fl", "fb", "fx", "n")
+VAR_FAMILIES = ("x", "y", "cy", "z", "fw", "fa", "fl", "fb", "fx", "n")
 
 # Constraint families in export order. Each row is tagged with exactly one.
 ROW_FAMILIES = (
     "loop_balance",         # arcs in == arcs out at every stop of a pattern
     "loop_visit_cap",       # at most one incoming arc per stop
+    "loop_wrap",            # one backward arc if in service, none if off
     "ride_arc_gate",        # riding flow only on selected arcs
     "pattern_symmetry",     # mirrored arc selection across directions
     "one_headway",          # each pattern picks exactly one menu entry (or off)
     "headway_order",        # faster patterns first; in-service patterns first
-    "arc_headway_link",     # arc-headway product only under the picked headway
-    "arc_headway_split",    # arc-headway products sum to the arc selection
+    "cycle_gate",           # cycle minutes only under the picked headway
+    "cycle_split",          # cycle minutes sum to the selected arcs' minutes
     "arc_capacity",         # riders per arc capped by capacity x frequency
     "fleet_need",           # cycle time / headway, summed, within the fleet
     "fleet_pool",           # per-period fleet draw within the vehicle pool
@@ -113,15 +116,6 @@ class MilpModel:
     scenario: Scenario
     combo_sets: dict[tuple[int, int], CombinationSet]  # (t, r) -> combinations
 
-    def var_id(self, family: str, *key: Any) -> int:
-        return self.index[(family, *key)]
-
-    def n_variables(self) -> int:
-        return len(self.variables)
-
-    def n_rows(self) -> int:
-        return len(self.rows)
-
 
 def big_m_flow(scenario: Scenario, r: int, t: int, d: int, share: bool = False) -> float:
     """Coupling constant for destination-``d`` flow rows of route r, period t.
@@ -138,15 +132,14 @@ def big_m_flow(scenario: Scenario, r: int, t: int, d: int, share: bool = False) 
     return total
 
 
-def build_model(scenario: Scenario, *, validate: bool = True) -> MilpModel:
+def build_model(scenario: Scenario) -> MilpModel:
     """Translate a scenario into the complete abstract MILP."""
-    if validate:
-        violations = validate_scenario(scenario)
-        if violations:
-            raise BuildError(
-                "scenario is invalid: " + "; ".join(str(v) for v in violations[:10])
-                + ("" if len(violations) <= 10 else f" (+{len(violations) - 10} more)")
-            )
+    violations = validate_scenario(scenario)
+    if violations:
+        raise BuildError(
+            "scenario is invalid: " + "; ".join(str(v) for v in violations[:10])
+            + ("" if len(violations) <= 10 else f" (+{len(violations) - 10} more)")
+        )
 
     opts = scenario.options
     variables: list[Var] = []
@@ -176,6 +169,7 @@ def build_model(scenario: Scenario, *, validate: bool = True) -> MilpModel:
             combos = enumerate_combinations(route.n_patterns, menu)
             combo_sets[(t, r)] = combos
             tmat = route.travel_time_matrix()
+            t_full = sum(route.adjacent_times())
             mirror = [nd - 1 - i for i in range(nd)]
 
             arcs = [(i, j) for i in range(nd) for j in range(nd) if route.arc_allowed(i, j)]
@@ -222,11 +216,10 @@ def build_model(scenario: Scenario, *, validate: bool = True) -> MilpModel:
                 for h in range(m + 1):
                     yid[(p, h)] = new_var("B", "y", (t, r, p, h), 0.0, 1.0)
 
-            xhid: dict[tuple, int] = {}
+            cyid: dict[tuple, int] = {}
             for p in patterns:
-                for i, j in arcs:
-                    for h in range(1, m + 1):
-                        xhid[(p, i, j, h)] = new_var("B", "xh", (t, r, p, i, j, h), 0.0, 1.0)
+                for h in range(1, m + 1):
+                    cyid[(p, h)] = new_var("C", "cy", (t, r, p, h))
 
             zid: dict[tuple, int] = {}
             for i in range(nd):
@@ -306,6 +299,13 @@ def build_model(scenario: Scenario, *, validate: bool = True) -> MilpModel:
                 for j in range(nd):
                     coeffs = [(xid[(p, i, j)], 1.0) for i in in_allowed[j]]
                     add("loop_visit_cap", (t, r, p, j), coeffs, "<=", 1.0)
+            # Forward travel raises the stop index except on the wrap step, so
+            # every cycle has an arc with i > j: one such arc per in-service
+            # pattern leaves exactly one loop, in sorted stop order.
+            for p in patterns:
+                coeffs = [(xid[(p, i, j)], 1.0) for i, j in arcs if i > j]
+                coeffs += [(yid[(p, h)], -1.0) for h in range(1, m + 1)]
+                add("loop_wrap", (t, r, p), coeffs, "=", 0.0)
 
             for d in range(n):
                 dd = mirror[d]
@@ -349,16 +349,16 @@ def build_model(scenario: Scenario, *, validate: bool = True) -> MilpModel:
                         coeffs += [(yid[(p2, hh)], -1.0) for hh in range(1, h + 1)]
                         add("headway_order", (t, r, p1, p2, h), coeffs, ">=", 0.0)
 
+            # A sorted single loop takes t_full less the dwell credits of its
+            # skipped stops, so t_full bounds the cycle minutes.
             for p in patterns:
-                for i, j in arcs:
-                    for h in range(1, m + 1):
-                        add("arc_headway_link", (t, r, p, i, j, h),
-                            [(xhid[(p, i, j, h)], 1.0), (yid[(p, h)], -1.0)], "<=", 0.0)
+                for h in range(1, m + 1):
+                    add("cycle_gate", (t, r, p, h),
+                        [(cyid[(p, h)], 1.0), (yid[(p, h)], -t_full)], "<=", 0.0)
             for p in patterns:
-                for i, j in arcs:
-                    coeffs = [(xhid[(p, i, j, h)], 1.0) for h in range(1, m + 1)]
-                    coeffs.append((xid[(p, i, j)], -1.0))
-                    add("arc_headway_split", (t, r, p, i, j), coeffs, "=", 0.0)
+                coeffs = [(cyid[(p, h)], 1.0) for h in range(1, m + 1)]
+                coeffs += [(xid[(p, i, j)], -tmat[i][j]) for i, j in arcs]
+                add("cycle_split", (t, r, p), coeffs, "=", 0.0)
 
             if opts.enforce_capacity:
                 minutes = 60.0 * period.duration_hours
@@ -368,16 +368,12 @@ def build_model(scenario: Scenario, *, validate: bool = True) -> MilpModel:
                         coeffs = [(flid[(d, p, i, j)], 1.0)
                                   for d in range(n)
                                   if (d, p, i, j) in flid]
-                        coeffs += [(xhid[(p, i, j, h)], -cap * minutes / menu[h - 1])
+                        coeffs += [(yid[(p, h)], -cap * minutes / menu[h - 1])
                                    for h in range(1, m + 1)]
                         add("arc_capacity", (t, r, p, i, j), coeffs, "<=", 0.0)
 
-            coeffs = []
-            for p in patterns:
-                for i, j in arcs:
-                    tt = tmat[i][j]
-                    for h in range(1, m + 1):
-                        coeffs.append((xhid[(p, i, j, h)], tt / menu[h - 1]))
+            coeffs = [(cyid[(p, h)], 1.0 / menu[h - 1])
+                      for p in patterns for h in range(1, m + 1)]
             coeffs.append((fleet_var[(r, t)], -1.0))
             add("fleet_need", (t, r), coeffs, "<=", 0.0)
 
@@ -524,8 +520,9 @@ def build_model(scenario: Scenario, *, validate: bool = True) -> MilpModel:
 def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
     """Pin all design variables (arcs, headways, fleet) to a given plan.
 
-    Flows and combination picks stay free, so solving the result evaluates
-    the plan through the same machinery that prices free designs.
+    Flows, combination picks and cycle minutes stay free (the pinned arcs
+    determine the cycle minutes), so solving the result evaluates the plan
+    through the same machinery that prices free designs.
     """
     scenario = model.scenario
     opts = scenario.options
@@ -553,6 +550,9 @@ def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
                 if opts.require_full_pattern and p == 0 and set(pat.stops) != set(range(route.n_dir)):
                     raise PlanError("model requires pattern 0 to serve every stop, plan does not")
                 arc_set = set(pat.arcs()) if pat.in_service else set()
+                if pat.in_service and sum(i > j for i, j in arc_set) != 1:
+                    raise PlanError(f"pattern {p} of route {r} is in service but its stops "
+                                    f"{list(pat.stops)} are not one loop in stop order")
                 for h in range(len(menu) + 1):
                     set_bounds(("y", t, r, p, h), 1.0 if h == hidx else 0.0)
                 for i in range(route.n_dir):
@@ -561,11 +561,7 @@ def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
                             if (i, j) in arc_set:
                                 raise PlanError(f"plan uses arc ({i}, {j}) not allowed on route {r}")
                             continue
-                        on = (i, j) in arc_set
-                        set_bounds(("x", t, r, p, i, j), 1.0 if on else 0.0)
-                        for h in range(1, len(menu) + 1):
-                            set_bounds(("xh", t, r, p, i, j, h),
-                                       1.0 if on and h == hidx else 0.0)
+                        set_bounds(("x", t, r, p, i, j), 1.0 if (i, j) in arc_set else 0.0)
             set_bounds(("n", r, t), cell.fleet)
 
     return MilpModel(

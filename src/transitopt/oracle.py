@@ -39,7 +39,7 @@ MAX_DESIGNS = 200_000
 
 
 class OracleSizeError(ValueError):
-    """Instance too large for exhaustive enumeration."""
+    """Instance too large for complete enumeration."""
 
 
 class InternalInconsistencyError(RuntimeError):
@@ -138,16 +138,16 @@ def _design_to_cell(route: RouteSpec, design: tuple, subsets: list, menu) -> Rou
     return RoutePeriodPlan(patterns=tuple(pats), fleet=fleet)
 
 
-def enumerate_plans(scenario: Scenario, *, max_designs: int = MAX_DESIGNS) -> Iterator[ServicePlan]:
+def enumerate_plans(scenario: Scenario) -> Iterator[ServicePlan]:
     """Yield every distinct feasible-by-fleet design of a toy scenario."""
     _guard_size(scenario)
     per_route = [_route_designs(route, scenario) for route in scenario.routes]
     total = 1
     for designs in per_route:
         total *= len(designs)
-        if total > max_designs:
+        if total > MAX_DESIGNS:
             raise OracleSizeError(
-                f"{total}+ designs exceed the enumeration limit of {max_designs}")
+                f"{total}+ designs exceed the enumeration limit of {MAX_DESIGNS}")
 
     duration = scenario.periods[0].duration_hours
     menus = [route.headway_menu(0) for route in scenario.routes]
@@ -190,9 +190,8 @@ class OracleReport:
 
 
 def certify(scenario: Scenario, milp_result: SolveResult, *,
-            cross_check: str = "sample", sample_every: int = 50,
-            solver_cfg: SolverConfig | None = None) -> OracleReport:
-    """Exhaustively price all designs and compare with a solver result.
+            cross_check: str = "sample", sample_every: int = 50) -> OracleReport:
+    """Price every enumerated design and compare the best with a solver result.
 
     cross_check controls how many enumerated plans are additionally priced
     through the fixed-design solver path ("none", "sample", "all"); any
@@ -229,7 +228,7 @@ def certify(scenario: Scenario, milp_result: SolveResult, *,
     cross_checked = 0
     if cross_check != "none" and (to_cross or best_plans):
         base_model = build_model(scenario)
-        cfg = solver_cfg or SolverConfig()
+        cfg = SolverConfig()
         if best_plans:
             to_cross.append((best_plans[0], best))
         for plan, obj in to_cross:

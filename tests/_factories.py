@@ -1,9 +1,8 @@
 """Scenario factories shared across the test suite.
 
 Everything goes through the JSON document form and load_scenario, so the
-loader is exercised by every test. Random toys keep dwell_saving at 0 and
-gamma_transfer >= gamma_wait; with those settings the loop-order enumeration
-of the oracle provably covers an optimal design of the full model.
+loader is exercised by every test. Random toys keep gamma_transfer >=
+gamma_wait; ``random_toy_doc`` says why the oracle's enumeration covers them.
 """
 
 from __future__ import annotations
@@ -101,12 +100,15 @@ def add_route(doc: dict, *, stops, out_times, in_times, menu, n_patterns,
     return doc
 
 
-def random_toy_doc(seed: int, *, transfers: bool = False, full_pattern: bool = False) -> dict:
+def random_toy_doc(seed: int, *, transfers: bool = False, full_pattern: bool = False,
+                   dwell_saving: float = 0.0) -> dict:
     """Small randomized single-route instance for oracle certification.
 
     The fleet pool always admits the full pattern at the largest menu
     headway, so the optimizer is never globally infeasible, and sometimes
-    binds tightly enough to exclude two-pattern designs.
+    binds tightly enough to exclude two-pattern designs. Every admissible
+    design is one loop in sorted stop order (the model's wrap row), so the
+    oracle's sorted-subset enumeration is complete at any ``dwell_saving``.
     """
     rng = random.Random(seed)
     n = rng.choice([3, 3, 4]) if transfers else rng.choice([3, 4, 5])
@@ -135,9 +137,34 @@ def random_toy_doc(seed: int, *, transfers: bool = False, full_pattern: bool = F
         fleet_cap=fleet_cap,
         vehicle_hours_cap=ceil(fleet_cap),
         turnback_time=turnback,
+        dwell_saving=dwell_saving,
         transfers=transfers,
         symmetry=True,
         full_pattern=full_pattern,
+    )
+
+
+def ladder_doc(n: int, seed: int, *, transfers: bool) -> dict:
+    """Mid-size corridor generator: one route of ``n`` stops, two patterns,
+    menu (5, 7), dwell_saving 0.5, turnback 3, symmetry on, and pools of 60
+    vehicles and 60 vehicle-hours."""
+    rng = random.Random(seed)
+    out_times = tuple(round(rng.uniform(1.5, 4.0), 1) for _ in range(n - 1))
+    in_times = tuple(round(rng.uniform(1.5, 4.0), 1) for _ in range(n - 1))
+    pairs = {(rng.randrange(n), rng.randrange(n)) for _ in range(3 * n)}
+    demand = tuple(((0, o, d), float(rng.randint(1, 60))) for o, d in pairs if o != d)
+    return scenario_doc(
+        stops=tuple(f"S{k}" for k in range(n)),
+        out_times=out_times,
+        in_times=in_times,
+        menu=(5.0, 7.0),
+        demand=demand,
+        fleet_cap=60.0,
+        vehicle_hours_cap=60.0,
+        dwell_saving=0.5,
+        turnback_time=3.0,
+        transfers=transfers,
+        symmetry=True,
     )
 
 

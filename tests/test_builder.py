@@ -3,8 +3,8 @@ from math import comb
 import pytest
 
 from transitopt import (
-    BuildError, SolverConfig, big_m_flow, build_model, decode_plan,
-    fix_baseline, load_plan, model_stats, solve,
+    BuildError, PlanError, SolverConfig, assign_flows, big_m_flow, build_model,
+    compute_metrics, decode_plan, fix_baseline, load_plan, model_stats, solve,
 )
 from transitopt.model import ROW_FAMILIES
 
@@ -20,7 +20,7 @@ def closed_form_variable_counts(n, n_patterns, menu_size, transfers, n_periods=1
     per_period = {
         "x": n_patterns * arcs,
         "y": n_patterns * (menu_size + 1),
-        "xh": n_patterns * arcs * menu_size,
+        "cy": n_patterns * menu_size,
         "z": n_combos * n * (s - 2),
         "fw": n_combos * n * (s - 2),
         "fa": n * (s - 2) * actives,
@@ -64,7 +64,7 @@ class TestVariableCounts:
         stats = model_stats(build_model(scenario))
         base = closed_form_variable_counts(3, 2, 2, transfers=True)
         assert stats["variables"]["by_family"]["x"] == base["x"] - 2 * 2
-        assert stats["variables"]["by_family"]["xh"] == base["xh"] - 2 * 2 * 2
+        assert stats["variables"]["by_family"]["cy"] == base["cy"]  # one per (pattern, headway)
         # both dropped arcs are forward arcs: riding flows shrink per label
         # (0,3): labels excluding i=0 -> d in {1,2}; (2,5): d in {0,1}
         assert stats["variables"]["by_family"]["fl"] == base["fl"] - 2 * (2 + 2)
@@ -79,7 +79,6 @@ class TestRowCounts:
     def test_toy_row_counts_match_closed_form(self):
         n, patterns, m = 3, 2, 2
         s = 2 * n
-        arcs = s * (s - 1)
         n_combos = (m + 1) ** patterns - 1
         actives = patterns * m * (m + 1) ** (patterns - 1)
         fl_per = comb(s, 2) - (s - 1)
@@ -87,12 +86,13 @@ class TestRowCounts:
         rows = model_stats(build_model(scenario))["rows"]["by_family"]
         assert rows["loop_balance"] == patterns * s
         assert rows["loop_visit_cap"] == patterns * s
+        assert rows["loop_wrap"] == patterns
         assert rows["ride_arc_gate"] == n * patterns * fl_per
         assert rows["pattern_symmetry"] == 0
         assert rows["one_headway"] == patterns
         assert rows["headway_order"] == m  # one pattern pair, prefixes 1..m
-        assert rows["arc_headway_link"] == patterns * arcs * m
-        assert rows["arc_headway_split"] == patterns * arcs
+        assert rows["cycle_gate"] == patterns * m
+        assert rows["cycle_split"] == patterns
         assert rows["fleet_need"] == 1
         assert rows["fleet_pool"] == 1
         assert rows["fleet_hours"] == 1
@@ -182,6 +182,20 @@ class TestFixBaseline:
         plan, _ = decode_plan(model, free)
         refixed = solve(fix_baseline(model, plan), SolverConfig(time_limit_s=120))
         assert refixed.objective == pytest.approx(free.objective, rel=1e-9)
+
+    def test_only_loops_in_stop_order_can_be_fixed(self):
+        scenario = make_scenario(symmetry=False)
+        model = build_model(scenario)
+        doc = full_pattern_plan_doc(scenario)
+        doc["routes"][0]["periods"][0]["patterns"][0]["stops"] = [2, 3, 4, 5, 0, 1]
+        rotated = load_plan(doc, scenario)
+        result = solve(fix_baseline(model, rotated), SolverConfig(time_limit_s=60))
+        evaluated = compute_metrics(assign_flows(scenario, rotated), scenario, rotated)
+        assert result.objective == pytest.approx(evaluated.objective, rel=1e-9)
+        for stops in ([0, 2, 1, 3, 4, 5], []):
+            doc["routes"][0]["periods"][0]["patterns"][0]["stops"] = stops
+            with pytest.raises(PlanError, match="stop order"):
+                fix_baseline(model, load_plan(doc, scenario))
 
     def test_fixing_beyond_fleet_cap_is_infeasible(self):
         scenario = make_scenario(fleet_cap=12.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -86,10 +87,15 @@ class TestSolve:
         def split_loops(model, result):
             raise DecodeError("period 0 route 0 pattern 0: arcs split into multiple loops")
         monkeypatch.setattr(transitopt.cli, "decode_plan", split_loops)
-        assert main(["solve", "--scenario", str(scenario_file),
-                     "--out", str(tmp_path / "o")]) == 5
+        out = tmp_path / "o"
+        assert main(["solve", "--scenario", str(scenario_file), "--out", str(out)]) == 5
         assert capsys.readouterr().err.splitlines()[-1] == (
             "error: DecodeError: period 0 route 0 pattern 0: arcs split into multiple loops")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["solver_status"] == "optimal"
+        assert set(manifest["artifacts"]) == {"model.lp", "model_stats.json"}
+        for name, digest in manifest["artifacts"].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
 
     def test_solver_failure_exit_five(self, scenario_file, tmp_path, monkeypatch, capsys):
         def broken(model, cfg):

@@ -132,9 +132,14 @@ class TestCertify:
 
 
 class TestRandomizedCertification:
-    @pytest.mark.parametrize("seed", [101, 202])
-    def test_random_toys_match(self, seed):
-        scenario = load_scenario(random_toy_doc(seed))
+    @pytest.mark.parametrize("seed,kwargs", [
+        pytest.param(101, {}, id="101"),
+        pytest.param(202, {}, id="202"),
+        pytest.param(10, {"dwell_saving": 0.5}, id="10-dwell"),
+        pytest.param(11, {"dwell_saving": 0.5, "transfers": True}, id="11-dwell-transfers"),
+    ])
+    def test_random_toys_match(self, seed, kwargs):
+        scenario = load_scenario(random_toy_doc(seed, **kwargs))
         result = solve(build_model(scenario), SolverConfig(time_limit_s=300))
         assert result.status == "optimal"
         report = certify(scenario, result, cross_check="sample", sample_every=200)

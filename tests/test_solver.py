@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from transitopt import (
-    SolverConfig, build_model, decode_plan, model_stats, solve, write_lp,
+    SolverConfig, assign_flows, build_model, compute_metrics, decode_plan,
+    model_stats, solve, write_lp,
 )
 from transitopt.backend import DecodeError, _trace_loop
 
-from _factories import make_scenario, random_toy_doc, scenario_doc
+from _factories import ladder_doc, make_scenario, random_toy_doc, scenario_doc
 from transitopt import load_scenario
 
 
@@ -104,7 +105,7 @@ class TestExport:
 
 
 class TestDecode:
-    def test_decode_checks_arc_headway_consistency(self):
+    def test_decoded_loops_visit_each_stop_once(self):
         model = build_model(make_scenario())
         result = solve(model, SolverConfig(time_limit_s=120))
         plan, flows = decode_plan(model, result)
@@ -126,6 +127,17 @@ class TestDecode:
                 for p2 in range(p1 + 1, len(idx)):
                     if idx[p2] != 0:
                         assert idx[p1] != 0 and idx[p1] <= idx[p2]
+
+    def test_ladder_decodes_as_one_loop_per_pattern(self):
+        # Without the wrap row HiGHS returns pattern 0 of this instance as
+        # two disjoint loops and decoding fails.
+        scenario = load_scenario(ladder_doc(3, 7, transfers=False))
+        model = build_model(scenario)
+        result = solve(model, SolverConfig(time_limit_s=120))
+        assert result.status == "optimal"
+        plan, _ = decode_plan(model, result)
+        evaluated = compute_metrics(assign_flows(scenario, plan), scenario, plan).objective
+        assert abs(evaluated - result.objective) <= 1e-6 * max(1.0, abs(result.objective))
 
     def test_decode_refuses_non_optimal(self):
         from transitopt import SolveResult
