@@ -38,6 +38,14 @@ _FAILURES = (SolverError, DecodeError, EvaluationError)
 __all__ = ["main", "entry"]
 
 
+class _Exit(Exception):
+    """Ends a command early with ``code``; its stderr line is already out."""
+
+    def __init__(self, code: int):
+        super().__init__(code)
+        self.code = code
+
+
 def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
@@ -105,27 +113,25 @@ def _override_dict(args) -> dict:
     return out
 
 
-def _load_scenario(args) -> Scenario | int:
+def _load_scenario(args) -> Scenario:
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as exc:
         _err(f"error: {exc}")
-        return EXIT_IO
+        raise _Exit(EXIT_IO) from exc
     overrides = _override_dict(args)
     if overrides:
         scenario = replace(scenario, options=replace(scenario.options, **overrides))
     return scenario
 
 
-def _validated(args) -> Scenario | int:
+def _validated(args) -> Scenario:
     scenario = _load_scenario(args)
-    if isinstance(scenario, int):
-        return scenario
     violations = validate_scenario(scenario)
     if violations:
         for v in violations:
             _err(f"invalid: {v}")
-        return EXIT_INVALID
+        raise _Exit(EXIT_INVALID)
     return scenario
 
 
@@ -175,8 +181,6 @@ def _metrics_csv(metrics_dict: dict) -> str:
 
 def cmd_validate(args) -> int:
     scenario = _load_scenario(args)
-    if isinstance(scenario, int):
-        return scenario
     violations = validate_scenario(scenario)
     for v in violations:
         print(str(v))
@@ -209,8 +213,6 @@ def _solve_pipeline(scenario: Scenario, args, run: _Run):
 
 def cmd_solve(args) -> int:
     scenario = _validated(args)
-    if isinstance(scenario, int):
-        return scenario
     run = _Run(args, "solve")
     result, plan, metrics = _solve_pipeline(scenario, args, run)
     if plan is None:
@@ -226,32 +228,28 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _load_plan_file(path: str, scenario: Scenario):
+def _load_plan_file(path: str, scenario: Scenario) -> ServicePlan:
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as exc:
         _err(f"error: cannot read plan file {p}: {exc}")
-        return EXIT_IO
+        raise _Exit(EXIT_IO) from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         _err(f"error: {p}: not valid JSON ({exc})")
-        return EXIT_IO
+        raise _Exit(EXIT_IO) from exc
     try:
         return load_plan(doc, scenario)
     except PlanError as exc:
         _err(f"invalid plan: {exc}")
-        return EXIT_INVALID
+        raise _Exit(EXIT_INVALID) from exc
 
 
 def cmd_evaluate(args) -> int:
     scenario = _validated(args)
-    if isinstance(scenario, int):
-        return scenario
     plan = _load_plan_file(args.plan, scenario)
-    if isinstance(plan, int):
-        return plan
     run = _Run(args, "evaluate")
     try:
         flows = assign_flows(scenario, plan)
@@ -277,11 +275,7 @@ def _percent(new: float, old: float) -> float | None:
 
 def cmd_compare(args) -> int:
     scenario = _validated(args)
-    if isinstance(scenario, int):
-        return scenario
     baseline_plan = _load_plan_file(args.baseline, scenario)
-    if isinstance(baseline_plan, int):
-        return baseline_plan
     run = _Run(args, "compare")
     try:
         base_flows = assign_flows(scenario, baseline_plan)
@@ -323,8 +317,6 @@ def cmd_compare(args) -> int:
 
 def cmd_oracle(args) -> int:
     scenario = _validated(args)
-    if isinstance(scenario, int):
-        return scenario
     run = _Run(args, "oracle")
     model = build_model(scenario)
     result = solve(model, _solver_config(args))
@@ -348,8 +340,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_export(args) -> int:
     scenario = _validated(args)
-    if isinstance(scenario, int):
-        return scenario
     run = _Run(args, "export")
     model = build_model(scenario)
     run.write_text("model.lp", write_lp(model))
@@ -420,6 +410,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _Exit as exc:
+        return exc.code
     except _FAILURES as exc:
         _err(f"error: {type(exc).__name__}: {exc}")
         return EXIT_FAILURE

@@ -84,7 +84,6 @@ class CombinationSet:
     def __init__(self, menu: Sequence[float], combos: Sequence[Combination]):
         self.menu = tuple(menu)
         self.combos = tuple(combos)
-        self._by_vector = {c.headway_indices: k for k, c in enumerate(self.combos)}
 
     def __len__(self) -> int:
         return len(self.combos)
@@ -94,12 +93,6 @@ class CombinationSet:
 
     def __getitem__(self, k: int) -> Combination:
         return self.combos[k]
-
-    def index_of(self, headway_indices: Sequence[int]) -> int:
-        key = tuple(headway_indices)
-        if key not in self._by_vector:
-            raise CombinationError(f"unknown combination vector {key}")
-        return self._by_vector[key]
 
     def consistent_with(self, assigned_indices: Sequence[int]) -> list[int]:
         """Combinations whose active patterns all match the assigned menu

@@ -3,18 +3,17 @@
 Given a frozen design (loops + headways), the cheapest flow routing is found
 without touching the model builder: when transfers and capacity are both off
 the problem separates per origin-destination pair and is solved in closed
-form; with transfers on, each destination is a small mixed-integer program
-over that destination's flows only; with capacity on, destinations couple and
-one joint program per route/period is solved. All three price exactly the
-objective used by the design model: riding minutes plus weighted perceived
-waiting plus weighted transfer penalties.
+form; otherwise one small mixed-integer program per route and period covers
+every destination with demand. Both price exactly the objective used by the
+design model: riding minutes plus weighted perceived waiting plus weighted
+transfer penalties.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -22,7 +21,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from .backend import assemble_rows
 from .combos import CombinationSet, enumerate_combinations
 from .network import RouteSpec, Scenario
-from .plan import FlowAssignment, RoutePeriodPlan, ServicePlan
+from .plan import FlowAssignment, RoutePeriodPlan, ServicePlan, vehicle_need
 
 __all__ = [
     "Metrics",
@@ -54,16 +53,9 @@ class UnroutableDemandError(EvaluationError):
 def fleet_requirement(plan: ServicePlan, scenario: Scenario) -> dict[tuple[int, int], float]:
     """Vehicles needed per (route, period): cycle time over headway, summed
     across in-service patterns."""
-    out: dict[tuple[int, int], float] = {}
-    for r, route in enumerate(scenario.routes):
-        for t in range(len(scenario.periods)):
-            cell = plan.cell(r, t)
-            need = 0.0
-            for pat in cell.patterns:
-                if pat.in_service and pat.stops:
-                    need += pat.cycle_time(route) / pat.headway
-            out[(r, t)] = need
-    return out
+    return {(r, t): vehicle_need(route, plan.cell(r, t).patterns)
+            for r, route in enumerate(scenario.routes)
+            for t in range(len(scenario.periods))}
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +67,6 @@ class _PatternView:
     p: int
     stops: tuple[int, ...]
     headway: float
-    hidx: int
     pos: dict[int, int]
     fwd_arcs: list[tuple[int, int]]          # loop arcs with rising index
     arc_in: dict[int, tuple[int, int]]
@@ -92,13 +83,24 @@ def _pattern_views(route: RouteSpec, cell: RoutePeriodPlan) -> list[_PatternView
             p=p,
             stops=pat.stops,
             headway=pat.headway,
-            hidx=pat.headway_index,
             pos={s: k for k, s in enumerate(pat.stops)},
             fwd_arcs=fwd,
             arc_in={v: (u, v) for u, v in fwd},
             arc_out={u: (u, v) for u, v in fwd},
         ))
     return views
+
+
+def _forward_walk(stops: tuple[int, ...], k: int) -> Iterator[int]:
+    """Stops reached riding the loop ``stops`` onward from ``stops[k]``, up to
+    the step where the loop wraps back to a lower stop index."""
+    cur = stops[k]
+    for step in range(1, len(stops)):
+        nxt = stops[(k + step) % len(stops)]
+        if nxt < cur:
+            return
+        yield nxt
+        cur = nxt
 
 
 def _ride_to_destination(view: _PatternView, tmat: list[list[float]],
@@ -110,20 +112,14 @@ def _ride_to_destination(view: _PatternView, tmat: list[list[float]],
     """
     if i not in view.pos:
         return None
-    seq = view.stops
-    k = view.pos[i]
     cur = i
     minutes = 0.0
     arcs: list[tuple[int, int]] = []
-    for _ in range(len(seq) - 1):
-        nxt = seq[(k + 1) % len(seq)]
-        if nxt < cur:
-            return None
+    for nxt in _forward_walk(view.stops, view.pos[i]):
         minutes += tmat[cur][nxt]
         arcs.append((cur, nxt))
         cur = nxt
-        k += 1
-        if cur == targets[0] or cur == targets[1]:
+        if cur in targets:
             return minutes, cur, arcs
     return None
 
@@ -221,29 +217,19 @@ class _MiniLp:
         return res
 
 
-def _check_routable(scenario: Scenario, plan: ServicePlan, t: int, r: int,
-                    views: Sequence[_PatternView], dests: set[int]) -> None:
+def _check_routable(scenario: Scenario, t: int, r: int,
+                    views: Sequence[_PatternView]) -> None:
     """With transfers on, reachability over rides plus direction changes."""
     route = scenario.routes[r]
-    nd = route.n_dir
-    ride_next: list[set[int]] = [set() for _ in range(nd)]
+    ride_next: list[set[int]] = [set() for _ in range(route.n_dir)]
     for view in views:
-        seq = view.stops
-        for k, s in enumerate(seq):
-            cur = s
-            kk = k
-            for _ in range(len(seq) - 1):
-                nxt = seq[(kk + 1) % len(seq)]
-                if nxt < cur:
-                    break
-                ride_next[s].add(nxt)
-                cur = nxt
-                kk += 1
+        for k, s in enumerate(view.stops):
+            ride_next[s].update(_forward_walk(view.stops, k))
     # A direction change only needs one available combination to join, which
     # exists as soon as any pattern is in service.
     has_service = bool(views)
     for (tt, o, d), riders in sorted(scenario.demand[r].items()):
-        if tt != t or riders <= 0.0 or d not in dests:
+        if tt != t or riders <= 0.0:
             continue
         d_dir, d_mir = route.direction_stops_of(d)
         seen: set[int] = set()
@@ -267,8 +253,8 @@ def _check_routable(scenario: Scenario, plan: ServicePlan, t: int, r: int,
 
 
 def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
-               dests: list[int], fa: FlowAssignment) -> None:
-    """One program covering the given destinations of route r in period t."""
+               fa: FlowAssignment) -> None:
+    """One program covering every destination with demand on route r in period t."""
     route = scenario.routes[r]
     cell = plan.cell(r, t)
     nd = route.n_dir
@@ -282,11 +268,11 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     opts = scenario.options
     gamma_w, gamma_x, t_x = scenario.gamma_wait, scenario.gamma_transfer, scenario.transfer_time
 
-    dests = [d for d in dests if dm.total_into(t, d) > 0.0]
+    dests = [d for d in range(route.n_physical) if dm.total_into(t, d) > 0.0]
     if not dests:
         return
     if opts.allow_transfers:
-        _check_routable(scenario, plan, t, r, views, set(dests))
+        _check_routable(scenario, t, r, views)
 
     lp = _MiniLp()
     z: dict[tuple, int] = {}
@@ -315,10 +301,10 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
                 b_[(d, s, view.p)] = lp.var()
         if opts.allow_transfers:
             for i in entry_stops:
-                for jdir in (0, 1):
+                for j in (i, route.mirror(i)):
                     for view in views:
                         for c in avail:
-                            chi[(d, i, jdir, view.p, c)] = lp.var(
+                            chi[(d, i, j, view.p, c)] = lp.var(
                                 cost=gamma_x * (combos[c].perceived_headway / 2.0 + t_x))
 
         # demand coverage at both direction stops of each origin
@@ -340,8 +326,8 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
                 if opts.allow_transfers:
                     mi = route.mirror(i)
                     for view in views:
-                        coeffs.append((chi[(d, i, 0, view.p, c)], 1.0))
-                        coeffs.append((chi[(d, mi, 1, view.p, c)], 1.0))
+                        coeffs.append((chi[(d, i, i, view.p, c)], 1.0))
+                        coeffs.append((chi[(d, mi, i, view.p, c)], 1.0))
                 coeffs += [(a_[(d, i, c, p)], -1.0) for p in combo.active_patterns]
                 lp.add(coeffs, "=", 0.0)
                 act = combo.active_patterns
@@ -362,9 +348,9 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
                 if arc:
                     coeffs.append((l_[(d, view.p, arc[0], arc[1])], -1.0))
                 if opts.allow_transfers:
-                    for jdir in (0, 1):
+                    for j in (s, route.mirror(s)):
                         for c in avail:
-                            coeffs.append((chi[(d, s, jdir, view.p, c)], -1.0))
+                            coeffs.append((chi[(d, s, j, view.p, c)], -1.0))
                 lp.add(coeffs, "=", 0.0)
             for s in (d_dir, d_mir):
                 coeffs = [(b_[(d, s, view.p)], -1.0)]
@@ -416,12 +402,10 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
         v = val(idx)
         if v > _FLOW_EPS:
             fa.exit[(t, r, s, p)] = fa.exit.get((t, r, s, p), 0.0) + v
-    for (d, i, jdir, p, c), idx in chi.items():
+    for (d, i, j, p, c), idx in chi.items():
         v = val(idx)
         if v > _FLOW_EPS:
-            j = i if jdir == 0 else scenario.routes[r].mirror(i)
-            key = (t, r, d, i, j, p, c)
-            fa.transfer[key] = fa.transfer.get(key, 0.0) + v
+            fa.transfer[(t, r, d, i, j, p, c)] = v
     for d in dests:
         d_dir, d_mir = route.direction_stops_of(d)
         for i in range(nd):
@@ -446,12 +430,9 @@ def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:
     fa = FlowAssignment()
     opts = scenario.options
     for t in range(len(scenario.periods)):
-        for r, route in enumerate(scenario.routes):
-            if opts.enforce_capacity:
-                _assign_lp(scenario, plan, t, r, list(range(route.n_physical)), fa)
-            elif opts.allow_transfers:
-                for d in range(route.n_physical):
-                    _assign_lp(scenario, plan, t, r, [d], fa)
+        for r in range(len(scenario.routes)):
+            if opts.allow_transfers or opts.enforce_capacity:
+                _assign_lp(scenario, plan, t, r, fa)
             else:
                 _assign_direct(scenario, plan, t, r, fa)
     return fa

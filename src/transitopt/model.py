@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Any
 
-from .combos import CombinationSet, enumerate_combinations
+from .combos import enumerate_combinations
 from .network import Scenario, validate_scenario
 from .plan import PlanError, ServicePlan
 
@@ -114,7 +114,6 @@ class MilpModel:
     rows: list[Row]
     index: dict[tuple, int]
     scenario: Scenario
-    combo_sets: dict[tuple[int, int], CombinationSet]  # (t, r) -> combinations
 
 
 def big_m_flow(scenario: Scenario, r: int, t: int, d: int, share: bool = False) -> float:
@@ -146,7 +145,6 @@ def build_model(scenario: Scenario) -> MilpModel:
     index: dict[tuple, int] = {}
     objective: dict[int, float] = {}
     rows_by_family: dict[str, list[Row]] = {f: [] for f in ROW_FAMILIES}
-    combo_sets: dict[tuple[int, int], CombinationSet] = {}
 
     def new_var(kind: str, family: str, key: tuple, lb: float = 0.0, ub: float = math.inf) -> int:
         vid = len(variables)
@@ -167,7 +165,6 @@ def build_model(scenario: Scenario) -> MilpModel:
             m = len(menu)
             patterns = range(route.n_patterns)
             combos = enumerate_combinations(route.n_patterns, menu)
-            combo_sets[(t, r)] = combos
             tmat = route.travel_time_matrix()
             t_full = sum(route.adjacent_times())
             mirror = [nd - 1 - i for i in range(nd)]
@@ -513,7 +510,6 @@ def build_model(scenario: Scenario) -> MilpModel:
         rows=rows,
         index=index,
         scenario=scenario,
-        combo_sets=combo_sets,
     )
 
 
@@ -570,7 +566,6 @@ def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
         rows=model.rows,
         index=model.index,
         scenario=scenario,
-        combo_sets=model.combo_sets,
     )
 
 

@@ -19,7 +19,7 @@ from .backend import SolveResult, SolverConfig, solve
 from .evaluator import UnroutableDemandError, assign_flows, compute_metrics
 from .model import build_model, fix_baseline
 from .network import RouteSpec, Scenario
-from .plan import PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs
+from .plan import PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs, vehicle_need
 
 __all__ = [
     "OracleSizeError",
@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 REL_TOL = 1e-6
+SAMPLE_EVERY = 50
 _TIE_TOL = 1e-9
 
 MAX_PHYSICAL = 6
@@ -126,16 +127,13 @@ def _route_designs(route: RouteSpec, scenario: Scenario) -> list[tuple]:
 
 def _design_to_cell(route: RouteSpec, design: tuple, subsets: list, menu) -> RoutePeriodPlan:
     pats = []
-    fleet = 0.0
     for choice in design:
         if choice is None:
             pats.append(PatternPlan(stops=(), headway=None, headway_index=0))
             continue
         h, s = choice
-        pat = PatternPlan(stops=subsets[s], headway=menu[h - 1], headway_index=h)
-        fleet += pat.cycle_time(route) / pat.headway
-        pats.append(pat)
-    return RoutePeriodPlan(patterns=tuple(pats), fleet=fleet)
+        pats.append(PatternPlan(stops=subsets[s], headway=menu[h - 1], headway_index=h))
+    return RoutePeriodPlan(patterns=tuple(pats), fleet=vehicle_need(route, pats))
 
 
 def enumerate_plans(scenario: Scenario) -> Iterator[ServicePlan]:
@@ -190,11 +188,12 @@ class OracleReport:
 
 
 def certify(scenario: Scenario, milp_result: SolveResult, *,
-            cross_check: str = "sample", sample_every: int = 50) -> OracleReport:
+            cross_check: str = "sample") -> OracleReport:
     """Price every enumerated design and compare the best with a solver result.
 
     cross_check controls how many enumerated plans are additionally priced
-    through the fixed-design solver path ("none", "sample", "all"); any
+    through the fixed-design solver path: "none", "sample" (every
+    SAMPLE_EVERY-th routable design and the best one) or "all"; any
     disagreement beyond 1e-6 relative flags an internal inconsistency.
     """
     if cross_check not in ("none", "sample", "all"):
@@ -219,7 +218,7 @@ def certify(scenario: Scenario, milp_result: SolveResult, *,
             best = obj
         if obj <= best + _TIE_TOL:
             candidates.append((obj, plan))
-        if cross_check == "all" or (cross_check == "sample" and evaluated % sample_every == 0):
+        if cross_check == "all" or (cross_check == "sample" and evaluated % SAMPLE_EVERY == 0):
             to_cross.append((plan, obj))
         evaluated += 1
 

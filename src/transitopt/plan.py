@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from .network import RouteSpec, Scenario, ScenarioError
 
 __all__ = ["PatternPlan", "RoutePeriodPlan", "ServicePlan", "FlowAssignment",
-           "PlanError", "load_plan", "loop_arcs"]
+           "PlanError", "load_plan", "loop_arcs", "vehicle_need"]
 
 _HEADWAY_TOL = 1e-9
 
@@ -57,9 +56,13 @@ class PatternPlan:
 
     def cycle_time(self, route: RouteSpec) -> float:
         """Minutes for one full vehicle rotation around the loop."""
-        if not self.in_service or not self.stops:
-            return 0.0
         return sum(route.travel_time(u, v) for u, v in self.arcs())
+
+
+def vehicle_need(route: RouteSpec, patterns: Iterable[PatternPlan]) -> float:
+    """Vehicles that run ``patterns`` on ``route``: cycle time over headway,
+    summed across in-service patterns in pattern order."""
+    return sum(pat.cycle_time(route) / pat.headway for pat in patterns if pat.in_service)
 
 
 @dataclass(frozen=True)
@@ -114,26 +117,13 @@ def _lookup_headway_index(menu: tuple[float, ...], value: float, where: str) -> 
     raise PlanError(f"{where}: headway {value} is not on the menu {list(menu)}")
 
 
-def load_plan(source: str | Path | Mapping[str, Any], scenario: Scenario) -> ServicePlan:
-    """Read a plan document and bind it to a scenario.
+def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
+    """Bind a parsed plan document to a scenario.
 
-    Headways must come from the route/period menu; served stops must be valid
-    direction stops forming an allowed loop. A missing ``fleet`` defaults to
-    the exact vehicle requirement of the cell's patterns.
+    Headways must come from the route/period menu; an in-service pattern must
+    serve valid direction stops forming an allowed loop. A missing ``fleet``
+    defaults to the exact vehicle requirement of the cell's patterns.
     """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise PlanError(f"cannot read plan file {path}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise PlanError(f"{path}: not valid JSON ({exc})") from exc
-    else:
-        doc = source
-
     routes_doc = doc.get("routes")
     if not isinstance(routes_doc, list) or len(routes_doc) != len(scenario.routes):
         raise PlanError(f"plan must describe exactly {len(scenario.routes)} route(s)")
@@ -161,14 +151,14 @@ def load_plan(source: str | Path | Mapping[str, Any], scenario: Scenario) -> Ser
                         raise PlanError(f"{where}: out-of-service pattern must not serve stops")
                     pats.append(PatternPlan(stops=(), headway=None, headway_index=0))
                     continue
+                if not stops:
+                    raise PlanError(f"{where}: in-service pattern must serve stops")
                 hidx = _lookup_headway_index(menu, float(headway), where)
                 _check_loop(route, stops, where)
                 pats.append(PatternPlan(stops=stops, headway=float(headway), headway_index=hidx))
             fleet = pdoc.get("fleet")
             if fleet is None:
-                fleet = sum(
-                    pat.cycle_time(route) / pat.headway for pat in pats if pat.in_service and pat.stops
-                )
+                fleet = vehicle_need(route, pats)
             row.append(RoutePeriodPlan(patterns=tuple(pats), fleet=float(fleet)))
         cells.append(tuple(row))
     return ServicePlan(cells=tuple(cells))

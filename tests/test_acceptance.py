@@ -157,7 +157,7 @@ def test_criterion_04_oracle_equivalence(registry):
     for rec in registry:
         if not rec.oracle_eligible:
             continue
-        report = certify(rec.scenario, rec.result, cross_check="sample", sample_every=500)
+        report = certify(rec.scenario, rec.result, cross_check="sample")
         checked += 1
         if report.verdict != "match":
             failures.append((rec.label, report.best_objective, report.milp_objective))

@@ -1,10 +1,12 @@
+from dataclasses import replace
 from math import comb
 
 import pytest
 
 from transitopt import (
-    BuildError, PlanError, SolverConfig, assign_flows, big_m_flow, build_model,
-    compute_metrics, decode_plan, fix_baseline, load_plan, model_stats, solve,
+    BuildError, PlanError, ServicePlan, SolverConfig, assign_flows, big_m_flow,
+    build_model, compute_metrics, decode_plan, fix_baseline, load_plan,
+    model_stats, solve,
 )
 from transitopt.model import ROW_FAMILIES
 
@@ -192,10 +194,14 @@ class TestFixBaseline:
         result = solve(fix_baseline(model, rotated), SolverConfig(time_limit_s=60))
         evaluated = compute_metrics(assign_flows(scenario, rotated), scenario, rotated)
         assert result.objective == pytest.approx(evaluated.objective, rel=1e-9)
-        for stops in ([0, 2, 1, 3, 4, 5], []):
-            doc["routes"][0]["periods"][0]["patterns"][0]["stops"] = stops
-            with pytest.raises(PlanError, match="stop order"):
-                fix_baseline(model, load_plan(doc, scenario))
+        doc["routes"][0]["periods"][0]["patterns"][0]["stops"] = [0, 2, 1, 3, 4, 5]
+        with pytest.raises(PlanError, match="stop order"):
+            fix_baseline(model, load_plan(doc, scenario))
+        # load_plan refuses an in-service pattern without stops; build one directly
+        cell = rotated.cell(0, 0)
+        bare = replace(cell, patterns=(replace(cell.patterns[0], stops=()),) + cell.patterns[1:])
+        with pytest.raises(PlanError, match="stop order"):
+            fix_baseline(model, ServicePlan(cells=((bare,),)))
 
     def test_fixing_beyond_fleet_cap_is_infeasible(self):
         scenario = make_scenario(fleet_cap=12.0)

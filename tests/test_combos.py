@@ -50,12 +50,6 @@ class TestEnumeration:
         with pytest.raises(CombinationError):
             enumerate_combinations(2, ())
 
-    def test_index_lookup(self):
-        cs = enumerate_combinations(2, (5.0, 7.0))
-        assert cs.index_of((1, 2)) == cs.combos.index(cs[cs.index_of((1, 2))])
-        with pytest.raises(CombinationError):
-            cs.index_of((3, 0))
-
     def test_consistent_with(self):
         cs = enumerate_combinations(2, (5.0, 7.0))
         # pattern 0 at menu index 1, pattern 1 off

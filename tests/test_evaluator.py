@@ -110,9 +110,12 @@ class TestHandExamples:
         assert result.status == "optimal"
         assert result.objective == pytest.approx(10 * (4.5 + 3 + 14 + 4), rel=1e-9)
 
-    def test_unroutable_pair_is_named(self):
+    @pytest.mark.parametrize("transfers", [False, True])
+    def test_unroutable_pair_is_named(self, transfers):
+        # both pairs are unroutable; every path names the first in sorted order
         scenario = make_scenario(
-            demand=(((0, 0, 2), 10.0),), transfers=False, n_patterns=1)
+            demand=(((0, 0, 2), 10.0), ((0, 2, 0), 10.0)), transfers=transfers,
+            n_patterns=1)
         plan = load_plan(plan_doc({(0, 0): [((0, 1, 4, 5), 5.0)]}, scenario), scenario)
         with pytest.raises(UnroutableDemandError) as err:
             assign_flows(scenario, plan)
@@ -160,8 +163,7 @@ class TestCrossPathEquivalence:
         fa_direct = assign_flows(scenario, plan)
         m_direct = compute_metrics(fa_direct, scenario, plan)
         fa_lp = FlowAssignment()
-        for d in range(scenario.routes[0].n_physical):
-            _assign_lp(scenario, plan, 0, 0, [d], fa_lp)
+        _assign_lp(scenario, plan, 0, 0, fa_lp)
         m_lp = compute_metrics(fa_lp, scenario, plan)
         assert m_direct.objective == pytest.approx(m_lp.objective, rel=1e-9, abs=1e-9)
 
@@ -179,8 +181,7 @@ class TestCrossPathEquivalence:
             pytest.skip("plan outside fleet bounds for this seed")
         fa_direct = assign_flows(scenario, plan)
         fa_lp = FlowAssignment()
-        for d in range(route.n_physical):
-            _assign_lp(scenario, plan, 0, 0, [d], fa_lp)
+        _assign_lp(scenario, plan, 0, 0, fa_lp)
         m1 = compute_metrics(fa_direct, scenario, plan)
         m2 = compute_metrics(fa_lp, scenario, plan)
         assert m1.objective == pytest.approx(m2.objective, rel=1e-9, abs=1e-9)

@@ -142,6 +142,6 @@ class TestRandomizedCertification:
         scenario = load_scenario(random_toy_doc(seed, **kwargs))
         result = solve(build_model(scenario), SolverConfig(time_limit_s=300))
         assert result.status == "optimal"
-        report = certify(scenario, result, cross_check="sample", sample_every=200)
+        report = certify(scenario, result, cross_check="sample")
         assert report.verdict == "match", (
             f"seed {seed}: oracle {report.best_objective} vs solver {report.milp_objective}")

@@ -44,6 +44,13 @@ class TestLoadPlan:
         with pytest.raises(PlanError, match="out-of-service"):
             load_plan(doc, scenario)
 
+    def test_in_service_without_stops_rejected(self):
+        scenario = make_scenario(symmetry=False)
+        doc = full_pattern_plan_doc(scenario)
+        doc["routes"][0]["periods"][0]["patterns"][1].update(headway=5.0, stops=[])
+        with pytest.raises(PlanError, match="must serve stops"):
+            load_plan(doc, scenario)
+
     def test_repeated_stop_rejected(self):
         scenario = make_scenario()
         doc = full_pattern_plan_doc(scenario)
