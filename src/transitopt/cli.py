@@ -1,7 +1,8 @@
 """Command-line pipeline: validate, solve, evaluate, compare, oracle, export.
 
-Exit codes are a stable contract: 0 success, 1 validation failure, 2 I/O
-failure, 3 infeasible, 4 oracle mismatch, 5 solver, decode or evaluator
+Exit codes are a stable contract: 0 success, 1 validation failure (a
+document the loader refuses included), 2 I/O failure (unreadable file or
+malformed JSON), 3 infeasible, 4 oracle mismatch, 5 solver, decode or evaluator
 failure. All artifacts land under --out with fixed names; a manifest records
 checksums of everything written.
 """
@@ -15,6 +16,7 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Any
 
 from .backend import DecodeError, SolverConfig, SolverError, decode_plan, solve
 from .evaluator import (EvaluationError, UnroutableDemandError, assign_flows,
@@ -113,12 +115,28 @@ def _override_dict(args) -> dict:
     return out
 
 
-def _load_scenario(args) -> Scenario:
+def _read_json(path: str, what: str) -> Any:
+    """The parsed JSON file; unreadable or malformed ends with EXIT_IO."""
+    p = Path(path)
     try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        _err(f"error: {exc}")
+        text = p.read_text()
+    except OSError as exc:
+        _err(f"error: cannot read {what} file {p}: {exc}")
         raise _Exit(EXIT_IO) from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        _err(f"error: {p}: not valid JSON ({exc})")
+        raise _Exit(EXIT_IO) from exc
+
+
+def _load_scenario(args) -> Scenario:
+    doc = _read_json(args.scenario, "scenario")
+    try:
+        scenario = load_scenario(doc)
+    except ScenarioError as exc:
+        _err(f"invalid scenario: {exc}")
+        raise _Exit(EXIT_INVALID) from exc
     overrides = _override_dict(args)
     if overrides:
         scenario = replace(scenario, options=replace(scenario.options, **overrides))
@@ -229,17 +247,7 @@ def cmd_solve(args) -> int:
 
 
 def _load_plan_file(path: str, scenario: Scenario) -> ServicePlan:
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        _err(f"error: cannot read plan file {p}: {exc}")
-        raise _Exit(EXIT_IO) from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        _err(f"error: {p}: not valid JSON ({exc})")
-        raise _Exit(EXIT_IO) from exc
+    doc = _read_json(path, "plan")
     try:
         return load_plan(doc, scenario)
     except PlanError as exc:

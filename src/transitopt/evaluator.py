@@ -219,19 +219,24 @@ class _MiniLp:
 
 def _check_routable(scenario: Scenario, t: int, r: int,
                     views: Sequence[_PatternView]) -> None:
-    """With transfers on, reachability over rides plus direction changes."""
+    """Name the first pair with demand that no path serves: one ride without
+    transfers; with transfers on, rides joined by changes of pattern or of
+    direction."""
     route = scenario.routes[r]
-    ride_next: list[set[int]] = [set() for _ in range(route.n_dir)]
+    transfers = scenario.options.allow_transfers
+    # rides[s]: stops reached on one ride boarded at s, any pattern.
+    rides: list[set[int]] = [set() for _ in range(route.n_dir)]
     for view in views:
         for k, s in enumerate(view.stops):
-            ride_next[s].update(_forward_walk(view.stops, k))
-    # A direction change only needs one available combination to join, which
-    # exists as soon as any pattern is in service.
-    has_service = bool(views)
+            rides[s].update(_forward_walk(view.stops, k))
     for (tt, o, d), riders in sorted(scenario.demand[r].items()):
         if tt != t or riders <= 0.0:
             continue
-        d_dir, d_mir = route.direction_stops_of(d)
+        targets = set(route.direction_stops_of(d))
+        if not transfers:
+            if not any(rides[s] & targets for s in route.direction_stops_of(o)):
+                raise UnroutableDemandError(t, r, o, d)
+            continue
         seen: set[int] = set()
         frontier = list(route.direction_stops_of(o))
         while frontier:
@@ -239,15 +244,13 @@ def _check_routable(scenario: Scenario, t: int, r: int,
             if s in seen:
                 continue
             seen.add(s)
-            if s in (d_dir, d_mir):
+            if s in targets:
                 break
-            for nxt in ride_next[s]:
-                if nxt not in seen:
-                    frontier.append(nxt)
-            if has_service:
-                m = route.mirror(s)
-                if m not in seen:
-                    frontier.append(m)
+            frontier.extend(rides[s] - seen)
+            # A direction change only needs one available combination to
+            # join, which exists as soon as any pattern is in service.
+            if views:
+                frontier.append(route.mirror(s))
         else:
             raise UnroutableDemandError(t, r, o, d)
 
@@ -271,8 +274,7 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     dests = [d for d in range(route.n_physical) if dm.total_into(t, d) > 0.0]
     if not dests:
         return
-    if opts.allow_transfers:
-        _check_routable(scenario, t, r, views)
+    _check_routable(scenario, t, r, views)
 
     lp = _MiniLp()
     z: dict[tuple, int] = {}

@@ -13,6 +13,7 @@ optimum.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Sequence
 
 from .model import MilpModel, Var
 
@@ -34,10 +35,15 @@ _VAR_LABELS = {
 _TERMS_PER_LINE = 8
 _HEADER = "\\ transitopt"
 
+# One str.format template per family, e.g. "x_t{}_r{}_p{}_i{}_j{}".
+_NAME_FORMATS = {
+    family: family + "".join(f"_{label}{{}}" for label in labels)
+    for family, labels in _VAR_LABELS.items()
+}
+
 
 def variable_name(var: Var) -> str:
-    labels = _VAR_LABELS[var.family]
-    return var.family + "".join(f"_{lab}{val}" for lab, val in zip(labels, var.key))
+    return _NAME_FORMATS[var.family].format(*var.key)
 
 
 def _num(v: float) -> str:
@@ -46,62 +52,64 @@ def _num(v: float) -> str:
     return repr(v)
 
 
-def _expr_lines(terms: list[tuple[float, str]], head: str) -> list[str]:
-    """Render `coef name` terms, wrapped a few per line, signs explicit."""
-    lines: list[str] = []
-    chunk: list[str] = [head]
-    for k, (coef, name) in enumerate(terms):
-        if k == 0:
-            piece = f"{_num(coef)} {name}" if coef >= 0 else f"- {_num(-coef)} {name}"
-        else:
-            piece = f"+ {_num(coef)} {name}" if coef >= 0 else f"- {_num(-coef)} {name}"
-        chunk.append(piece)
-        if len(chunk) > _TERMS_PER_LINE:
-            lines.append(" ".join(chunk))
-            chunk = [" "]
-    if len(chunk) > 1:
-        lines.append(" ".join(chunk))
-    return lines
+class _Texts(dict):
+    """Memo of rendered numbers: ``render`` runs once per distinct value."""
+
+    def __init__(self, render: Callable[[float], str]) -> None:
+        super().__init__()
+        self._render = render
+
+    def __missing__(self, value: float) -> str:
+        text = self[value] = self._render(value)
+        return text
+
+
+def _expression(head: str, coeffs: Sequence[tuple[int, float]], names: list[str],
+                first: _Texts, later: _Texts) -> str:
+    """`head` and the `coef name` terms, signs explicit, wrapped after every
+    `_TERMS_PER_LINE` terms."""
+    pieces = [later[c] + names[v] for v, c in coeffs]
+    v, c = coeffs[0]
+    pieces[0] = first[c] + names[v]
+    step = _TERMS_PER_LINE
+    if len(pieces) <= step:
+        return " ".join((head, *pieces))
+    lines = [" ".join((head, *pieces[:step]))]
+    lines += ["  " + " ".join(pieces[k:k + step]) for k in range(step, len(pieces), step)]
+    return "\n".join(lines)
 
 
 def write_lp(model: MilpModel) -> str:
     """Serialize the model as LP-format text, byte-stable across runs."""
     names = [variable_name(v) for v in model.variables]
+    # Signed text of a term's coefficient, as the first term of an
+    # expression and as a later one; the variable name follows it.
+    first = _Texts(lambda c: f"{_num(c)} " if c >= 0 else f"- {_num(-c)} ")
+    later = _Texts(lambda c: f"+ {_num(c)} " if c >= 0 else f"- {_num(-c)} ")
+    rhs_text = _Texts(_num)
     out: list[str] = [_HEADER, "Minimize"]
 
-    obj_terms = [(coef, names[vid]) for vid, coef in model.objective.items() if coef != 0.0]
-    if not obj_terms:
-        obj_terms = [(0.0, names[0])]
-    out.extend(_expr_lines(obj_terms, " obj:"))
+    obj_terms = [(vid, coef) for vid, coef in model.objective.items() if coef != 0.0]
+    out.append(_expression(" obj:", obj_terms or [(0, 0.0)], names, first, later))
 
     out.append("Subject To")
-    sense_txt = {"<=": "<=", ">=": ">=", "=": "="}
-    for row in model.rows:
-        rname = row.family + "".join(f"_{k}" for k in row.key)
-        terms = [(coef, names[vid]) for vid, coef in row.coeffs]
-        lines = _expr_lines(terms, f" {rname}:")
-        lines[-1] += f" {sense_txt[row.sense]} {_num(row.rhs)}"
-        out.extend(lines)
+    out += [
+        _expression(f" {'_'.join((row.family, *map(str, row.key)))}:",
+                    row.coeffs, names, first, later)
+        + f" {row.sense} {rhs_text[row.rhs]}"
+        for row in model.rows
+    ]
 
     bounds: list[str] = []
-    for v in model.variables:
-        nm = names[v.id]
-        if v.kind == "B":
-            if (v.lb, v.ub) == (0.0, 1.0):
-                continue
-            if v.lb == v.ub:
-                bounds.append(f" {nm} = {_num(v.lb)}")
-            else:
-                bounds.append(f" {_num(v.lb)} <= {nm} <= {_num(v.ub)}")
+    for v, nm in zip(model.variables, names):
+        if (v.lb, v.ub) == ((0.0, 1.0) if v.kind == "B" else (0.0, math.inf)):
+            continue
+        if v.lb == v.ub:
+            bounds.append(f" {nm} = {_num(v.lb)}")
+        elif v.ub == math.inf:
+            bounds.append(f" {nm} >= {_num(v.lb)}")
         else:
-            if v.lb == 0.0 and v.ub == math.inf:
-                continue
-            if v.lb == v.ub:
-                bounds.append(f" {nm} = {_num(v.lb)}")
-            elif v.ub == math.inf:
-                bounds.append(f" {nm} >= {_num(v.lb)}")
-            else:
-                bounds.append(f" {_num(v.lb)} <= {nm} <= {_num(v.ub)}")
+            bounds.append(f" {_num(v.lb)} <= {nm} <= {_num(v.ub)}")
     if bounds:
         out.append("Bounds")
         out.extend(bounds)

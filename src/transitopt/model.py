@@ -20,6 +20,7 @@ plus weighted transfer penalties.
 
 from __future__ import annotations
 
+import gc
 import math
 from dataclasses import dataclass, replace
 from typing import Any
@@ -140,6 +141,20 @@ def build_model(scenario: Scenario) -> MilpModel:
             + ("" if len(violations) <= 10 else f" (+{len(violations) - 10} more)")
         )
 
+    # The model is a million-odd container objects that form no reference
+    # cycles; while they are created, the cyclic collector would walk the
+    # growing set over and over and find nothing to free.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _assemble(scenario)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _assemble(scenario: Scenario) -> MilpModel:
+    """The variables, objective and rows of a valid scenario's model."""
     opts = scenario.options
     variables: list[Var] = []
     index: dict[tuple, int] = {}

@@ -13,6 +13,7 @@ wrap-around step that closes the loop.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -250,7 +251,14 @@ def _need(mapping: Mapping[str, Any], key: str, where: str) -> Any:
 def _num(value: Any, where: str, *, nonnegative: bool = False, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
-    v = float(value)
+    # JSON reads Infinity, NaN and 1e999 as floats; an integer past the float
+    # range cannot convert at all.
+    try:
+        v = float(value)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ScenarioError(f"{where}: must be a finite number, got {value!r}")
     if positive and v <= 0:
         raise ScenarioError(f"{where}: must be > 0, got {v}")
     if nonnegative and v < 0:

@@ -43,6 +43,17 @@ class TestValidate:
         path.write_text("{not json")
         assert main(["validate", "--scenario", str(path)]) == 2
 
+    @pytest.mark.parametrize("command", ["validate", "export"])
+    def test_non_finite_number_exit_one(self, tmp_path, capsys, command):
+        path = write_doc(tmp_path, scenario_doc(fleet_cap=float("inf")))
+        assert "Infinity" in path.read_text()
+        argv = [command, "--scenario", str(path)]
+        if command == "export":
+            argv += ["--out", str(tmp_path / "o")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["invalid scenario: fleet_cap: must be a finite number, got inf"]
+
 
 class TestSolve:
     def test_artifacts_and_exit(self, scenario_file, tmp_path, capsys):

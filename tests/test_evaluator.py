@@ -110,17 +110,30 @@ class TestHandExamples:
         assert result.status == "optimal"
         assert result.objective == pytest.approx(10 * (4.5 + 3 + 14 + 4), rel=1e-9)
 
-    @pytest.mark.parametrize("transfers", [False, True])
-    def test_unroutable_pair_is_named(self, transfers):
+    @pytest.mark.parametrize("transfers, capacity", [(False, False), (True, False), (False, True)],
+                             ids=["False", "True", "capacity-on"])
+    def test_unroutable_pair_is_named(self, transfers, capacity):
         # both pairs are unroutable; every path names the first in sorted order
         scenario = make_scenario(
             demand=(((0, 0, 2), 10.0), ((0, 2, 0), 10.0)), transfers=transfers,
-            n_patterns=1)
+            enforce_capacity=capacity, n_patterns=1)
         plan = load_plan(plan_doc({(0, 0): [((0, 1, 4, 5), 5.0)]}, scenario), scenario)
         with pytest.raises(UnroutableDemandError) as err:
             assign_flows(scenario, plan)
         assert (err.value.t, err.value.r, err.value.o, err.value.d) == (0, 0, 0, 2)
         assert "origin 0 -> destination 2" in str(err.value)
+
+    def test_pattern_change_needs_transfers(self):
+        # 0 -> 1 on one pattern and 1 -> 2 on the other joins only by a
+        # transfer; with transfers off the pair is unroutable, not a lack of
+        # capacity
+        scenario = make_scenario(menu=(6.0, 8.0), demand=(((0, 0, 2), 10.0),),
+                                 transfers=False, enforce_capacity=True)
+        plan = load_plan(plan_doc(
+            {(0, 0): [((0, 1, 4, 5), 6.0), ((1, 2, 3, 4), 8.0)]}, scenario), scenario)
+        with pytest.raises(UnroutableDemandError) as err:
+            assign_flows(scenario, plan)
+        assert (err.value.o, err.value.d) == (0, 2)
 
 
 class TestFleetRequirement:

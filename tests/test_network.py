@@ -146,6 +146,16 @@ class TestLoadScenario:
             load_scenario(tmp_path / "nope.json")
 
 
+    @pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e999", "1" + "0" * 400],
+                             ids=["Infinity", "-Infinity", "NaN", "1e999", "int-1e400"])
+    def test_non_finite_number_rejected(self, tmp_path, number):
+        # Python's json reads all of these; none is a usable number
+        text = json.dumps(scenario_doc(fleet_cap=7.0, vehicle_hours_cap=7.0))
+        path = tmp_path / "scenario.json"
+        path.write_text(text.replace('"fleet_cap": 7.0', f'"fleet_cap": {number}'))
+        with pytest.raises(ScenarioError, match="fleet_cap: must be a finite number"):
+            load_scenario(path)
+
 class TestValidateScenario:
     def test_clean_toy(self):
         assert validate_scenario(make_scenario()) == []

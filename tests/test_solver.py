@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 from transitopt import (
-    SolverConfig, assign_flows, build_model, compute_metrics, decode_plan,
-    model_stats, solve, write_lp,
+    MilpModel, Row, SolverConfig, Var, assign_flows, build_model, compute_metrics,
+    decode_plan, fix_baseline, load_plan, model_stats, solve, write_lp,
 )
 from transitopt.backend import DecodeError, _trace_loop
 
-from _factories import ladder_doc, make_scenario, random_toy_doc, scenario_doc
+from _factories import (full_pattern_plan_doc, ladder_doc, make_scenario, random_toy_doc,
+                        scenario_doc)
 from transitopt import load_scenario
 
 
@@ -89,12 +92,70 @@ class TestExport:
         {"enforce_capacity": True},
         {"period_hours": (1.0, 1.0),
          "demand": (((0, 0, 2), 30.0), ((0, 2, 0), 20.0), ((1, 1, 2), 10.0), ((1, 2, 1), 25.0))},
-    ], ids=["transfers-on", "capacity-on", "two-periods"])
+        {"integer_fleet": True},
+    ], ids=["transfers-on", "capacity-on", "two-periods", "integer-fleet"])
     def test_round_trip_objective(self, kwargs, tmp_path):
         assert_highs_round_trip(build_model(make_scenario(**kwargs)), tmp_path)
 
     def test_round_trip_transfers_off(self, tmp_path):
         assert_highs_round_trip(build_model(make_scenario(transfers=False)), tmp_path)
+
+    def test_round_trip_fixed_baseline(self, tmp_path):
+        # fixed designs are written as `name = value` bounds
+        scenario = make_scenario()
+        plan = load_plan(full_pattern_plan_doc(scenario), scenario)
+        model = fix_baseline(build_model(scenario), plan)
+        assert "\n x_t0_r0_p0_i0_j1 = 1\n" in write_lp(model)
+        assert_highs_round_trip(model, tmp_path)
+
+    def test_text_rules(self):
+        y = [Var(k, "B", 0.0, 1.0, "y", (0, 0, 0, k)) for k in range(9)]
+        cy = [Var(9, "C", 2.5, 2.5, "cy", (0, 0, 0, 1)),
+              Var(10, "C", 1.0, 4.0, "cy", (0, 0, 0, 2)),
+              Var(11, "C", 0.5, math.inf, "cy", (0, 0, 0, 3))]
+        n = Var(12, "I", 0.0, math.inf, "n", (0, 0))
+        rows = [
+            Row([(12, -1.0), (9, 0.2), (10, 1 / 7)], "<=", 0.0, "fleet_need", (0, 0)),
+            Row([(k, 1.0) for k in range(8)], "=", 1.0, "one_headway", (0, 0, 0)),
+            Row([(k, 1.0) for k in range(8)] + [(8, -1.5)], ">=", -3.5, "one_headway", (0, 0, 1)),
+            Row([(11, 2.0)], "<=", 1e16, "fleet_hours", ()),
+        ]
+        model = MilpModel(variables=[*y, *cy, n], objective={9: 3.0, 0: 0.0, 12: -0.5},
+                          rows=rows, index={}, scenario=None)
+        ys = [f"y_t0_r0_p0_h{k}" for k in range(9)]
+        assert write_lp(model) == "\n".join([
+            "\\ transitopt",
+            "Minimize",
+            " obj: 3 cy_t0_r0_p0_h1 - 0.5 n_r0_t0",
+            "Subject To",
+            " fleet_need_0_0: - 1 n_r0_t0 + 0.2 cy_t0_r0_p0_h1"
+            " + 0.14285714285714285 cy_t0_r0_p0_h2 <= 0",
+            " one_headway_0_0_0: 1 " + " + 1 ".join(ys[:8]) + " = 1",
+            " one_headway_0_0_1: 1 " + " + 1 ".join(ys[:8]),
+            "  - 1.5 y_t0_r0_p0_h8 >= -3.5",
+            " fleet_hours: 2 cy_t0_r0_p0_h3 <= 1e+16",
+            "Bounds",
+            " cy_t0_r0_p0_h1 = 2.5",
+            " 1 <= cy_t0_r0_p0_h2 <= 4",
+            " cy_t0_r0_p0_h3 >= 0.5",
+            "Binaries",
+            " " + " ".join(ys[:8]),
+            " " + ys[8],
+            "Generals",
+            " n_r0_t0",
+            "End",
+            "",
+        ])
+
+    def test_all_zero_objective_names_the_first_variable(self):
+        model = MilpModel(
+            variables=[Var(0, "C", 0.0, math.inf, "n", (0, 0)),
+                       Var(1, "C", 0.0, math.inf, "n", (1, 0))],
+            objective={1: 0.0}, rows=[Row([(1, 1.0)], "<=", 1.0, "fleet_pool", (0,))],
+            index={}, scenario=None)
+        assert write_lp(model).splitlines()[:5] == [
+            "\\ transitopt", "Minimize", " obj: 0 n_r0_t0", "Subject To",
+            " fleet_pool_0: 1 n_r1_t0 <= 1"]
 
     def test_variable_naming_scheme(self):
         model = build_model(make_scenario())
