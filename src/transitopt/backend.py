@@ -18,8 +18,7 @@ from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import coo_matrix
 
 from .model import MilpModel
-from .network import Scenario
-from .plan import FlowAssignment, PatternPlan, RoutePeriodPlan, ServicePlan
+from .plan import FlowAssignment, PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs
 
 __all__ = [
     "SolverConfig",
@@ -164,104 +163,38 @@ def _binary_value(x: np.ndarray, vid: int) -> int:
     return int(r)
 
 
-def _trace_loop(arc_set: set[tuple[int, int]], where: str) -> tuple[int, ...]:
-    """Order the arcs into the unique single cycle, or fail."""
-    if not arc_set:
-        return ()
-    succ: dict[int, int] = {}
-    indeg: dict[int, int] = {}
-    for u, v in arc_set:
-        if u in succ:
-            raise DecodeError(f"{where}: stop {u} has two outgoing arcs")
-        succ[u] = v
-        indeg[v] = indeg.get(v, 0) + 1
-        if indeg[v] > 1:
-            raise DecodeError(f"{where}: stop {v} has two incoming arcs")
-    if set(succ) != set(indeg):
-        raise DecodeError(f"{where}: arcs do not balance at every stop")
-    start = min(succ)
-    seq = [start]
-    k = succ[start]
-    while k != start:
-        seq.append(k)
-        if len(seq) > len(succ):
-            raise DecodeError(f"{where}: arcs do not close into a loop")
-        k = succ[k]
-    if len(seq) != len(succ):
-        raise DecodeError(f"{where}: arcs split into multiple loops")
-    return tuple(seq)
-
-
-def decode_plan(model: MilpModel, result: SolveResult,
-                scenario: Scenario | None = None) -> tuple[ServicePlan, FlowAssignment]:
+def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, FlowAssignment]:
     """Turn a solved assignment back into domain objects, re-verifying the
     structural invariants; any violation raises instead of being repaired."""
     if not result.ok or result.assignment is None:
         raise DecodeError(f"cannot decode a solve with status {result.status!r}")
-    scenario = scenario or model.scenario
+    scenario = model.scenario
     x = result.assignment
-    index = model.index
-
-    cells: list[tuple[RoutePeriodPlan, ...]] = []
-    for r, route in enumerate(scenario.routes):
-        row: list[RoutePeriodPlan] = []
-        for t in range(len(scenario.periods)):
-            menu = route.headway_menu(t)
-            pats: list[PatternPlan] = []
-            chosen_idx: list[int] = []
-            for p in range(route.n_patterns):
-                where = f"period {t} route {r} pattern {p}"
-                picks = [h for h in range(len(menu) + 1)
-                         if _binary_value(x, index[("y", t, r, p, h)])]
-                if len(picks) != 1:
-                    raise DecodeError(f"{where}: expected exactly one headway pick, got {picks}")
-                hidx = picks[0]
-                chosen_idx.append(hidx)
-                arc_set = set()
-                for i in range(route.n_dir):
-                    for j in range(route.n_dir):
-                        if not route.arc_allowed(i, j):
-                            continue
-                        if _binary_value(x, index[("x", t, r, p, i, j)]):
-                            arc_set.add((i, j))
-                seq = _trace_loop(arc_set, where)
-                if hidx == 0:
-                    if seq:
-                        raise DecodeError(f"{where}: out of service but serves stops {seq}")
-                    pats.append(PatternPlan(stops=(), headway=None, headway_index=0))
-                else:
-                    if not seq:
-                        raise DecodeError(f"{where}: in service but serves no stops")
-                    pats.append(PatternPlan(stops=seq, headway=menu[hidx - 1], headway_index=hidx))
-            for p1 in range(len(chosen_idx)):
-                for p2 in range(p1 + 1, len(chosen_idx)):
-                    h1, h2 = chosen_idx[p1], chosen_idx[p2]
-                    if h2 != 0 and (h1 == 0 or h1 > h2):
-                        raise DecodeError(
-                            f"period {t} route {r}: headway ordering violated "
-                            f"(pattern {p1} index {h1} vs pattern {p2} index {h2})")
-            fleet = float(x[index[("n", r, t)]])
-            row.append(RoutePeriodPlan(patterns=tuple(pats), fleet=fleet))
-        cells.append(tuple(row))
-    plan = ServicePlan(cells=tuple(cells))
 
     fa = FlowAssignment()
     targets = {"fw": fa.entry, "fa": fa.boarding, "fl": fa.inter_stop,
                "fb": fa.exit, "fx": fa.transfer}
+    selected: dict[tuple, list[tuple[int, int]]] = {}   # (t, r, p) -> arcs picked
+    picks: dict[tuple, list[int]] = {}                  # (t, r, p) -> headways picked
+    fleet: dict[tuple, float] = {}                      # (r, t) -> vehicles
     for v in model.variables:
-        target = targets.get(v.family)
-        if target is None:
-            continue
-        val = float(x[v.id])
-        if val < -FLOW_CLAMP_TOL:
-            raise DecodeError(f"flow {v.key} is negative beyond tolerance: {val}")
-        if val > 0.0:
-            target[v.key] = val
-
-    for v in model.variables:
-        if v.family != "z":
-            continue
-        if _binary_value(x, v.id):
+        family = v.family
+        target = targets.get(family)
+        if target is not None:
+            val = float(x[v.id])
+            if val < -FLOW_CLAMP_TOL:
+                raise DecodeError(f"flow {v.key} is negative beyond tolerance: {val}")
+            if val > 0.0:
+                target[v.key] = val
+        elif family == "x":
+            if _binary_value(x, v.id):
+                selected.setdefault(v.key[:3], []).append(v.key[3:])
+        elif family == "y":
+            if _binary_value(x, v.id):
+                picks.setdefault(v.key[:3], []).append(v.key[3])
+        elif family == "n":
+            fleet[v.key] = float(x[v.id])
+        elif family == "z" and _binary_value(x, v.id):
             t, r, i, d, c = v.key
             prior = fa.combo_choice.get((t, r, i, d))
             if prior is not None and prior != c:
@@ -269,4 +202,38 @@ def decode_plan(model: MilpModel, result: SolveResult,
                     f"entry stop {i} label {d}: two combinations picked ({prior} and {c})")
             fa.combo_choice[(t, r, i, d)] = c
 
-    return plan, fa
+    cells: list[tuple[RoutePeriodPlan, ...]] = []
+    for r, route in enumerate(scenario.routes):
+        row: list[RoutePeriodPlan] = []
+        for t in range(len(scenario.periods)):
+            menu = route.headway_menu(t)
+            pats: list[PatternPlan] = []
+            for p in range(route.n_patterns):
+                where = f"period {t} route {r} pattern {p}"
+                hpicks = picks.get((t, r, p), [])
+                if len(hpicks) != 1:
+                    raise DecodeError(f"{where}: expected exactly one headway pick, got {hpicks}")
+                hidx = hpicks[0]
+                arcs = sorted(selected.get((t, r, p), []))
+                if hidx == 0:
+                    if arcs:
+                        raise DecodeError(f"{where}: out of service but uses arcs {arcs}")
+                    pats.append(PatternPlan(stops=(), headway=None, headway_index=0))
+                    continue
+                # one loop in stop order leaves each served stop by one arc
+                stops = tuple(u for u, _ in arcs)
+                if len(stops) < 2 or arcs != sorted(loop_arcs(stops)):
+                    raise DecodeError(f"{where}: arcs {arcs} are not one loop "
+                                      "through its stops in stop order")
+                pats.append(PatternPlan(stops=stops, headway=menu[hidx - 1], headway_index=hidx))
+            chosen_idx = [pat.headway_index for pat in pats]
+            for p1 in range(len(chosen_idx)):
+                for p2 in range(p1 + 1, len(chosen_idx)):
+                    h1, h2 = chosen_idx[p1], chosen_idx[p2]
+                    if h2 != 0 and (h1 == 0 or h1 > h2):
+                        raise DecodeError(
+                            f"period {t} route {r}: headway ordering violated "
+                            f"(pattern {p1} index {h1} vs pattern {p2} index {h2})")
+            row.append(RoutePeriodPlan(patterns=tuple(pats), fleet=fleet[(r, t)]))
+        cells.append(tuple(row))
+    return ServicePlan(cells=tuple(cells)), fa

@@ -125,7 +125,7 @@ def _read_json(path: str, what: str) -> Any:
         raise _Exit(EXIT_IO) from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
         _err(f"error: {p}: not valid JSON ({exc})")
         raise _Exit(EXIT_IO) from exc
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
@@ -78,7 +78,7 @@ def _pattern_views(route: RouteSpec, cell: RoutePeriodPlan) -> list[_PatternView
     for p, pat in enumerate(cell.patterns):
         if not pat.in_service:
             continue
-        fwd = [(u, v) for u, v in pat.arcs() if u < v]
+        fwd = list(zip(pat.stops, pat.stops[1:]))
         views.append(_PatternView(
             p=p,
             stops=pat.stops,
@@ -91,31 +91,19 @@ def _pattern_views(route: RouteSpec, cell: RoutePeriodPlan) -> list[_PatternView
     return views
 
 
-def _forward_walk(stops: tuple[int, ...], k: int) -> Iterator[int]:
-    """Stops reached riding the loop ``stops`` onward from ``stops[k]``, up to
-    the step where the loop wraps back to a lower stop index."""
-    cur = stops[k]
-    for step in range(1, len(stops)):
-        nxt = stops[(k + step) % len(stops)]
-        if nxt < cur:
-            return
-        yield nxt
-        cur = nxt
-
-
 def _ride_to_destination(view: _PatternView, tmat: list[list[float]],
                          i: int, targets: tuple[int, int]):
     """Ride pattern ``view`` from stop i to the first served destination stop.
 
     Returns (minutes, exit_stop, arcs) or None when the destination is not
-    reachable before the loop wraps backwards.
+    reachable before the loop wraps back to its first stop.
     """
     if i not in view.pos:
         return None
     cur = i
     minutes = 0.0
     arcs: list[tuple[int, int]] = []
-    for nxt in _forward_walk(view.stops, view.pos[i]):
+    for nxt in view.stops[view.pos[i] + 1:]:
         minutes += tmat[cur][nxt]
         arcs.append((cur, nxt))
         cur = nxt
@@ -228,7 +216,7 @@ def _check_routable(scenario: Scenario, t: int, r: int,
     rides: list[set[int]] = [set() for _ in range(route.n_dir)]
     for view in views:
         for k, s in enumerate(view.stops):
-            rides[s].update(_forward_walk(view.stops, k))
+            rides[s].update(view.stops[k + 1:])
     for (tt, o, d), riders in sorted(scenario.demand[r].items()):
         if tt != t or riders <= 0.0:
             continue

@@ -113,7 +113,6 @@ class MilpModel:
     variables: list[Var]
     objective: dict[int, float]
     rows: list[Row]
-    index: dict[tuple, int]
     scenario: Scenario
 
 
@@ -157,14 +156,12 @@ def _assemble(scenario: Scenario) -> MilpModel:
     """The variables, objective and rows of a valid scenario's model."""
     opts = scenario.options
     variables: list[Var] = []
-    index: dict[tuple, int] = {}
     objective: dict[int, float] = {}
     rows_by_family: dict[str, list[Row]] = {f: [] for f in ROW_FAMILIES}
 
     def new_var(kind: str, family: str, key: tuple, lb: float = 0.0, ub: float = math.inf) -> int:
         vid = len(variables)
         variables.append(Var(vid, kind, lb, ub, family, key))
-        index[(family, *key)] = vid
         return vid
 
     gamma_w = scenario.gamma_wait
@@ -523,7 +520,6 @@ def _assemble(scenario: Scenario) -> MilpModel:
         variables=variables,
         objective=objective,
         rows=rows,
-        index=index,
         scenario=scenario,
     )
 
@@ -537,16 +533,8 @@ def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
     """
     scenario = model.scenario
     opts = scenario.options
-    new_vars = [replace(v) for v in model.variables]
-
-    def set_bounds(key: tuple, value: float) -> None:
-        vid = model.index.get(key)
-        if vid is None:
-            raise PlanError(f"plan requires variable {key} that the model does not contain "
-                            "(arc not allowed or index out of range)")
-        new_vars[vid].lb = value
-        new_vars[vid].ub = value
-
+    arcs: dict[tuple, set[tuple[int, int]]] = {}    # (t, r, p) -> arcs of the loop
+    headway_index: dict[tuple, int] = {}            # (t, r, p) -> menu position
     for t in range(len(scenario.periods)):
         for r, route in enumerate(scenario.routes):
             cell = plan.cell(r, t)
@@ -554,32 +542,36 @@ def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
                 raise PlanError(f"plan has {len(cell.patterns)} patterns for route {r}, "
                                 f"model expects {route.n_patterns}")
             menu = route.headway_menu(t)
+            nd = route.n_dir
             for p, pat in enumerate(cell.patterns):
-                hidx = pat.headway_index
-                if hidx > len(menu):
-                    raise PlanError(f"pattern {p} headway index {hidx} outside menu of route {r}")
-                if opts.require_full_pattern and p == 0 and set(pat.stops) != set(range(route.n_dir)):
+                if pat.headway_index > len(menu):
+                    raise PlanError(f"pattern {p} headway index {pat.headway_index} "
+                                    f"outside menu of route {r}")
+                if opts.require_full_pattern and p == 0 and set(pat.stops) != set(range(nd)):
                     raise PlanError("model requires pattern 0 to serve every stop, plan does not")
-                arc_set = set(pat.arcs()) if pat.in_service else set()
-                if pat.in_service and sum(i > j for i, j in arc_set) != 1:
-                    raise PlanError(f"pattern {p} of route {r} is in service but its stops "
-                                    f"{list(pat.stops)} are not one loop in stop order")
-                for h in range(len(menu) + 1):
-                    set_bounds(("y", t, r, p, h), 1.0 if h == hidx else 0.0)
-                for i in range(route.n_dir):
-                    for j in range(route.n_dir):
-                        if not route.arc_allowed(i, j):
-                            if (i, j) in arc_set:
-                                raise PlanError(f"plan uses arc ({i}, {j}) not allowed on route {r}")
-                            continue
-                        set_bounds(("x", t, r, p, i, j), 1.0 if (i, j) in arc_set else 0.0)
-            set_bounds(("n", r, t), cell.fleet)
+                loop = set(pat.arcs())
+                for i, j in sorted(loop):
+                    if not (0 <= i < nd and 0 <= j < nd and route.arc_allowed(i, j)):
+                        raise PlanError(f"plan uses arc ({i}, {j}) not allowed on route {r}")
+                arcs[(t, r, p)] = loop
+                headway_index[(t, r, p)] = pat.headway_index
+
+    def pinned(v: Var) -> Var:
+        if v.family == "x":
+            value = 1.0 if v.key[3:] in arcs[v.key[:3]] else 0.0
+        elif v.family == "y":
+            value = 1.0 if v.key[3] == headway_index[v.key[:3]] else 0.0
+        elif v.family == "n":
+            r, t = v.key
+            value = plan.cell(r, t).fleet
+        else:
+            return v
+        return replace(v, lb=value, ub=value)
 
     return MilpModel(
-        variables=new_vars,
+        variables=[pinned(v) for v in model.variables],
         objective=model.objective,
         rows=model.rows,
-        index=model.index,
         scenario=scenario,
     )
 

@@ -351,7 +351,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
             raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
         try:
             doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
             raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     else:
         doc = source

@@ -1,10 +1,11 @@
 """Decoded service designs and passenger flow assignments.
 
 A ServicePlan pins the design side of the problem: for every route, period,
-and pattern the ordered direction stops served (a single vehicle loop) and
-the headway, plus the fleet allocated per route and period. A FlowAssignment
-holds the five flow families (entry, boarding, inter-stop, exit, transfer)
-and the combination chosen per entry stop and destination.
+and pattern the direction stops served (one vehicle loop through them in
+ascending stop order) and the headway, plus the fleet allocated per route and
+period. A FlowAssignment holds the five flow families (entry, boarding,
+inter-stop, exit, transfer) and the combination chosen per entry stop and
+destination.
 """
 
 from __future__ import annotations
@@ -37,15 +38,26 @@ def loop_arcs(stops: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class PatternPlan:
-    """One pattern: served direction stops in loop order, and its headway.
+    """One pattern: served direction stops and its headway.
 
-    ``headway`` is None and ``stops`` empty when the pattern is out of
-    service. ``headway_index`` is the 1-based menu position (0 = off).
+    An in-service pattern serves at least 2 stops, listed in strictly
+    ascending order; its vehicles run one loop through them in that order
+    and close it from the last stop back to the first. ``headway`` is None
+    and ``stops`` empty when the pattern is out of service.
+    ``headway_index`` is the 1-based menu position (0 = off).
     """
 
     stops: tuple[int, ...]
     headway: float | None
     headway_index: int
+
+    def __post_init__(self):
+        if self.headway is None:
+            if self.stops:
+                raise PlanError(f"out-of-service pattern serves stops {list(self.stops)}")
+        elif len(self.stops) < 2 or any(u >= v for u, v in zip(self.stops, self.stops[1:])):
+            raise PlanError("in-service pattern needs at least 2 stops in ascending stop "
+                            f"order, got {list(self.stops)}")
 
     @property
     def in_service(self) -> bool:
@@ -121,8 +133,9 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
     """Bind a parsed plan document to a scenario.
 
     Headways must come from the route/period menu; an in-service pattern must
-    serve valid direction stops forming an allowed loop. A missing ``fleet``
-    defaults to the exact vehicle requirement of the cell's patterns.
+    serve valid direction stops forming an allowed loop in stop order, listed
+    from any of its stops, and is stored in ascending order. A missing
+    ``fleet`` defaults to the exact vehicle requirement of the cell's patterns.
     """
     routes_doc = doc.get("routes")
     if not isinstance(routes_doc, list) or len(routes_doc) != len(scenario.routes):
@@ -155,7 +168,8 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
                     raise PlanError(f"{where}: in-service pattern must serve stops")
                 hidx = _lookup_headway_index(menu, float(headway), where)
                 _check_loop(route, stops, where)
-                pats.append(PatternPlan(stops=stops, headway=float(headway), headway_index=hidx))
+                pats.append(PatternPlan(stops=tuple(sorted(stops)), headway=float(headway),
+                                        headway_index=hidx))
             fleet = pdoc.get("fleet")
             if fleet is None:
                 fleet = vehicle_need(route, pats)
@@ -171,7 +185,11 @@ def _check_loop(route: RouteSpec, stops: tuple[int, ...], where: str) -> None:
             raise PlanError(f"{where}: direction stop {s} out of range [0, {nd})")
     if len(set(stops)) != len(stops):
         raise PlanError(f"{where}: loop visits a stop twice: {list(stops)}")
-    for u, v in loop_arcs(stops):
+    arcs = loop_arcs(stops)
+    # a rotation of ascending order turns back to a lower stop exactly once
+    if sum(u > v for u, v in arcs) != 1:
+        raise PlanError(f"{where}: stops {list(stops)} are not one loop in stop order")
+    for u, v in arcs:
         if not route.arc_allowed(u, v):
             raise PlanError(f"{where}: arc ({u}, {v}) is not allowed on route {route.id}")
 

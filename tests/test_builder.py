@@ -229,17 +229,27 @@ class TestFixBaseline:
         doc = full_pattern_plan_doc(scenario)
         doc["routes"][0]["periods"][0]["patterns"][0]["stops"] = [2, 3, 4, 5, 0, 1]
         rotated = load_plan(doc, scenario)
+        assert rotated.cell(0, 0).patterns[0].stops == (0, 1, 2, 3, 4, 5)
         result = solve(fix_baseline(model, rotated), SolverConfig(time_limit_s=60))
         evaluated = compute_metrics(assign_flows(scenario, rotated), scenario, rotated)
         assert result.objective == pytest.approx(evaluated.objective, rel=1e-9)
         doc["routes"][0]["periods"][0]["patterns"][0]["stops"] = [0, 2, 1, 3, 4, 5]
         with pytest.raises(PlanError, match="stop order"):
-            fix_baseline(model, load_plan(doc, scenario))
-        # load_plan refuses an in-service pattern without stops; build one directly
-        cell = rotated.cell(0, 0)
-        bare = replace(cell, patterns=(replace(cell.patterns[0], stops=()),) + cell.patterns[1:])
-        with pytest.raises(PlanError, match="stop order"):
-            fix_baseline(model, ServicePlan(cells=((bare,),)))
+            load_plan(doc, scenario)
+        # a hand-built plan meets the same rule when its pattern is made
+        pattern = rotated.cell(0, 0).patterns[0]
+        for stops in [(), (3,), (0, 2, 1, 3, 4, 5), (2, 3, 4, 5, 0, 1)]:
+            with pytest.raises(PlanError, match="stop order"):
+                replace(pattern, stops=stops)
+
+    def test_out_of_range_arc_refused(self):
+        scenario = make_scenario(symmetry=False)
+        model = build_model(scenario)
+        cell = load_plan(full_pattern_plan_doc(scenario), scenario).cell(0, 0)
+        stray = replace(cell.patterns[0], stops=(0, 1, 2, 3, 4, 99))
+        plan = ServicePlan(cells=((replace(cell, patterns=(stray,) + cell.patterns[1:]),),))
+        with pytest.raises(PlanError, match=r"arc \(4, 99\) not allowed"):
+            fix_baseline(model, plan)
 
     def test_fixing_beyond_fleet_cap_is_infeasible(self):
         scenario = make_scenario(fleet_cap=12.0)

@@ -43,6 +43,14 @@ class TestValidate:
         path.write_text("{not json")
         assert main(["validate", "--scenario", str(path)]) == 2
 
+    def test_overlong_integer_exit_two(self, tmp_path, capsys):
+        # past CPython's int digit limit json raises a plain ValueError
+        path = tmp_path / "big.json"
+        path.write_text('{"a": ' + "1" * 5000 + "}")
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: not valid JSON")
+
     @pytest.mark.parametrize("command", ["validate", "export"])
     def test_non_finite_number_exit_one(self, tmp_path, capsys, command):
         path = write_doc(tmp_path, scenario_doc(fleet_cap=float("inf")))
@@ -155,6 +163,23 @@ class TestEvaluate:
         plan_path = write_doc(tmp_path, plan, "plan.json")
         assert main(["evaluate", "--scenario", str(scenario_file),
                      "--plan", str(plan_path), "--out", str(tmp_path / "o")]) == 1
+
+
+class TestPlanOrder:
+    """evaluate and compare price only loops in stop order, as the model does."""
+
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_out_of_order_plan_exit_one(self, tmp_path, capsys, command):
+        path = write_doc(tmp_path, scenario_doc(symmetry=False, n_patterns=1))
+        plan = full_pattern_plan_doc(load_scenario(path))
+        plan["routes"][0]["periods"][0]["patterns"][0]["stops"] = [0, 2, 1, 3, 4, 5]
+        plan_path = write_doc(tmp_path, plan, "plan.json")
+        flag = "--plan" if command == "evaluate" else "--baseline"
+        assert main([command, "--scenario", str(path), flag, str(plan_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid plan: ")
+        assert "stop order" in err[0]
 
 
 class TestCompare:

@@ -146,6 +146,13 @@ class TestLoadScenario:
             load_scenario(tmp_path / "nope.json")
 
 
+    def test_overlong_integer_is_not_valid_json(self, tmp_path):
+        # past CPython's int digit limit json raises a plain ValueError
+        path = tmp_path / "big.json"
+        path.write_text('{"a": ' + "1" * 5000 + "}")
+        with pytest.raises(ScenarioError, match="not valid JSON"):
+            load_scenario(path)
+
     @pytest.mark.parametrize("number", ["Infinity", "-Infinity", "NaN", "1e999", "1" + "0" * 400],
                              ids=["Infinity", "-Infinity", "NaN", "1e999", "int-1e400"])
     def test_non_finite_number_rejected(self, tmp_path, number):

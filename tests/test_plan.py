@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, strategies as st
 
-from transitopt import PlanError, load_plan, loop_arcs
+from transitopt import PatternPlan, PlanError, load_plan, loop_arcs
 
 from _factories import full_pattern_plan_doc, make_scenario
 
@@ -80,3 +81,48 @@ class TestLoadPlan:
         plan = load_plan(full_pattern_plan_doc(scenario), scenario)
         again = load_plan(plan.to_dict(), scenario)
         assert again == plan
+
+
+def in_stop_order(stops: list[int]) -> bool:
+    """Brute force: at least 2 distinct stops, and some rotation sorted."""
+    return len(set(stops)) == len(stops) >= 2 and any(
+        stops[k:] + stops[:k] == sorted(stops) for k in range(len(stops)))
+
+
+# lists drawn at random rarely are rotations; mix some in
+STOP_LISTS = st.one_of(
+    st.lists(st.integers(0, 5), max_size=7),
+    st.lists(st.integers(0, 5), min_size=2, max_size=6, unique=True).map(sorted).flatmap(
+        lambda s: st.integers(0, len(s) - 1).map(lambda k: s[k:] + s[:k])),
+)
+
+
+class TestLoopOrder:
+    SCENARIO = make_scenario(n_patterns=1, symmetry=False)
+
+    @given(STOP_LISTS)
+    def test_load_plan_accepts_exactly_rotations(self, stops):
+        doc = full_pattern_plan_doc(self.SCENARIO)
+        doc["routes"][0]["periods"][0]["patterns"][0]["stops"] = stops
+        try:
+            plan = load_plan(doc, self.SCENARIO)
+        except PlanError:
+            assert not in_stop_order(stops)
+        else:
+            assert in_stop_order(stops)
+            assert plan.cell(0, 0).patterns[0].stops == tuple(sorted(stops))
+
+    @given(STOP_LISTS)
+    def test_pattern_plan_accepts_exactly_ascending(self, stops):
+        ascending = len(stops) >= 2 and stops == sorted(set(stops))
+        try:
+            PatternPlan(stops=tuple(stops), headway=5.0, headway_index=1)
+        except PlanError:
+            assert not ascending
+        else:
+            assert ascending
+
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=7))
+    def test_out_of_service_pattern_serves_nothing(self, stops):
+        with pytest.raises(PlanError, match="out-of-service"):
+            PatternPlan(stops=tuple(stops), headway=None, headway_index=0)

@@ -7,7 +7,7 @@ from transitopt import (
     MilpModel, Row, SolverConfig, Var, assign_flows, build_model, compute_metrics,
     decode_plan, fix_baseline, load_plan, model_stats, solve, write_lp,
 )
-from transitopt.backend import DecodeError, _trace_loop
+from transitopt.backend import DecodeError
 
 from _factories import (full_pattern_plan_doc, ladder_doc, make_scenario, random_toy_doc,
                         scenario_doc)
@@ -121,7 +121,7 @@ class TestExport:
             Row([(11, 2.0)], "<=", 1e16, "fleet_hours", ()),
         ]
         model = MilpModel(variables=[*y, *cy, n], objective={9: 3.0, 0: 0.0, 12: -0.5},
-                          rows=rows, index={}, scenario=None)
+                          rows=rows, scenario=None)
         ys = [f"y_t0_r0_p0_h{k}" for k in range(9)]
         assert write_lp(model) == "\n".join([
             "\\ transitopt",
@@ -152,7 +152,7 @@ class TestExport:
             variables=[Var(0, "C", 0.0, math.inf, "n", (0, 0)),
                        Var(1, "C", 0.0, math.inf, "n", (1, 0))],
             objective={1: 0.0}, rows=[Row([(1, 1.0)], "<=", 1.0, "fleet_pool", (0,))],
-            index={}, scenario=None)
+            scenario=None)
         assert write_lp(model).splitlines()[:5] == [
             "\\ transitopt", "Minimize", " obj: 0 n_r0_t0", "Subject To",
             " fleet_pool_0: 1 n_r1_t0 <= 1"]
@@ -207,13 +207,22 @@ class TestDecode:
         with pytest.raises(DecodeError):
             decode_plan(model, bad)
 
-    def test_trace_loop_detects_split_cycles(self):
-        with pytest.raises(DecodeError, match="multiple loops"):
-            _trace_loop({(0, 1), (1, 0), (2, 3), (3, 2)}, "test")
-        with pytest.raises(DecodeError, match="two outgoing"):
-            _trace_loop({(0, 1), (0, 2), (1, 0), (2, 0)}, "test")
-        assert _trace_loop({(0, 1), (1, 2), (2, 0)}, "test") == (0, 1, 2)
-        assert _trace_loop(set(), "test") == ()
+    @pytest.mark.parametrize("arcs", [
+        {(0, 1), (1, 0), (2, 3), (3, 2)},
+        {(0, 1), (0, 2), (1, 0), (2, 0)},
+        {(0, 1)},
+        {(0, 2), (2, 1), (1, 3), (3, 0)},
+    ], ids=["two-loops", "two-out-arcs", "one-arc", "out-of-order"])
+    def test_decode_refuses_anything_but_one_ascending_loop(self, arcs):
+        # one pattern at headway 1 with the given arcs, every other variable 0
+        from transitopt import SolveResult
+        model = build_model(make_scenario(n_patterns=1, symmetry=False))
+        x = np.zeros(len(model.variables))
+        for v in model.variables:
+            if v.family == "y" and v.key == (0, 0, 0, 1) or v.family == "x" and v.key[3:] in arcs:
+                x[v.id] = 1.0
+        with pytest.raises(DecodeError, match="not one loop"):
+            decode_plan(model, SolveResult("optimal", 0.0, x, 0.0))
 
     def test_decoded_fleet_covers_requirement(self):
         from transitopt import fleet_requirement
