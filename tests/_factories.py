@@ -168,6 +168,24 @@ def ladder_doc(n: int, seed: int, *, transfers: bool) -> dict:
     )
 
 
+def city_doc() -> dict:
+    """The city-scale instance of acceptance criterion 08: one route of 43
+    stops, two patterns, transfers on, symmetry off, ~450 drawn pairs."""
+    rng = random.Random(7)
+    n = 43
+    return scenario_doc(
+        stops=tuple(f"S{k}" for k in range(n)),
+        out_times=tuple(round(rng.uniform(1.5, 4.0), 1) for _ in range(n - 1)),
+        in_times=tuple(round(rng.uniform(1.5, 4.0), 1) for _ in range(n - 1)),
+        menu=(5.0, 7.0), n_patterns=2, turnback_time=3.0,
+        demand=tuple(((0, o, d), float(rng.randint(1, 60)))
+                     for o, d in {(rng.randrange(n), rng.randrange(n))
+                                  for _ in range(450)} if o != d),
+        fleet_cap=60.0, vehicle_hours_cap=60.0,
+        transfers=True, symmetry=False,
+    )
+
+
 def full_pattern_plan_doc(scenario: Scenario, headway_choice: int = -1) -> dict:
     """Baseline plan: pattern 0 runs the full loop at one menu headway,
     remaining patterns out of service."""

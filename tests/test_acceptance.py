@@ -23,7 +23,7 @@ from transitopt import (
 from transitopt.cli import main as cli_main
 from transitopt.model import MilpModel
 
-from _factories import (add_route, full_pattern_plan_doc, random_toy_doc,
+from _factories import (add_route, city_doc, full_pattern_plan_doc, random_toy_doc,
                         scenario_doc)
 
 DIRECT_SEEDS = list(range(1001, 1015))      # 14 toys without transfers
@@ -252,20 +252,7 @@ def test_criterion_07_fleet_accounting(registry):
 
 
 def test_criterion_08_model_scale():
-    rng = random.Random(7)
-    n = 43
-    doc = scenario_doc(
-        stops=tuple(f"S{k}" for k in range(n)),
-        out_times=tuple(round(rng.uniform(1.5, 4.0), 1) for _ in range(n - 1)),
-        in_times=tuple(round(rng.uniform(1.5, 4.0), 1) for _ in range(n - 1)),
-        menu=(5.0, 7.0), n_patterns=2, turnback_time=3.0,
-        demand=tuple(((0, o, d), float(rng.randint(1, 60)))
-                     for o, d in {(rng.randrange(n), rng.randrange(n))
-                                  for _ in range(450)} if o != d),
-        fleet_cap=60.0, vehicle_hours_cap=60.0,
-        transfers=True, symmetry=False,
-    )
-    scenario = load_scenario(doc)
+    scenario = load_scenario(city_doc())
     t0 = time.perf_counter()
     model = build_model(scenario)
     elapsed = time.perf_counter() - t0
