@@ -1,23 +1,20 @@
-"""Solver contract, the sparse row assembler, HiGHS via scipy, and solution
-decoding.
+"""Solver contract, model arrays, HiGHS via scipy, and solution decoding.
 
-A built model becomes sparse arrays (``_model_arrays``), HiGHS solves them
-through ``scipy.optimize.milp`` (``solve_arrays``), and ``decode_plan`` turns
-the assignment back into domain objects.
+A built model becomes sparse arrays (``_model_arrays``: its row blocks
+concatenated into one CSR matrix), HiGHS solves them through
+``scipy.optimize.milp`` (``solve_arrays``), and ``decode_plan`` turns the
+assignment back into domain objects, one variable block at a time. scipy is
+imported on the first solve, so commands that never solve do not load it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-from scipy.sparse import coo_matrix
 
-from .model import MilpModel
+from .model import SENSES, MilpModel
 from .plan import FlowAssignment, PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs
 
 __all__ = [
@@ -69,47 +66,37 @@ class SolveResult:
         return self.status in ("optimal", "feasible")
 
 
-def assemble_rows(coeffs: Sequence[Sequence[tuple[int, float]]], senses: Sequence[str],
-                  rhs: Sequence[float], ncols: int):
-    """Turn rows given as parallel ``coeffs`` (``(column, value)`` pairs),
-    ``senses`` (``<=``, ``>=``, ``=``) and ``rhs`` into the CSR matrix and the
-    two-sided bounds of ``lo <= A x <= hi``."""
-    nrows = len(coeffs)
-    lengths = np.fromiter(map(len, coeffs), dtype=np.int64, count=nrows)
-    # column ids ride along as float64, exact far beyond any model size
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(coeffs)), dtype=np.float64,
-                        count=2 * int(lengths.sum())).reshape(-1, 2)
-    row_ids = np.repeat(np.arange(nrows, dtype=np.int64), lengths)
-    a = coo_matrix((pairs[:, 1], (row_ids, pairs[:, 0].astype(np.int64))),
-                   shape=(nrows, ncols)).tocsr()
-    rhs_arr = np.fromiter(rhs, dtype=np.float64, count=nrows)
-    sense_arr = np.array(senses, dtype=str)
-    lo = np.where(sense_arr == "<=", -np.inf, rhs_arr)
-    hi = np.where(sense_arr == ">=", np.inf, rhs_arr)
-    return a, lo, hi
-
-
 def _model_arrays(model: MilpModel):
-    nvar = len(model.variables)
+    """Objective, CSR rows with two-sided bounds ``lo <= A x <= hi``,
+    integrality and variable bounds of ``model``."""
+    from scipy.sparse import csr_matrix
+
+    nvar = model.n_vars
     c = np.zeros(nvar)
-    for vid, coef in model.objective.items():
-        c[vid] = coef
-    integrality = np.zeros(nvar, dtype=np.uint8)
-    lb = np.zeros(nvar)
-    ub = np.full(nvar, np.inf)
-    for v in model.variables:
-        lb[v.id] = v.lb
-        ub[v.id] = v.ub
-        if v.kind != "C":
-            integrality[v.id] = 1
-    rows = model.rows
-    a, lo, hi = assemble_rows([r.coeffs for r in rows], [r.sense for r in rows],
-                              [r.rhs for r in rows], nvar)
+    c[model.obj_ids] = model.obj_coefs
+    var_blocks = model.var_blocks
+    integrality = np.concatenate([np.full(len(b.lb), b.kind != "C", dtype=np.uint8)
+                                  for b in var_blocks])
+    lb = np.concatenate([b.lb for b in var_blocks])
+    ub = np.concatenate([b.ub for b in var_blocks])
+    rows = model.row_blocks
+    offsets = np.cumsum([0] + [len(b.cols) for b in rows])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + at for b, at in zip(rows, offsets)])
+    a = csr_matrix((np.concatenate([b.vals for b in rows]),
+                    np.concatenate([b.cols for b in rows]), indptr),
+                   shape=(len(indptr) - 1, nvar))
+    a.sum_duplicates()  # canonical form: columns ascending within each row
+    sense = np.concatenate([b.sense for b in rows])
+    rhs = np.concatenate([b.rhs for b in rows])
+    lo = np.where(sense == SENSES.index("<="), -np.inf, rhs)
+    hi = np.where(sense == SENSES.index(">="), np.inf, rhs)
     return c, a, lo, hi, integrality, lb, ub
 
 
 def solve_arrays(c, a, row_lo, row_hi, integrality, lb, ub, cfg: SolverConfig) -> SolveResult:
     """Run HiGHS through scipy on raw arrays."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     start = time.perf_counter()
     options = {
         "time_limit": float(cfg.time_limit_s),
@@ -155,14 +142,6 @@ def solve(model: MilpModel, cfg: SolverConfig | None = None) -> SolveResult:
 # Decoding
 # ---------------------------------------------------------------------------
 
-def _binary_value(x: np.ndarray, vid: int) -> int:
-    v = float(x[vid])
-    r = round(v)
-    if abs(v - r) > BINARY_TOL:
-        raise DecodeError(f"variable {vid} should be binary, got {v}")
-    return int(r)
-
-
 def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, FlowAssignment]:
     """Turn a solved assignment back into domain objects, re-verifying the
     structural invariants; any violation raises instead of being repaired."""
@@ -177,30 +156,39 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
     selected: dict[tuple, list[tuple[int, int]]] = {}   # (t, r, p) -> arcs picked
     picks: dict[tuple, list[int]] = {}                  # (t, r, p) -> headways picked
     fleet: dict[tuple, float] = {}                      # (r, t) -> vehicles
-    for v in model.variables:
-        family = v.family
+    for b in model.var_blocks:
+        family = b.family
+        vals = np.asarray(x[b.start:b.stop], dtype=np.float64)
         target = targets.get(family)
         if target is not None:
-            val = float(x[v.id])
-            if val < -FLOW_CLAMP_TOL:
-                raise DecodeError(f"flow {v.key} is negative beyond tolerance: {val}")
-            if val > 0.0:
-                target[v.key] = val
-        elif family == "x":
-            if _binary_value(x, v.id):
-                selected.setdefault(v.key[:3], []).append(v.key[3:])
-        elif family == "y":
-            if _binary_value(x, v.id):
-                picks.setdefault(v.key[:3], []).append(v.key[3])
+            negative = np.flatnonzero(vals < -FLOW_CLAMP_TOL)
+            if len(negative):
+                k = negative[0]
+                raise DecodeError(f"flow {tuple(b.keys[k].tolist())} is negative beyond "
+                                  f"tolerance: {float(vals[k])}")
+            hit = np.flatnonzero(vals > 0.0)
+            target.update(zip(map(tuple, b.keys[hit].tolist()), vals[hit].tolist()))
         elif family == "n":
-            fleet[v.key] = float(x[v.id])
-        elif family == "z" and _binary_value(x, v.id):
-            t, r, i, d, c = v.key
-            prior = fa.combo_choice.get((t, r, i, d))
-            if prior is not None and prior != c:
-                raise DecodeError(
-                    f"entry stop {i} label {d}: two combinations picked ({prior} and {c})")
-            fa.combo_choice[(t, r, i, d)] = c
+            fleet.update(zip(map(tuple, b.keys.tolist()), vals.tolist()))
+        elif family in ("x", "y", "z"):
+            rounded = np.round(vals)
+            bad = np.abs(vals - rounded) > BINARY_TOL
+            idx = np.flatnonzero(bad | (rounded != 0.0))
+            for k, key in zip(idx.tolist(), map(tuple, b.keys[idx].tolist())):
+                if bad[k]:
+                    raise DecodeError(
+                        f"variable {b.start + k} should be binary, got {float(vals[k])}")
+                if family == "x":
+                    selected.setdefault(key[:3], []).append(key[3:])
+                elif family == "y":
+                    picks.setdefault(key[:3], []).append(key[3])
+                else:
+                    t, r, i, d, c = key
+                    prior = fa.combo_choice.get((t, r, i, d))
+                    if prior is not None and prior != c:
+                        raise DecodeError(
+                            f"entry stop {i} label {d}: two combinations picked ({prior} and {c})")
+                    fa.combo_choice[(t, r, i, d)] = c
 
     cells: list[tuple[RoutePeriodPlan, ...]] = []
     for r, route in enumerate(scenario.routes):

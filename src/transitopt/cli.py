@@ -351,9 +351,10 @@ def cmd_export(args) -> int:
     run = _Run(args, "export")
     model = build_model(scenario)
     run.write_text("model.lp", write_lp(model))
-    run.write_json("model_stats.json", model_stats(model))
+    stats = model_stats(model)
+    run.write_json("model_stats.json", stats)
     run.finish()
-    print(f"exported {len(model.variables)} variables, {len(model.rows)} rows")
+    print(f"exported {stats['variables']['total']} variables, {stats['rows']['total']} rows")
     return EXIT_OK
 
 

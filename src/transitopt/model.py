@@ -16,14 +16,25 @@ The model couples, per route and period:
 The objective is the total weighted journey time: riding minutes, plus
 weighted perceived waiting (half the combination headway per entering rider),
 plus weighted transfer penalties.
+
+The model is stored as numpy blocks, one per family and (period, route).
+A ``VarBlock`` is a contiguous id range with an integer key matrix, one kind
+and ``lb``/``ub`` arrays. A ``RowBlock`` holds its rows in CSR form (terms
+in written order), a sense code and right-hand side per row, and one array
+per key position. The objective is id and coefficient arrays in insertion
+order: per (period, route) riding, then waiting, then transfer terms.
+``MilpModel.variables``, ``.rows`` and ``.objective`` build ``Var``/``Row``/
+dict views of the blocks on every access.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 from dataclasses import dataclass, replace
-from typing import Any
+from itertools import repeat
+from typing import Any, Sequence
+
+import numpy as np
 
 from .combos import enumerate_combinations
 from .network import Scenario, validate_scenario
@@ -33,13 +44,18 @@ __all__ = [
     "BuildError",
     "Var",
     "Row",
+    "VarBlock",
+    "RowBlock",
     "MilpModel",
+    "var_block",
+    "row_block",
     "build_model",
     "big_m_flow",
     "fix_baseline",
     "model_stats",
     "VAR_FAMILIES",
     "ROW_FAMILIES",
+    "SENSES",
 ]
 
 
@@ -86,6 +102,10 @@ ROW_FAMILIES = (
     "arrive_exit_balance",  # riding into the destination == exits
 )
 
+# Row senses; a RowBlock stores each row's position in this tuple.
+SENSES = ("<=", ">=", "=")
+_LE, _GE, _EQ = range(3)
+
 
 @dataclass(slots=True)
 class Var:
@@ -106,14 +126,156 @@ class Row:
     key: tuple
 
 
+@dataclass(frozen=True, slots=True)
+class VarBlock:
+    """Variables ``start .. start + len(lb) - 1`` of one family and kind."""
+
+    family: str
+    kind: str
+    start: int
+    keys: np.ndarray    # (variables, key length) int64
+    lb: np.ndarray
+    ub: np.ndarray
+
+    @property
+    def stop(self) -> int:
+        return self.start + len(self.lb)
+
+
+@dataclass(frozen=True, slots=True)
+class RowBlock:
+    """Rows of one family: row k has terms ``indptr[k]:indptr[k + 1]`` of
+    ``cols``/``vals`` in written order, sense ``SENSES[sense[k]]``, right-hand
+    side ``rhs[k]`` and key ``tuple(col[k] for col in keys)``."""
+
+    family: str
+    keys: tuple         # one array per key position
+    indptr: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    sense: np.ndarray
+    rhs: np.ndarray
+
+
 @dataclass
 class MilpModel:
     """Sparse minimization MILP plus the scenario it was built from."""
 
-    variables: list[Var]
-    objective: dict[int, float]
-    rows: list[Row]
-    scenario: Scenario
+    var_blocks: list[VarBlock]      # contiguous, in id order
+    row_blocks: list[RowBlock]      # in export order
+    obj_ids: np.ndarray
+    obj_coefs: np.ndarray
+    scenario: Scenario | None
+
+    @property
+    def n_vars(self) -> int:
+        return self.var_blocks[-1].stop if self.var_blocks else 0
+
+    @property
+    def variables(self) -> list[Var]:
+        out: list[Var] = []
+        for b in self.var_blocks:
+            out += map(Var, range(b.start, b.stop), repeat(b.kind), b.lb.tolist(),
+                       b.ub.tolist(), repeat(b.family), map(tuple, b.keys.tolist()))
+        return out
+
+    @property
+    def rows(self) -> list[Row]:
+        out: list[Row] = []
+        for b in self.row_blocks:
+            terms = list(zip(b.cols.tolist(), b.vals.tolist()))
+            bounds = b.indptr.tolist()
+            keys = zip(*(col.tolist() for col in b.keys)) if b.keys else repeat(())
+            out += (Row(terms[lo:hi], SENSES[s], rhs, b.family, key)
+                    for lo, hi, s, rhs, key in zip(bounds, bounds[1:], b.sense.tolist(),
+                                                   b.rhs.tolist(), keys))
+        return out
+
+    @property
+    def objective(self) -> dict[int, float]:
+        return dict(zip(self.obj_ids.tolist(), self.obj_coefs.tolist()))
+
+
+def var_block(family: str, kind: str, start: int, keys: Sequence, lb: Any = 0.0,
+              ub: Any = None) -> VarBlock:
+    """Variables ``start, start + 1, ...``: ``keys`` has one entry per key
+    position, an array or a value shared by all; ``lb`` and ``ub`` are per
+    variable or shared, ``ub`` 1 for binaries and infinity otherwise unless
+    given."""
+    columns = [np.asarray(k, dtype=np.int64) for k in keys]
+    size = max((c.size for c in columns if c.ndim), default=1)
+    matrix = np.empty((size, len(columns)), dtype=np.int64)
+    for k, column in enumerate(columns):
+        matrix[:, k] = column
+    if ub is None:
+        ub = 1.0 if kind == "B" else math.inf
+    lb, ub = (np.array(np.broadcast_to(np.asarray(v, dtype=np.float64), (size,)))
+              for v in (lb, ub))
+    return VarBlock(family, kind, start, matrix, lb, ub)
+
+
+def row_block(family: str, keys: Sequence, terms: Sequence[tuple[Any, Any]], sense: Any,
+              rhs: Any) -> RowBlock:
+    """Rows of ``family``, one per row of each term group's arrays.
+
+    A term group is ``(cols, coefs)``: ``cols`` holds variable ids, one row
+    per model row (a 1-D array is one term per row), with -1 where a row has
+    no term; ``coefs`` is broadcast to its shape. A row's terms are its
+    groups' terms, in group order. ``keys`` (one entry per key position),
+    ``sense`` (a symbol, or one symbol or code per row) and ``rhs`` are per
+    row or shared by all."""
+    groups = []
+    for cols, coefs in terms:
+        cols = np.asarray(cols, dtype=np.int64)
+        coefs = np.broadcast_to(np.asarray(coefs, dtype=np.float64), cols.shape)
+        groups.append((cols, coefs) if cols.ndim == 2 else (cols[:, None], coefs[:, None]))
+    nrows = len(groups[0][0])
+    cols = np.concatenate([c for c, _ in groups], axis=1)
+    vals = np.concatenate([v for _, v in groups], axis=1)
+    present = cols >= 0
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
+    if isinstance(sense, str):
+        codes = np.full(nrows, SENSES.index(sense), dtype=np.int8)
+    else:
+        codes = np.array([SENSES.index(s) if isinstance(s, str) else s for s in sense],
+                         dtype=np.int8)
+    return RowBlock(family, tuple(np.broadcast_to(np.asarray(k), (nrows,)) for k in keys),
+                    indptr, cols[present], vals[present], codes,
+                    np.array(np.broadcast_to(np.asarray(rhs, dtype=np.float64), (nrows,))))
+
+
+class _Builder:
+    """Collects a model's blocks: variables get consecutive ids, rows are
+    exported grouped by family in ``ROW_FAMILIES`` order."""
+
+    def __init__(self) -> None:
+        self._vars: list[VarBlock] = []
+        self._size = 0
+        self._objective: list[tuple[np.ndarray, np.ndarray]] = []
+        self._rows: dict[str, list[RowBlock]] = {f: [] for f in ROW_FAMILIES}
+
+    def add_vars(self, family: str, kind: str, keys: Sequence, lb: Any = 0.0,
+                 ub: Any = None) -> np.ndarray:
+        """Ids of the new variables (see ``var_block``)."""
+        block = var_block(family, kind, self._size, keys, lb, ub)
+        self._vars.append(block)
+        self._size = block.stop
+        return np.arange(block.start, block.stop)
+
+    def add_objective(self, ids: np.ndarray, coefs: Any) -> None:
+        self._objective.append((ids, np.broadcast_to(np.asarray(coefs, np.float64), ids.shape)))
+
+    def add_rows(self, *args) -> None:
+        """Rows of one family (see ``row_block``); a block of no rows is dropped."""
+        block = row_block(*args)
+        if len(block.rhs):
+            self._rows[block.family].append(block)
+
+    def model(self, scenario: Scenario) -> MilpModel:
+        ids, coefs = (np.concatenate(part) for part in zip(*self._objective))
+        return MilpModel(self._vars, [b for f in ROW_FAMILIES for b in self._rows[f]],
+                         ids, coefs, scenario)
 
 
 def big_m_flow(scenario: Scenario, r: int, t: int, d: int, share: bool = False) -> float:
@@ -139,389 +301,270 @@ def build_model(scenario: Scenario) -> MilpModel:
             "scenario is invalid: " + "; ".join(str(v) for v in violations[:10])
             + ("" if len(violations) <= 10 else f" (+{len(violations) - 10} more)")
         )
-
-    # The model is a million-odd container objects that form no reference
-    # cycles; while they are created, the cyclic collector would walk the
-    # growing set over and over and find nothing to free.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return _assemble(scenario)
-    finally:
-        if collecting:
-            gc.enable()
-
-
-def _assemble(scenario: Scenario) -> MilpModel:
-    """The variables, objective and rows of a valid scenario's model."""
-    opts = scenario.options
-    variables: list[Var] = []
-    objective: dict[int, float] = {}
-    rows_by_family: dict[str, list[Row]] = {f: [] for f in ROW_FAMILIES}
-
-    def new_var(kind: str, family: str, key: tuple, lb: float = 0.0, ub: float = math.inf) -> int:
-        vid = len(variables)
-        variables.append(Var(vid, kind, lb, ub, family, key))
-        return vid
-
-    gamma_w = scenario.gamma_wait
-    gamma_x = scenario.gamma_transfer
-    t_x = scenario.transfer_time
-    fleet_var: dict[tuple[int, int], int] = {}
-
-    for t, period in enumerate(scenario.periods):
-        for r, route in enumerate(scenario.routes):
-            nd = route.n_dir
-            n = route.n_physical
-            menu = route.headway_menu(t)
-            m = len(menu)
-            patterns = range(route.n_patterns)
-            combos = enumerate_combinations(route.n_patterns, menu)
-            tmat = route.travel_time_matrix()
-            t_full = sum(route.adjacent_times())
-            mirror = [nd - 1 - i for i in range(nd)]
-
-            arcs = [(i, j) for i in range(nd) for j in range(nd) if route.arc_allowed(i, j)]
-            fwd_arcs = [(i, j) for (i, j) in arcs if i < j]
-            in_allowed: list[list[int]] = [[] for _ in range(nd)]
-            out_allowed: list[list[int]] = [[] for _ in range(nd)]
-            fwd_in: list[list[int]] = [[] for _ in range(nd)]
-            fwd_out: list[list[int]] = [[] for _ in range(nd)]
-            for i, j in arcs:
-                in_allowed[j].append(i)
-                out_allowed[i].append(j)
-                if i < j:
-                    fwd_in[j].append(i)
-                    fwd_out[i].append(j)
-
-            combos_with_p: list[list[int]] = [[] for _ in patterns]
-            for c, combo in enumerate(combos):
-                for p in combo.active_patterns:
-                    combos_with_p[p].append(c)
-
-            big_m = {d: big_m_flow(scenario, r, t, d) for d in range(n)}
-            big_m_share = {d: big_m_flow(scenario, r, t, d, share=True) for d in range(n)}
-
-            # --- variables -------------------------------------------------
-            xid: dict[tuple, int] = {}
-            full_loop_arcs = set(zip(route.full_loop(), route.full_loop()[1:] + route.full_loop()[:1]))
-            if opts.require_full_pattern:
-                missing = [a for a in full_loop_arcs if not route.arc_allowed(*a)]
-                if missing:
-                    raise BuildError(
-                        f"route {route.id}: full pattern required but loop arcs {missing} are not allowed")
-            for p in patterns:
-                for i, j in arcs:
-                    lb = ub = None
-                    if opts.require_full_pattern and p == 0:
-                        fixed = 1.0 if (i, j) in full_loop_arcs else 0.0
-                        lb, ub = fixed, fixed
-                    xid[(p, i, j)] = new_var("B", "x", (t, r, p, i, j),
-                                             lb if lb is not None else 0.0,
-                                             ub if ub is not None else 1.0)
-
-            yid: dict[tuple, int] = {}
-            for p in patterns:
-                for h in range(m + 1):
-                    yid[(p, h)] = new_var("B", "y", (t, r, p, h), 0.0, 1.0)
-
-            cyid: dict[tuple, int] = {}
-            for p in patterns:
-                for h in range(1, m + 1):
-                    cyid[(p, h)] = new_var("C", "cy", (t, r, p, h))
-
-            zid: dict[tuple, int] = {}
-            for i in range(nd):
-                for d in range(n):
-                    if i == d or i == mirror[d]:
-                        continue
-                    for c in range(len(combos)):
-                        zid[(i, d, c)] = new_var("B", "z", (t, r, i, d, c), 0.0, 1.0)
-
-            fwid: dict[tuple, int] = {}
-            for d in range(n):
-                dd = mirror[d]
-                for i in range(nd):
-                    if i == d or i == dd:
-                        continue
-                    for c in range(len(combos)):
-                        fwid[(d, i, c)] = new_var("C", "fw", (t, r, d, i, c))
-
-            faid: dict[tuple, int] = {}
-            for d in range(n):
-                dd = mirror[d]
-                for i in range(nd):
-                    if i == d or i == dd:
-                        continue
-                    for c, combo in enumerate(combos):
-                        for p in combo.active_patterns:
-                            faid[(d, i, c, p)] = new_var("C", "fa", (t, r, d, i, c, p))
-
-            flid: dict[tuple, int] = {}
-            for d in range(n):
-                dd = mirror[d]
-                for p in patterns:
-                    for i, j in fwd_arcs:
-                        if i == d or i == dd:
-                            continue
-                        flid[(d, p, i, j)] = new_var("C", "fl", (t, r, d, p, i, j))
-
-            fbid: dict[tuple, int] = {}
-            for j in range(nd):
-                for p in patterns:
-                    fbid[(j, p)] = new_var("C", "fb", (t, r, j, p))
-
-            fxid: dict[tuple, int] = {}
-            if opts.allow_transfers:
-                for d in range(n):
-                    dd = mirror[d]
-                    for i in range(nd):
-                        if i == d or i == dd:
-                            continue
-                        for j in (i, mirror[i]):
-                            for p in patterns:
-                                for c in range(len(combos)):
-                                    fxid[(d, i, j, p, c)] = new_var(
-                                        "C", "fx", (t, r, d, i, j, p, c))
-
-            n_kind = "I" if opts.integer_fleet else "C"
-            fleet_var[(r, t)] = new_var(n_kind, "n", (r, t))
-
-            # --- objective ---------------------------------------------------
-            for (d, p, i, j), vid in flid.items():
-                objective[vid] = tmat[i][j]
-            for (d, i, c), vid in fwid.items():
-                objective[vid] = gamma_w * combos[c].perceived_headway / 2.0
-            for (d, i, j, p, c), vid in fxid.items():
-                objective[vid] = gamma_x * (combos[c].perceived_headway / 2.0 + t_x)
-
-            # --- pattern structure -------------------------------------------
-            add = lambda fam, key, coeffs, sense, rhs: rows_by_family[fam].append(
-                Row(coeffs, sense, rhs, fam, key))
-
-            for p in patterns:
-                for j in range(nd):
-                    coeffs = [(xid[(p, i, j)], 1.0) for i in in_allowed[j]]
-                    coeffs += [(xid[(p, j, k)], -1.0) for k in out_allowed[j]]
-                    add("loop_balance", (t, r, p, j), coeffs, "=", 0.0)
-            for p in patterns:
-                for j in range(nd):
-                    coeffs = [(xid[(p, i, j)], 1.0) for i in in_allowed[j]]
-                    add("loop_visit_cap", (t, r, p, j), coeffs, "<=", 1.0)
-            # Forward travel raises the stop index except on the wrap step, so
-            # every cycle has an arc with i > j: one such arc per in-service
-            # pattern leaves exactly one loop, in sorted stop order.
-            for p in patterns:
-                coeffs = [(xid[(p, i, j)], 1.0) for i, j in arcs if i > j]
-                coeffs += [(yid[(p, h)], -1.0) for h in range(1, m + 1)]
-                add("loop_wrap", (t, r, p), coeffs, "=", 0.0)
-
-            for d in range(n):
-                dd = mirror[d]
-                M = big_m[d]
-                for p in patterns:
-                    for i, j in fwd_arcs:
-                        if i == d or i == dd:
-                            continue
-                        coeffs = [(flid[(d, p, i, j)], 1.0)]
-                        if M > 0.0:
-                            coeffs.append((xid[(p, i, j)], -M))
-                        add("ride_arc_gate", (t, r, d, p, i, j), coeffs, "<=", 0.0)
-
-            if opts.enforce_symmetry:
-                for p in patterns:
-                    for i, j in arcs:
-                        mi, mj = mirror[j], mirror[i]
-                        if (i, j) == (mi, mj):
-                            continue
-                        if route.arc_allowed(mi, mj):
-                            if (i, j) < (mi, mj):
-                                add("pattern_symmetry", (t, r, p, i, j),
-                                    [(xid[(p, i, j)], 1.0), (xid[(p, mi, mj)], -1.0)], "=", 0.0)
-                        else:
-                            add("pattern_symmetry", (t, r, p, i, j),
-                                [(xid[(p, i, j)], 1.0)], "=", 0.0)
-
-            # --- headways -----------------------------------------------------
-            for p in patterns:
-                add("one_headway", (t, r, p),
-                    [(yid[(p, h)], 1.0) for h in range(m + 1)], "=", 1.0)
-
-            # In-service patterns come first and take menu entries in
-            # ascending order; prefix sums of the pick indicators dominate.
-            for p1 in patterns:
-                for p2 in patterns:
-                    if p1 >= p2:
-                        continue
-                    for h in range(1, m + 1):
-                        coeffs = [(yid[(p1, hh)], 1.0) for hh in range(1, h + 1)]
-                        coeffs += [(yid[(p2, hh)], -1.0) for hh in range(1, h + 1)]
-                        add("headway_order", (t, r, p1, p2, h), coeffs, ">=", 0.0)
-
-            # A sorted single loop takes t_full less the dwell credits of its
-            # skipped stops, so t_full bounds the cycle minutes.
-            for p in patterns:
-                for h in range(1, m + 1):
-                    add("cycle_gate", (t, r, p, h),
-                        [(cyid[(p, h)], 1.0), (yid[(p, h)], -t_full)], "<=", 0.0)
-            for p in patterns:
-                coeffs = [(cyid[(p, h)], 1.0) for h in range(1, m + 1)]
-                coeffs += [(xid[(p, i, j)], -tmat[i][j]) for i, j in arcs]
-                add("cycle_split", (t, r, p), coeffs, "=", 0.0)
-
-            if opts.enforce_capacity:
-                minutes = 60.0 * period.duration_hours
-                cap = route.vehicle_capacity
-                for p in patterns:
-                    for i, j in fwd_arcs:
-                        coeffs = [(flid[(d, p, i, j)], 1.0)
-                                  for d in range(n)
-                                  if (d, p, i, j) in flid]
-                        coeffs += [(yid[(p, h)], -cap * minutes / menu[h - 1])
-                                   for h in range(1, m + 1)]
-                        add("arc_capacity", (t, r, p, i, j), coeffs, "<=", 0.0)
-
-            coeffs = [(cyid[(p, h)], 1.0 / menu[h - 1])
-                      for p in patterns for h in range(1, m + 1)]
-            coeffs.append((fleet_var[(r, t)], -1.0))
-            add("fleet_need", (t, r), coeffs, "<=", 0.0)
-
-            # --- combinations ---------------------------------------------------
-            for i in range(nd):
-                for d in range(n):
-                    if i == d or i == mirror[d]:
-                        continue
-                    add("one_combination", (t, r, i, d),
-                        [(zid[(i, d, c)], 1.0) for c in range(len(combos))], "<=", 1.0)
-
-            for i in range(nd):
-                for d in range(n):
-                    if i == d or i == mirror[d]:
-                        continue
-                    for c, combo in enumerate(combos):
-                        for p in combo.active_patterns:
-                            add("combination_menu", (t, r, i, d, c, p),
-                                [(zid[(i, d, c)], 1.0),
-                                 (yid[(p, combo.headway_indices[p])], -1.0)], "<=", 0.0)
-
-            for d in range(n):
-                dd = mirror[d]
-                M = big_m[d]
-                for i in range(nd):
-                    if i == d or i == dd:
-                        continue
-                    for c, combo in enumerate(combos):
-                        for p in combo.active_patterns:
-                            coeffs = [(faid[(d, i, c, p)], 1.0)]
-                            if M > 0.0:
-                                coeffs.append((zid[(i, d, c)], -M))
-                            add("board_gate", (t, r, d, i, c, p), coeffs, "<=", 0.0)
-
-            for d in range(n):
-                dd = mirror[d]
-                Ms = big_m_share[d]
-                for i in range(nd):
-                    if i == d or i == dd:
-                        continue
-                    for c, combo in enumerate(combos):
-                        act = combo.active_patterns
-                        if len(act) < 2:
-                            continue
-                        for a in range(len(act)):
-                            for b in range(a + 1, len(act)):
-                                p1, p2 = act[a], act[b]
-                                t1 = menu[combo.headway_indices[p1] - 1]
-                                t2 = menu[combo.headway_indices[p2] - 1]
-                                base = [(faid[(d, i, c, p1)], t1), (faid[(d, i, c, p2)], -t2)]
-                                if Ms > 0.0:
-                                    add("board_share", (t, r, d, i, c, p1, p2, "ub"),
-                                        base + [(zid[(i, d, c)], Ms)], "<=", Ms)
-                                    add("board_share", (t, r, d, i, c, p1, p2, "lb"),
-                                        base + [(zid[(i, d, c)], -Ms)], ">=", -Ms)
-                                else:
-                                    add("board_share", (t, r, d, i, c, p1, p2, "eq"),
-                                        base, "=", 0.0)
-
-            # --- demand and conservation ---------------------------------------
-            dm = scenario.demand[r]
-            for o in range(n):
-                for d in range(n):
-                    if o == d:
-                        continue
-                    oo = mirror[o]
-                    coeffs = [(fwid[(d, o, c)], 1.0) for c in range(len(combos))]
-                    coeffs += [(fwid[(d, oo, c)], 1.0) for c in range(len(combos))]
-                    add("demand_entry", (t, r, o, d), coeffs, "=", dm.riders(t, o, d))
-
-            for d in range(n):
-                dd = mirror[d]
-                coeffs = [(fbid[(d, p)], 1.0) for p in patterns]
-                coeffs += [(fbid[(dd, p)], 1.0) for p in patterns]
-                add("demand_exit", (t, r, d), coeffs, "=", dm.total_into(t, d))
-
-            for d in range(n):
-                dd = mirror[d]
-                for i in range(nd):
-                    if i == d or i == dd:
-                        continue
-                    mi = mirror[i]
-                    for c, combo in enumerate(combos):
-                        coeffs = [(fwid[(d, i, c)], 1.0)]
-                        if opts.allow_transfers:
-                            for p in patterns:
-                                coeffs.append((fxid[(d, i, i, p, c)], 1.0))
-                                coeffs.append((fxid[(d, mi, i, p, c)], 1.0))
-                        coeffs += [(faid[(d, i, c, p)], -1.0) for p in combo.active_patterns]
-                        add("entry_board_balance", (t, r, d, i, c), coeffs, "=", 0.0)
-
-            for d in range(n):
-                dd = mirror[d]
-                for p in patterns:
-                    for j in range(nd):
-                        if j == d or j == dd:
-                            continue
-                        coeffs = [(faid[(d, j, c, p)], 1.0) for c in combos_with_p[p]]
-                        coeffs += [(flid[(d, p, i, j)], 1.0)
-                                   for i in fwd_in[j] if i != d and i != dd]
-                        coeffs += [(flid[(d, p, j, k)], -1.0) for k in fwd_out[j]]
-                        if opts.allow_transfers:
-                            mj = mirror[j]
-                            for c in range(len(combos)):
-                                coeffs.append((fxid[(d, j, j, p, c)], -1.0))
-                                coeffs.append((fxid[(d, j, mj, p, c)], -1.0))
-                        add("onboard_balance", (t, r, d, p, j), coeffs, "=", 0.0)
-
-            for d in range(n):
-                dd = mirror[d]
-                for j in (d, dd):
-                    for p in patterns:
-                        coeffs = [(flid[(d, p, i, j)], 1.0)
-                                  for i in fwd_in[j] if i != d and i != dd]
-                        coeffs.append((fbid[(j, p)], -1.0))
-                        add("arrive_exit_balance", (t, r, d, j, p), coeffs, "=", 0.0)
+    b = _Builder()
+    fleet_ids = np.zeros((len(scenario.periods), len(scenario.routes)), dtype=np.int64)
+    for t in range(len(scenario.periods)):
+        for r in range(len(scenario.routes)):
+            fleet_ids[t, r] = _add_route_period(b, scenario, t, r)
 
     # --- shared fleet pools -----------------------------------------------
-    for t, period in enumerate(scenario.periods):
-        coeffs = [(fleet_var[(r, t)], 1.0) for r in range(len(scenario.routes))]
-        rows_by_family["fleet_pool"].append(
-            Row(coeffs, "<=", scenario.fleet_cap, "fleet_pool", (t,)))
-    coeffs = []
-    for t, period in enumerate(scenario.periods):
-        for r in range(len(scenario.routes)):
-            coeffs.append((fleet_var[(r, t)], period.duration_hours))
-    rows_by_family["fleet_hours"].append(
-        Row(coeffs, "<=", scenario.vehicle_hours_cap, "fleet_hours", ()))
+    periods = np.arange(len(scenario.periods))
+    b.add_rows("fleet_pool", (periods,), [(fleet_ids, 1.0)], "<=", scenario.fleet_cap)
+    hours = [[p.duration_hours] for p in scenario.periods]
+    b.add_rows("fleet_hours", (), [(fleet_ids.reshape(1, -1),
+                                    np.broadcast_to(hours, fleet_ids.shape).reshape(1, -1))],
+               "<=", scenario.vehicle_hours_cap)
+    return b.model(scenario)
 
-    rows: list[Row] = []
-    for fam in ROW_FAMILIES:
-        rows.extend(rows_by_family[fam])
 
-    return MilpModel(
-        variables=variables,
-        objective=objective,
-        rows=rows,
-        scenario=scenario,
-    )
+def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
+    """Add the variables, objective terms and rows of route r in period t;
+    return the id of its fleet variable.
+
+    Each ``*id`` array maps a family's index tuple to variable ids, -1 where
+    the variable does not exist; the rows are written by indexing them."""
+    opts = scenario.options
+    period = scenario.periods[t]
+    route = scenario.routes[r]
+    nd = route.n_dir
+    n = route.n_physical
+    menu = route.headway_menu(t)
+    m = len(menu)
+    npat = route.n_patterns
+    combos = enumerate_combinations(npat, menu)
+    nc = len(combos)
+    tmat = np.array(route.travel_time_matrix(), dtype=np.float64)
+    t_full = sum(route.adjacent_times())
+    mirror = nd - 1 - np.arange(nd)
+    dests = np.arange(n)
+    pats = np.arange(npat)
+
+    allowed = np.array([[route.arc_allowed(i, j) for j in range(nd)] for i in range(nd)],
+                       dtype=bool).reshape(nd, nd)
+    arc_i, arc_j = np.nonzero(allowed)                  # arcs, i then j ascending
+    fwd_i, fwd_j = np.nonzero(np.triu(allowed, 1))      # forward arcs (i < j)
+    # entry[d, i]: stop i can take riders to destination d (neither of its stops)
+    entry = (np.arange(nd) != dests[:, None]) & (np.arange(nd) != mirror[:n, None])
+    ent_d, ent_i = np.nonzero(entry)                    # cells in (d, i) order
+    n_ent = len(ent_d)
+    # (combination, active pattern) pairs in combination order
+    cp_c, cp_p = np.array([(c, p) for c, combo in enumerate(combos)
+                           for p in combo.active_patterns], dtype=np.int64).reshape(-1, 2).T
+    ncp = len(cp_c)
+
+    big_m = np.array([big_m_flow(scenario, r, t, d) for d in range(n)], dtype=np.float64)
+    big_m_share = np.array([big_m_flow(scenario, r, t, d, share=True) for d in range(n)],
+                           dtype=np.float64)
+
+    # --- variables -------------------------------------------------
+    lb = ub = None
+    if opts.require_full_pattern:
+        loop = route.full_loop()
+        full_loop_arcs = set(zip(loop, loop[1:] + loop[:1]))
+        missing = [a for a in full_loop_arcs if not route.arc_allowed(*a)]
+        if missing:
+            raise BuildError(
+                f"route {route.id}: full pattern required but loop arcs {missing} are not allowed")
+        # pattern 0 runs the full loop (k, k + 1 mod nd), no other arc
+        fixed = (arc_j == (arc_i + 1) % nd).astype(np.float64)
+        rest = np.ones(len(arc_i) * (npat - 1))
+        lb = np.concatenate([fixed, np.zeros_like(rest)])
+        ub = np.concatenate([fixed, rest])
+    x_p = np.repeat(pats, len(arc_i))
+    x_i, x_j = np.tile(arc_i, npat), np.tile(arc_j, npat)
+    xid = np.full((npat, nd, nd), -1, dtype=np.int64)
+    xid[x_p, x_i, x_j] = b.add_vars("x", "B", (t, r, x_p, x_i, x_j),
+                                    0.0 if lb is None else lb, ub)
+
+    y_p, y_h = np.divmod(np.arange(npat * (m + 1)), m + 1)
+    yid = b.add_vars("y", "B", (t, r, y_p, y_h)).reshape(npat, m + 1)
+
+    cy_p, cy_h = np.divmod(np.arange(npat * m), m)
+    cyid = b.add_vars("cy", "C", (t, r, cy_p, cy_h + 1)).reshape(npat, m)  # [p, h - 1]
+
+    z_i, z_d = np.nonzero(entry.T)                      # cells in (i, d) order
+    zid = np.full((nd, n, nc), -1, dtype=np.int64)
+    zid[z_i, z_d] = b.add_vars("z", "B", (t, r, np.repeat(z_i, nc), np.repeat(z_d, nc),
+                                          np.tile(np.arange(nc), len(z_i)))).reshape(-1, nc)
+
+    fw_d, fw_i = np.repeat(ent_d, nc), np.repeat(ent_i, nc)
+    fw_c = np.tile(np.arange(nc), n_ent)
+    fw_ids = b.add_vars("fw", "C", (t, r, fw_d, fw_i, fw_c))
+    fwid = fw_ids.reshape(n_ent, nc)
+    fwid_full = np.full((n, nd, nc), -1, dtype=np.int64)
+    fwid_full[ent_d, ent_i] = fwid
+
+    fa_d, fa_i = np.repeat(ent_d, ncp), np.repeat(ent_i, ncp)
+    fa_c, fa_p = np.tile(cp_c, n_ent), np.tile(cp_p, n_ent)
+    fa_ids = b.add_vars("fa", "C", (t, r, fa_d, fa_i, fa_c, fa_p))
+    faid = np.full((n, nd, nc, npat), -1, dtype=np.int64)
+    faid[fa_d, fa_i, fa_c, fa_p] = fa_ids
+
+    fl_d, fl_p, fl_a = np.nonzero(np.broadcast_to(entry[:, fwd_i][:, None, :],
+                                                  (n, npat, len(fwd_i))))
+    fl_i, fl_j = fwd_i[fl_a], fwd_j[fl_a]
+    fl_ids = b.add_vars("fl", "C", (t, r, fl_d, fl_p, fl_i, fl_j))
+    flid = np.full((n, npat, nd, nd), -1, dtype=np.int64)
+    flid[fl_d, fl_p, fl_i, fl_j] = fl_ids
+    fl_into = flid.transpose(0, 1, 3, 2)                # [d, p, j, i]
+
+    fb_j, fb_p = np.divmod(np.arange(nd * npat), npat)
+    fbid = b.add_vars("fb", "C", (t, r, fb_j, fb_p)).reshape(nd, npat)
+
+    if opts.allow_transfers:
+        # per entry cell: j in (i, mirror i), then pattern, then combination
+        fx_s, fx_p, fx_c = (np.tile(a.ravel(), n_ent)
+                            for a in np.indices((2, npat, nc)))
+        fx_d = np.repeat(ent_d, 2 * npat * nc)
+        fx_i = np.repeat(ent_i, 2 * npat * nc)
+        fx_ids = b.add_vars("fx", "C", (t, r, fx_d, fx_i, np.where(fx_s == 0, fx_i, mirror[fx_i]),
+                                        fx_p, fx_c))
+        fxid = np.full((n, nd, 2, npat, nc), -1, dtype=np.int64)   # [d, i, j is i / mirror i, p, c]
+        fxid[ent_d, ent_i] = fx_ids.reshape(n_ent, 2, npat, nc)
+
+    nid = int(b.add_vars("n", "I" if opts.integer_fleet else "C", (r, t))[0])
+
+    # --- objective ---------------------------------------------------
+    b.add_objective(fl_ids, tmat[fl_i, fl_j])
+    wait = [scenario.gamma_wait * combo.perceived_headway / 2.0 for combo in combos]
+    b.add_objective(fw_ids, np.tile(wait, n_ent))
+    if opts.allow_transfers:
+        change = [scenario.gamma_transfer * (combo.perceived_headway / 2.0 + scenario.transfer_time)
+                  for combo in combos]
+        b.add_objective(fx_ids, np.tile(change, n_ent * 2 * npat))
+
+    # --- pattern structure -------------------------------------------
+    pj_p, pj_j = np.divmod(np.arange(npat * nd), nd)
+    arcs_into = xid.transpose(0, 2, 1).reshape(npat * nd, nd)   # row (p, j): x[p, i, j]
+    arcs_out = xid.reshape(npat * nd, nd)                       # row (p, j): x[p, j, k]
+    b.add_rows("loop_balance", (t, r, pj_p, pj_j),
+               [(arcs_into, 1.0), (arcs_out, -1.0)], "=", 0.0)
+    b.add_rows("loop_visit_cap", (t, r, pj_p, pj_j), [(arcs_into, 1.0)], "<=", 1.0)
+    # Forward travel raises the stop index except on the wrap step, so
+    # every cycle has an arc with i > j: one such arc per in-service
+    # pattern leaves exactly one loop, in sorted stop order.
+    back_i, back_j = np.tril_indices(nd, -1)
+    b.add_rows("loop_wrap", (t, r, pats),
+               [(xid[:, back_i, back_j], 1.0), (yid[:, 1:], -1.0)], "=", 0.0)
+
+    gate_x = np.where(big_m[fl_d] > 0.0, xid[fl_p, fl_i, fl_j], -1)
+    b.add_rows("ride_arc_gate", (t, r, fl_d, fl_p, fl_i, fl_j),
+               [(fl_ids, 1.0), (gate_x, -big_m[fl_d])], "<=", 0.0)
+
+    if opts.enforce_symmetry:
+        # arc (i, j) mirrors to (mirror j, mirror i): one row per pair, and
+        # a row fixing the arc at 0 when its mirror is not allowed
+        mi, mj = mirror[arc_j], mirror[arc_i]
+        keep = (((arc_i != mi) | (arc_j != mj))
+                & (~allowed[mi, mj] | (arc_i < mi) | ((arc_i == mi) & (arc_j < mj))))
+        s_p = np.repeat(pats, keep.sum())
+        s_i, s_j = np.tile(arc_i[keep], npat), np.tile(arc_j[keep], npat)
+        b.add_rows("pattern_symmetry", (t, r, s_p, s_i, s_j),
+                   [(xid[s_p, s_i, s_j], 1.0), (xid[s_p, mirror[s_j], mirror[s_i]], -1.0)],
+                   "=", 0.0)
+
+    # --- headways -----------------------------------------------------
+    b.add_rows("one_headway", (t, r, pats), [(yid, 1.0)], "=", 1.0)
+
+    # In-service patterns come first and take menu entries in
+    # ascending order; prefix sums of the pick indicators dominate.
+    p1, p2 = np.triu_indices(npat, 1)
+    o_p1, o_p2 = np.repeat(p1, m), np.repeat(p2, m)
+    o_h = np.tile(np.arange(1, m + 1), len(p1))
+    upto = np.arange(1, m + 1) <= o_h[:, None]
+    b.add_rows("headway_order", (t, r, o_p1, o_p2, o_h),
+               [(np.where(upto, yid[o_p1, 1:], -1), 1.0),
+                (np.where(upto, yid[o_p2, 1:], -1), -1.0)], ">=", 0.0)
+
+    # A sorted single loop takes t_full less the dwell credits of its
+    # skipped stops, so t_full bounds the cycle minutes.
+    b.add_rows("cycle_gate", (t, r, cy_p, cy_h + 1),
+               [(cyid.ravel(), 1.0), (yid[:, 1:].ravel(), -t_full)], "<=", 0.0)
+    b.add_rows("cycle_split", (t, r, pats),
+               [(cyid, 1.0), (xid.reshape(npat, nd * nd), -tmat.ravel())], "=", 0.0)
+
+    if opts.enforce_capacity:
+        minutes = 60.0 * period.duration_hours
+        cap = route.vehicle_capacity
+        seats = [-cap * minutes / menu[h - 1] for h in range(1, m + 1)]
+        c_p = np.repeat(pats, len(fwd_i))
+        c_i, c_j = np.tile(fwd_i, npat), np.tile(fwd_j, npat)
+        b.add_rows("arc_capacity", (t, r, c_p, c_i, c_j),
+                   [(flid[:, c_p, c_i, c_j].T, 1.0), (yid[c_p, 1:], seats)], "<=", 0.0)
+
+    per_vehicle = [1.0 / menu[h - 1] for h in range(1, m + 1)]
+    b.add_rows("fleet_need", (t, r),
+               [(cyid.reshape(1, -1), np.tile(per_vehicle, npat)), ([nid], -1.0)], "<=", 0.0)
+
+    # --- combinations ---------------------------------------------------
+    b.add_rows("one_combination", (t, r, z_i, z_d), [(zid[z_i, z_d], 1.0)], "<=", 1.0)
+
+    pick_y = yid[cp_p, [combos[c].headway_indices[p] for c, p in zip(cp_c, cp_p)]]
+    m_i, m_d = np.repeat(z_i, ncp), np.repeat(z_d, ncp)
+    m_c, m_p = np.tile(cp_c, len(z_i)), np.tile(cp_p, len(z_i))
+    b.add_rows("combination_menu", (t, r, m_i, m_d, m_c, m_p),
+               [(zid[m_i, m_d, m_c], 1.0), (np.tile(pick_y, len(z_i)), -1.0)], "<=", 0.0)
+
+    gate_z = np.where(big_m[fa_d] > 0.0, zid[fa_i, fa_d, fa_c], -1)
+    b.add_rows("board_gate", (t, r, fa_d, fa_i, fa_c, fa_p),
+               [(fa_ids, 1.0), (gate_z, -big_m[fa_d])], "<=", 0.0)
+
+    # Per pair of active patterns: an "ub" and an "lb" row where demand
+    # exists, a single "eq" row where it is zero. The tag is the sense code.
+    pairs = [(c, act[a], act[a2], menu[combo.headway_indices[act[a]] - 1],
+              menu[combo.headway_indices[act[a2]] - 1])
+             for c, combo in enumerate(combos)
+             for act in [combo.active_patterns]
+             for a in range(len(act)) for a2 in range(a + 1, len(act))]
+    if pairs:
+        sh_c, sh_p1, sh_p2 = np.array([q[:3] for q in pairs], dtype=np.int64).T
+        sh_t1, sh_t2 = np.array([q[3:] for q in pairs], dtype=np.float64).T
+        cell, pair, tag = (a.ravel() for a in np.indices((n_ent, len(pairs), 3)))
+        ms = big_m_share[ent_d[cell]]
+        keep = np.where(ms > 0.0, tag != _EQ, tag == _EQ)
+        cell, pair, tag, ms = cell[keep], pair[keep], tag[keep], ms[keep]
+        d, i, c = ent_d[cell], ent_i[cell], sh_c[pair]
+        p1, p2 = sh_p1[pair], sh_p2[pair]
+        window = np.where(tag == _LE, ms, -ms)
+        b.add_rows("board_share", (t, r, d, i, c, p1, p2, np.array(["ub", "lb", "eq"])[tag]),
+                   [(faid[d, i, c, p1], sh_t1[pair]), (faid[d, i, c, p2], -sh_t2[pair]),
+                    (np.where(tag == _EQ, -1, zid[i, d, c]), window)],
+                   tag, np.where(tag == _EQ, 0.0, window))
+
+    # --- demand and conservation ---------------------------------------
+    dm = scenario.demand[r]
+    o, d = np.nonzero(~np.eye(n, dtype=bool))
+    b.add_rows("demand_entry", (t, r, o, d),
+               [(fwid_full[d, o], 1.0), (fwid_full[d, mirror[o]], 1.0)], "=",
+               [dm.riders(t, oo, dd) for oo, dd in zip(o.tolist(), d.tolist())])
+    b.add_rows("demand_exit", (t, r, dests),
+               [(fbid[dests], 1.0), (fbid[mirror[dests]], 1.0)], "=", big_m)
+
+    groups = [(fw_ids, 1.0)]
+    if opts.allow_transfers:
+        # per pattern: transfers at the same stop, then from the mirror stop
+        by_combo = fxid.transpose(0, 1, 4, 2, 3)        # [d, i, c, j is i / mirror i, p]
+        same = by_combo[fw_d, fw_i, fw_c, 0]
+        across = by_combo[fw_d, mirror[fw_i], fw_c, 1]
+        groups.append((np.stack([same, across], axis=2).reshape(-1, 2 * npat), 1.0))
+    groups.append((faid[fw_d, fw_i, fw_c], -1.0))
+    b.add_rows("entry_board_balance", (t, r, fw_d, fw_i, fw_c), groups, "=", 0.0)
+
+    ob_d, ob_p, ob_j = np.nonzero(np.broadcast_to(entry[:, None, :], (n, npat, nd)))
+    groups = [(faid.transpose(0, 1, 3, 2)[ob_d, ob_j, ob_p], 1.0),
+              (fl_into[ob_d, ob_p, ob_j], 1.0),
+              (flid[ob_d, ob_p, ob_j], -1.0)]
+    if opts.allow_transfers:
+        # per combination: transfers at the same stop, then to the mirror stop
+        groups.append((fxid.transpose(0, 1, 3, 4, 2)[ob_d, ob_j, ob_p].reshape(-1, 2 * nc), -1.0))
+    b.add_rows("onboard_balance", (t, r, ob_d, ob_p, ob_j), groups, "=", 0.0)
+
+    ax_d = np.repeat(dests, 2 * npat)
+    ax_j = np.repeat(np.stack([dests, mirror[dests]], axis=1).ravel(), npat)
+    ax_p = np.tile(pats, 2 * n)
+    b.add_rows("arrive_exit_balance", (t, r, ax_d, ax_j, ax_p),
+               [(fl_into[ax_d, ax_p, ax_j], 1.0), (fbid[ax_j, ax_p], -1.0)], "=", 0.0)
+    return nid
 
 
 def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
@@ -529,7 +572,8 @@ def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
 
     Flows, combination picks and cycle minutes stay free (the pinned arcs
     determine the cycle minutes), so solving the result evaluates the plan
-    through the same machinery that prices free designs.
+    through the same machinery that prices free designs. The result shares
+    every block except the bounds of the pinned families.
     """
     scenario = model.scenario
     opts = scenario.options
@@ -556,24 +600,20 @@ def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
                 arcs[(t, r, p)] = loop
                 headway_index[(t, r, p)] = pat.headway_index
 
-    def pinned(v: Var) -> Var:
-        if v.family == "x":
-            value = 1.0 if v.key[3:] in arcs[v.key[:3]] else 0.0
-        elif v.family == "y":
-            value = 1.0 if v.key[3] == headway_index[v.key[:3]] else 0.0
-        elif v.family == "n":
-            r, t = v.key
-            value = plan.cell(r, t).fleet
-        else:
-            return v
-        return replace(v, lb=value, ub=value)
+    pinned = {
+        "x": lambda key: 1.0 if (key[3], key[4]) in arcs[tuple(key[:3])] else 0.0,
+        "y": lambda key: 1.0 if key[3] == headway_index[tuple(key[:3])] else 0.0,
+        "n": lambda key: plan.cell(*key).fleet,
+    }
 
-    return MilpModel(
-        variables=[pinned(v) for v in model.variables],
-        objective=model.objective,
-        rows=model.rows,
-        scenario=scenario,
-    )
+    def pin(block: VarBlock) -> VarBlock:
+        value = pinned.get(block.family)
+        if value is None:
+            return block
+        values = np.array([value(key) for key in block.keys.tolist()], dtype=np.float64)
+        return replace(block, lb=values, ub=values.copy())
+
+    return replace(model, var_blocks=[pin(b) for b in model.var_blocks])
 
 
 def model_stats(model: MilpModel) -> dict[str, Any]:
@@ -581,22 +621,22 @@ def model_stats(model: MilpModel) -> dict[str, Any]:
     by_kind = {"binary": 0, "continuous": 0, "integer": 0}
     kind_names = {"B": "binary", "C": "continuous", "I": "integer"}
     by_family: dict[str, int] = {f: 0 for f in VAR_FAMILIES}
-    for v in model.variables:
-        by_kind[kind_names[v.kind]] += 1
-        by_family[v.family] += 1
+    for b in model.var_blocks:
+        by_kind[kind_names[b.kind]] += len(b.lb)
+        by_family[b.family] += len(b.lb)
     rows_by_family: dict[str, int] = {f: 0 for f in ROW_FAMILIES}
     nnz = 0
-    for row in model.rows:
-        rows_by_family[row.family] += 1
-        nnz += len(row.coeffs)
+    for b in model.row_blocks:
+        rows_by_family[b.family] += len(b.rhs)
+        nnz += len(b.cols)
     return {
         "variables": {
-            "total": len(model.variables),
+            "total": model.n_vars,
             "by_kind": by_kind,
             "by_family": by_family,
         },
         "rows": {
-            "total": len(model.rows),
+            "total": sum(rows_by_family.values()),
             "by_family": rows_by_family,
         },
         "nonzeros": nnz,

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
-from .network import RouteSpec, Scenario, ScenarioError
+from .network import RouteSpec, Scenario, ScenarioError, _int, _num
 
 __all__ = ["PatternPlan", "RoutePeriodPlan", "ServicePlan", "FlowAssignment",
            "PlanError", "load_plan", "loop_arcs", "vehicle_need"]
@@ -129,13 +129,24 @@ def _lookup_headway_index(menu: tuple[float, ...], value: float, where: str) -> 
     raise PlanError(f"{where}: headway {value} is not on the menu {list(menu)}")
 
 
+def _read(parse: Callable[[Any, str], Any], value: Any, where: str) -> Any:
+    """``value`` read by the scenario loader's rule ``parse``, refusals
+    raised as ``PlanError``."""
+    try:
+        return parse(value, where)
+    except ScenarioError as exc:
+        raise PlanError(str(exc)) from None
+
+
 def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
     """Bind a parsed plan document to a scenario.
 
-    Headways must come from the route/period menu; an in-service pattern must
-    serve valid direction stops forming an allowed loop in stop order, listed
-    from any of its stops, and is stored in ascending order. A missing
-    ``fleet`` defaults to the exact vehicle requirement of the cell's patterns.
+    Stops are integers and headways and fleets finite numbers, read as the
+    scenario loader reads them. Headways must come from the route/period
+    menu; an in-service pattern must serve valid direction stops forming an
+    allowed loop in stop order, listed from any of its stops, and is stored
+    in ascending order. A missing ``fleet`` defaults to the exact vehicle
+    requirement of the cell's patterns.
     """
     routes_doc = doc.get("routes")
     if not isinstance(routes_doc, list) or len(routes_doc) != len(scenario.routes):
@@ -158,7 +169,10 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
             for p, pat_doc in enumerate(pats_doc):
                 where = f"plan routes[{r}].periods[{t}].patterns[{p}]"
                 headway = pat_doc.get("headway")
-                stops = tuple(int(x) for x in pat_doc.get("stops", []))
+                stops = pat_doc.get("stops", [])
+                if not isinstance(stops, list):
+                    raise PlanError(f"{where}.stops: expected a list of direction stops")
+                stops = tuple(_read(_int, s, f"{where}.stops[{k}]") for k, s in enumerate(stops))
                 if headway is None:
                     if stops:
                         raise PlanError(f"{where}: out-of-service pattern must not serve stops")
@@ -166,13 +180,16 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
                     continue
                 if not stops:
                     raise PlanError(f"{where}: in-service pattern must serve stops")
-                hidx = _lookup_headway_index(menu, float(headway), where)
+                headway = _read(_num, headway, f"{where}.headway")
+                hidx = _lookup_headway_index(menu, headway, where)
                 _check_loop(route, stops, where)
-                pats.append(PatternPlan(stops=tuple(sorted(stops)), headway=float(headway),
+                pats.append(PatternPlan(stops=tuple(sorted(stops)), headway=headway,
                                         headway_index=hidx))
             fleet = pdoc.get("fleet")
             if fleet is None:
                 fleet = vehicle_need(route, pats)
+            else:
+                fleet = _read(_num, fleet, f"plan routes[{r}].periods[{t}].fleet")
             row.append(RoutePeriodPlan(patterns=tuple(pats), fleet=float(fleet)))
         cells.append(tuple(row))
     return ServicePlan(cells=tuple(cells))

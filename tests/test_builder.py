@@ -1,4 +1,3 @@
-import gc
 from dataclasses import replace
 from math import comb
 
@@ -9,7 +8,6 @@ from transitopt import (
     build_model, compute_metrics, decode_plan, fix_baseline, load_plan,
     model_stats, solve,
 )
-import transitopt.model
 from transitopt.model import ROW_FAMILIES
 
 from _factories import full_pattern_plan_doc, make_scenario, scenario_doc
@@ -151,6 +149,14 @@ class TestBuildValidation:
         with pytest.raises(BuildError, match="n_patterns"):
             build_model(scenario)
 
+    def test_full_pattern_needs_its_loop_arcs(self):
+        # the closing arc of the full loop is not allowed
+        mask = [[i != j for j in range(6)] for i in range(6)]
+        mask[5][0] = False
+        scenario = make_scenario(full_pattern=True, allowed_arcs=mask, symmetry=False)
+        with pytest.raises(BuildError, match="full pattern required"):
+            build_model(scenario)
+
     def test_zero_demand_builds_and_solves_to_zero(self):
         scenario = make_scenario(demand=())
         model = build_model(scenario)
@@ -167,42 +173,6 @@ class TestBuildValidation:
         plan, _ = decode_plan(model, result)
         assert plan.cell(0, 0).patterns[0].stops == tuple(range(6))
         assert plan.cell(0, 0).patterns[0].headway is not None
-
-
-class TestCollectorPause:
-    """build_model pauses the cyclic collector while it creates the model and
-    leaves it as it found it."""
-
-    def test_enabled_collector_paused_then_restored(self, monkeypatch):
-        seen = []
-        enumerate_combinations = transitopt.model.enumerate_combinations
-
-        def spy(*args):
-            seen.append(gc.isenabled())
-            return enumerate_combinations(*args)
-
-        monkeypatch.setattr(transitopt.model, "enumerate_combinations", spy)
-        assert gc.isenabled()
-        build_model(make_scenario())
-        assert seen == [False]
-        assert gc.isenabled()
-
-    def test_disabled_collector_stays_disabled(self):
-        gc.disable()
-        try:
-            build_model(make_scenario())
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-
-    def test_build_error_restores_collector(self):
-        # the closing arc of the full loop is not allowed
-        mask = [[i != j for j in range(6)] for i in range(6)]
-        mask[5][0] = False
-        scenario = make_scenario(full_pattern=True, allowed_arcs=mask, symmetry=False)
-        with pytest.raises(BuildError, match="full pattern required"):
-            build_model(scenario)
-        assert gc.isenabled()
 
 
 class TestFixBaseline:

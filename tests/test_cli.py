@@ -1,9 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import transitopt
 import transitopt.cli
 from transitopt.backend import DecodeError, SolverError
 from transitopt.cli import main
@@ -182,6 +186,35 @@ class TestPlanOrder:
         assert "stop order" in err[0]
 
 
+class TestPlanValues:
+    """Plan stops are integers and headways and fleets finite numbers, as in
+    scenarios; anything else is one `invalid plan:` line and exit 1."""
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("stop", "a", "stops[1]: expected an integer, got 'a'"),
+        ("stop", 1.7, "stops[1]: expected an integer, got 1.7"),
+        ("stop", True, "stops[1]: expected an integer, got True"),
+        ("headway", "x", "headway: expected a number, got 'x'"),
+        ("fleet", "x", "fleet: expected a number, got 'x'"),
+    ], ids=["stop-text", "stop-fraction", "stop-bool", "headway-text", "fleet-text"])
+    def test_bad_value_exit_one(self, tmp_path, capsys, field, value, message):
+        path = write_doc(tmp_path, scenario_doc(symmetry=False, n_patterns=1))
+        plan = full_pattern_plan_doc(load_scenario(path))
+        cell = plan["routes"][0]["periods"][0]
+        if field == "stop":
+            cell["patterns"][0]["stops"][1] = value
+        elif field == "headway":
+            cell["patterns"][0]["headway"] = value
+        else:
+            cell["fleet"] = value
+        plan_path = write_doc(tmp_path, plan, "plan.json")
+        assert main(["evaluate", "--scenario", str(path), "--plan", str(plan_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid plan: ")
+        assert err[0].endswith(message)
+
+
 class TestCompare:
     def test_optimizer_never_loses(self, scenario_file, tmp_path, capsys):
         scenario = load_scenario(scenario_file)
@@ -226,6 +259,23 @@ class TestExport:
         assert text.rstrip().endswith("End")
         assert (out / "model_stats.json").is_file()
         assert "exported" in capsys.readouterr().out
+
+
+class TestLazyScipy:
+    def test_validate_and_export_never_load_scipy(self, scenario_file, tmp_path):
+        # scipy is imported on the first solve, so commands that never solve
+        # do not pay for it
+        src = Path(transitopt.__file__).resolve().parent.parent
+        code = ("import sys\n"
+                "from transitopt.cli import main\n"
+                f"codes = [main(['validate', '--scenario', {str(scenario_file)!r}]),\n"
+                f"         main(['export', '--scenario', {str(scenario_file)!r},\n"
+                f"               '--out', {str(tmp_path / 'o')!r}])]\n"
+                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[0, 0] []"
 
 
 class TestRendering:

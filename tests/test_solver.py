@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from transitopt import (
-    MilpModel, Row, SolverConfig, Var, assign_flows, build_model, compute_metrics,
-    decode_plan, fix_baseline, load_plan, model_stats, solve, write_lp,
+    SolverConfig, assign_flows, build_model, compute_metrics, decode_plan, fix_baseline,
+    load_plan, model_stats, solve, write_lp,
 )
 from transitopt.backend import DecodeError
+from transitopt.model import MilpModel, row_block, var_block
 
 from _factories import (full_pattern_plan_doc, ladder_doc, make_scenario, random_toy_doc,
                         scenario_doc)
@@ -109,19 +110,20 @@ class TestExport:
         assert_highs_round_trip(model, tmp_path)
 
     def test_text_rules(self):
-        y = [Var(k, "B", 0.0, 1.0, "y", (0, 0, 0, k)) for k in range(9)]
-        cy = [Var(9, "C", 2.5, 2.5, "cy", (0, 0, 0, 1)),
-              Var(10, "C", 1.0, 4.0, "cy", (0, 0, 0, 2)),
-              Var(11, "C", 0.5, math.inf, "cy", (0, 0, 0, 3))]
-        n = Var(12, "I", 0.0, math.inf, "n", (0, 0))
-        rows = [
-            Row([(12, -1.0), (9, 0.2), (10, 1 / 7)], "<=", 0.0, "fleet_need", (0, 0)),
-            Row([(k, 1.0) for k in range(8)], "=", 1.0, "one_headway", (0, 0, 0)),
-            Row([(k, 1.0) for k in range(8)] + [(8, -1.5)], ">=", -3.5, "one_headway", (0, 0, 1)),
-            Row([(11, 2.0)], "<=", 1e16, "fleet_hours", ()),
+        variables = [
+            var_block("y", "B", 0, (0, 0, 0, range(9))),
+            var_block("cy", "C", 9, (0, 0, 0, [1, 2, 3]), lb=[2.5, 1.0, 0.5],
+                      ub=[2.5, 4.0, math.inf]),
+            var_block("n", "I", 12, (0, 0)),
         ]
-        model = MilpModel(variables=[*y, *cy, n], objective={9: 3.0, 0: 0.0, 12: -0.5},
-                          rows=rows, scenario=None)
+        rows = [
+            row_block("fleet_need", (0, 0), [([[12, 9, 10]], [-1.0, 0.2, 1 / 7])], "<=", 0.0),
+            row_block("one_headway", (0, 0, [0, 1]), [([range(8)] * 2, 1.0), ([-1, 8], -1.5)],
+                      ["=", ">="], [1.0, -3.5]),
+            row_block("fleet_hours", (), [([11], 2.0)], "<=", 1e16),
+        ]
+        model = MilpModel(var_blocks=variables, row_blocks=rows, obj_ids=np.array([9, 0, 12]),
+                          obj_coefs=np.array([3.0, 0.0, -0.5]), scenario=None)
         ys = [f"y_t0_r0_p0_h{k}" for k in range(9)]
         assert write_lp(model) == "\n".join([
             "\\ transitopt",
@@ -149,10 +151,9 @@ class TestExport:
 
     def test_all_zero_objective_names_the_first_variable(self):
         model = MilpModel(
-            variables=[Var(0, "C", 0.0, math.inf, "n", (0, 0)),
-                       Var(1, "C", 0.0, math.inf, "n", (1, 0))],
-            objective={1: 0.0}, rows=[Row([(1, 1.0)], "<=", 1.0, "fleet_pool", (0,))],
-            scenario=None)
+            var_blocks=[var_block("n", "C", 0, ([0, 1], 0))],
+            row_blocks=[row_block("fleet_pool", (0,), [([1], 1.0)], "<=", 1.0)],
+            obj_ids=np.array([1]), obj_coefs=np.array([0.0]), scenario=None)
         assert write_lp(model).splitlines()[:5] == [
             "\\ transitopt", "Minimize", " obj: 0 n_r0_t0", "Subject To",
             " fleet_pool_0: 1 n_r1_t0 <= 1"]
