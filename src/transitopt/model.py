@@ -235,11 +235,10 @@ def row_block(family: str, keys: Sequence, terms: Sequence[tuple[Any, Any]], sen
     present = cols >= 0
     indptr = np.zeros(nrows + 1, dtype=np.int64)
     np.cumsum(present.sum(axis=1), out=indptr[1:])
-    if isinstance(sense, str):
-        codes = np.full(nrows, SENSES.index(sense), dtype=np.int8)
-    else:
-        codes = np.array([SENSES.index(s) if isinstance(s, str) else s for s in sense],
-                         dtype=np.int8)
+    codes = np.asarray(sense)
+    if codes.dtype.kind == "U":
+        codes = np.vectorize(SENSES.index, otypes=[np.int8])(codes)
+    codes = np.array(np.broadcast_to(codes.astype(np.int8), (nrows,)))
     return RowBlock(family, tuple(np.broadcast_to(np.asarray(k), (nrows,)) for k in keys),
                     indptr, cols[present], vals[present], codes,
                     np.array(np.broadcast_to(np.asarray(rhs, dtype=np.float64), (nrows,))))
