@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
+from .backend import assemble_rows
 from .combos import CombinationSet, enumerate_combinations
 from .network import RouteSpec, Scenario
 from .plan import FlowAssignment, RoutePeriodPlan, ServicePlan, vehicle_need
@@ -176,28 +176,6 @@ def milp(*args, **kwargs):
     from scipy.optimize import milp as scipy_milp
 
     return scipy_milp(*args, **kwargs)
-
-
-def assemble_rows(coeffs: Sequence[Sequence[tuple[int, float]]], senses: Sequence[str],
-                  rhs: Sequence[float], ncols: int):
-    """Turn rows given as parallel ``coeffs`` (``(column, value)`` pairs),
-    ``senses`` (``<=``, ``>=``, ``=``) and ``rhs`` into the CSR matrix and the
-    two-sided bounds of ``lo <= A x <= hi``."""
-    from scipy.sparse import coo_matrix
-
-    nrows = len(coeffs)
-    lengths = np.fromiter(map(len, coeffs), dtype=np.int64, count=nrows)
-    # column ids ride along as float64, exact far beyond any model size
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(coeffs)), dtype=np.float64,
-                        count=2 * int(lengths.sum())).reshape(-1, 2)
-    row_ids = np.repeat(np.arange(nrows, dtype=np.int64), lengths)
-    a = coo_matrix((pairs[:, 1], (row_ids, pairs[:, 0].astype(np.int64))),
-                   shape=(nrows, ncols)).tocsr()
-    rhs_arr = np.fromiter(rhs, dtype=np.float64, count=nrows)
-    sense_arr = np.array(senses, dtype=str)
-    lo = np.where(sense_arr == "<=", -np.inf, rhs_arr)
-    hi = np.where(sense_arr == ">=", np.inf, rhs_arr)
-    return a, lo, hi
 
 
 class _MiniLp:

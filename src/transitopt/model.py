@@ -104,7 +104,7 @@ ROW_FAMILIES = (
 
 # Row senses; a RowBlock stores each row's position in this tuple.
 SENSES = ("<=", ">=", "=")
-_LE, _GE, _EQ = range(3)
+_LE, _EQ = SENSES.index("<="), SENSES.index("=")
 
 
 @dataclass(slots=True)
@@ -356,7 +356,7 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
                            dtype=np.float64)
 
     # --- variables -------------------------------------------------
-    lb = ub = None
+    lb, ub = 0.0, None
     if opts.require_full_pattern:
         loop = route.full_loop()
         full_loop_arcs = set(zip(loop, loop[1:] + loop[:1]))
@@ -372,8 +372,7 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     x_p = np.repeat(pats, len(arc_i))
     x_i, x_j = np.tile(arc_i, npat), np.tile(arc_j, npat)
     xid = np.full((npat, nd, nd), -1, dtype=np.int64)
-    xid[x_p, x_i, x_j] = b.add_vars("x", "B", (t, r, x_p, x_i, x_j),
-                                    0.0 if lb is None else lb, ub)
+    xid[x_p, x_i, x_j] = b.add_vars("x", "B", (t, r, x_p, x_i, x_j), lb, ub)
 
     y_p, y_h = np.divmod(np.arange(npat * (m + 1)), m + 1)
     yid = b.add_vars("y", "B", (t, r, y_p, y_h)).reshape(npat, m + 1)
@@ -389,9 +388,8 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     fw_d, fw_i = np.repeat(ent_d, nc), np.repeat(ent_i, nc)
     fw_c = np.tile(np.arange(nc), n_ent)
     fw_ids = b.add_vars("fw", "C", (t, r, fw_d, fw_i, fw_c))
-    fwid = fw_ids.reshape(n_ent, nc)
-    fwid_full = np.full((n, nd, nc), -1, dtype=np.int64)
-    fwid_full[ent_d, ent_i] = fwid
+    fwid = np.full((n, nd, nc), -1, dtype=np.int64)
+    fwid[ent_d, ent_i] = fw_ids.reshape(n_ent, nc)
 
     fa_d, fa_i = np.repeat(ent_d, ncp), np.repeat(ent_i, ncp)
     fa_c, fa_p = np.tile(cp_c, n_ent), np.tile(cp_p, n_ent)
@@ -534,7 +532,7 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     dm = scenario.demand[r]
     o, d = np.nonzero(~np.eye(n, dtype=bool))
     b.add_rows("demand_entry", (t, r, o, d),
-               [(fwid_full[d, o], 1.0), (fwid_full[d, mirror[o]], 1.0)], "=",
+               [(fwid[d, o], 1.0), (fwid[d, mirror[o]], 1.0)], "=",
                [dm.riders(t, oo, dd) for oo, dd in zip(o.tolist(), d.tolist())])
     b.add_rows("demand_exit", (t, r, dests),
                [(fbid[dests], 1.0), (fbid[mirror[dests]], 1.0)], "=", big_m)
