@@ -62,7 +62,7 @@ def _formatted(template: str, columns: list[np.ndarray], count: int) -> list[str
 
     The text before the last field is formatted once per run of rows that
     share their leading keys; the last field's text once per distinct value."""
-    if not columns:
+    if not columns or not count:
         return [template] * count
     *lead, last = columns
     before, after = template.rsplit("{}", 1)
