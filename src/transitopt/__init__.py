@@ -14,7 +14,7 @@ from .combos import (Combination, CombinationSet, enumerate_combinations,
 from .evaluator import (EvaluationError, Metrics, UnroutableDemandError,
                         assign_flows, compute_metrics, conservation_residuals,
                         fleet_requirement)
-from .lpio import variable_name, write_lp
+from .lpio import write_lp
 from .model import (BuildError, MilpModel, Row, Var, big_m_flow, build_model,
                     fix_baseline, model_stats)
 from .network import (DemandMatrix, OptionFlags, PeriodSpec, RouteSpec,

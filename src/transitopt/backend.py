@@ -1,23 +1,23 @@
-"""Solver contract, the sparse row assembler, HiGHS via scipy, and solution
-decoding.
+"""Solver contract, row blocks as one CSR matrix, HiGHS via scipy, and
+solution decoding.
 
-A built model becomes sparse arrays (``_model_arrays``: its row blocks
-concatenated into one CSR matrix), HiGHS solves them through
-``scipy.optimize.milp`` (``solve_arrays``), and ``decode_plan`` turns the
-assignment back into domain objects, one variable block at a time. scipy is
-imported on the first solve, so commands that never solve do not load it.
+``csr_rows`` concatenates row blocks into one CSR matrix with two-sided row
+bounds; ``_model_arrays`` turns a built model into those arrays plus its
+objective, integrality and bounds. ``solve_arrays`` is the one HiGHS call
+(through ``scipy.optimize.milp``), for the model and the evaluator's
+assignment programs alike, and ``decode_plan`` turns the assignment back
+into domain objects, one variable block at a time. scipy is imported on the
+first solve, so commands that never solve do not load it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
 
 import numpy as np
 
-from .model import SENSES, MilpModel
+from .model import SENSES, MilpModel, RowBlock
 from .plan import FlowAssignment, PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs
 
 __all__ = [
@@ -69,33 +69,28 @@ class SolveResult:
         return self.status in ("optimal", "feasible")
 
 
-def assemble_rows(coeffs: Sequence[Sequence[tuple[int, float]]], senses: Sequence[str],
-                  rhs: Sequence[float], ncols: int):
-    """Turn rows given as parallel ``coeffs`` (``(column, value)`` pairs),
-    ``senses`` (``<=``, ``>=``, ``=``) and ``rhs`` into the CSR matrix and the
-    two-sided bounds of ``lo <= A x <= hi``."""
-    from scipy.sparse import coo_matrix
+def csr_rows(blocks: list[RowBlock], ncols: int):
+    """The rows of ``blocks``, in order, as one CSR matrix over ``ncols``
+    columns (columns ascending within each row) and the two-sided bounds of
+    ``lo <= A x <= hi``."""
+    from scipy.sparse import csr_matrix
 
-    nrows = len(coeffs)
-    lengths = np.fromiter(map(len, coeffs), dtype=np.int64, count=nrows)
-    # column ids ride along as float64, exact far beyond any model size
-    pairs = np.fromiter(chain.from_iterable(chain.from_iterable(coeffs)), dtype=np.float64,
-                        count=2 * int(lengths.sum())).reshape(-1, 2)
-    row_ids = np.repeat(np.arange(nrows, dtype=np.int64), lengths)
-    a = coo_matrix((pairs[:, 1], (row_ids, pairs[:, 0].astype(np.int64))),
-                   shape=(nrows, ncols)).tocsr()
-    rhs_arr = np.fromiter(rhs, dtype=np.float64, count=nrows)
-    sense_arr = np.array(senses, dtype=str)
-    lo = np.where(sense_arr == "<=", -np.inf, rhs_arr)
-    hi = np.where(sense_arr == ">=", np.inf, rhs_arr)
+    offsets = np.cumsum([0] + [len(b.cols) for b in blocks])
+    indptr = np.concatenate([[0]] + [b.indptr[1:] + at for b, at in zip(blocks, offsets)])
+    a = csr_matrix((np.concatenate([b.vals for b in blocks]),
+                    np.concatenate([b.cols for b in blocks]), indptr),
+                   shape=(len(indptr) - 1, ncols))
+    a.sum_duplicates()  # canonical form
+    sense = np.concatenate([b.sense for b in blocks])
+    rhs = np.concatenate([b.rhs for b in blocks])
+    lo = np.where(sense == SENSES.index("<="), -np.inf, rhs)
+    hi = np.where(sense == SENSES.index(">="), np.inf, rhs)
     return a, lo, hi
 
 
 def _model_arrays(model: MilpModel):
     """Objective, CSR rows with two-sided bounds ``lo <= A x <= hi``,
     integrality and variable bounds of ``model``."""
-    from scipy.sparse import csr_matrix
-
     nvar = model.n_vars
     c = np.zeros(nvar)
     c[model.obj_ids] = model.obj_coefs
@@ -104,17 +99,7 @@ def _model_arrays(model: MilpModel):
                                   for b in var_blocks])
     lb = np.concatenate([b.lb for b in var_blocks])
     ub = np.concatenate([b.ub for b in var_blocks])
-    rows = model.row_blocks
-    offsets = np.cumsum([0] + [len(b.cols) for b in rows])
-    indptr = np.concatenate([[0]] + [b.indptr[1:] + at for b, at in zip(rows, offsets)])
-    a = csr_matrix((np.concatenate([b.vals for b in rows]),
-                    np.concatenate([b.cols for b in rows]), indptr),
-                   shape=(len(indptr) - 1, nvar))
-    a.sum_duplicates()  # canonical form: columns ascending within each row
-    sense = np.concatenate([b.sense for b in rows])
-    rhs = np.concatenate([b.rhs for b in rows])
-    lo = np.where(sense == SENSES.index("<="), -np.inf, rhs)
-    hi = np.where(sense == SENSES.index(">="), np.inf, rhs)
+    a, lo, hi = csr_rows(model.row_blocks, nvar)
     return c, a, lo, hi, integrality, lb, ub
 
 

@@ -4,9 +4,11 @@ Given a frozen design (loops + headways), the cheapest flow routing is found
 without touching the model builder: when transfers and capacity are both off
 the problem separates per origin-destination pair and is solved in closed
 form; otherwise one small mixed-integer program per route and period covers
-every destination with demand. Both price exactly the objective used by the
-design model: riding minutes plus weighted perceived waiting plus weighted
-transfer penalties.
+every destination with demand. That program goes through ``milp``, which
+assembles it with the backend's ``csr_rows`` and solves it with its
+``solve_arrays``, the row assembler and HiGHS call the design model uses.
+Both price exactly the objective used by the design model: riding minutes
+plus weighted perceived waiting plus weighted transfer penalties.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .backend import assemble_rows
+from .backend import SolverConfig, SolveResult, csr_rows, solve_arrays
 from .combos import CombinationSet, enumerate_combinations
+from .model import SENSES, RowBlock
 from .network import RouteSpec, Scenario
 from .plan import FlowAssignment, RoutePeriodPlan, ServicePlan, vehicle_need
 
@@ -171,21 +174,17 @@ def _assign_direct(scenario: Scenario, plan: ServicePlan, t: int, r: int,
 # Linear-program assignment (transfers and/or capacity)
 # ---------------------------------------------------------------------------
 
-def milp(*args, **kwargs):
-    """``scipy.optimize.milp``, imported on the first call."""
-    from scipy.optimize import milp as scipy_milp
-
-    return scipy_milp(*args, **kwargs)
-
-
 class _MiniLp:
-    """Tiny standalone MILP: variables, rows, one solve call."""
+    """Tiny standalone MILP: costs and binary flags per variable, rows in CSR
+    form with sense codes into ``SENSES``."""
 
     def __init__(self):
         self.costs: list[float] = []
         self.is_binary: list[bool] = []
-        self.row_coeffs: list[list[tuple[int, float]]] = []
-        self.senses: list[str] = []
+        self.indptr: list[int] = [0]
+        self.cols: list[int] = []
+        self.vals: list[float] = []
+        self.sense: list[int] = []
         self.rhs: list[float] = []
 
     def var(self, cost: float = 0.0, binary: bool = False) -> int:
@@ -194,23 +193,29 @@ class _MiniLp:
         return len(self.costs) - 1
 
     def add(self, coeffs: list[tuple[int, float]], sense: str, rhs: float) -> None:
-        self.row_coeffs.append(coeffs)
-        self.senses.append(sense)
+        self.cols += [col for col, _ in coeffs]
+        self.vals += [val for _, val in coeffs]
+        self.indptr.append(len(self.cols))
+        self.sense.append(SENSES.index(sense))
         self.rhs.append(rhs)
 
-    def solve(self):
-        from scipy.optimize import Bounds, LinearConstraint
 
-        n = len(self.costs)
-        c = np.asarray(self.costs)
-        integrality = np.asarray(self.is_binary, dtype=np.uint8)
-        ub = np.where(integrality == 1, 1.0, np.inf)
-        lb = np.zeros(n)
-        a, lo, hi = assemble_rows(self.row_coeffs, self.senses, self.rhs, n)
-        res = milp(c=c, constraints=LinearConstraint(a, lo, hi),
-                   integrality=integrality, bounds=Bounds(lb, ub),
-                   options={"presolve": True, "disp": False, "mip_rel_gap": 0.0})
-        return res
+def milp(lp: _MiniLp) -> SolveResult:
+    """Assemble ``lp`` with the backend's ``csr_rows`` and solve it with its
+    ``solve_arrays``: the evaluator's one solve call.
+
+    Keep the name: ``perfbench/tracing.py`` wraps ``evaluator.milp`` to count
+    and time the evaluator's programs, and ``--trace 1`` fails without it.
+    """
+    n = len(lp.costs)
+    rows = RowBlock("assignment", (), np.asarray(lp.indptr, dtype=np.int64),
+                    np.asarray(lp.cols, dtype=np.int64), np.asarray(lp.vals, dtype=np.float64),
+                    np.asarray(lp.sense, dtype=np.int8), np.asarray(lp.rhs, dtype=np.float64))
+    a, lo, hi = csr_rows([rows], n)
+    integrality = np.asarray(lp.is_binary, dtype=np.uint8)
+    ub = np.where(integrality == 1, 1.0, np.inf)
+    return solve_arrays(np.asarray(lp.costs), a, lo, hi, integrality, np.zeros(n), ub,
+                        SolverConfig())
 
 
 def _check_routable(scenario: Scenario, t: int, r: int,
@@ -370,40 +375,25 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
                 if coeffs:
                     lp.add(coeffs, "<=", per_period)
 
-    res = lp.solve()
-    if res.status == 2:
+    res = milp(lp)
+    if res.status == "infeasible":
         if opts.enforce_capacity:
             raise EvaluationError(
                 f"insufficient capacity to route demand on route {r} in period {t}")
         raise EvaluationError(
             f"flow assignment infeasible on route {r} period {t} (internal inconsistency)")
-    if res.status != 0:
+    if res.status != "optimal":
         raise EvaluationError(f"flow assignment solve failed: {res.message}")
-    x = res.x
+    x = res.assignment.tolist()
 
-    def val(idx: int) -> float:
-        return float(x[idx])
-
-    for (d, i, c), idx in w.items():
-        v = val(idx)
-        if v > _FLOW_EPS:
-            fa.entry[(t, r, d, i, c)] = v
-    for (d, i, c, p), idx in a_.items():
-        v = val(idx)
-        if v > _FLOW_EPS:
-            fa.boarding[(t, r, d, i, c, p)] = v
-    for (d, p, u, v_), idx in l_.items():
-        v = val(idx)
-        if v > _FLOW_EPS:
-            fa.inter_stop[(t, r, d, p, u, v_)] = v
+    for target, ids in ((fa.entry, w), (fa.boarding, a_), (fa.inter_stop, l_),
+                        (fa.transfer, chi)):
+        for key, idx in ids.items():
+            if x[idx] > _FLOW_EPS:
+                target[(t, r, *key)] = x[idx]
     for (d, s, p), idx in b_.items():
-        v = val(idx)
-        if v > _FLOW_EPS:
-            fa.exit[(t, r, s, p)] = fa.exit.get((t, r, s, p), 0.0) + v
-    for (d, i, j, p, c), idx in chi.items():
-        v = val(idx)
-        if v > _FLOW_EPS:
-            fa.transfer[(t, r, d, i, j, p, c)] = v
+        if x[idx] > _FLOW_EPS:
+            fa.exit[(t, r, s, p)] = fa.exit.get((t, r, s, p), 0.0) + x[idx]
     for d in dests:
         d_dir, d_mir = route.direction_stops_of(d)
         for i in range(nd):
@@ -411,9 +401,9 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
                 continue
             flow_by_c = {}
             for c in avail:
-                tot = val(w[(d, i, c)])
-                tot += sum(val(a_[(d, i, c, p)]) for p in combos[c].active_patterns)
-                if tot > _FLOW_EPS and val(z[(d, i, c)]) > 0.5:
+                tot = x[w[(d, i, c)]]
+                tot += sum(x[a_[(d, i, c, p)]] for p in combos[c].active_patterns)
+                if tot > _FLOW_EPS and x[z[(d, i, c)]] > 0.5:
                     flow_by_c[c] = tot
             if flow_by_c:
                 fa.combo_choice[(t, r, i, d)] = max(flow_by_c, key=lambda cc: (flow_by_c[cc], -cc))

@@ -20,9 +20,9 @@ from typing import Any
 
 import numpy as np
 
-from .model import SENSES, MilpModel, Var
+from .model import SENSES, MilpModel
 
-__all__ = ["variable_name", "write_lp"]
+__all__ = ["write_lp"]
 
 _VAR_LABELS = {
     "x": ("t", "r", "p", "i", "j"),
@@ -45,10 +45,6 @@ _NAME_FORMATS = {
     family: family + "".join(f"_{label}{{}}" for label in labels)
     for family, labels in _VAR_LABELS.items()
 }
-
-
-def variable_name(var: Var) -> str:
-    return _NAME_FORMATS[var.family].format(*var.key)
 
 
 def _num(v: float) -> str:

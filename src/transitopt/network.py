@@ -272,6 +272,18 @@ def _int(value: Any, where: str) -> int:
     return value
 
 
+def _list(value: Any, where: str) -> list:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where}: expected a list, got {type(value).__name__}")
+    return value
+
+
+def _obj(value: Any, where: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ScenarioError(f"{where}: expected an object, got {type(value).__name__}")
+    return value
+
+
 def _parse_route(doc: Mapping[str, Any], idx: int, n_periods: int) -> tuple[RouteSpec, DemandMatrix]:
     where = f"routes[{idx}]"
     stops = _need(doc, "stops", where)
@@ -279,23 +291,22 @@ def _parse_route(doc: Mapping[str, Any], idx: int, n_periods: int) -> tuple[Rout
         raise ScenarioError(f"{where}.stops: expected a list of stop names")
     n = len(stops)
 
-    lrt = _need(doc, "link_run_times", where)
-    if not isinstance(lrt, Mapping) or "outbound" not in lrt or "inbound" not in lrt:
+    lrt = _obj(_need(doc, "link_run_times", where), f"{where}.link_run_times")
+    if "outbound" not in lrt or "inbound" not in lrt:
         raise ScenarioError(f"{where}.link_run_times: expected keys 'outbound' and 'inbound'")
     out_times = tuple(
         _num(v, f"{where}.link_run_times.outbound[{k}]", positive=True)
-        for k, v in enumerate(lrt["outbound"])
+        for k, v in enumerate(_list(lrt["outbound"], f"{where}.link_run_times.outbound"))
     )
     in_times = tuple(
         _num(v, f"{where}.link_run_times.inbound[{k}]", positive=True)
-        for k, v in enumerate(lrt["inbound"])
+        for k, v in enumerate(_list(lrt["inbound"], f"{where}.link_run_times.inbound"))
     )
 
-    menus_doc = _need(doc, "headway_menus", where)
-    if not isinstance(menus_doc, list):
-        raise ScenarioError(f"{where}.headway_menus: expected one menu per period")
+    menus_doc = _list(_need(doc, "headway_menus", where), f"{where}.headway_menus")
     menus = tuple(
-        tuple(_num(v, f"{where}.headway_menus[{t}][{k}]", positive=True) for k, v in enumerate(menu))
+        tuple(_num(v, f"{where}.headway_menus[{t}][{k}]", positive=True)
+              for k, v in enumerate(_list(menu, f"{where}.headway_menus[{t}]")))
         for t, menu in enumerate(menus_doc)
     )
 
@@ -303,6 +314,8 @@ def _parse_route(doc: Mapping[str, Any], idx: int, n_periods: int) -> tuple[Rout
     allowed_t: tuple[tuple[bool, ...], ...] | None = None
     if allowed is not None:
         nd = 2 * n
+        allowed = [_list(row, f"{where}.allowed_arcs[{i}]")
+                   for i, row in enumerate(_list(allowed, f"{where}.allowed_arcs"))]
         if len(allowed) != nd or any(len(row) != nd for row in allowed):
             raise ScenarioError(f"{where}.allowed_arcs: expected a {nd}x{nd} boolean mask")
         allowed_t = tuple(tuple(bool(v) for v in row) for row in allowed)
@@ -320,12 +333,10 @@ def _parse_route(doc: Mapping[str, Any], idx: int, n_periods: int) -> tuple[Rout
         allowed_arcs=allowed_t,
     )
 
-    demand_doc = _need(doc, "demand", where)
-    if not isinstance(demand_doc, list):
-        raise ScenarioError(f"{where}.demand: expected a list of demand records")
     entries: dict[tuple[int, int, int], float] = {}
-    for k, rec in enumerate(demand_doc):
+    for k, rec in enumerate(_list(_need(doc, "demand", where), f"{where}.demand")):
         rwhere = f"{where}.demand[{k}]"
+        rec = _obj(rec, rwhere)
         t = _int(_need(rec, "t", rwhere), f"{rwhere}.t")
         o = _int(_need(rec, "o", rwhere), f"{rwhere}.o")
         d = _int(_need(rec, "d", rwhere), f"{rwhere}.d")
@@ -355,23 +366,22 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
             raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     else:
         doc = source
-    if not isinstance(doc, Mapping):
-        raise ScenarioError("scenario document must be a JSON object")
+    doc = _obj(doc, "scenario")
 
-    periods_doc = _need(doc, "periods", "scenario")
-    periods = tuple(
-        PeriodSpec(
+    periods: list[PeriodSpec] = []
+    for k, p in enumerate(_list(_need(doc, "periods", "scenario"), "periods")):
+        p = _obj(p, f"periods[{k}]")
+        periods.append(PeriodSpec(
             id=_int(p.get("id", k), f"periods[{k}].id"),
             duration_hours=_num(_need(p, "duration_hours", f"periods[{k}]"),
                                 f"periods[{k}].duration_hours", positive=True),
-        )
-        for k, p in enumerate(periods_doc)
-    )
+        ))
 
-    routes_doc = _need(doc, "routes", "scenario")
-    parsed = [_parse_route(r, k, len(periods)) for k, r in enumerate(routes_doc)]
+    routes_doc = _list(_need(doc, "routes", "scenario"), "routes")
+    parsed = [_parse_route(_obj(r, f"routes[{k}]"), k, len(periods))
+              for k, r in enumerate(routes_doc)]
 
-    opt_doc = doc.get("options", {})
+    opt_doc = _obj(doc.get("options", {}), "options")
     known = {"allow_transfers", "enforce_symmetry", "enforce_capacity",
              "require_full_pattern", "integer_fleet"}
     unknown = set(opt_doc) - known
@@ -380,7 +390,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
     options = OptionFlags(**{k: bool(v) for k, v in opt_doc.items()})
 
     return Scenario(
-        periods=periods,
+        periods=tuple(periods),
         routes=tuple(r for r, _ in parsed),
         demand=tuple(dm for _, dm in parsed),
         fleet_cap=_num(_need(doc, "fleet_cap", "scenario"), "fleet_cap"),

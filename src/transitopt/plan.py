@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from .network import RouteSpec, Scenario, ScenarioError, _int, _num
+from .network import RouteSpec, Scenario, ScenarioError, _int, _list, _num, _obj
 
 __all__ = ["PatternPlan", "RoutePeriodPlan", "ServicePlan", "FlowAssignment",
            "PlanError", "load_plan", "loop_arcs", "vehicle_need"]
@@ -148,30 +148,30 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
     in ascending order. A missing ``fleet`` defaults to the exact vehicle
     requirement of the cell's patterns.
     """
-    routes_doc = doc.get("routes")
+    routes_doc = _read(_obj, doc, "plan").get("routes")
     if not isinstance(routes_doc, list) or len(routes_doc) != len(scenario.routes):
         raise PlanError(f"plan must describe exactly {len(scenario.routes)} route(s)")
 
     cells: list[tuple[RoutePeriodPlan, ...]] = []
     for r, rdoc in enumerate(routes_doc):
         route = scenario.routes[r]
-        periods_doc = rdoc.get("periods")
+        periods_doc = _read(_obj, rdoc, f"plan routes[{r}]").get("periods")
         if not isinstance(periods_doc, list) or len(periods_doc) != len(scenario.periods):
             raise PlanError(f"plan routes[{r}] must describe exactly {len(scenario.periods)} period(s)")
         row: list[RoutePeriodPlan] = []
         for t, pdoc in enumerate(periods_doc):
             menu = route.headway_menu(t)
-            pats_doc = pdoc.get("patterns", [])
+            pwhere = f"plan routes[{r}].periods[{t}]"
+            pdoc = _read(_obj, pdoc, pwhere)
+            pats_doc = _read(_list, pdoc.get("patterns", []), f"{pwhere}.patterns")
             if len(pats_doc) != route.n_patterns:
-                raise PlanError(
-                    f"plan routes[{r}].periods[{t}] must describe exactly {route.n_patterns} pattern(s)")
+                raise PlanError(f"{pwhere} must describe exactly {route.n_patterns} pattern(s)")
             pats: list[PatternPlan] = []
             for p, pat_doc in enumerate(pats_doc):
-                where = f"plan routes[{r}].periods[{t}].patterns[{p}]"
+                where = f"{pwhere}.patterns[{p}]"
+                pat_doc = _read(_obj, pat_doc, where)
                 headway = pat_doc.get("headway")
-                stops = pat_doc.get("stops", [])
-                if not isinstance(stops, list):
-                    raise PlanError(f"{where}.stops: expected a list of direction stops")
+                stops = _read(_list, pat_doc.get("stops", []), f"{where}.stops")
                 stops = tuple(_read(_int, s, f"{where}.stops[{k}]") for k, s in enumerate(stops))
                 if headway is None:
                     if stops:
@@ -189,7 +189,7 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
             if fleet is None:
                 fleet = vehicle_need(route, pats)
             else:
-                fleet = _read(_num, fleet, f"plan routes[{r}].periods[{t}].fleet")
+                fleet = _read(_num, fleet, f"{pwhere}.fleet")
             row.append(RoutePeriodPlan(patterns=tuple(pats), fleet=float(fleet)))
         cells.append(tuple(row))
     return ServicePlan(cells=tuple(cells))

@@ -155,6 +155,16 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "origin 0 -> destination 2" in err
 
+    def test_insufficient_capacity_exit_five(self, tmp_path, capsys):
+        path = write_doc(tmp_path, scenario_doc(enforce_capacity=True, capacity=1.0,
+                                                symmetry=False))
+        plan_path = write_doc(tmp_path, full_pattern_plan_doc(load_scenario(path)), "plan.json")
+        assert main(["evaluate", "--scenario", str(path), "--plan", str(plan_path),
+                     "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err == (
+            "error: EvaluationError: insufficient capacity to route demand "
+            "on route 0 in period 0\n")
+
     def test_missing_plan_exit_two(self, scenario_file, tmp_path):
         assert main(["evaluate", "--scenario", str(scenario_file),
                      "--plan", str(tmp_path / "nope.json"),
@@ -213,6 +223,51 @@ class TestPlanValues:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("invalid plan: ")
         assert err[0].endswith(message)
+
+
+class TestDocumentShapes:
+    """A list or object where the other, or a scalar, is expected is one
+    `invalid …:` line and exit 1, never a traceback."""
+
+    @pytest.mark.parametrize("kind, path, value, message", [
+        ("scenario", ["periods"], 3, "periods: expected a list, got int"),
+        ("scenario", ["periods"], [5], "periods[0]: expected an object, got int"),
+        ("scenario", ["routes"], 5, "routes: expected a list, got int"),
+        ("scenario", ["routes", 0, "demand", 0], 5,
+         "routes[0].demand[0]: expected an object, got int"),
+        ("scenario", ["routes", 0, "link_run_times", "outbound"], 5,
+         "routes[0].link_run_times.outbound: expected a list, got int"),
+        ("scenario", ["routes", 0, "headway_menus"], [5],
+         "routes[0].headway_menus[0]: expected a list, got int"),
+        ("scenario", ["routes", 0, "allowed_arcs"], 3,
+         "routes[0].allowed_arcs: expected a list, got int"),
+        ("plan", [], [], "plan: expected an object, got list"),
+        ("plan", ["routes", 0], 1, "plan routes[0]: expected an object, got int"),
+        ("plan", ["routes", 0, "periods", 0, "patterns", 0], 1,
+         "plan routes[0].periods[0].patterns[0]: expected an object, got int"),
+        ("plan", ["routes", 0, "periods", 0, "patterns"], 3,
+         "plan routes[0].periods[0].patterns: expected a list, got int"),
+    ], ids=["periods-number", "period-number", "routes-number", "demand-record-number",
+            "outbound-number", "menu-number", "allowed-arcs-number", "plan-list",
+            "plan-route-number", "pattern-number", "patterns-number"])
+    def test_wrong_shape_exit_one(self, tmp_path, capsys, kind, path, value, message):
+        scenario = scenario_doc(symmetry=False, n_patterns=1)
+        plan = full_pattern_plan_doc(load_scenario(scenario))
+        doc = scenario if kind == "scenario" else plan
+        if path:
+            *parents, last = path
+            for key in parents:
+                doc = doc[key]
+            doc[last] = value
+        else:
+            plan = value
+        scenario_path = write_doc(tmp_path, scenario)
+        plan_path = write_doc(tmp_path, plan, "plan.json")
+        assert main(["evaluate", "--scenario", str(scenario_path), "--plan", str(plan_path),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [f"invalid {kind}: {message}"]
 
 
 class TestCompare:

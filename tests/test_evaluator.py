@@ -1,7 +1,7 @@
 import pytest
 
 from transitopt import (
-    SolverConfig, UnroutableDemandError, assign_flows, build_model,
+    EvaluationError, SolverConfig, UnroutableDemandError, assign_flows, build_model,
     compute_metrics, conservation_residuals, decode_plan, fleet_requirement,
     load_plan, load_scenario, solve,
 )
@@ -283,3 +283,11 @@ class TestAgainstSolver:
         m = compute_metrics(fa, s_cap, plan)
         # 12 vehicles/hour x 10 riders covers the 90 riders
         assert m.riders_total == pytest.approx(90.0)
+
+    def test_insufficient_capacity_is_named(self):
+        # one rider per vehicle cannot carry the full pattern's demand
+        scenario = make_scenario(enforce_capacity=True, capacity=1.0, symmetry=False)
+        plan = load_plan(full_pattern_plan_doc(scenario), scenario)
+        with pytest.raises(EvaluationError, match=r"^insufficient capacity to route demand "
+                                                  r"on route 0 in period 0$"):
+            assign_flows(scenario, plan)
