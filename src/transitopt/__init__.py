@@ -3,7 +3,7 @@
 The package models a set of bi-directional corridor routes sharing a vehicle
 pool. Binary decisions pick each pattern's stop loop and headway; continuous
 destination-labeled flows price riders' journeys (riding, perceived waiting,
-transfers). A scipy/HiGHS backend solves the model; an independent evaluator
+transfers). A HiGHS backend solves the model; an independent evaluator
 re-prices fixed designs; a brute-force oracle certifies toy instances.
 """
 

@@ -1,19 +1,26 @@
-"""Solver contract, row blocks as one CSR matrix, HiGHS via scipy, and
-solution decoding.
+"""Solver contract, row blocks as one CSR matrix, HiGHS through scipy's
+bundled binding, and solution decoding.
 
-``csr_rows`` concatenates row blocks into one CSR matrix with two-sided row
-bounds; ``_model_arrays`` turns a built model into those arrays plus its
-objective, integrality and bounds. ``solve_arrays`` is the one HiGHS call
-(through ``scipy.optimize.milp``), for the model and the evaluator's
-assignment programs alike, and ``decode_plan`` turns the assignment back
-into domain objects, one variable block at a time. scipy is imported on the
-first solve, so commands that never solve do not load it.
+``csr_rows`` concatenates row blocks into one CSR matrix (plain numpy
+arrays) with two-sided row bounds; ``_model_arrays`` turns a built model
+into those arrays plus its objective, integrality and bounds.
+``solve_arrays`` is the one HiGHS call, for the model and the evaluator's
+assignment programs alike: it hands the arrays to the HiGHS binding that
+scipy ships (``scipy.optimize._highspy._core``), which ``_highs`` loads
+from its file on the first solve. Neither ``scipy.optimize`` nor
+``scipy.sparse`` is imported, and commands that never solve load no scipy
+module at all. ``decode_plan`` turns the assignment back into domain
+objects, one variable block at a time.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -71,21 +78,30 @@ class SolveResult:
 
 def csr_rows(blocks: list[RowBlock], ncols: int):
     """The rows of ``blocks``, in order, as one CSR matrix over ``ncols``
-    columns (columns ascending within each row) and the two-sided bounds of
-    ``lo <= A x <= hi``."""
-    from scipy.sparse import csr_matrix
+    columns and the two-sided bounds of ``lo <= A x <= hi``.
 
+    The matrix is ``(indptr, indices, data, (nrows, ncols))`` in canonical
+    form: columns ascending within each row, repeated columns summed in
+    the order given. Indices are int32, as HiGHS takes them."""
     offsets = np.cumsum([0] + [len(b.cols) for b in blocks])
     indptr = np.concatenate([[0]] + [b.indptr[1:] + at for b, at in zip(blocks, offsets)])
-    a = csr_matrix((np.concatenate([b.vals for b in blocks]),
-                    np.concatenate([b.cols for b in blocks]), indptr),
-                   shape=(len(indptr) - 1, ncols))
-    a.sum_duplicates()  # canonical form
+    nrows = len(indptr) - 1
+    rows = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
+    key = rows * ncols + np.concatenate([b.cols for b in blocks])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    vals = np.concatenate([b.vals for b in blocks])[order]
+    data = np.add.reduceat(vals, first) if len(first) else vals
+    key = key[first]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(key // ncols, minlength=nrows))])
+    indptr = indptr.astype(np.int32)
+    indices = (key % ncols).astype(np.int32)
     sense = np.concatenate([b.sense for b in blocks])
     rhs = np.concatenate([b.rhs for b in blocks])
     lo = np.where(sense == SENSES.index("<="), -np.inf, rhs)
     hi = np.where(sense == SENSES.index(">="), np.inf, rhs)
-    return a, lo, hi
+    return (indptr, indices, data, (nrows, ncols)), lo, hi
 
 
 def _model_arrays(model: MilpModel):
@@ -103,45 +119,96 @@ def _model_arrays(model: MilpModel):
     return c, a, lo, hi, integrality, lb, ub
 
 
+_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs():
+    """scipy's HiGHS binding, loaded once from its file inside the installed
+    scipy without importing scipy's packages.
+
+    It is registered in ``sys.modules`` under its own name, so a later
+    ``import scipy.optimize`` reuses it, and a binding scipy loaded first is
+    reused here: the extension is initialised once per process."""
+    core = sys.modules.get(_CORE)
+    if core is not None:
+        return core
+    spec = importlib.util.find_spec("scipy")  # locates scipy, imports nothing
+    home = Path(spec.submodule_search_locations[0]) if spec else Path("scipy")
+    candidates = [home / "optimize" / "_highspy" / f"_core{suffix}"
+                  for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in candidates if p.is_file()), None)
+    if path is None:
+        raise SolverError(f"HiGHS binding not found: expected {candidates[0]} (scipy >= 1.17)")
+    try:
+        core_spec = importlib.util.spec_from_file_location(_CORE, path)
+        core = importlib.util.module_from_spec(core_spec)
+        core_spec.loader.exec_module(core)
+    except ImportError as exc:
+        raise SolverError(f"HiGHS binding {path} failed to load: {exc}") from exc
+    sys.modules[_CORE] = core
+    return core
+
+
 def solve_arrays(c, a, row_lo, row_hi, integrality, lb, ub, cfg: SolverConfig) -> SolveResult:
-    """Run HiGHS through scipy on raw arrays."""
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    """Minimise ``c x`` subject to ``row_lo <= A x <= row_hi`` and
+    ``lb <= x <= ub`` with HiGHS, ``a`` being the CSR tuple of ``csr_rows``
+    and ``integrality`` 1 for integer columns.
+
+    HiGHS gets the options scipy's ``milp`` gives it, and its model status
+    maps to ours as there: a time or iteration limit is ``feasible`` when a
+    MIP has an incumbent and ``timeout`` otherwise, a model error counts as
+    ``infeasible``, and unbounded and every other status is ``error``.
+    ``wall_time_s`` covers HiGHS alone."""
+    h = _highs()
+    ms = h.HighsModelStatus
+    indptr, indices, data, (nrows, ncols) = a
+    c, lb, ub, row_lo, row_hi = (np.asarray(v, dtype=np.float64)
+                                 for v in (c, lb, ub, row_lo, row_hi))
+    if not np.isfinite(c).all():
+        raise SolverError("solver failure: objective coefficients must be finite")
+    integrality = np.asarray(integrality, dtype=np.int32)
+    is_mip = bool(integrality.any())
+    highs = h._Highs()
+    for option, value in (("log_to_console", False), ("presolve", "on"),
+                          ("time_limit", float(cfg.time_limit_s)),
+                          ("mip_rel_gap", float(cfg.rel_gap))):
+        if highs.setOptionValue(option, value) == h.HighsStatus.kError:
+            raise SolverError(f"HiGHS refused option {option}={value!r}")
 
     start = time.perf_counter()
-    options = {
-        "time_limit": float(cfg.time_limit_s),
-        "mip_rel_gap": float(cfg.rel_gap),
-        "presolve": True,
-        "disp": False,
-    }
     try:
-        res = milp(
-            c=c,
-            constraints=LinearConstraint(a, row_lo, row_hi),
-            integrality=integrality,
-            bounds=Bounds(lb, ub),
-            options=options,
-        )
-    except Exception as exc:  # scipy raises on malformed inputs
-        raise SolverError(f"solver failure: {exc}") from exc
+        loaded = highs.passModel(ncols, nrows, len(data), int(h.MatrixFormat.kRowwise),
+                                 int(h.ObjSense.kMinimize), 0.0, c, lb, ub, row_lo, row_hi,
+                                 indptr, indices, data, integrality)
+    except (TypeError, ValueError) as exc:  # arrays the binding cannot take
+        raise SolverError(f"solver failure: {str(exc).splitlines()[0]}") from exc
+    if loaded == h.HighsStatus.kError:
+        status, ran = ms.kModelError, False
+    else:
+        ran = highs.run() != h.HighsStatus.kError
+        status = highs.getModelStatus()
+    info = highs.getInfo()
+    objective = info.objective_function_value
+    limited = status in (ms.kTimeLimit, ms.kIterationLimit)
+    has_x = ran and (status == ms.kOptimal or limited and is_mip and objective != h.kHighsInf)
+    x = np.array(highs.getSolution().col_value) if has_x else None
     wall = time.perf_counter() - start
 
-    gap = getattr(res, "mip_gap", None)
-    if res.status == 0:
-        objective = float(res.fun)
-        check = float(np.dot(c, res.x))
+    gap = info.mip_gap if is_mip else None
+    message = f"HiGHS model status: {highs.modelStatusToString(status)}"
+    if status == ms.kOptimal and has_x:
+        check = float(np.dot(c, x))
         if abs(check - objective) > 1e-6 * max(1.0, abs(objective)):
             raise SolverError(
                 f"objective recomputation mismatch: reported {objective}, recomputed {check}")
-        return SolveResult("optimal", objective, np.asarray(res.x), wall, gap=gap)
-    if res.status == 1:
-        if res.x is not None:
-            return SolveResult("feasible", float(res.fun), np.asarray(res.x), wall,
-                               gap=gap, message=str(res.message))
-        return SolveResult("timeout", None, None, wall, message=str(res.message))
-    if res.status == 2:
-        return SolveResult("infeasible", None, None, wall, message=str(res.message))
-    return SolveResult("error", None, None, wall, message=str(res.message))
+        return SolveResult("optimal", float(objective), x, wall, gap=gap)
+    if limited:
+        if has_x:
+            return SolveResult("feasible", float(objective), x, wall, gap=gap, message=message)
+        return SolveResult("timeout", None, None, wall, message=message)
+    if status in (ms.kInfeasible, ms.kModelError):
+        return SolveResult("infeasible", None, None, wall, message=message)
+    return SolveResult("error", None, None, wall, message=message)
 
 
 def solve(model: MilpModel, cfg: SolverConfig | None = None) -> SolveResult:

@@ -6,7 +6,9 @@ the problem separates per origin-destination pair and is solved in closed
 form; otherwise one small mixed-integer program per route and period covers
 every destination with demand. That program goes through ``milp``, which
 assembles it with the backend's ``csr_rows`` and solves it with its
-``solve_arrays``, the row assembler and HiGHS call the design model uses.
+``solve_arrays``, the row assembler and HiGHS call the design model uses
+(scipy's bundled HiGHS binding on numpy arrays; no scipy package is
+imported).
 Both price exactly the objective used by the design model: riding minutes
 plus weighted perceived waiting plus weighted transfer penalties.
 """
@@ -202,7 +204,9 @@ class _MiniLp:
 
 def milp(lp: _MiniLp) -> SolveResult:
     """Assemble ``lp`` with the backend's ``csr_rows`` and solve it with its
-    ``solve_arrays``: the evaluator's one solve call.
+    ``solve_arrays``: the evaluator's one solve call. The program reaches
+    HiGHS as the numpy CSR arrays the design model's rows become, with the
+    same options and status mapping.
 
     Keep the name: ``perfbench/tracing.py`` wraps ``evaluator.milp`` to count
     and time the evaluator's programs, and ``--trace 1`` fails without it.

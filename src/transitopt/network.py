@@ -272,6 +272,13 @@ def _int(value: Any, where: str) -> int:
     return value
 
 
+def _bool(value: Any, where: str) -> bool:
+    # bool("false") is True: only JSON true and false are flags
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _list(value: Any, where: str) -> list:
     if not isinstance(value, list):
         raise ScenarioError(f"{where}: expected a list, got {type(value).__name__}")
@@ -318,7 +325,9 @@ def _parse_route(doc: Mapping[str, Any], idx: int, n_periods: int) -> tuple[Rout
                    for i, row in enumerate(_list(allowed, f"{where}.allowed_arcs"))]
         if len(allowed) != nd or any(len(row) != nd for row in allowed):
             raise ScenarioError(f"{where}.allowed_arcs: expected a {nd}x{nd} boolean mask")
-        allowed_t = tuple(tuple(bool(v) for v in row) for row in allowed)
+        allowed_t = tuple(tuple(_bool(v, f"{where}.allowed_arcs[{i}][{j}]")
+                                for j, v in enumerate(row))
+                          for i, row in enumerate(allowed))
 
     route = RouteSpec(
         id=_int(doc.get("id", idx), f"{where}.id"),
@@ -387,7 +396,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
     unknown = set(opt_doc) - known
     if unknown:
         raise ScenarioError(f"options: unknown keys {sorted(unknown)}")
-    options = OptionFlags(**{k: bool(v) for k, v in opt_doc.items()})
+    options = OptionFlags(**{k: _bool(v, f"options.{k}") for k, v in opt_doc.items()})
 
     return Scenario(
         periods=tuple(periods),

@@ -225,6 +225,10 @@ class TestPlanValues:
         assert err[0].endswith(message)
 
 
+# the 3-stop arc mask with one entry written as text
+_TEXT_MASK = [["no" if (i, j) == (0, 1) else i != j for j in range(6)] for i in range(6)]
+
+
 class TestDocumentShapes:
     """A list or object where the other, or a scalar, is expected is one
     `invalid …:` line and exit 1, never a traceback."""
@@ -241,6 +245,14 @@ class TestDocumentShapes:
          "routes[0].headway_menus[0]: expected a list, got int"),
         ("scenario", ["routes", 0, "allowed_arcs"], 3,
          "routes[0].allowed_arcs: expected a list, got int"),
+        ("scenario", ["routes", 0, "allowed_arcs"], _TEXT_MASK,
+         "routes[0].allowed_arcs[0][1]: expected true or false, got 'no'"),
+        ("scenario", ["options", "allow_transfers"], "false",
+         "options.allow_transfers: expected true or false, got 'false'"),
+        ("scenario", ["options", "enforce_symmetry"], "no",
+         "options.enforce_symmetry: expected true or false, got 'no'"),
+        ("scenario", ["options", "integer_fleet"], 0,
+         "options.integer_fleet: expected true or false, got 0"),
         ("plan", [], [], "plan: expected an object, got list"),
         ("plan", ["routes", 0], 1, "plan routes[0]: expected an object, got int"),
         ("plan", ["routes", 0, "periods", 0, "patterns", 0], 1,
@@ -248,7 +260,8 @@ class TestDocumentShapes:
         ("plan", ["routes", 0, "periods", 0, "patterns"], 3,
          "plan routes[0].periods[0].patterns: expected a list, got int"),
     ], ids=["periods-number", "period-number", "routes-number", "demand-record-number",
-            "outbound-number", "menu-number", "allowed-arcs-number", "plan-list",
+            "outbound-number", "menu-number", "allowed-arcs-number", "allowed-arc-text",
+            "transfers-text-false", "symmetry-text-no", "fleet-flag-zero", "plan-list",
             "plan-route-number", "pattern-number", "patterns-number"])
     def test_wrong_shape_exit_one(self, tmp_path, capsys, kind, path, value, message):
         scenario = scenario_doc(symmetry=False, n_patterns=1)
@@ -317,20 +330,42 @@ class TestExport:
 
 
 class TestLazyScipy:
-    def test_validate_and_export_never_load_scipy(self, scenario_file, tmp_path):
-        # scipy is imported on the first solve, so commands that never solve
-        # do not pay for it
+    """Commands that never solve load no scipy module; commands that solve
+    load scipy's HiGHS binding (with the submodules it registers itself) and
+    nothing else of scipy."""
+
+    @staticmethod
+    def scipy_modules_after(argv_lists) -> list:
+        """[exit codes, scipy modules loaded] of one process running them."""
         src = Path(transitopt.__file__).resolve().parent.parent
-        code = ("import sys\n"
+        code = ("import json, sys\n"
                 "from transitopt.cli import main\n"
-                f"codes = [main(['validate', '--scenario', {str(scenario_file)!r}]),\n"
-                f"         main(['export', '--scenario', {str(scenario_file)!r},\n"
-                f"               '--out', {str(tmp_path / 'o')!r}])]\n"
-                "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+                f"codes = [main(argv) for argv in {argv_lists!r}]\n"
+                "print(json.dumps([codes, sorted(m for m in sys.modules\n"
+                "                                if m.split('.')[0] == 'scipy')]))\n")
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "[0, 0] []"
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_validate_and_export_never_load_scipy(self, scenario_file, tmp_path):
+        codes, modules = self.scipy_modules_after([
+            ["validate", "--scenario", str(scenario_file)],
+            ["export", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]])
+        assert codes == [0, 0]
+        assert modules == []
+
+    @pytest.mark.parametrize("command", ["solve", "evaluate", "oracle"])
+    def test_solving_commands_load_only_the_binding(self, scenario_file, tmp_path, command):
+        argv = [command, "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]
+        if command == "evaluate":  # transfers on: one assignment program
+            plan = full_pattern_plan_doc(load_scenario(scenario_file))
+            argv += ["--plan", str(write_doc(tmp_path, plan, "plan.json"))]
+        codes, modules = self.scipy_modules_after([argv])
+        assert codes == [0]
+        core = "scipy.optimize._highspy._core"
+        assert core in modules
+        assert all(m == core or m.startswith(core + ".") for m in modules), modules
 
 
 class TestRendering:
