@@ -85,7 +85,7 @@ class TestBinding:
         path.write_text(json.dumps(scenario_doc()))
         assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 5
         err = capsys.readouterr().err.splitlines()
-        assert err[-1].startswith("error: SolverError: HiGHS binding not found")
+        assert len(err) == 1 and err[0].startswith("error: SolverError: HiGHS binding not found")
 
 
 # ---------------------------------------------------------------------------
