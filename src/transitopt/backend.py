@@ -1,9 +1,9 @@
 """Solver contract, row blocks as one CSR matrix, HiGHS through scipy's
 bundled binding, and solution decoding.
 
-``csr_rows`` concatenates row blocks into one CSR matrix (plain numpy
-arrays) with two-sided row bounds; ``_model_arrays`` turns a built model
-into those arrays plus its objective, integrality and bounds.
+``csr_rows`` concatenates row blocks, as written, into one CSR matrix
+(plain numpy arrays) with two-sided row bounds; ``_model_arrays`` turns a
+built model into those arrays plus its objective, integrality and bounds.
 ``solve_arrays`` is the one HiGHS call, for the model and the evaluator's
 assignment programs alike: it hands the arrays to the HiGHS binding that
 scipy ships (``scipy.optimize._highspy._core``), which ``_highs`` loads
@@ -50,7 +50,10 @@ class DecodeError(ValueError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solve parameters. rel_gap 0.0 asks for a proven optimum."""
+    """Solve parameters. rel_gap 0.0 asks for a proven optimum. HiGHS checks
+    ``time_limit_s`` only after presolve and the root LP, so small limits are
+    overshot: the test factories' ``ladder_doc(6, 7, transfers=True)`` at
+    0.05 s returns ``timeout`` after 0.2 to 0.6 s on a 2-core machine."""
 
     time_limit_s: float = 600.0
     rel_gap: float = 0.0
@@ -80,28 +83,20 @@ def csr_rows(blocks: list[RowBlock], ncols: int):
     """The rows of ``blocks``, in order, as one CSR matrix over ``ncols``
     columns and the two-sided bounds of ``lo <= A x <= hi``.
 
-    The matrix is ``(indptr, indices, data, (nrows, ncols))`` in canonical
-    form: columns ascending within each row, repeated columns summed in
-    the order given. Indices are int32, as HiGHS takes them."""
+    The matrix is ``(indptr, indices, data, (nrows, ncols))``: the blocks'
+    rows as written, terms in their written order, with int32 indices as
+    HiGHS takes them. HiGHS keeps its own column-wise copy, so the order of
+    the terms within a row never reaches the solver."""
     offsets = np.cumsum([0] + [len(b.cols) for b in blocks])
     indptr = np.concatenate([[0]] + [b.indptr[1:] + at for b, at in zip(blocks, offsets)])
-    nrows = len(indptr) - 1
-    rows = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
-    key = rows * ncols + np.concatenate([b.cols for b in blocks])
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    vals = np.concatenate([b.vals for b in blocks])[order]
-    data = np.add.reduceat(vals, first) if len(first) else vals
-    key = key[first]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(key // ncols, minlength=nrows))])
     indptr = indptr.astype(np.int32)
-    indices = (key % ncols).astype(np.int32)
+    indices = np.concatenate([b.cols for b in blocks]).astype(np.int32)
+    data = np.concatenate([b.vals for b in blocks])
     sense = np.concatenate([b.sense for b in blocks])
     rhs = np.concatenate([b.rhs for b in blocks])
     lo = np.where(sense == SENSES.index("<="), -np.inf, rhs)
     hi = np.where(sense == SENSES.index(">="), np.inf, rhs)
-    return (indptr, indices, data, (nrows, ncols)), lo, hi
+    return (indptr, indices, data, (len(indptr) - 1, ncols)), lo, hi
 
 
 def _model_arrays(model: MilpModel):
@@ -154,11 +149,13 @@ def solve_arrays(c, a, row_lo, row_hi, integrality, lb, ub, cfg: SolverConfig) -
     ``lb <= x <= ub`` with HiGHS, ``a`` being the CSR tuple of ``csr_rows``
     and ``integrality`` 1 for integer columns.
 
-    HiGHS gets the options scipy's ``milp`` gives it, and its model status
-    maps to ours as there: a time or iteration limit is ``feasible`` when a
-    MIP has an incumbent and ``timeout`` otherwise, a model error counts as
-    ``infeasible``, and unbounded and every other status is ``error``.
-    ``wall_time_s`` covers HiGHS alone."""
+    HiGHS gets the options scipy's ``milp`` gives it, and the model status
+    of its run maps to ours as there: a time or iteration limit is
+    ``feasible`` when a MIP has an incumbent and ``timeout`` otherwise, a
+    model error counts as ``infeasible``, and unbounded and every other
+    status is ``error``. A model HiGHS refuses to load (a row that repeats
+    a column, say) raises ``SolverError``. ``wall_time_s`` covers HiGHS
+    alone."""
     h = _highs()
     ms = h.HighsModelStatus
     indptr, indices, data, (nrows, ncols) = a
@@ -183,10 +180,10 @@ def solve_arrays(c, a, row_lo, row_hi, integrality, lb, ub, cfg: SolverConfig) -
     except (TypeError, ValueError) as exc:  # arrays the binding cannot take
         raise SolverError(f"solver failure: {str(exc).splitlines()[0]}") from exc
     if loaded == h.HighsStatus.kError:
-        status, ran = ms.kModelError, False
-    else:
-        ran = highs.run() != h.HighsStatus.kError
-        status = highs.getModelStatus()
+        raise SolverError("solver failure: HiGHS refused the model "
+                          "(for example a row that repeats a column)")
+    ran = highs.run() != h.HighsStatus.kError
+    status = highs.getModelStatus()
     info = highs.getInfo()
     objective = info.objective_function_value
     limited = status in (ms.kTimeLimit, ms.kIterationLimit)

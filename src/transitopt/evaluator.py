@@ -204,9 +204,9 @@ class _MiniLp:
 
 def milp(lp: _MiniLp) -> SolveResult:
     """Assemble ``lp`` with the backend's ``csr_rows`` and solve it with its
-    ``solve_arrays``: the evaluator's one solve call. The program reaches
-    HiGHS as the numpy CSR arrays the design model's rows become, with the
-    same options and status mapping.
+    ``solve_arrays``: the evaluator's one solve call. The program's rows
+    reach HiGHS as written, in the numpy CSR arrays the design model's rows
+    become, with the same options and status mapping.
 
     Keep the name: ``perfbench/tracing.py`` wraps ``evaluator.milp`` to count
     and time the evaluator's programs, and ``--trace 1`` fails without it.

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator, Mapping
 
@@ -149,23 +150,29 @@ class RouteSpec:
     def travel_time(self, i: int, j: int) -> float:
         return arc_travel_time(self, i, j)
 
-    def travel_time_matrix(self) -> list[list[float]]:
-        """Dense minutes matrix over ordered direction-stop pairs."""
+    @cached_property
+    def _travel_times(self) -> tuple[tuple[float, ...], ...]:
+        # one walk around the loop from each stop; a read-only table, so
+        # every caller can share it
         nd = self.n_dir
         adj = self.adjacent_times()
         dwell = self.dwell_saving
-        mat = [[0.0] * nd for _ in range(nd)]
+        mat = []
         for i in range(nd):
+            row = [0.0] * nd
             total = 0.0
-            steps = 0
-            row = mat[i]
             k = i
-            for _ in range(nd - 1):
+            for steps in range(1, nd):
                 total += adj[k]
                 k = (k + 1) % nd
-                steps += 1
                 row[k] = total - dwell * (steps - 1)
-        return mat
+            mat.append(tuple(row))
+        return tuple(mat)
+
+    def travel_time_matrix(self) -> tuple[tuple[float, ...], ...]:
+        """Minutes over ordered direction-stop pairs (0.0 on the diagonal),
+        computed once per route."""
+        return self._travel_times
 
     def full_loop(self) -> tuple[int, ...]:
         return tuple(range(self.n_dir))
@@ -184,15 +191,7 @@ def arc_travel_time(route: RouteSpec, i: int, j: int) -> float:
         raise ScenarioError("arc travel time undefined for i == j")
     if not (0 <= i < nd and 0 <= j < nd):
         raise ScenarioError(f"direction stop pair ({i}, {j}) out of range [0, {nd})")
-    adj = route.adjacent_times()
-    total = 0.0
-    steps = 0
-    k = i
-    while k != j:
-        total += adj[k]
-        k = (k + 1) % nd
-        steps += 1
-    return total - route.dwell_saving * (steps - 1)
+    return route.travel_time_matrix()[i][j]
 
 
 @dataclass(frozen=True)
@@ -214,10 +213,8 @@ class DemandMatrix:
     def total_into(self, t: int, d: int) -> float:
         return sum(v for (tt, _, dd), v in self.entries.items() if tt == t and dd == d)
 
-    def total(self, t: int | None = None) -> float:
-        if t is None:
-            return sum(self.entries.values())
-        return sum(v for (tt, _, _), v in self.entries.items() if tt == t)
+    def total(self) -> float:
+        return sum(self.entries.values())
 
 
 @dataclass(frozen=True)

@@ -94,8 +94,7 @@ class TestBinding:
 
 def reference(c, indptr, cols, vals, sense, rhs, integrality, lb, ub, cfg):
     """Status, objective and assignment of ``scipy.optimize.milp`` on the
-    rows given in (possibly non-canonical) CSR form, assembled by
-    ``scipy.sparse``."""
+    rows given in CSR form, assembled by ``scipy.sparse``."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
 
@@ -133,37 +132,61 @@ def assert_same(ours, ref):
         assert ours.assignment.tobytes() == np.asarray(x).tobytes()
 
 
-def test_csr_rows_sorts_and_sums_like_scipy_sparse():
-    from scipy.sparse import csr_matrix
-
-    # two blocks with an empty row each, unsorted and repeated columns;
-    # the values are exact in binary, so summation order cannot matter
-    blocks = [RowBlock("a", (), np.array([0, 3, 3]), np.array([2, 0, 2]),
-                       np.array([0.5, 2.0, 0.25]), np.zeros(2, np.int8), np.zeros(2)),
-              RowBlock("b", (), np.array([0, 0, 4]), np.array([3, 1, 3, 3]),
-                       np.array([1.0, 5.0, 0.125, -4.0]), np.zeros(2, np.int8), np.zeros(2))]
-    (indptr, indices, data, shape), _, _ = csr_rows(blocks, 4)
-    ref = csr_matrix((np.concatenate([b.vals for b in blocks]),
-                      np.concatenate([b.cols for b in blocks]), np.array([0, 3, 3, 3, 7])),
-                     shape=(4, 4))
-    ref.sum_duplicates()
+def test_csr_rows_keeps_written_order():
+    # two blocks with an empty row each and columns out of order
+    blocks = [RowBlock("a", (), np.array([0, 2, 2]), np.array([2, 0]), np.array([0.5, 2.0]),
+                       np.array([0, 1], np.int8), np.array([1.0, 2.0])),
+              RowBlock("b", (), np.array([0, 0, 2]), np.array([3, 1]), np.array([1.0, 5.0]),
+                       np.array([2, 0], np.int8), np.array([3.0, 4.0]))]
+    (indptr, indices, data, shape), lo, hi = csr_rows(blocks, 4)
     assert shape == (4, 4)
     assert indptr.dtype == indices.dtype == np.int32
-    assert indptr.tolist() == ref.indptr.tolist() == [0, 2, 2, 2, 4]
-    assert indices.tolist() == ref.indices.tolist() == [0, 2, 1, 3]
-    assert data.tolist() == ref.data.tolist() == [2.0, 0.75, 5.0, -2.875]
+    assert indptr.tolist() == [0, 2, 2, 2, 4]
+    assert indices.tolist() == [2, 0, 3, 1]
+    assert data.tolist() == [0.5, 2.0, 1.0, 5.0]
+    assert lo.tolist() == [-np.inf, 2.0, 3.0, -np.inf]
+    assert hi.tolist() == [1.0, np.inf, 3.0, 4.0]
 
 
+def test_repeated_column_is_a_solver_error():
+    # x0 + x0 + x1 <= 4: HiGHS refuses the row, which is a fault in the
+    # arrays, never an infeasible program
+    c = np.array([-1.0, -1.0])
+    args = (np.array([-np.inf]), np.array([4.0]), np.zeros(2), np.zeros(2), np.full(2, 9.0),
+            SolverConfig())
+    repeated = (np.array([0, 3], np.int32), np.array([0, 0, 1], np.int32), np.ones(3), (1, 2))
+    with pytest.raises(SolverError, match="refused the model"):
+        solve_arrays(c, repeated, *args)
+    summed = (np.array([0, 2], np.int32), np.array([0, 1], np.int32), np.array([2.0, 1.0]),
+              (1, 2))
+    assert solve_arrays(c, summed, *args).objective == -4.0
+
+
+TWO_PERIODS = dict(period_hours=(1.0, 2.0),
+                   demand=(((0, 0, 2), 30.0), ((0, 2, 0), 20.0), ((1, 1, 2), 15.0),
+                           ((1, 0, 1), 10.0)))
 CASES = ([(f"toy{seed}-{'transfers' if tr else 'direct'}", random_toy_doc(seed, transfers=tr))
           for seed in range(1, 7) for tr in (False, True)]
          + [(f"ladder{n}-{'transfers' if tr else 'direct'}", ladder_doc(n, 7, transfers=tr))
-            for n in (3, 4) for tr in (False, True)])
+            for n in (3, 4) for tr in (False, True)]
+         + [("capacity", scenario_doc(enforce_capacity=True, capacity=25.0)),
+            ("two-periods", scenario_doc(**TWO_PERIODS)),
+            ("integer-fleet", scenario_doc(integer_fleet=True)),
+            ("full-pattern", scenario_doc(full_pattern=True)),
+            ("no-symmetry", scenario_doc(symmetry=False)),
+            ("capacity-integer-two-periods",
+             scenario_doc(enforce_capacity=True, capacity=25.0, integer_fleet=True,
+                          **TWO_PERIODS)),
+            ("toy3-transfers-dwell", random_toy_doc(3, transfers=True, dwell_saving=0.5))])
 
 
 class TestAgainstScipyMilp:
     @pytest.mark.parametrize("doc", [doc for _, doc in CASES], ids=[name for name, _ in CASES])
     def test_model_solves_match(self, doc):
         model = build_model(load_scenario(doc))
+        (indptr, indices, _, (nrows, ncols)), _, _ = csr_rows(model.row_blocks, model.n_vars)
+        keys = np.repeat(np.arange(nrows), np.diff(indptr)) * ncols + indices
+        assert len(np.unique(keys)) == len(keys), "a row repeats a column"
         cfg = SolverConfig(time_limit_s=120)
         ours = solve(model, cfg)
         assert ours.status == "optimal"

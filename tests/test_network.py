@@ -25,6 +25,20 @@ def simple_route(dwell=0.0, turnback=2.0):
     )
 
 
+def walk_time(route, i, j):
+    """Reference travel time: walk the loop from i to j one step at a time,
+    crediting ``dwell_saving`` once per direction stop passed."""
+    adj = route.adjacent_times()
+    total = 0.0
+    steps = 0
+    k = i
+    while k != j:
+        total += adj[k]
+        k = (k + 1) % route.n_dir
+        steps += 1
+    return total - route.dwell_saving * (steps - 1)
+
+
 class TestMirror:
     def test_examples(self):
         assert mirror_stop(0, 10) == 9
@@ -99,13 +113,27 @@ class TestArcTravelTime:
         )
         assert cycle == pytest.approx(full, rel=1e-12)
 
-    def test_matrix_agrees_with_scalar(self):
-        route = simple_route(dwell=0.3)
-        mat = route.travel_time_matrix()
-        for i in range(6):
-            for j in range(6):
-                if i != j:
-                    assert mat[i][j] == pytest.approx(arc_travel_time(route, i, j))
+    @given(st.integers(min_value=2, max_value=6), st.data())
+    def test_matrix_agrees_with_scalar(self, n, data):
+        times = st.lists(st.floats(min_value=0.1, max_value=20.0), min_size=n - 1,
+                         max_size=n - 1).map(tuple)
+        drawn = RouteSpec(
+            id=0, stop_names=tuple(f"S{k}" for k in range(n)),
+            outbound_times=data.draw(times), inbound_times=data.draw(times),
+            vehicle_capacity=1.0, n_patterns=1, headway_menus=((5.0,),),
+            dwell_saving=data.draw(st.floats(min_value=0.0, max_value=1.0)),
+            turnback_time=data.draw(st.floats(min_value=0.0, max_value=5.0)),
+        )
+        for route in (simple_route(dwell=0.3), drawn):
+            mat = route.travel_time_matrix()
+            # one shared table per route, which callers cannot mutate
+            assert type(mat) is tuple and all(type(row) is tuple for row in mat)
+            assert mat is route.travel_time_matrix()
+            for i in range(route.n_dir):
+                for j in range(route.n_dir):
+                    if i != j:
+                        assert mat[i][j] == walk_time(route, i, j)
+                        assert arc_travel_time(route, i, j) == mat[i][j]
 
 
 class TestLoadScenario:
