@@ -25,7 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .model import SENSES, MilpModel, RowBlock
-from .plan import FlowAssignment, PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs
+from .plan import (FlowAssignment, PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs,
+                   model_order)
 
 __all__ = [
     "SolverConfig",
@@ -59,7 +60,7 @@ class SolverConfig:
     rel_gap: float = 0.0
 
     def __post_init__(self):
-        if self.time_limit_s <= 0:
+        if not self.time_limit_s > 0:
             raise ValueError("time_limit_s must be > 0")
         if not 0.0 <= self.rel_gap < 1.0:
             raise ValueError("rel_gap must lie in [0, 1)")
@@ -288,14 +289,10 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
                     raise DecodeError(f"{where}: arcs {arcs} are not one loop "
                                       "through its stops in stop order")
                 pats.append(PatternPlan(stops=stops, headway=menu[hidx - 1], headway_index=hidx))
-            chosen_idx = [pat.headway_index for pat in pats]
-            for p1 in range(len(chosen_idx)):
-                for p2 in range(p1 + 1, len(chosen_idx)):
-                    h1, h2 = chosen_idx[p1], chosen_idx[p2]
-                    if h2 != 0 and (h1 == 0 or h1 > h2):
-                        raise DecodeError(
-                            f"period {t} route {r}: headway ordering violated "
-                            f"(pattern {p1} index {h1} vs pattern {p2} index {h2})")
+            if model_order(pats) != tuple(pats):
+                raise DecodeError(
+                    f"period {t} route {r}: headway indices "
+                    f"{[pat.headway_index for pat in pats]} are not in model order")
             row.append(RoutePeriodPlan(patterns=tuple(pats), fleet=fleet[(r, t)]))
         cells.append(tuple(row))
     return ServicePlan(cells=tuple(cells)), fa

@@ -24,7 +24,7 @@ from .evaluator import (EvaluationError, UnroutableDemandError, assign_flows,
 from .lpio import write_lp
 from .model import build_model, model_stats
 from .network import Scenario, ScenarioError, load_scenario, validate_scenario
-from .oracle import OracleSizeError, certify
+from .oracle import OracleSizeError, certify, enumerate_plans
 from .plan import PlanError, ServicePlan, load_plan
 
 EXIT_OK = 0
@@ -65,7 +65,11 @@ class _Run:
         self.command = command
         self.args = args
         self.out = Path(args.out)
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # a file at --out or on the way to it
+            _err(f"error: cannot create output directory {self.out}: {exc}")
+            raise _Exit(EXIT_IO) from exc
         self.artifacts: dict[str, str] = {}
         self.started = datetime.now(timezone.utc).isoformat()
         self.extra: dict = {}
@@ -154,7 +158,12 @@ def _validated(args) -> Scenario:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(time_limit_s=args.time_limit, rel_gap=args.gap)
+    """The solver settings; a value SolverConfig refuses ends with EXIT_INVALID."""
+    try:
+        return SolverConfig(time_limit_s=args.time_limit, rel_gap=args.gap)
+    except ValueError as exc:
+        _err(f"invalid: {exc}")
+        raise _Exit(EXIT_INVALID) from exc
 
 
 def render_patterns(scenario: Scenario, plan: ServicePlan) -> str:
@@ -205,7 +214,7 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_INVALID
 
 
-def _solve_pipeline(scenario: Scenario, args, run: _Run):
+def _solve_pipeline(scenario: Scenario, cfg: SolverConfig, run: _Run):
     """Shared by solve/compare: build, export, solve, decode, report.
 
     On a solver, decode or evaluator failure the manifest is written before
@@ -214,7 +223,7 @@ def _solve_pipeline(scenario: Scenario, args, run: _Run):
     run.write_json("model_stats.json", model_stats(model))
     run.write_text("model.lp", write_lp(model))
     try:
-        result = solve(model, _solver_config(args))
+        result = solve(model, cfg)
         run.extra["solver_status"] = result.status
         run.extra["solver_wall_time_s"] = result.wall_time_s
         _err(f"solver: status={result.status} objective={result.objective} "
@@ -230,9 +239,10 @@ def _solve_pipeline(scenario: Scenario, args, run: _Run):
 
 
 def cmd_solve(args) -> int:
+    cfg = _solver_config(args)
     scenario = _validated(args)
     run = _Run(args, "solve")
-    result, plan, metrics = _solve_pipeline(scenario, args, run)
+    result, plan, metrics = _solve_pipeline(scenario, cfg, run)
     if plan is None:
         run.finish()
         return EXIT_INFEASIBLE
@@ -282,6 +292,7 @@ def _percent(new: float, old: float) -> float | None:
 
 
 def cmd_compare(args) -> int:
+    cfg = _solver_config(args)
     scenario = _validated(args)
     baseline_plan = _load_plan_file(args.baseline, scenario)
     run = _Run(args, "compare")
@@ -292,7 +303,7 @@ def cmd_compare(args) -> int:
         run.finish()
         return EXIT_INFEASIBLE
     base_metrics = compute_metrics(base_flows, scenario, baseline_plan)
-    result, plan, metrics = _solve_pipeline(scenario, args, run)
+    result, plan, metrics = _solve_pipeline(scenario, cfg, run)
     if plan is None:
         run.finish()
         return EXIT_INFEASIBLE
@@ -324,21 +335,22 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    cfg = _solver_config(args)
     scenario = _validated(args)
     run = _Run(args, "oracle")
-    model = build_model(scenario)
-    result = solve(model, _solver_config(args))
+    try:
+        enumerate_plans(scenario)    # the size checks, before the solve
+    except OracleSizeError as exc:
+        _err(f"invalid: {exc}")
+        run.finish()
+        return EXIT_INVALID
+    result = solve(build_model(scenario), cfg)
     _err(f"solver: status={result.status} objective={result.objective}")
     if not result.ok:
         run.extra["solver_status"] = result.status
         run.finish()
         return EXIT_INFEASIBLE
-    try:
-        report = certify(scenario, result, cross_check=args.cross_check)
-    except OracleSizeError as exc:
-        _err(f"invalid: {exc}")
-        run.finish()
-        return EXIT_INVALID
+    report = certify(scenario, result, cross_check=args.cross_check)
     run.write_json("oracle_report.json", report.to_dict())
     run.finish()
     print(f"oracle best {report.best_objective} solver {report.milp_objective} "

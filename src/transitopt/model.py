@@ -38,7 +38,7 @@ import numpy as np
 
 from .combos import enumerate_combinations
 from .network import Scenario, validate_scenario
-from .plan import PlanError, ServicePlan
+from .plan import PlanError, ServicePlan, model_order
 
 __all__ = [
     "BuildError",
@@ -567,10 +567,12 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
 def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
     """Pin all design variables (arcs, headways, fleet) to a given plan.
 
-    Flows, combination picks and cycle minutes stay free (the pinned arcs
-    determine the cycle minutes), so solving the result evaluates the plan
-    through the same machinery that prices free designs. The result shares
-    every block except the bounds of the pinned families.
+    Each cell's patterns are pinned in ``model_order``, the one order of
+    them the ``headway_order`` rows admit. Flows, combination picks and
+    cycle minutes stay free (the pinned arcs determine the cycle minutes),
+    so solving the result evaluates the plan through the same machinery
+    that prices free designs. The result shares every block except the
+    bounds of the pinned families.
     """
     scenario = model.scenario
     opts = scenario.options
@@ -584,7 +586,7 @@ def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
                                 f"model expects {route.n_patterns}")
             menu = route.headway_menu(t)
             nd = route.n_dir
-            for p, pat in enumerate(cell.patterns):
+            for p, pat in enumerate(model_order(cell.patterns)):
                 if pat.headway_index > len(menu):
                     raise PlanError(f"pattern {p} headway index {pat.headway_index} "
                                     f"outside menu of route {r}")

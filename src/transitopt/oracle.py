@@ -1,18 +1,19 @@
 """Brute-force certifier for desk-scale instances.
 
 Enumerates every service design a small scenario admits (stop subsets in loop
-order crossed with menu headways, deduplicated under the same ordering rule
-the optimizer uses), prices each design with the independent flow evaluator,
-and compares the minimum against a solver result. Designs that break the
-fleet pools are skipped; designs that cannot carry some demand are counted
-but never become the minimum.
+order crossed with menu headways, each multiset of patterns once, listed in
+``plan.model_order`` as the optimizer holds it), prices each design with the
+independent flow evaluator, and compares the minimum against a solver result.
+Designs that break the fleet pools are skipped; designs that cannot carry some
+demand are counted but never become the minimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations as subsets_of
-from itertools import product
+from itertools import combinations_with_replacement, islice, product
 from typing import Any, Iterator
 
 from .backend import SolveResult, SolverConfig, solve
@@ -37,6 +38,8 @@ MAX_PHYSICAL = 6
 MAX_PATTERNS = 2
 MAX_MENU = 2
 MAX_DESIGNS = 200_000
+
+_OFF = PatternPlan(stops=(), headway=None, headway_index=0)
 
 
 class OracleSizeError(ValueError):
@@ -80,87 +83,63 @@ def _served_subsets(route: RouteSpec, symmetric: bool) -> list[tuple[int, ...]]:
             if all(route.arc_allowed(u, v) for u, v in loop_arcs(s))]
 
 
-def _route_designs(route: RouteSpec, scenario: Scenario) -> list[tuple]:
-    """Per-pattern (headway index, subset index) choices, None = off.
+def _route_cells(route: RouteSpec, scenario: Scenario) -> list[RoutePeriodPlan]:
+    """Every design of one route, each multiset of patterns once.
 
-    Canonical ordering mirrors the optimizer's dedup rule: in-service
-    patterns first, menu indices ascending, ties broken by subset.
+    A choice is (headway index, served subset), taken in that order, and
+    None is out of service, taken last; a design is a sorted multiset of
+    choices, which lists its patterns in ``model_order``. Under
+    ``require_full_pattern`` pattern 0 runs the full loop at some h0 and
+    the others draw from the choices with h >= h0. At most
+    MAX_DESIGNS + 1 cells are built.
     """
-    opts = scenario.options
     menu = route.headway_menu(0)
-    subsets = _served_subsets(route, opts.enforce_symmetry)
+    subsets = _served_subsets(route, scenario.options.enforce_symmetry)
     if not subsets:
         raise OracleSizeError(f"route {route.id}: no feasible served-stop subsets")
-    full = route.full_loop()
-    active = [(h, s) for h in range(1, len(menu) + 1) for s in range(len(subsets))]
-
-    designs: list[tuple] = []
-
-    def rec(prefix: list) -> None:
-        p = len(prefix)
-        if p == route.n_patterns:
-            if any(ch is not None for ch in prefix):
-                designs.append(tuple(prefix))
-            return
-        if p == 0 and opts.require_full_pattern:
-            if full not in subsets:
-                raise OracleSizeError(
-                    f"route {route.id}: full pattern required but full loop not allowed")
-            full_idx = subsets.index(full)
-            for h in range(1, len(menu) + 1):
-                rec(prefix + [(h, full_idx)])
-            return
-        prev = prefix[-1] if prefix else None
-        if prefix and prev is None:
-            rec(prefix + [None])
-            return
-        rec(prefix + [None])
-        for choice in active:
-            if prev is not None and choice < prev:
-                continue
-            rec(prefix + [choice])
-        return
-
-    rec([])
-    return [(design, subsets) for design in designs]
-
-
-def _design_to_cell(route: RouteSpec, design: tuple, subsets: list, menu) -> RoutePeriodPlan:
-    pats = []
-    for choice in design:
-        if choice is None:
-            pats.append(PatternPlan(stops=(), headway=None, headway_index=0))
-            continue
-        h, s = choice
-        pats.append(PatternPlan(stops=subsets[s], headway=menu[h - 1], headway_index=h))
-    return RoutePeriodPlan(patterns=tuple(pats), fleet=vehicle_need(route, pats))
+    choices = [(h, s) for h in range(1, len(menu) + 1) for s in subsets]
+    k = route.n_patterns
+    if scenario.options.require_full_pattern:
+        full = route.full_loop()
+        if full not in subsets:
+            raise OracleSizeError(
+                f"route {route.id}: full pattern required but full loop not allowed")
+        designs = (((h0, full),) + rest
+                   for h0 in range(1, len(menu) + 1)
+                   for rest in combinations_with_replacement(
+                       [c for c in choices if c[0] >= h0] + [None], k - 1))
+    else:
+        designs = (d for d in combinations_with_replacement(choices + [None], k)
+                   if d[0] is not None)
+    cells = []
+    for design in islice(designs, MAX_DESIGNS + 1):
+        pats = tuple(_OFF if c is None else
+                     PatternPlan(stops=c[1], headway=menu[c[0] - 1], headway_index=c[0])
+                     for c in design)
+        cells.append(RoutePeriodPlan(patterns=pats, fleet=vehicle_need(route, pats)))
+    return cells
 
 
 def enumerate_plans(scenario: Scenario) -> Iterator[ServicePlan]:
-    """Yield every distinct feasible-by-fleet design of a toy scenario."""
+    """Every distinct design of a toy scenario that fits the fleet pools.
+
+    The size checks run when this is called, before any plan is drawn."""
     _guard_size(scenario)
-    per_route = [_route_designs(route, scenario) for route in scenario.routes]
-    total = 1
-    for designs in per_route:
-        total *= len(designs)
-        if total > MAX_DESIGNS:
-            raise OracleSizeError(
-                f"{total}+ designs exceed the enumeration limit of {MAX_DESIGNS}")
+    per_route = [_route_cells(route, scenario) for route in scenario.routes]
+    total = math.prod(len(cells) for cells in per_route)
+    if total > MAX_DESIGNS:
+        raise OracleSizeError(
+            f"{total}+ designs exceed the enumeration limit of {MAX_DESIGNS}")
 
     duration = scenario.periods[0].duration_hours
-    menus = [route.headway_menu(0) for route in scenario.routes]
-    for combo in product(*per_route):
-        cells = []
-        fleet_total = 0.0
-        for r, (design, subsets) in enumerate(combo):
-            cell = _design_to_cell(scenario.routes[r], design, subsets, menus[r])
-            fleet_total += cell.fleet
-            cells.append((cell,))
-        if fleet_total > scenario.fleet_cap + 1e-9:
-            continue
-        if duration * fleet_total > scenario.vehicle_hours_cap + 1e-9:
-            continue
-        yield ServicePlan(cells=tuple(cells))
+
+    def fits(combo: tuple[RoutePeriodPlan, ...]) -> bool:
+        fleet_total = sum(cell.fleet for cell in combo)
+        return (fleet_total <= scenario.fleet_cap + 1e-9
+                and duration * fleet_total <= scenario.vehicle_hours_cap + 1e-9)
+
+    return (ServicePlan(cells=tuple((cell,) for cell in combo))
+            for combo in product(*per_route) if fits(combo))
 
 
 @dataclass

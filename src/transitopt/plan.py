@@ -11,13 +11,14 @@ destination.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
 from .network import RouteSpec, Scenario, ScenarioError, _int, _list, _num, _obj
 
 __all__ = ["PatternPlan", "RoutePeriodPlan", "ServicePlan", "FlowAssignment",
-           "PlanError", "load_plan", "loop_arcs", "vehicle_need"]
+           "PlanError", "load_plan", "loop_arcs", "model_order", "vehicle_need"]
 
 _HEADWAY_TOL = 1e-9
 
@@ -75,6 +76,14 @@ def vehicle_need(route: RouteSpec, patterns: Iterable[PatternPlan]) -> float:
     """Vehicles that run ``patterns`` on ``route``: cycle time over headway,
     summed across in-service patterns in pattern order."""
     return sum(pat.cycle_time(route) / pat.headway for pat in patterns if pat.in_service)
+
+
+def model_order(patterns: Iterable[PatternPlan]) -> tuple[PatternPlan, ...]:
+    """``patterns`` in the order the model holds them: in-service patterns
+    first, by menu position (faster entries first), then the out-of-service
+    ones; ties keep their listed order. The model's ``headway_order`` rows
+    admit a pattern list exactly when it is already in this order."""
+    return tuple(sorted(patterns, key=lambda pat: pat.headway_index or math.inf))
 
 
 @dataclass(frozen=True)

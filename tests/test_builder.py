@@ -212,6 +212,18 @@ class TestFixBaseline:
             with pytest.raises(PlanError, match="stop order"):
                 replace(pattern, stops=stops)
 
+    @pytest.mark.parametrize("full_pattern", [False, True], ids=["free", "full-pattern"])
+    def test_off_first_plan_prices_as_the_evaluator_does(self, full_pattern):
+        scenario = make_scenario(full_pattern=full_pattern)
+        doc = full_pattern_plan_doc(scenario)
+        doc["routes"][0]["periods"][0]["patterns"].reverse()
+        plan = load_plan(doc, scenario)
+        assert not plan.cell(0, 0).patterns[0].in_service
+        result = solve(fix_baseline(build_model(scenario), plan), SolverConfig(time_limit_s=60))
+        evaluated = compute_metrics(assign_flows(scenario, plan), scenario, plan)
+        assert result.status == "optimal"
+        assert result.objective == pytest.approx(evaluated.objective, rel=1e-9)
+
     def test_out_of_range_arc_refused(self):
         scenario = make_scenario(symmetry=False)
         model = build_model(scenario)

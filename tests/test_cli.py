@@ -12,7 +12,7 @@ import transitopt.cli
 from transitopt.backend import DecodeError, SolverError
 from transitopt.cli import main
 
-from _factories import full_pattern_plan_doc, random_toy_doc, scenario_doc
+from _factories import full_pattern_plan_doc, ladder_doc, random_toy_doc, scenario_doc
 from transitopt import load_scenario
 
 
@@ -316,6 +316,50 @@ class TestOracleCommand:
         doc = scenario_doc(menu=(4.0, 5.0, 6.0))
         path = write_doc(tmp_path, doc)
         assert main(["oracle", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+
+    def test_oversized_refused_before_solving(self, tmp_path, monkeypatch, capsys):
+        def no_solve(model, cfg):
+            raise AssertionError("the size check must come before the solve")
+        monkeypatch.setattr(transitopt.cli, "solve", no_solve)
+        path = write_doc(tmp_path, ladder_doc(8, 7, transfers=False))
+        assert main(["oracle", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid: route 0 has 8 stops; oracle limit is 6"]
+
+
+class TestSolverSettings:
+    """Solver settings SolverConfig refuses end in one `invalid:` line and
+    exit 1 before any artifact is written."""
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "oracle"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--time-limit", "0"), ("--time-limit", "-1"), ("--time-limit", "nan"),
+        ("--gap", "1"), ("--gap", "nan"),
+    ])
+    def test_bad_setting_exit_one(self, scenario_file, tmp_path, capsys, command, flag, value):
+        plan_path = write_doc(tmp_path, full_pattern_plan_doc(load_scenario(scenario_file)),
+                              "plan.json")
+        out = tmp_path / "o"
+        extra = ["--baseline", str(plan_path)] if command == "compare" else []
+        assert main([command, "--scenario", str(scenario_file), "--out", str(out),
+                     flag, value, *extra]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("invalid: ")
+        assert not (out / "model.lp").exists()
+
+
+class TestOutDirectory:
+    """An --out that cannot be a directory is an I/O failure: one `error:`
+    line and exit 2."""
+
+    @pytest.mark.parametrize("where", ["is-a-file", "under-a-file"])
+    def test_unusable_out_exit_two(self, scenario_file, tmp_path, capsys, where):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker if where == "is-a-file" else blocker / "run"
+        assert main(["export", "--scenario", str(scenario_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot create output directory ")
 
 
 class TestExport:

@@ -4,6 +4,8 @@ from transitopt import (
     OracleSizeError, SolverConfig, assign_flows, build_model, certify,
     compute_metrics, enumerate_plans, load_plan, load_scenario, solve,
 )
+from transitopt import oracle
+from transitopt.plan import model_order
 
 from _factories import full_pattern_plan_doc, make_scenario, random_toy_doc, scenario_doc
 
@@ -38,6 +40,20 @@ class TestEnumeration:
         # 4 subsets x 2 headways = 8 single-pattern choices; ordered pairs
         # with ties allowed: 8 + 8*9/2 = 44 (instead of the naive 8 + 64)
         assert len(plans) == 44
+        for plan in plans:
+            assert model_order(plan.cell(0, 0).patterns) == plan.cell(0, 0).patterns
+
+    def test_full_pattern_two_pattern_count(self):
+        scenario = tiny_scenario(menu=(5.0, 7.0), n_patterns=2, full_pattern=True,
+                                 fleet_cap=100.0, vehicle_hours_cap=100.0)
+        plans = list(enumerate_plans(scenario))
+        # pattern 0 is the full loop at h0; pattern 1 is off or any of the
+        # 4 subsets at a headway no faster than h0: (1 + 8) + (1 + 4) = 14
+        assert len(plans) == 14
+        for plan in plans:
+            cell = plan.cell(0, 0)
+            assert model_order(cell.patterns) == cell.patterns
+            assert cell.patterns[0].stops == tuple(range(6))
 
     def test_fleet_cap_skips_designs(self):
         loose = tiny_scenario(menu=(5.0, 7.0), n_patterns=2, fleet_cap=100.0,
@@ -58,6 +74,14 @@ class TestEnumeration:
         # direction-stop subsets of size >= 2 from 6 stops: 2^6 - 6 - 1 = 57
         assert len(plans) == 57
 
+    def test_design_limit_bounds_the_cells_built(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_DESIGNS", 50)
+        scenario = tiny_scenario(menu=(5.0, 7.0), n_patterns=2, symmetry=False)
+        # 57 subsets x 2 headways admit 114 + 114*115/2 = 6,669 designs;
+        # building stops at the 51st
+        with pytest.raises(OracleSizeError, match=r"^51\+ designs exceed"):
+            enumerate_plans(scenario)
+
     def test_deterministic(self):
         doc = scenario_doc(menu=(5.0, 7.0), n_patterns=2, fleet_cap=100.0)
         a = [p.to_dict() for p in enumerate_plans(load_scenario(doc))]
@@ -65,17 +89,18 @@ class TestEnumeration:
         assert a == b
 
     def test_size_refusals(self):
+        # the checks run on the call, before a plan is drawn
         with pytest.raises(OracleSizeError, match="stops"):
-            list(enumerate_plans(make_scenario(
+            enumerate_plans(make_scenario(
                 stops=tuple("ABCDEFG"),
                 out_times=(3.0,) * 6, in_times=(3.0,) * 6,
-                demand=(((0, 0, 2), 5.0),))))
+                demand=(((0, 0, 2), 5.0),)))
         with pytest.raises(OracleSizeError, match="menu"):
-            list(enumerate_plans(make_scenario(menu=(5.0, 7.0, 9.0))))
+            enumerate_plans(make_scenario(menu=(5.0, 7.0, 9.0)))
         with pytest.raises(OracleSizeError, match="single-period"):
-            list(enumerate_plans(make_scenario(period_hours=(1.0, 2.0))))
+            enumerate_plans(make_scenario(period_hours=(1.0, 2.0)))
         with pytest.raises(OracleSizeError, match="patterns"):
-            list(enumerate_plans(make_scenario(n_patterns=3)))
+            enumerate_plans(make_scenario(n_patterns=3))
 
 
 class TestCertify:
@@ -137,6 +162,9 @@ class TestRandomizedCertification:
         pytest.param(202, {}, id="202"),
         pytest.param(10, {"dwell_saving": 0.5}, id="10-dwell"),
         pytest.param(11, {"dwell_saving": 0.5, "transfers": True}, id="11-dwell-transfers"),
+        pytest.param(13, {"full_pattern": True, "dwell_saving": 0.5}, id="13-full-dwell"),
+        pytest.param(11, {"full_pattern": True, "dwell_saving": 0.5, "transfers": True},
+                     id="11-full-dwell-transfers"),
     ])
     def test_random_toys_match(self, seed, kwargs):
         scenario = load_scenario(random_toy_doc(seed, **kwargs))

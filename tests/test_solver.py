@@ -50,6 +50,9 @@ class TestSolverConfig:
             SolverConfig(time_limit_s=0)
         with pytest.raises(ValueError):
             SolverConfig(rel_gap=1.5)
+        for bad in ({"time_limit_s": float("nan")}, {"rel_gap": float("nan")}):
+            with pytest.raises(ValueError):
+                SolverConfig(**bad)
 
 
 class TestSolve:
@@ -223,6 +226,20 @@ class TestDecode:
             if v.family == "y" and v.key == (0, 0, 0, 1) or v.family == "x" and v.key[3:] in arcs:
                 x[v.id] = 1.0
         with pytest.raises(DecodeError, match="not one loop"):
+            decode_plan(model, SolveResult("optimal", 0.0, x, 0.0))
+
+    def test_decode_refuses_patterns_out_of_model_order(self):
+        # pattern 0 off, pattern 1 on the full loop: the headway_order rows
+        # admit only the other order
+        from transitopt import SolveResult
+        model = build_model(make_scenario(symmetry=False))
+        loop = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)}
+        x = np.zeros(len(model.variables))
+        for v in model.variables:
+            if (v.family == "y" and v.key in ((0, 0, 0, 0), (0, 0, 1, 1))
+                    or v.family == "x" and v.key[2] == 1 and v.key[3:] in loop):
+                x[v.id] = 1.0
+        with pytest.raises(DecodeError, match="model order"):
             decode_plan(model, SolveResult("optimal", 0.0, x, 0.0))
 
     def test_decoded_fleet_covers_requirement(self):
