@@ -89,16 +89,13 @@ class _Run:
             "scenario_path": str(self.args.scenario),
             "scenario_sha256": _sha256(Path(self.args.scenario)) if Path(self.args.scenario).is_file() else None,
             "options_overrides": _override_dict(self.args),
-            "solver": {
-                "time_limit_s": getattr(self.args, "time_limit", None),
-                "rel_gap": getattr(self.args, "gap", None),
-                "seed": getattr(self.args, "seed", None),
-            },
             "out_dir": str(self.out),
             "started_at": self.started,
             "finished_at": datetime.now(timezone.utc).isoformat(),
             "artifacts": self.artifacts,
         }
+        if hasattr(self.args, "time_limit"):   # the commands that solve
+            manifest["solver"] = {"time_limit_s": self.args.time_limit, "rel_gap": self.args.gap}
         manifest.update(self.extra)
         (self.out / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True) + "\n")
@@ -374,14 +371,14 @@ def cmd_export(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, *, out_required: bool = True) -> None:
+def _add_common(p: argparse.ArgumentParser, *, out_required: bool = True,
+                solver: bool = False) -> None:
     p.add_argument("--scenario", required=True, help="scenario JSON file")
     if out_required:
         p.add_argument("--out", required=True, help="output directory for artifacts")
-    p.add_argument("--time-limit", type=float, default=600.0, help="solver time limit (s)")
-    p.add_argument("--gap", type=float, default=0.0, help="relative MIP gap target")
-    p.add_argument("--seed", type=int, default=None,
-                   help="recorded in the manifest; the solver is deterministic")
+    if solver:
+        p.add_argument("--time-limit", type=float, default=600.0, help="solver time limit (s)")
+        p.add_argument("--gap", type=float, default=0.0, help="relative MIP gap target")
     p.add_argument("--no-transfers", action="store_true", help="disable transfer flows")
     p.add_argument("--symmetry", action="store_true", help="force mirrored patterns")
     p.add_argument("--capacity", action="store_true", help="enforce vehicle capacity")
@@ -401,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("solve", help="optimize a scenario and report the design")
-    _add_common(p)
+    _add_common(p, solver=True)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("evaluate", help="price a fixed plan with the flow evaluator")
@@ -410,12 +407,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("compare", help="solve and compare against a baseline plan")
-    _add_common(p)
+    _add_common(p, solver=True)
     p.add_argument("--baseline", required=True, help="baseline plan JSON file")
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("oracle", help="certify a toy scenario by brute force")
-    _add_common(p)
+    _add_common(p, solver=True)
     p.add_argument("--cross-check", choices=["none", "sample", "all"], default="sample")
     p.set_defaults(func=cmd_oracle)
 

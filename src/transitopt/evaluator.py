@@ -234,29 +234,34 @@ def _check_routable(scenario: Scenario, t: int, r: int,
     for view in views:
         for k, s in enumerate(view.stops):
             rides[s].update(view.stops[k + 1:])
-    for (tt, o, d), riders in sorted(scenario.demand[r].items()):
-        if tt != t or riders <= 0.0:
-            continue
-        targets = set(route.direction_stops_of(d))
+
+    def reach(o: int) -> set[int]:
+        """Direction stops that riders from physical stop o can get to."""
+        starts = route.direction_stops_of(o)
         if not transfers:
-            if not any(rides[s] & targets for s in route.direction_stops_of(o)):
-                raise UnroutableDemandError(t, r, o, d)
-            continue
+            return rides[starts[0]] | rides[starts[1]]
         seen: set[int] = set()
-        frontier = list(route.direction_stops_of(o))
+        frontier = list(starts)
         while frontier:
             s = frontier.pop()
             if s in seen:
                 continue
             seen.add(s)
-            if s in targets:
-                break
             frontier.extend(rides[s] - seen)
             # A direction change only needs one available combination to
             # join, which exists as soon as any pattern is in service.
             if views:
                 frontier.append(route.mirror(s))
-        else:
+        return seen
+
+    # what an origin reaches does not depend on the destination
+    reached: dict[int, set[int]] = {}
+    for (tt, o, d), riders in sorted(scenario.demand[r].items()):
+        if tt != t or riders <= 0.0:
+            continue
+        if o not in reached:
+            reached[o] = reach(o)
+        if reached[o].isdisjoint(route.direction_stops_of(d)):
             raise UnroutableDemandError(t, r, o, d)
 
 

@@ -358,12 +358,6 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     # --- variables -------------------------------------------------
     lb, ub = 0.0, None
     if opts.require_full_pattern:
-        loop = route.full_loop()
-        full_loop_arcs = set(zip(loop, loop[1:] + loop[:1]))
-        missing = [a for a in full_loop_arcs if not route.arc_allowed(*a)]
-        if missing:
-            raise BuildError(
-                f"route {route.id}: full pattern required but loop arcs {missing} are not allowed")
         # pattern 0 runs the full loop (k, k + 1 mod nd), no other arc
         fixed = (arc_j == (arc_i + 1) % nd).astype(np.float64)
         rest = np.ones(len(arc_i) * (npat - 1))

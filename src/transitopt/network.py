@@ -245,7 +245,7 @@ def _need(mapping: Mapping[str, Any], key: str, where: str) -> Any:
     return mapping[key]
 
 
-def _num(value: Any, where: str, *, nonnegative: bool = False, positive: bool = False) -> float:
+def _num(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
     # JSON reads Infinity, NaN and 1e999 as floats; an integer past the float
@@ -256,10 +256,6 @@ def _num(value: Any, where: str, *, nonnegative: bool = False, positive: bool = 
         v = math.inf
     if not math.isfinite(v):
         raise ScenarioError(f"{where}: must be a finite number, got {value!r}")
-    if positive and v <= 0:
-        raise ScenarioError(f"{where}: must be > 0, got {v}")
-    if nonnegative and v < 0:
-        raise ScenarioError(f"{where}: must be >= 0, got {v}")
     return v
 
 
@@ -288,28 +284,27 @@ def _obj(value: Any, where: str) -> Mapping[str, Any]:
     return value
 
 
-def _parse_route(doc: Mapping[str, Any], idx: int, n_periods: int) -> tuple[RouteSpec, DemandMatrix]:
+def _parse_route(doc: Mapping[str, Any], idx: int) -> tuple[RouteSpec, DemandMatrix]:
     where = f"routes[{idx}]"
     stops = _need(doc, "stops", where)
     if not isinstance(stops, list) or not all(isinstance(s, str) for s in stops):
         raise ScenarioError(f"{where}.stops: expected a list of stop names")
-    n = len(stops)
 
     lrt = _obj(_need(doc, "link_run_times", where), f"{where}.link_run_times")
     if "outbound" not in lrt or "inbound" not in lrt:
         raise ScenarioError(f"{where}.link_run_times: expected keys 'outbound' and 'inbound'")
     out_times = tuple(
-        _num(v, f"{where}.link_run_times.outbound[{k}]", positive=True)
+        _num(v, f"{where}.link_run_times.outbound[{k}]")
         for k, v in enumerate(_list(lrt["outbound"], f"{where}.link_run_times.outbound"))
     )
     in_times = tuple(
-        _num(v, f"{where}.link_run_times.inbound[{k}]", positive=True)
+        _num(v, f"{where}.link_run_times.inbound[{k}]")
         for k, v in enumerate(_list(lrt["inbound"], f"{where}.link_run_times.inbound"))
     )
 
     menus_doc = _list(_need(doc, "headway_menus", where), f"{where}.headway_menus")
     menus = tuple(
-        tuple(_num(v, f"{where}.headway_menus[{t}][{k}]", positive=True)
+        tuple(_num(v, f"{where}.headway_menus[{t}][{k}]")
               for k, v in enumerate(_list(menu, f"{where}.headway_menus[{t}]")))
         for t, menu in enumerate(menus_doc)
     )
@@ -317,25 +312,20 @@ def _parse_route(doc: Mapping[str, Any], idx: int, n_periods: int) -> tuple[Rout
     allowed = doc.get("allowed_arcs")
     allowed_t: tuple[tuple[bool, ...], ...] | None = None
     if allowed is not None:
-        nd = 2 * n
-        allowed = [_list(row, f"{where}.allowed_arcs[{i}]")
-                   for i, row in enumerate(_list(allowed, f"{where}.allowed_arcs"))]
-        if len(allowed) != nd or any(len(row) != nd for row in allowed):
-            raise ScenarioError(f"{where}.allowed_arcs: expected a {nd}x{nd} boolean mask")
         allowed_t = tuple(tuple(_bool(v, f"{where}.allowed_arcs[{i}][{j}]")
-                                for j, v in enumerate(row))
-                          for i, row in enumerate(allowed))
+                                for j, v in enumerate(_list(row, f"{where}.allowed_arcs[{i}]")))
+                          for i, row in enumerate(_list(allowed, f"{where}.allowed_arcs")))
 
     route = RouteSpec(
         id=_int(doc.get("id", idx), f"{where}.id"),
         stop_names=tuple(stops),
         outbound_times=out_times,
         inbound_times=in_times,
-        vehicle_capacity=_num(_need(doc, "capacity", where), f"{where}.capacity", positive=True),
+        vehicle_capacity=_num(_need(doc, "capacity", where), f"{where}.capacity"),
         n_patterns=_int(_need(doc, "n_patterns", where), f"{where}.n_patterns"),
         headway_menus=menus,
-        dwell_saving=_num(doc.get("dwell_saving", 0.0), f"{where}.dwell_saving", nonnegative=True),
-        turnback_time=_num(doc.get("turnback_time", 0.0), f"{where}.turnback_time", nonnegative=True),
+        dwell_saving=_num(doc.get("dwell_saving", 0.0), f"{where}.dwell_saving"),
+        turnback_time=_num(doc.get("turnback_time", 0.0), f"{where}.turnback_time"),
         allowed_arcs=allowed_t,
     )
 
@@ -346,7 +336,7 @@ def _parse_route(doc: Mapping[str, Any], idx: int, n_periods: int) -> tuple[Rout
         t = _int(_need(rec, "t", rwhere), f"{rwhere}.t")
         o = _int(_need(rec, "o", rwhere), f"{rwhere}.o")
         d = _int(_need(rec, "d", rwhere), f"{rwhere}.d")
-        riders = _num(_need(rec, "riders", rwhere), f"{rwhere}.riders", nonnegative=True)
+        riders = _num(_need(rec, "riders", rwhere), f"{rwhere}.riders")
         if (t, o, d) in entries:
             raise ScenarioError(f"{rwhere}: duplicate demand entry for (t={t}, o={o}, d={d})")
         entries[(t, o, d)] = riders
@@ -356,9 +346,10 @@ def _parse_route(doc: Mapping[str, Any], idx: int, n_periods: int) -> tuple[Rout
 def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
     """Build a Scenario from a JSON document (path or already-parsed mapping).
 
-    Structural problems (missing keys, wrong types, negative times) raise
-    ScenarioError with the offending path; value-level invariants are the
-    business of validate_scenario.
+    What a document needs to become a Scenario (keys, types, finite
+    numbers, one record per demand pair, known options) is checked here
+    and refused with a ScenarioError naming the offending path. Every value
+    rule, signs and mask shape included, is validate_scenario's alone.
     """
     if isinstance(source, (str, Path)):
         path = Path(source)
@@ -380,12 +371,11 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
         periods.append(PeriodSpec(
             id=_int(p.get("id", k), f"periods[{k}].id"),
             duration_hours=_num(_need(p, "duration_hours", f"periods[{k}]"),
-                                f"periods[{k}].duration_hours", positive=True),
+                                f"periods[{k}].duration_hours"),
         ))
 
     routes_doc = _list(_need(doc, "routes", "scenario"), "routes")
-    parsed = [_parse_route(_obj(r, f"routes[{k}]"), k, len(periods))
-              for k, r in enumerate(routes_doc)]
+    parsed = [_parse_route(_obj(r, f"routes[{k}]"), k) for k, r in enumerate(routes_doc)]
 
     opt_doc = _obj(doc.get("options", {}), "options")
     known = {"allow_transfers", "enforce_symmetry", "enforce_capacity",
@@ -483,6 +473,11 @@ def validate_scenario(s: Scenario) -> list[Violation]:
                 for i in range(nd):
                     if route.allowed_arcs[i][i]:
                         bad(Violation(f"{w}.allowed_arcs[{i}][{i}]", "self-loop arcs are never allowed"))
+                missing = [(i, (i + 1) % nd) for i in range(nd)
+                           if not route.allowed_arcs[i][(i + 1) % nd]]
+                if s.options.require_full_pattern and missing:
+                    bad(Violation(f"{w}.allowed_arcs", "full pattern required but loop arcs "
+                                                       f"{missing} are not allowed"))
 
         if ri < len(s.demand):
             for (t, o, d), riders in s.demand[ri].items():

@@ -20,7 +20,7 @@ from .backend import SolveResult, SolverConfig, solve
 from .evaluator import UnroutableDemandError, assign_flows, compute_metrics
 from .model import build_model, fix_baseline
 from .network import RouteSpec, Scenario
-from .plan import PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs, vehicle_need
+from .plan import PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs
 
 __all__ = [
     "OracleSizeError",
@@ -83,27 +83,38 @@ def _served_subsets(route: RouteSpec, symmetric: bool) -> list[tuple[int, ...]]:
             if all(route.arc_allowed(u, v) for u, v in loop_arcs(s))]
 
 
-def _route_cells(route: RouteSpec, scenario: Scenario) -> list[RoutePeriodPlan]:
-    """Every design of one route, each multiset of patterns once.
+def _fits(scenario: Scenario, fleet: float) -> bool:
+    """``fleet`` vehicles fit the fleet pool and the vehicle-hours budget."""
+    return (fleet <= scenario.fleet_cap + 1e-9
+            and scenario.periods[0].duration_hours * fleet <= scenario.vehicle_hours_cap + 1e-9)
+
+
+def _route_cells(route: RouteSpec, scenario: Scenario) -> tuple[list[RoutePeriodPlan], int]:
+    """The designs of one route that fit the pools on their own, each
+    multiset of patterns once, and the number of designs examined.
 
     A choice is (headway index, served subset), taken in that order, and
     None is out of service, taken last; a design is a sorted multiset of
     choices, which lists its patterns in ``model_order``. Under
     ``require_full_pattern`` pattern 0 runs the full loop at some h0 and
-    the others draw from the choices with h >= h0. At most
-    MAX_DESIGNS + 1 cells are built.
+    the others draw from the choices with h >= h0. Each choice's pattern
+    and vehicle need are made once; a design's fleet sums them in pattern
+    order, as ``vehicle_need`` does. A design whose own fleet breaks a pool
+    breaks it together with any other route's (fleets are not negative), so
+    its cell is never built. At most MAX_DESIGNS + 1 designs are examined.
     """
     menu = route.headway_menu(0)
     subsets = _served_subsets(route, scenario.options.enforce_symmetry)
     if not subsets:
         raise OracleSizeError(f"route {route.id}: no feasible served-stop subsets")
     choices = [(h, s) for h in range(1, len(menu) + 1) for s in subsets]
+    pattern = {c: PatternPlan(stops=c[1], headway=menu[c[0] - 1], headway_index=c[0])
+               for c in choices}
+    need = {c: pat.cycle_time(route) / pat.headway for c, pat in pattern.items()}
+    pattern[None] = _OFF
     k = route.n_patterns
     if scenario.options.require_full_pattern:
-        full = route.full_loop()
-        if full not in subsets:
-            raise OracleSizeError(
-                f"route {route.id}: full pattern required but full loop not allowed")
+        full = route.full_loop()   # a subset: validate_scenario allows its arcs
         designs = (((h0, full),) + rest
                    for h0 in range(1, len(menu) + 1)
                    for rest in combinations_with_replacement(
@@ -112,12 +123,13 @@ def _route_cells(route: RouteSpec, scenario: Scenario) -> list[RoutePeriodPlan]:
         designs = (d for d in combinations_with_replacement(choices + [None], k)
                    if d[0] is not None)
     cells = []
+    examined = 0
     for design in islice(designs, MAX_DESIGNS + 1):
-        pats = tuple(_OFF if c is None else
-                     PatternPlan(stops=c[1], headway=menu[c[0] - 1], headway_index=c[0])
-                     for c in design)
-        cells.append(RoutePeriodPlan(patterns=pats, fleet=vehicle_need(route, pats)))
-    return cells
+        examined += 1
+        fleet = sum(need[c] for c in design if c is not None)
+        if _fits(scenario, fleet):
+            cells.append(RoutePeriodPlan(patterns=tuple(pattern[c] for c in design), fleet=fleet))
+    return cells, examined
 
 
 def enumerate_plans(scenario: Scenario) -> Iterator[ServicePlan]:
@@ -126,20 +138,13 @@ def enumerate_plans(scenario: Scenario) -> Iterator[ServicePlan]:
     The size checks run when this is called, before any plan is drawn."""
     _guard_size(scenario)
     per_route = [_route_cells(route, scenario) for route in scenario.routes]
-    total = math.prod(len(cells) for cells in per_route)
+    total = math.prod(examined for _, examined in per_route)
     if total > MAX_DESIGNS:
         raise OracleSizeError(
             f"{total}+ designs exceed the enumeration limit of {MAX_DESIGNS}")
-
-    duration = scenario.periods[0].duration_hours
-
-    def fits(combo: tuple[RoutePeriodPlan, ...]) -> bool:
-        fleet_total = sum(cell.fleet for cell in combo)
-        return (fleet_total <= scenario.fleet_cap + 1e-9
-                and duration * fleet_total <= scenario.vehicle_hours_cap + 1e-9)
-
     return (ServicePlan(cells=tuple((cell,) for cell in combo))
-            for combo in product(*per_route) if fits(combo))
+            for combo in product(*(cells for cells, _ in per_route))
+            if _fits(scenario, sum(cell.fleet for cell in combo)))
 
 
 @dataclass

@@ -13,7 +13,7 @@ from transitopt.backend import DecodeError, SolverError
 from transitopt.cli import main
 
 from _factories import full_pattern_plan_doc, ladder_doc, random_toy_doc, scenario_doc
-from transitopt import load_scenario
+from transitopt import load_scenario, validate_scenario
 
 
 @pytest.fixture
@@ -65,6 +65,77 @@ class TestValidate:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.splitlines() == ["invalid scenario: fleet_cap: must be a finite number, got inf"]
+
+
+# (path in the scenario document, refused value, the violation's text)
+_VALUE_RULES = [
+    (["routes", 0, "link_run_times", "outbound", 0], 0.0,
+     "routes[0].link_run_times.outbound[0]: run times must be > 0"),
+    (["routes", 0, "link_run_times", "inbound", 1], -4.0,
+     "routes[0].link_run_times.inbound[1]: run times must be > 0"),
+    (["routes", 0, "headway_menus", 0, 0], 0.0,
+     "routes[0].headway_menus[0]: headway values must be > 0"),
+    (["routes", 0, "capacity"], 0.0, "routes[0].capacity: must be > 0"),
+    (["routes", 0, "dwell_saving"], -0.5, "routes[0].dwell_saving: must be >= 0"),
+    (["routes", 0, "turnback_time"], -2.0, "routes[0].turnback_time: must be >= 0"),
+    (["routes", 0, "demand", 0, "riders"], -30.0,
+     "routes[0].demand(t=0, o=0, d=2): riders must be >= 0"),
+    (["periods", 0, "duration_hours"], 0.0, "periods[0].duration_hours: must be > 0"),
+]
+
+
+class TestValueRules:
+    """A number of the wrong sign loads, and validate_scenario refuses it:
+    `validate` prints the violation and `export` one `invalid:` line, both
+    with exit 1."""
+
+    @pytest.mark.parametrize("path, value, violation", _VALUE_RULES,
+                             ids=["outbound", "inbound", "headway", "capacity", "dwell-saving",
+                                  "turnback", "riders", "duration"])
+    def test_wrong_sign_exit_one(self, tmp_path, capsys, path, value, violation):
+        doc = scenario_doc()
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        scenario_path = write_doc(tmp_path, doc)
+        assert [str(v) for v in validate_scenario(load_scenario(doc))] == [violation]
+        assert main(["validate", "--scenario", str(scenario_path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [violation]
+        assert main(["export", "--scenario", str(scenario_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"invalid: {violation}"]
+
+
+class TestFullPatternMask:
+    """Under --full-pattern a mask that forbids an arc of the full loop is a
+    violation like any other: `validate` prints it and every other command
+    ends with one `invalid:` line and exit 1."""
+
+    VIOLATION = ("routes[0].allowed_arcs: full pattern required but loop arcs "
+                 "[(0, 1)] are not allowed")
+
+    @pytest.fixture
+    def masked(self, tmp_path):
+        mask = [[i != j and (i, j) != (0, 1) for j in range(6)] for i in range(6)]
+        return write_doc(tmp_path, scenario_doc(symmetry=False, allowed_arcs=mask))
+
+    def test_validate_prints_the_violation(self, masked, capsys):
+        assert main(["validate", "--scenario", str(masked)]) == 0
+        assert main(["validate", "--scenario", str(masked), "--full-pattern"]) == 1
+        assert capsys.readouterr().out.splitlines() == [self.VIOLATION]
+
+    @pytest.mark.parametrize("command", ["export", "solve", "evaluate", "compare", "oracle"])
+    def test_one_line_exit_one(self, masked, tmp_path, capsys, command):
+        # the plan skips stop 1, so it never takes the forbidden arc
+        plan = full_pattern_plan_doc(load_scenario(masked))
+        plan["routes"][0]["periods"][0]["patterns"][0]["stops"] = [0, 2, 3, 4, 5]
+        plan_path = write_doc(tmp_path, plan, "plan.json")
+        extra = {"evaluate": ["--plan", str(plan_path)],
+                 "compare": ["--baseline", str(plan_path)]}.get(command, [])
+        assert main([command, "--scenario", str(masked), "--out", str(tmp_path / "o"),
+                     "--full-pattern", *extra]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"invalid: {self.VIOLATION}"]
 
 
 class TestSolve:
@@ -346,6 +417,26 @@ class TestSolverSettings:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("invalid: ")
         assert not (out / "model.lp").exists()
+
+
+    def test_only_solving_commands_take_settings(self, scenario_file, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "o")]
+        for argv, flag in [(["validate"], "--time-limit"),
+                           (["evaluate", *out, "--plan", "plan.json"], "--gap"),
+                           (["export", *out], "--time-limit"), (["solve", *out], "--seed")]:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--scenario", str(scenario_file), flag, "1"])
+            assert exc.value.code == 2
+            assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_manifest_records_settings_only_when_solving(self, scenario_file, tmp_path):
+        solved, exported = tmp_path / "s", tmp_path / "e"
+        assert main(["solve", "--scenario", str(scenario_file), "--out", str(solved),
+                     "--time-limit", "60", "--gap", "0.01"]) == 0
+        assert main(["export", "--scenario", str(scenario_file), "--out", str(exported)]) == 0
+        manifest = json.loads((solved / "manifest.json").read_text())
+        assert manifest["solver"] == {"time_limit_s": 60.0, "rel_gap": 0.01}
+        assert "solver" not in json.loads((exported / "manifest.json").read_text())
 
 
 class TestOutDirectory:

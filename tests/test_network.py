@@ -152,11 +152,6 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="demand"):
             load_scenario(doc)
 
-    def test_negative_time_rejected_at_load(self):
-        doc = scenario_doc(out_times=(-3.0, 4.0))
-        with pytest.raises(ScenarioError, match="outbound"):
-            load_scenario(doc)
-
     def test_error_names_path(self):
         doc = scenario_doc()
         doc["routes"][0]["demand"][0] = {"t": 0, "o": 0, "riders": 3}
@@ -214,6 +209,25 @@ class TestValidateScenario:
         assert "ascending" in rules
         assert "diagonal" in rules
         assert "lie in" in rules
+
+    def test_negative_time_rejected(self):
+        # the loader reads any finite number; its sign is a value rule
+        s = load_scenario(scenario_doc(out_times=(-3.0, 4.0)))
+        assert [str(v) for v in validate_scenario(s)] == [
+            "routes[0].link_run_times.outbound[0]: run times must be > 0"]
+
+    def test_mask_shape(self):
+        s = load_scenario(scenario_doc(allowed_arcs=[[False, True]] * 6))
+        assert [str(v) for v in validate_scenario(s)] == ["routes[0].allowed_arcs: mask must be 6x6"]
+
+    def test_full_pattern_needs_its_loop_arcs(self):
+        mask = [[i != j for j in range(6)] for i in range(6)]
+        mask[0][1] = mask[5][0] = False
+        assert validate_scenario(make_scenario(allowed_arcs=mask, symmetry=False)) == []
+        s = make_scenario(allowed_arcs=mask, symmetry=False, full_pattern=True)
+        assert [str(v) for v in validate_scenario(s)] == [
+            "routes[0].allowed_arcs: full pattern required but loop arcs "
+            "[(0, 1), (5, 0)] are not allowed"]
 
     def test_allowed_arcs_diagonal(self):
         nd = 6

@@ -5,7 +5,7 @@ from transitopt import (
     compute_metrics, enumerate_plans, load_plan, load_scenario, solve,
 )
 from transitopt import oracle
-from transitopt.plan import model_order
+from transitopt.plan import model_order, vehicle_need
 
 from _factories import full_pattern_plan_doc, make_scenario, random_toy_doc, scenario_doc
 
@@ -81,6 +81,23 @@ class TestEnumeration:
         # building stops at the 51st
         with pytest.raises(OracleSizeError, match=r"^51\+ designs exceed"):
             enumerate_plans(scenario)
+
+    @pytest.mark.parametrize("kwargs, count", [
+        pytest.param({"fleet_cap": 4.0, "vehicle_hours_cap": 4.0}, 114, id="binding-pool"),
+        pytest.param({"full_pattern": True, "fleet_cap": 7.0, "vehicle_hours_cap": 7.0}, 166,
+                     id="full-pattern"),
+    ])
+    def test_cells_carry_their_vehicle_need(self, kwargs, count):
+        # 57 subsets x 2 headways with dwell credits: a pool of 4 admits 114
+        # of the 6,669 designs, and under the full pattern a pool of 7 admits
+        # 166 of 173
+        scenario = tiny_scenario(menu=(5.0, 7.0), n_patterns=2, symmetry=False,
+                                 dwell_saving=0.5, **kwargs)
+        plans = list(enumerate_plans(scenario))
+        assert len(plans) == count
+        for plan in plans:
+            cell = plan.cell(0, 0)
+            assert cell.fleet == vehicle_need(scenario.routes[0], cell.patterns)
 
     def test_deterministic(self):
         doc = scenario_doc(menu=(5.0, 7.0), n_patterns=2, fleet_cap=100.0)
