@@ -91,7 +91,7 @@ def csr_rows(blocks: list[RowBlock], ncols: int):
     offsets = np.cumsum([0] + [len(b.cols) for b in blocks])
     indptr = np.concatenate([[0]] + [b.indptr[1:] + at for b, at in zip(blocks, offsets)])
     indptr = indptr.astype(np.int32)
-    indices = np.concatenate([b.cols for b in blocks]).astype(np.int32)
+    indices = np.concatenate([b.cols for b in blocks]).astype(np.int32, copy=False)
     data = np.concatenate([b.vals for b in blocks])
     sense = np.concatenate([b.sense for b in blocks])
     rhs = np.concatenate([b.rhs for b in blocks])

@@ -16,12 +16,12 @@ import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .backend import DecodeError, SolverConfig, SolverError, decode_plan, solve
 from .evaluator import (EvaluationError, UnroutableDemandError, assign_flows,
                         compute_metrics)
-from .lpio import write_lp
+from .lpio import lp_chunks
 from .model import build_model, model_stats
 from .network import Scenario, ScenarioError, load_scenario, validate_scenario
 from .oracle import OracleSizeError, certify, enumerate_plans
@@ -53,9 +53,8 @@ def _err(msg: str) -> None:
 
 
 def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
+    with path.open("rb") as f:
+        return hashlib.file_digest(f, "sha256").hexdigest()
 
 
 class _Run:
@@ -74,11 +73,21 @@ class _Run:
         self.started = datetime.now(timezone.utc).isoformat()
         self.extra: dict = {}
 
-    def write_text(self, name: str, text: str) -> Path:
+    def write_chunks(self, name: str, chunks: Iterable[str]) -> Path:
+        """Write ``chunks`` to artifact ``name`` one at a time, hashing the
+        bytes as they go out."""
         path = self.out / name
-        path.write_text(text)
-        self.artifacts[name] = _sha256(path)
+        h = hashlib.sha256()
+        with path.open("wb") as f:
+            for chunk in chunks:
+                data = chunk.encode()
+                h.update(data)
+                f.write(data)
+        self.artifacts[name] = h.hexdigest()
         return path
+
+    def write_text(self, name: str, text: str) -> Path:
+        return self.write_chunks(name, (text,))
 
     def write_json(self, name: str, obj) -> Path:
         return self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
@@ -218,7 +227,7 @@ def _solve_pipeline(scenario: Scenario, cfg: SolverConfig, run: _Run):
     the error propagates, so it lists the artifacts already under --out."""
     model = build_model(scenario)
     run.write_json("model_stats.json", model_stats(model))
-    run.write_text("model.lp", write_lp(model))
+    run.write_chunks("model.lp", lp_chunks(model))
     try:
         result = solve(model, cfg)
         run.extra["solver_status"] = result.status
@@ -359,7 +368,7 @@ def cmd_export(args) -> int:
     scenario = _validated(args)
     run = _Run(args, "export")
     model = build_model(scenario)
-    run.write_text("model.lp", write_lp(model))
+    run.write_chunks("model.lp", lp_chunks(model))
     stats = model_stats(model)
     run.write_json("model_stats.json", stats)
     run.finish()

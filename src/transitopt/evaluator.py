@@ -212,8 +212,8 @@ def milp(lp: _MiniLp) -> SolveResult:
     and time the evaluator's programs, and ``--trace 1`` fails without it.
     """
     n = len(lp.costs)
-    rows = RowBlock("assignment", (), np.asarray(lp.indptr, dtype=np.int64),
-                    np.asarray(lp.cols, dtype=np.int64), np.asarray(lp.vals, dtype=np.float64),
+    rows = RowBlock("assignment", (), np.asarray(lp.indptr, dtype=np.int32),
+                    np.asarray(lp.cols, dtype=np.int32), np.asarray(lp.vals, dtype=np.float64),
                     np.asarray(lp.sense, dtype=np.int8), np.asarray(lp.rhs, dtype=np.float64))
     a, lo, hi = csr_rows([rows], n)
     integrality = np.asarray(lp.is_binary, dtype=np.uint8)

@@ -8,21 +8,25 @@ written grouped by family, so identical models export byte-identically.
 The text is rendered from the model's blocks: one name template per
 variable family and one row-head template per row family, formatted over the
 key columns; the text of each term's coefficient is looked up by its value
-and its position in the row. The text is a subset of the CPLEX LP format;
-the test suite reads it back with HiGHS's own LP reader and checks the row
-and column counts and the optimum.
+and its position in the row. ``lp_chunks`` yields it in pieces: the header
+and objective, one chunk per row block, then the Bounds, Binaries and
+Generals sections, rendered before the variable names are released.
+``write_lp`` joins the chunks; the CLI writes them to ``model.lp`` one at a
+time, so the whole text never exists as one string there. The text is a
+subset of the CPLEX LP format; the test suite reads it back with HiGHS's own
+LP reader and checks the row and column counts and the optimum.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
-from .model import SENSES, MilpModel
+from .model import SENSES, MilpModel, RowBlock, VarBlock
 
-__all__ = ["write_lp"]
+__all__ = ["lp_chunks", "write_lp"]
 
 _VAR_LABELS = {
     "x": ("t", "r", "p", "i", "j"),
@@ -107,31 +111,20 @@ def _lines(names: list[str]) -> str:
     return "".join(" " + " ".join(names[k:k + step]) + "\n" for k in range(0, len(names), step))
 
 
-def write_lp(model: MilpModel) -> str:
-    """Serialize the model as LP-format text, byte-stable across runs."""
-    name_lists = [_formatted(_NAME_FORMATS[b.family], list(b.keys.T), len(b.lb))
-                  for b in model.var_blocks]
-    names = np.array([nm for block in name_lists for nm in block], dtype=object)
-    out: list[str] = [_HEADER, "Minimize\n"]
+def _row_block_text(b: RowBlock, names: np.ndarray) -> str:
+    template = " " + "_".join((b.family, *["{}"] * len(b.keys))) + ":"
+    heads = _formatted(template, list(b.keys), len(b.rhs))
+    uniq, which = np.unique(b.rhs, return_inverse=True)
+    tails = np.array([f" {sense} {_num(v)}\n" for sense in SENSES for v in uniq.tolist()],
+                     dtype=object)[b.sense.astype(np.int64) * len(uniq) + which.ravel()]
+    return _expressions(heads, tails, b.indptr, b.cols, b.vals, names)
 
-    nonzero = model.obj_coefs != 0.0
-    ids, coefs = model.obj_ids[nonzero], model.obj_coefs[nonzero]
-    if not len(ids):
-        ids, coefs = np.zeros(1, dtype=np.int64), np.zeros(1)
-    out.append(_expressions([" obj:"], np.array(["\n"], dtype=object),
-                            np.array([0, len(ids)]), ids, coefs, names))
 
-    out.append("Subject To\n")
-    for b in model.row_blocks:
-        template = " " + "_".join((b.family, *["{}"] * len(b.keys))) + ":"
-        heads = _formatted(template, list(b.keys), len(b.rhs))
-        uniq, which = np.unique(b.rhs, return_inverse=True)
-        tails = np.array([f" {sense} {_num(v)}\n" for sense in SENSES for v in uniq.tolist()],
-                         dtype=object)[b.sense.astype(np.int64) * len(uniq) + which.ravel()]
-        out.append(_expressions(heads, tails, b.indptr, b.cols, b.vals, names))
-
+def _closing_text(var_blocks: list[VarBlock], name_lists: list[list[str]]) -> str:
+    """The Bounds, Binaries and Generals sections and the end marker."""
+    out: list[str] = []
     bounds: list[str] = []
-    for b, block_names in zip(model.var_blocks, name_lists):
+    for b, block_names in zip(var_blocks, name_lists):
         default_ub = 1.0 if b.kind == "B" else math.inf
         for k in np.flatnonzero((b.lb != 0.0) | (b.ub != default_ub)).tolist():
             nm, lb, ub = block_names[k], float(b.lb[k]), float(b.ub[k])
@@ -146,10 +139,40 @@ def write_lp(model: MilpModel) -> str:
         out += bounds
 
     for kind, section in (("B", "Binaries\n"), ("I", "Generals\n")):
-        of_kind = [nm for b, block_names in zip(model.var_blocks, name_lists) if b.kind == kind
+        of_kind = [nm for b, block_names in zip(var_blocks, name_lists) if b.kind == kind
                    for nm in block_names]
         if of_kind:
             out += [section, _lines(of_kind)]
-
     out.append("End\n")
     return "".join(out)
+
+
+def lp_chunks(model: MilpModel) -> Iterator[str]:
+    """The model's LP text in order: the header, the objective, one chunk per
+    row block, then the closing sections. The variable names are released
+    before the last chunk is yielded."""
+    name_lists = [_formatted(_NAME_FORMATS[b.family], list(b.keys.T), len(b.lb))
+                  for b in model.var_blocks]
+    names = np.array([nm for block in name_lists for nm in block], dtype=object)
+
+    nonzero = model.obj_coefs != 0.0
+    ids, coefs = model.obj_ids[nonzero], model.obj_coefs[nonzero]
+    if not len(ids):
+        ids, coefs = np.zeros(1, dtype=np.int32), np.zeros(1)
+    yield _HEADER + "Minimize\n"
+    yield _expressions([" obj:"], np.array(["\n"], dtype=object), np.array([0, len(ids)]),
+                       ids, coefs, names)
+    yield "Subject To\n"
+    for b in model.row_blocks:
+        yield _row_block_text(b, names)
+    closing = _closing_text(model.var_blocks, name_lists)
+    del names, name_lists
+    yield closing
+
+
+def write_lp(model: MilpModel) -> str:
+    """Serialize the model as LP-format text, byte-stable across runs.
+
+    ``str.join`` runs ``lp_chunks`` to its end, which releases the variable
+    names, before it allocates the result."""
+    return "".join(lp_chunks(model))

@@ -22,7 +22,9 @@ A ``VarBlock`` is a contiguous id range with an integer key matrix, one kind
 and ``lb``/``ub`` arrays. A ``RowBlock`` holds its rows in CSR form (terms
 in written order), a sense code and right-hand side per row, and one array
 per key position. The objective is id and coefficient arrays in insertion
-order: per (period, route) riding, then waiting, then transfer terms.
+order: per (period, route) riding, then waiting, then transfer terms. Every
+stored index array (keys, ``indptr``, ``cols``, objective ids) is int32, the
+width HiGHS takes; the builder's temporary id lookups stay int64.
 ``MilpModel.variables``, ``.rows`` and ``.objective`` build ``Var``/``Row``/
 dict views of the blocks on every access.
 """
@@ -133,7 +135,7 @@ class VarBlock:
     family: str
     kind: str
     start: int
-    keys: np.ndarray    # (variables, key length) int64
+    keys: np.ndarray    # (variables, key length) int32
     lb: np.ndarray
     ub: np.ndarray
 
@@ -146,7 +148,9 @@ class VarBlock:
 class RowBlock:
     """Rows of one family: row k has terms ``indptr[k]:indptr[k + 1]`` of
     ``cols``/``vals`` in written order, sense ``SENSES[sense[k]]``, right-hand
-    side ``rhs[k]`` and key ``tuple(col[k] for col in keys)``."""
+    side ``rhs[k]`` and key ``tuple(col[k] for col in keys)``. ``indptr``,
+    ``cols`` and the integer key arrays are int32; a key shared by all rows
+    is a zero-stride broadcast."""
 
     family: str
     keys: tuple         # one array per key position
@@ -163,7 +167,7 @@ class MilpModel:
 
     var_blocks: list[VarBlock]      # contiguous, in id order
     row_blocks: list[RowBlock]      # in export order
-    obj_ids: np.ndarray
+    obj_ids: np.ndarray             # int32
     obj_coefs: np.ndarray
     scenario: Scenario | None
 
@@ -202,9 +206,9 @@ def var_block(family: str, kind: str, start: int, keys: Sequence, lb: Any = 0.0,
     position, an array or a value shared by all; ``lb`` and ``ub`` are per
     variable or shared, ``ub`` 1 for binaries and infinity otherwise unless
     given."""
-    columns = [np.asarray(k, dtype=np.int64) for k in keys]
+    columns = [np.asarray(k, dtype=np.int32) for k in keys]
     size = max((c.size for c in columns if c.ndim), default=1)
-    matrix = np.empty((size, len(columns)), dtype=np.int64)
+    matrix = np.empty((size, len(columns)), dtype=np.int32)
     for k, column in enumerate(columns):
         matrix[:, k] = column
     if ub is None:
@@ -212,6 +216,12 @@ def var_block(family: str, kind: str, start: int, keys: Sequence, lb: Any = 0.0,
     lb, ub = (np.array(np.broadcast_to(np.asarray(v, dtype=np.float64), (size,)))
               for v in (lb, ub))
     return VarBlock(family, kind, start, matrix, lb, ub)
+
+
+def _key_array(key: Any) -> np.ndarray:
+    """``key`` as an array, int32 if it holds integers."""
+    key = np.asarray(key)
+    return key.astype(np.int32, copy=False) if key.dtype.kind in "iu" else key
 
 
 def row_block(family: str, keys: Sequence, terms: Sequence[tuple[Any, Any]], sense: Any,
@@ -226,20 +236,20 @@ def row_block(family: str, keys: Sequence, terms: Sequence[tuple[Any, Any]], sen
     row or shared by all."""
     groups = []
     for cols, coefs in terms:
-        cols = np.asarray(cols, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int32)
         coefs = np.broadcast_to(np.asarray(coefs, dtype=np.float64), cols.shape)
         groups.append((cols, coefs) if cols.ndim == 2 else (cols[:, None], coefs[:, None]))
     nrows = len(groups[0][0])
     cols = np.concatenate([c for c, _ in groups], axis=1)
     vals = np.concatenate([v for _, v in groups], axis=1)
     present = cols >= 0
-    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    indptr = np.zeros(nrows + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=1), out=indptr[1:])
     codes = np.asarray(sense)
     if codes.dtype.kind == "U":
         codes = np.vectorize(SENSES.index, otypes=[np.int8])(codes)
     codes = np.array(np.broadcast_to(codes.astype(np.int8), (nrows,)))
-    return RowBlock(family, tuple(np.broadcast_to(np.asarray(k), (nrows,)) for k in keys),
+    return RowBlock(family, tuple(np.broadcast_to(_key_array(k), (nrows,)) for k in keys),
                     indptr, cols[present], vals[present], codes,
                     np.array(np.broadcast_to(np.asarray(rhs, dtype=np.float64), (nrows,))))
 
@@ -274,7 +284,7 @@ class _Builder:
     def model(self, scenario: Scenario) -> MilpModel:
         ids, coefs = (np.concatenate(part) for part in zip(*self._objective))
         return MilpModel(self._vars, [b for f in ROW_FAMILIES for b in self._rows[f]],
-                         ids, coefs, scenario)
+                         ids.astype(np.int32), coefs, scenario)
 
 
 def big_m_flow(scenario: Scenario, r: int, t: int, d: int, share: bool = False) -> float:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -151,25 +152,25 @@ class RouteSpec:
         return arc_travel_time(self, i, j)
 
     @cached_property
-    def _travel_times(self) -> tuple[tuple[float, ...], ...]:
+    def _travel_times(self) -> tuple[memoryview, ...]:
         # one walk around the loop from each stop; a read-only table, so
-        # every caller can share it
+        # every caller can share it. The rows are read-only views into one
+        # array('d'), which holds the floats unboxed in a single buffer.
         nd = self.n_dir
         adj = self.adjacent_times()
         dwell = self.dwell_saving
-        mat = []
+        flat = array("d", bytes(8 * nd * nd))
         for i in range(nd):
-            row = [0.0] * nd
             total = 0.0
             k = i
             for steps in range(1, nd):
                 total += adj[k]
                 k = (k + 1) % nd
-                row[k] = total - dwell * (steps - 1)
-            mat.append(tuple(row))
-        return tuple(mat)
+                flat[i * nd + k] = total - dwell * (steps - 1)
+        view = memoryview(flat).toreadonly()
+        return tuple(view[i * nd:(i + 1) * nd] for i in range(nd))
 
-    def travel_time_matrix(self) -> tuple[tuple[float, ...], ...]:
+    def travel_time_matrix(self) -> tuple[memoryview, ...]:
         """Minutes over ordered direction-stop pairs (0.0 on the diagonal),
         computed once per route."""
         return self._travel_times
@@ -432,6 +433,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     for ri, route in enumerate(s.routes):
         w = f"routes[{ri}]"
         n = route.n_physical
+        clean = len(out)
         if n < 2:
             bad(Violation(f"{w}.stops", "a route needs at least 2 physical stops"))
             continue
@@ -478,6 +480,17 @@ def validate_scenario(s: Scenario) -> list[Violation]:
                 if s.options.require_full_pattern and missing:
                     bad(Violation(f"{w}.allowed_arcs", "full pattern required but loop arcs "
                                                        f"{missing} are not allowed"))
+
+        if route.dwell_saving > 0 and len(out) == clean:
+            # the credit for skipped stops must not outweigh the ride; read
+            # from the loop-time table, so only on a route without other faults
+            nd, tmat = route.n_dir, route.travel_time_matrix()
+            negative = next(((i, j) for i in range(nd) for j in range(nd)
+                             if route.arc_allowed(i, j) and tmat[i][j] < 0), None)
+            if negative is not None:
+                i, j = negative
+                bad(Violation(f"{w}.dwell_saving", f"makes allowed arc ({i}, {j}) take "
+                                                   f"{tmat[i][j]:g} minutes; arc times must be >= 0"))
 
         if ri < len(s.demand):
             for (t, o, d), riders in s.demand[ri].items():

@@ -1,6 +1,7 @@
 from dataclasses import replace
 from math import comb
 
+import numpy as np
 import pytest
 
 from transitopt import (
@@ -121,6 +122,25 @@ class TestRowCounts:
         assert rows_off["arc_capacity"] == 0
         s = 6
         assert rows_on["arc_capacity"] == 2 * comb(s, 2)
+
+
+class TestStoredLayout:
+    @pytest.mark.parametrize("transfers", [False, True], ids=["direct", "transfers"])
+    def test_indices_are_int32(self, transfers):
+        # the layout behind the city model's memory: every stored index is
+        # 32-bit and a key shared by a whole row block takes no memory
+        model = build_model(make_scenario(transfers=transfers))
+        assert model.obj_ids.dtype == np.int32
+        for b in model.var_blocks:
+            assert b.keys.dtype == np.int32, b.family
+        for b in model.row_blocks:
+            assert b.indptr.dtype == b.cols.dtype == np.int32, b.family
+            for key in b.keys:
+                assert key.dtype == np.int32 or key.dtype.kind == "U", b.family
+        gate = next(b for b in model.row_blocks if b.family == "ride_arc_gate")
+        t, r, d = gate.keys[:3]
+        assert t.strides == r.strides == (0,)
+        assert d.strides == (4,)
 
 
 class TestBigM:

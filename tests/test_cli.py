@@ -107,6 +107,42 @@ class TestValueRules:
         assert capsys.readouterr().err.splitlines() == [f"invalid: {violation}"]
 
 
+class TestNegativeArcTime:
+    """A dwell credit larger than the ride it shortens would price an arc
+    below zero; validate_scenario names the first such allowed arc."""
+
+    VIOLATION = ("routes[0].dwell_saving: makes allowed arc (0, 2) take -1 minutes; "
+                 "arc times must be >= 0")
+
+    @pytest.fixture
+    def doc(self):
+        return scenario_doc(stops=tuple("ABC"), out_times=(1.0, 1.0), in_times=(1.0, 1.0),
+                            dwell_saving=3.0, turnback_time=0.0, symmetry=False, n_patterns=1,
+                            demand=(((0, 0, 2), 5.0),), fleet_cap=5.0)
+
+    def test_masked_arc_is_not_checked(self, doc):
+        # with (0, 2) forbidden the first negative allowed arc is (0, 3)
+        doc["routes"][0]["allowed_arcs"] = [[i != j and (i, j) != (0, 2) for j in range(6)]
+                                            for i in range(6)]
+        assert [str(v) for v in validate_scenario(load_scenario(doc))] == [
+            self.VIOLATION.replace("(0, 2) take -1", "(0, 3) take -4")]
+
+    def test_zero_time_is_allowed(self, doc):
+        # every step takes 1 minute: five steps less four credits of 1.25 is 0
+        doc["routes"][0]["turnback_time"] = 1.0
+        doc["routes"][0]["dwell_saving"] = 1.25
+        scenario = load_scenario(doc)
+        assert scenario.routes[0].travel_time_matrix()[0][5] == 0.0
+        assert validate_scenario(scenario) == []
+
+    def test_cli_exit_one(self, doc, tmp_path, capsys):
+        path = write_doc(tmp_path, doc)
+        assert main(["validate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().out.splitlines() == [self.VIOLATION]
+        assert main(["export", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"invalid: {self.VIOLATION}"]
+
+
 class TestFullPatternMask:
     """Under --full-pattern a mask that forbids an arc of the full loop is a
     violation like any other: `validate` prints it and every other command
@@ -462,6 +498,22 @@ class TestExport:
         assert text.rstrip().endswith("End")
         assert (out / "model_stats.json").is_file()
         assert "exported" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["export", "solve"])
+    def test_model_lp_is_write_lp(self, tmp_path, capsys, command):
+        # the CLI streams the writer's chunks to the file and hashes them on
+        # the way; the file is the joined text and the manifest its digest
+        doc = random_toy_doc(3, transfers=True, dwell_saving=0.5)
+        path = write_doc(tmp_path, doc)
+        out = tmp_path / "run"
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 0
+        data = (out / "model.lp").read_bytes()
+        assert data == transitopt.write_lp(transitopt.build_model(load_scenario(doc))).encode()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"]["model.lp"] == hashlib.sha256(data).hexdigest()
+        for name, digest in manifest["artifacts"].items():
+            assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
+        assert manifest["scenario_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestLazyScipy:

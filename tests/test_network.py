@@ -126,8 +126,11 @@ class TestArcTravelTime:
         )
         for route in (simple_route(dwell=0.3), drawn):
             mat = route.travel_time_matrix()
-            # one shared table per route, which callers cannot mutate
-            assert type(mat) is tuple and all(type(row) is tuple for row in mat)
+            # one shared table per route, which callers cannot mutate, of
+            # unboxed doubles
+            assert type(mat) is tuple
+            assert all(type(row) is memoryview and row.readonly and row.format == "d"
+                       for row in mat)
             assert mat is route.travel_time_matrix()
             for i in range(route.n_dir):
                 for j in range(route.n_dir):
@@ -215,6 +218,15 @@ class TestValidateScenario:
         s = load_scenario(scenario_doc(out_times=(-3.0, 4.0)))
         assert [str(v) for v in validate_scenario(s)] == [
             "routes[0].link_run_times.outbound[0]: run times must be > 0"]
+
+    def test_dwell_credit_below_zero(self):
+        # a credit of 3 for skipping stop 1 outweighs the two 1-minute links to stop 2
+        s = make_scenario(stops=tuple("ABC"), out_times=(1.0, 1.0), in_times=(1.0, 1.0),
+                          dwell_saving=3.0, turnback_time=0.0, symmetry=False, n_patterns=1,
+                          demand=(((0, 0, 2), 5.0),), fleet_cap=5.0)
+        assert [str(v) for v in validate_scenario(s)] == [
+            "routes[0].dwell_saving: makes allowed arc (0, 2) take -1 minutes; "
+            "arc times must be >= 0"]
 
     def test_mask_shape(self):
         s = load_scenario(scenario_doc(allowed_arcs=[[False, True]] * 6))

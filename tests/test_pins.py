@@ -1,7 +1,9 @@
-"""Pinned outputs: the LP text of small models and the size of the city model.
+"""Pinned outputs: the LP text of small models and of the city model, and
+the size of the city model.
 
-The hashes and counts were taken from the writer and builder as they stood
-before the model moved to array blocks; any change to the LP text or to a
+The toy hashes and the city counts were taken from the writer and builder
+as they stood before the model moved to array blocks, the city hash before
+the writer yielded its text in chunks; any change to the LP text or to a
 family's size shows up here.
 """
 
@@ -67,6 +69,15 @@ def test_lp_text_pinned(case):
     if variant == "fixed-baseline":
         model = fix_baseline(model, load_plan(full_pattern_plan_doc(scenario), scenario))
     assert hashlib.sha256(write_lp(model).encode()).hexdigest() == LP_SHA256[case]
+
+
+# sha256 and length of the city model's LP text
+CITY_LP = ("9ae506a5bc816d9ba524af15c5c57fd9b8dbfff1a3284877c96c8b4c9e7be879", 85_561_692)
+
+
+def test_city_lp_text_pinned():
+    data = write_lp(build_model(load_scenario(city_doc()))).encode()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == CITY_LP
 
 
 def test_city_model_stats_pinned():
