@@ -3,12 +3,16 @@
 Given a frozen design (loops + headways), the cheapest flow routing is found
 without touching the model builder: when transfers and capacity are both off
 the problem separates per origin-destination pair and is solved in closed
-form; otherwise one small mixed-integer program per route and period covers
-every destination with demand. That program goes through ``milp``, which
-assembles it with the backend's ``csr_rows`` and solves it with its
-``solve_arrays``, the row assembler and HiGHS call the design model uses
-(scipy's bundled HiGHS binding on numpy arrays; no scipy package is
-imported).
+form; otherwise one small program per route and period covers every
+destination with demand. It is a linear program unless capacity is on:
+without capacity each destination's routing is an optimal-strategy
+shortest path (Spiess & Florian 1989), so some optimum uses one combination
+per entry stop and no pick variable is needed. With capacity, binary picks
+hold each entry stop to one combination, as the design model does. The
+program goes through ``milp``, which assembles it with the backend's
+``csr_rows`` and solves it with its ``solve_arrays``, the row assembler and
+HiGHS call the design model uses (scipy's bundled HiGHS binding on numpy
+arrays; no scipy package is imported).
 Both price exactly the objective used by the design model: riding minutes
 plus weighted perceived waiting plus weighted transfer penalties.
 """
@@ -177,8 +181,8 @@ def _assign_direct(scenario: Scenario, plan: ServicePlan, t: int, r: int,
 # ---------------------------------------------------------------------------
 
 class _MiniLp:
-    """Tiny standalone MILP: costs and binary flags per variable, rows in CSR
-    form with sense codes into ``SENSES``."""
+    """Tiny standalone program: costs and binary flags per variable, rows in
+    CSR form with sense codes into ``SENSES``."""
 
     def __init__(self):
         self.costs: list[float] = []
@@ -267,7 +271,10 @@ def _check_routable(scenario: Scenario, t: int, r: int,
 
 def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
                fa: FlowAssignment) -> None:
-    """One program covering every destination with demand on route r in period t."""
+    """One program covering every destination with demand on route r in period t.
+
+    Combination picks ``z``, their one-per-cell rows and the boarding gates
+    exist only with capacity on; otherwise the program is an LP."""
     route = scenario.routes[r]
     cell = plan.cell(r, t)
     nd = route.n_dir
@@ -279,6 +286,7 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     tmat = route.travel_time_matrix()
     dm = scenario.demand[r]
     opts = scenario.options
+    capacity = opts.enforce_capacity
     gamma_w, gamma_x, t_x = scenario.gamma_wait, scenario.gamma_transfer, scenario.transfer_time
 
     dests = [d for d in range(route.n_physical) if dm.total_into(t, d) > 0.0]
@@ -300,7 +308,8 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
         big_m = dm.total_into(t, d)
         for i in entry_stops:
             for c in avail:
-                z[(d, i, c)] = lp.var(binary=True)
+                if capacity:
+                    z[(d, i, c)] = lp.var(binary=True)
                 w[(d, i, c)] = lp.var(cost=gamma_w * combos[c].perceived_headway / 2.0)
                 for p in combos[c].active_patterns:
                     a_[(d, i, c, p)] = lp.var()
@@ -329,11 +338,13 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
             lp.add(coeffs, "=", dm.riders(t, o, d))
 
         for i in entry_stops:
-            lp.add([(z[(d, i, c)], 1.0) for c in avail], "<=", 1.0)
+            if capacity:
+                lp.add([(z[(d, i, c)], 1.0) for c in avail], "<=", 1.0)
             for c in avail:
                 combo = combos[c]
-                for p in combo.active_patterns:
-                    lp.add([(a_[(d, i, c, p)], 1.0), (z[(d, i, c)], -big_m)], "<=", 0.0)
+                if capacity:
+                    for p in combo.active_patterns:
+                        lp.add([(a_[(d, i, c, p)], 1.0), (z[(d, i, c)], -big_m)], "<=", 0.0)
                 coeffs = [(w[(d, i, c)], 1.0)]
                 if opts.allow_transfers:
                     mi = route.mirror(i)
@@ -374,7 +385,7 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
         lp.add([(b_[(d, s, view.p)], 1.0) for view in views for s in (d_dir, d_mir)],
                "=", big_m)
 
-    if opts.enforce_capacity:
+    if capacity:
         minutes = 60.0 * scenario.periods[t].duration_hours
         for view in views:
             per_period = route.vehicle_capacity * minutes / view.headway
@@ -386,7 +397,7 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
 
     res = milp(lp)
     if res.status == "infeasible":
-        if opts.enforce_capacity:
+        if capacity:
             raise EvaluationError(
                 f"insufficient capacity to route demand on route {r} in period {t}")
         raise EvaluationError(
@@ -412,7 +423,7 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
             for c in avail:
                 tot = x[w[(d, i, c)]]
                 tot += sum(x[a_[(d, i, c, p)]] for p in combos[c].active_patterns)
-                if tot > _FLOW_EPS and x[z[(d, i, c)]] > 0.5:
+                if tot > _FLOW_EPS and (not capacity or x[z[(d, i, c)]] > 0.5):
                     flow_by_c[c] = tot
             if flow_by_c:
                 fa.combo_choice[(t, r, i, d)] = max(flow_by_c, key=lambda cc: (flow_by_c[cc], -cc))

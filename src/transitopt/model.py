@@ -106,7 +106,6 @@ ROW_FAMILIES = (
 
 # Row senses; a RowBlock stores each row's position in this tuple.
 SENSES = ("<=", ">=", "=")
-_LE, _EQ = SENSES.index("<="), SENSES.index("=")
 
 
 @dataclass(slots=True)
@@ -218,12 +217,6 @@ def var_block(family: str, kind: str, start: int, keys: Sequence, lb: Any = 0.0,
     return VarBlock(family, kind, start, matrix, lb, ub)
 
 
-def _key_array(key: Any) -> np.ndarray:
-    """``key`` as an array, int32 if it holds integers."""
-    key = np.asarray(key)
-    return key.astype(np.int32, copy=False) if key.dtype.kind in "iu" else key
-
-
 def row_block(family: str, keys: Sequence, terms: Sequence[tuple[Any, Any]], sense: Any,
               rhs: Any) -> RowBlock:
     """Rows of ``family``, one per row of each term group's arrays.
@@ -231,8 +224,8 @@ def row_block(family: str, keys: Sequence, terms: Sequence[tuple[Any, Any]], sen
     A term group is ``(cols, coefs)``: ``cols`` holds variable ids, one row
     per model row (a 1-D array is one term per row), with -1 where a row has
     no term; ``coefs`` is broadcast to its shape. A row's terms are its
-    groups' terms, in group order. ``keys`` (one entry per key position),
-    ``sense`` (a symbol, or one symbol or code per row) and ``rhs`` are per
+    groups' terms, in group order. ``keys`` (integers, one entry per key
+    position), ``sense`` (a symbol, or one symbol per row) and ``rhs`` are per
     row or shared by all."""
     groups = []
     for cols, coefs in terms:
@@ -245,11 +238,10 @@ def row_block(family: str, keys: Sequence, terms: Sequence[tuple[Any, Any]], sen
     present = cols >= 0
     indptr = np.zeros(nrows + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=1), out=indptr[1:])
-    codes = np.asarray(sense)
-    if codes.dtype.kind == "U":
-        codes = np.vectorize(SENSES.index, otypes=[np.int8])(codes)
-    codes = np.array(np.broadcast_to(codes.astype(np.int8), (nrows,)))
-    return RowBlock(family, tuple(np.broadcast_to(_key_array(k), (nrows,)) for k in keys),
+    codes = np.vectorize(SENSES.index, otypes=[np.int8])(sense)
+    codes = np.array(np.broadcast_to(codes, (nrows,)))
+    return RowBlock(family, tuple(np.broadcast_to(np.asarray(k, dtype=np.int32), (nrows,))
+                                  for k in keys),
                     indptr, cols[present], vals[present], codes,
                     np.array(np.broadcast_to(np.asarray(rhs, dtype=np.float64), (nrows,))))
 
@@ -287,19 +279,13 @@ class _Builder:
                          ids.astype(np.int32), coefs, scenario)
 
 
-def big_m_flow(scenario: Scenario, r: int, t: int, d: int, share: bool = False) -> float:
+def big_m_flow(scenario: Scenario, r: int, t: int, d: int) -> float:
     """Coupling constant for destination-``d`` flow rows of route r, period t.
 
     Flow conservation bounds every d-labeled flow by the total demand into d,
-    so that sum is a valid (and per-destination tight) big-M. Frequency-share
-    window rows compare headway-scaled flows and need the extra factor of the
-    largest menu headway.
+    so that sum is a valid (and per-destination tight) big-M.
     """
-    total = scenario.demand[r].total_into(t, d)
-    if share:
-        menu = scenario.routes[r].headway_menu(t)
-        return max(menu) * total
-    return total
+    return scenario.demand[r].total_into(t, d)
 
 
 def build_model(scenario: Scenario) -> MilpModel:
@@ -362,8 +348,6 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     ncp = len(cp_c)
 
     big_m = np.array([big_m_flow(scenario, r, t, d) for d in range(n)], dtype=np.float64)
-    big_m_share = np.array([big_m_flow(scenario, r, t, d, share=True) for d in range(n)],
-                           dtype=np.float64)
 
     # --- variables -------------------------------------------------
     lb, ub = 0.0, None
@@ -510,8 +494,9 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     b.add_rows("board_gate", (t, r, fa_d, fa_i, fa_c, fa_p),
                [(fa_ids, 1.0), (gate_z, -big_m[fa_d])], "<=", 0.0)
 
-    # Per pair of active patterns: an "ub" and an "lb" row where demand
-    # exists, a single "eq" row where it is zero. The tag is the sense code.
+    # Boarding splits in proportion to frequency: t1 fa[p1] = t2 fa[p2] for
+    # each pair of a combination's active patterns. No gate is needed: off
+    # the picked combination, board_gate holds both flows at 0.
     pairs = [(c, act[a], act[a2], menu[combo.headway_indices[act[a]] - 1],
               menu[combo.headway_indices[act[a2]] - 1])
              for c, combo in enumerate(combos)
@@ -520,17 +505,12 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     if pairs:
         sh_c, sh_p1, sh_p2 = np.array([q[:3] for q in pairs], dtype=np.int64).T
         sh_t1, sh_t2 = np.array([q[3:] for q in pairs], dtype=np.float64).T
-        cell, pair, tag = (a.ravel() for a in np.indices((n_ent, len(pairs), 3)))
-        ms = big_m_share[ent_d[cell]]
-        keep = np.where(ms > 0.0, tag != _EQ, tag == _EQ)
-        cell, pair, tag, ms = cell[keep], pair[keep], tag[keep], ms[keep]
+        cell, pair = (a.ravel() for a in np.indices((n_ent, len(pairs))))
         d, i, c = ent_d[cell], ent_i[cell], sh_c[pair]
         p1, p2 = sh_p1[pair], sh_p2[pair]
-        window = np.where(tag == _LE, ms, -ms)
-        b.add_rows("board_share", (t, r, d, i, c, p1, p2, np.array(["ub", "lb", "eq"])[tag]),
-                   [(faid[d, i, c, p1], sh_t1[pair]), (faid[d, i, c, p2], -sh_t2[pair]),
-                    (np.where(tag == _EQ, -1, zid[i, d, c]), window)],
-                   tag, np.where(tag == _EQ, 0.0, window))
+        b.add_rows("board_share", (t, r, d, i, c, p1, p2),
+                   [(faid[d, i, c, p1], sh_t1[pair]), (faid[d, i, c, p2], -sh_t2[pair])],
+                   "=", 0.0)
 
     # --- demand and conservation ---------------------------------------
     dm = scenario.demand[r]

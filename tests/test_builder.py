@@ -6,8 +6,8 @@ import pytest
 
 from transitopt import (
     BuildError, PlanError, ServicePlan, SolverConfig, assign_flows, big_m_flow,
-    build_model, compute_metrics, decode_plan, fix_baseline, load_plan,
-    model_stats, solve,
+    build_model, compute_metrics, decode_plan, enumerate_combinations, fix_baseline,
+    load_plan, model_stats, solve,
 )
 from transitopt.model import ROW_FAMILIES
 
@@ -102,9 +102,9 @@ class TestRowCounts:
         assert rows["one_combination"] == n * (s - 2)
         assert rows["combination_menu"] == n * (s - 2) * actives
         assert rows["board_gate"] == n * (s - 2) * actives
-        # 4 combinations have two active patterns; windows are two rows where
-        # demand exists (d in {0, 2}) and a single equality where it is zero
-        assert rows["board_share"] == (s - 2) * 4 * (2 * 2 + 1)
+        # 4 combinations have two active patterns: one equality per entry
+        # cell and pair, with demand into the cell's destination or without
+        assert rows["board_share"] == n * (s - 2) * 4
         assert rows["demand_entry"] == n * (n - 1)
         assert rows["demand_exit"] == n
         assert rows["entry_board_balance"] == n * (s - 2) * n_combos
@@ -124,6 +124,29 @@ class TestRowCounts:
         assert rows_on["arc_capacity"] == 2 * comb(s, 2)
 
 
+class TestShareRows:
+    @pytest.mark.parametrize("transfers", [False, True], ids=["direct", "transfers"])
+    def test_rows_are_plain_equalities_of_two_boardings(self, transfers):
+        # riders go to destinations 0 and 2 only: the cells of destination 1
+        # get the same rows as the others
+        menu = (5.0, 7.0)
+        model = build_model(make_scenario(transfers=transfers, menu=menu))
+        combos = enumerate_combinations(2, menu)
+        variables = model.variables
+        rows = [row for row in model.rows if row.family == "board_share"]
+        assert {row.key[2] for row in rows} == {0, 1, 2}
+        for row in rows:
+            t, r, d, i, c, p1, p2 = row.key
+            assert (row.sense, row.rhs) == ("=", 0.0)
+            assert len(row.coeffs) == 2
+            (v1, a1), (v2, a2) = row.coeffs
+            assert variables[v1].family == variables[v2].family == "fa"
+            assert variables[v1].key == (t, r, d, i, c, p1)
+            assert variables[v2].key == (t, r, d, i, c, p2)
+            h = combos[c].headway_indices
+            assert (a1, a2) == (menu[h[p1] - 1], -menu[h[p2] - 1])
+
+
 class TestStoredLayout:
     @pytest.mark.parametrize("transfers", [False, True], ids=["direct", "transfers"])
     def test_indices_are_int32(self, transfers):
@@ -136,7 +159,7 @@ class TestStoredLayout:
         for b in model.row_blocks:
             assert b.indptr.dtype == b.cols.dtype == np.int32, b.family
             for key in b.keys:
-                assert key.dtype == np.int32 or key.dtype.kind == "U", b.family
+                assert key.dtype == np.int32, b.family
         gate = next(b for b in model.row_blocks if b.family == "ride_arc_gate")
         t, r, d = gate.keys[:3]
         assert t.strides == r.strides == (0,)
@@ -151,11 +174,6 @@ class TestBigM:
     def test_zero_demand_gives_zero(self):
         scenario = make_scenario(demand=(((0, 0, 2), 30.0),))
         assert big_m_flow(scenario, 0, 0, 1) == 0.0
-
-    def test_share_rows_scale_by_max_headway(self):
-        scenario = make_scenario(menu=(5.0, 7.0),
-                                 demand=(((0, 0, 2), 30.0), ((0, 1, 2), 12.0)))
-        assert big_m_flow(scenario, 0, 0, 2, share=True) == 7.0 * 42.0
 
 
 class TestBuildValidation:

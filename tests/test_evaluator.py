@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+import transitopt.evaluator as evaluator
 from transitopt import (
     EvaluationError, SolverConfig, UnroutableDemandError, assign_flows, build_model,
     compute_metrics, conservation_residuals, decode_plan, fleet_requirement,
@@ -291,3 +293,23 @@ class TestAgainstSolver:
         with pytest.raises(EvaluationError, match=r"^insufficient capacity to route demand "
                                                   r"on route 0 in period 0$"):
             assign_flows(scenario, plan)
+
+
+class TestProgramKind:
+    @pytest.mark.parametrize("capacity", [False, True], ids=["capacity-off", "capacity-on"])
+    def test_integer_columns_only_with_capacity(self, monkeypatch, capacity):
+        # without capacity one combination per cell is optimal, so the
+        # program is an LP; with capacity binary picks enforce it
+        seen = []
+        solve_arrays = evaluator.solve_arrays
+
+        def recording(c, a, row_lo, row_hi, integrality, *rest):
+            seen.append(np.asarray(integrality))
+            return solve_arrays(c, a, row_lo, row_hi, integrality, *rest)
+
+        monkeypatch.setattr(evaluator, "solve_arrays", recording)
+        scenario = make_scenario(enforce_capacity=capacity, capacity=25.0, symmetry=False)
+        plan = load_plan(full_pattern_plan_doc(scenario), scenario)
+        assign_flows(scenario, plan)
+        assert len(seen) == 1
+        assert bool(seen[0].any()) == capacity

@@ -1,10 +1,10 @@
 """Pinned outputs: the LP text of small models and of the city model, and
 the size of the city model.
 
-The toy hashes and the city counts were taken from the writer and builder
-as they stood before the model moved to array blocks, the city hash before
-the writer yielded its text in chunks; any change to the LP text or to a
-family's size shows up here.
+The pins were last taken when the frequency-share rows became plain
+equalities; the LP text is otherwise byte-identical to the writer's before
+the model moved to array blocks. Any change to the LP text or to a family's
+size shows up here.
 """
 
 import hashlib
@@ -17,27 +17,27 @@ from transitopt import (build_model, fix_baseline, load_plan, load_scenario, mod
 from _factories import city_doc, full_pattern_plan_doc, random_toy_doc
 
 LP_SHA256 = {
-    "transfers-off-1": "e01f8106a5fe67069242a9170c3d546a53ff540302306411453bcc9e750889e0",
-    "transfers-off-2": "b211c1a2865e65f9fc544f1475293a7406c03ef75a6e4b0d99fc55a63d7143c5",
-    "transfers-off-3": "da0c8d3965316da304ec164d713733d11c264c04cfb7c37d4e203dce7790e90f",
-    "transfers-on-dwell-1": "acd10f440b8792f7503bc42202b0e8ad6fe1b587c423ac73bbb96f2d8d2600f5",
-    "transfers-on-dwell-2": "7e5fc0a7ab003cde7330db9986f9da8bb50c1c3095eaadf853144374e1777c5a",
-    "transfers-on-dwell-3": "59e406c0c6af0ce4d9db6d7ea14b6725b69d59358826b1999a7d488be1ddd443",
-    "capacity-1": "ef2ec9da246bc42b1dc3116603f57ac1cb0724cf59c07c28a94c2949e92aa797",
-    "capacity-2": "13446fb508aadaf62e4abf21c7b93322b8459f641389c5f907e5c9bf1257b2fc",
-    "capacity-3": "1b35c23de5170347b0bc1a5669e01d0882c977bce0d287485021dda74241e398",
-    "two-periods-1": "cd00524e15c86e648970e2b8dedc2efeb4ff85a7336f2f12917e42521eeedf5c",
-    "two-periods-2": "5020b1565cfd4ea43fd02f3af33bdd9b7c17259b20435b296f8941be032de279",
-    "two-periods-3": "1a8d365656f40eebb65ba20e2b884e1877bbaabccf02a03bd4a929eafb1e5dbc",
-    "integer-fleet-1": "c9f11cd9577b74af7c285b74e5761c9a84131c62454e7c0aacf1deeb603c6d66",
-    "integer-fleet-2": "7bda96e6c36fa843c33bd2ca25dedcbb11e5fd9e77fb37c5d2daa39fece23da7",
-    "integer-fleet-3": "8036674d6d254568b80b97eb020c0658ae29092aeddd31df87d025840646f079",
-    "symmetry-1": "2a88c42979a469251c719c6a6bc3d2c7ccd08cafd0c2f6b06c182bb84c29eb29",
-    "symmetry-2": "80f394b9ca1cd3a1150fe3e73bd0a0b6130acdf47a5eeb23f6d8297d3e5b7416",
-    "symmetry-3": "a1176a48795da16cb359a2674501cdbbdcfdcfebac3acbb7f88930277aa1ecc4",
-    "fixed-baseline-1": "be40717fad80f55041c8c0781b0249d8d5d23bde97ae54b3be91b9832bc91f26",
-    "fixed-baseline-2": "2d188be78af3e0b14501007f0358e422a7f101f56e3e23c0359ac6204265897e",
-    "fixed-baseline-3": "68bbcd40f089aade3f1b0b91a6b2c9a252c80b5995bde0db31c7631b74806337",
+    "transfers-off-1": "7b7ab2d4ffa9514449ade840ff5ef4d47ef7ad52ec21d83c9f53016028004ffe",
+    "transfers-off-2": "215c641d03da0fb3e16e983ccf633a6b8fb353d93659452418ca0d0f79c3087f",
+    "transfers-off-3": "c1f1f8507d2c8aa0d29274e5ab3ce8a49fe1542d000fc4cf7d2e03ec1d732067",
+    "transfers-on-dwell-1": "552e184bd4bf5696068b8c49809bd3d3cb7f8c7b1e521556e2be17ef3f53fa58",
+    "transfers-on-dwell-2": "b144cf76012c0951f65d563f9fa6081f6dd52264cb4b7ddd7feb28f54c77015e",
+    "transfers-on-dwell-3": "0ef2e8abb7c92c4fbb0cfdab484cd8730b26cf0a04aee452d26b9a0c567f6d4a",
+    "capacity-1": "bf8d654a0f7f68a54cbc0c454c7b4a54d9fe48f46bcac5ff8e705b0250d9327b",
+    "capacity-2": "9805696e2ad85854e9d4add6f1db846b0b5a49815bcca15043c81d778cacc83a",
+    "capacity-3": "150eb7172676d2148dc7d65f46ae97a111e30924977bd74c4d441d45641242fe",
+    "two-periods-1": "0959075c40caeb986e25080b4b2267021097159cad21db40b61b2318525ed272",
+    "two-periods-2": "0ee85e48a86ed309660a28cb069427566484bde0558ee89ba9d68d4ef1a4711e",
+    "two-periods-3": "bf999d49ca263353358f6b5b229e1da5dc1fb8e30b2fb71f2c42c59d09bfa350",
+    "integer-fleet-1": "1d3571952bb5cf4409ac02cc5034ee7c654e6eb31f9ab9dbb6bcb4c157114985",
+    "integer-fleet-2": "887b8b0a4dffb904b6e5283c34a08f24bcdf26558a31d88c18a713784c6fa58d",
+    "integer-fleet-3": "3a3c22776bb87fed639ec5d5617f6a187a70dabe1515e681b14c0246db41bfdc",
+    "symmetry-1": "91211fa453ce62def5058056eec043168a554212f2255671035e3b983ba744b4",
+    "symmetry-2": "0eeefd7a97a5374b3c5250d0b344e233e573989053bd3be69fdafd6cad39b43f",
+    "symmetry-3": "e0db4a5c978057300bbfd9bcf1382bf985700a113b8dc38ee4982b6784f9a63f",
+    "fixed-baseline-1": "b98775b40f2443dcfdc341d4ede6039d343c9811a42ec40104a63fce28931548",
+    "fixed-baseline-2": "df35e0c7ff68000286bb37c51d7b59fc4be65d085800617b137cbc0afa7f270f",
+    "fixed-baseline-3": "a8c62c8bccf43aa94a7979ecdbc7140bc5c1f7144ef48c22c8014773d13392f0",
 }
 
 
@@ -72,7 +72,7 @@ def test_lp_text_pinned(case):
 
 
 # sha256 and length of the city model's LP text
-CITY_LP = ("9ae506a5bc816d9ba524af15c5c57fd9b8dbfff1a3284877c96c8b4c9e7be879", 85_561_692)
+CITY_LP = ("9e3cf7dad9802ef189858581676401f92cde22b209a0573c62b9b1160809165c", 83_380_380)
 
 
 def test_city_lp_text_pinned():
@@ -90,16 +90,16 @@ def test_city_model_stats_pinned():
                           "fl": 307020, "fb": 172, "fx": 115584, "n": 1},
         },
         "rows": {
-            "total": 464716,
+            "total": 450268,
             "by_family": {
                 "loop_balance": 172, "loop_visit_cap": 172, "loop_wrap": 2,
                 "ride_arc_gate": 307020, "pattern_symmetry": 0, "one_headway": 2,
                 "headway_order": 2, "cycle_gate": 4, "cycle_split": 2, "arc_capacity": 0,
                 "fleet_need": 1, "fleet_pool": 1, "fleet_hours": 1, "one_combination": 3612,
-                "combination_menu": 43344, "board_gate": 43344, "board_share": 28896,
+                "combination_menu": 43344, "board_gate": 43344, "board_share": 14448,
                 "demand_entry": 1806, "demand_exit": 43, "entry_board_balance": 28896,
                 "onboard_balance": 7224, "arrive_exit_balance": 172,
             },
         },
-        "nonzeros": 1958857,
+        "nonzeros": 1901065,
     }

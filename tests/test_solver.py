@@ -169,6 +169,19 @@ class TestExport:
         assert "n_r0_t0" in text
 
 
+class TestLadderOptima:
+    # Proven optima of the corridor rungs as first measured. A change of
+    # formulation may change rows, never these values.
+    @pytest.mark.parametrize("n, transfers, optimum", [
+        (3, False, 761.025), (3, True, 761.025), (4, False, 1196.325), (4, True, 1196.325),
+    ], ids=["n3-direct", "n3-transfers", "n4-direct", "n4-transfers"])
+    def test_proven_optimum_pinned(self, n, transfers, optimum):
+        model = build_model(load_scenario(ladder_doc(n, 7, transfers=transfers)))
+        result = solve(model, SolverConfig(time_limit_s=120))
+        assert result.status == "optimal"
+        assert result.objective == pytest.approx(optimum, rel=1e-9)
+
+
 class TestDecode:
     def test_decoded_loops_visit_each_stop_once(self):
         model = build_model(make_scenario())
