@@ -4,15 +4,18 @@ Given a frozen design (loops + headways), the cheapest flow routing is found
 without touching the model builder: when transfers and capacity are both off
 the problem separates per origin-destination pair and is solved in closed
 form; otherwise one small program per route and period covers every
-destination with demand. It is a linear program unless capacity is on:
-without capacity each destination's routing is an optimal-strategy
-shortest path (Spiess & Florian 1989), so some optimum uses one combination
-per entry stop and no pick variable is needed. With capacity, binary picks
-hold each entry stop to one combination, as the design model does. The
-program goes through ``milp``, which assembles it with the backend's
-``csr_rows`` and solves it with its ``solve_arrays``, the row assembler and
-HiGHS call the design model uses (scipy's bundled HiGHS binding on numpy
-arrays; no scipy package is imported).
+destination with demand. Binary picks hold each entry stop to one
+combination for riders starting there and riders transferring there alike,
+as the design model does. The program is a linear program when capacity is
+off and a wait weighs the same at the origin as at a transfer: each
+destination's routing is then an optimal-strategy shortest path (Spiess &
+Florian 1989), both groups rank an entry stop's combinations alike, and some
+optimum uses one combination per entry stop without picks. With different
+weights the two groups can prefer different combinations at one stop, so
+the picks stay. The program goes through ``milp``, which assembles it with
+the backend's ``csr_rows`` and solves it with its ``solve_arrays``, the row
+assembler and HiGHS call the design model uses (scipy's bundled HiGHS
+binding on numpy arrays; no scipy package is imported).
 Both price exactly the objective used by the design model: riding minutes
 plus weighted perceived waiting plus weighted transfer penalties.
 """
@@ -274,7 +277,8 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     """One program covering every destination with demand on route r in period t.
 
     Combination picks ``z``, their one-per-cell rows and the boarding gates
-    exist only with capacity on; otherwise the program is an LP."""
+    exist only where an LP optimum could split a cell (see the module
+    docstring); otherwise the program is an LP."""
     route = scenario.routes[r]
     cell = plan.cell(r, t)
     nd = route.n_dir
@@ -288,6 +292,7 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     opts = scenario.options
     capacity = opts.enforce_capacity
     gamma_w, gamma_x, t_x = scenario.gamma_wait, scenario.gamma_transfer, scenario.transfer_time
+    picks = capacity or (opts.allow_transfers and gamma_w != gamma_x)
 
     dests = [d for d in range(route.n_physical) if dm.total_into(t, d) > 0.0]
     if not dests:
@@ -308,7 +313,7 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
         big_m = dm.total_into(t, d)
         for i in entry_stops:
             for c in avail:
-                if capacity:
+                if picks:
                     z[(d, i, c)] = lp.var(binary=True)
                 w[(d, i, c)] = lp.var(cost=gamma_w * combos[c].perceived_headway / 2.0)
                 for p in combos[c].active_patterns:
@@ -338,11 +343,11 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
             lp.add(coeffs, "=", dm.riders(t, o, d))
 
         for i in entry_stops:
-            if capacity:
+            if picks:
                 lp.add([(z[(d, i, c)], 1.0) for c in avail], "<=", 1.0)
             for c in avail:
                 combo = combos[c]
-                if capacity:
+                if picks:
                     for p in combo.active_patterns:
                         lp.add([(a_[(d, i, c, p)], 1.0), (z[(d, i, c)], -big_m)], "<=", 0.0)
                 coeffs = [(w[(d, i, c)], 1.0)]
@@ -423,7 +428,7 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
             for c in avail:
                 tot = x[w[(d, i, c)]]
                 tot += sum(x[a_[(d, i, c, p)]] for p in combos[c].active_patterns)
-                if tot > _FLOW_EPS and (not capacity or x[z[(d, i, c)]] > 0.5):
+                if tot > _FLOW_EPS and (not picks or x[z[(d, i, c)]] > 0.5):
                     flow_by_c[c] = tot
             if flow_by_c:
                 fa.combo_choice[(t, r, i, d)] = max(flow_by_c, key=lambda cc: (flow_by_c[cc], -cc))

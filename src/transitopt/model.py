@@ -495,13 +495,13 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
                [(fa_ids, 1.0), (gate_z, -big_m[fa_d])], "<=", 0.0)
 
     # Boarding splits in proportion to frequency: t1 fa[p1] = t2 fa[p2] for
-    # each pair of a combination's active patterns. No gate is needed: off
-    # the picked combination, board_gate holds both flows at 0.
-    pairs = [(c, act[a], act[a2], menu[combo.headway_indices[act[a]] - 1],
-              menu[combo.headway_indices[act[a2]] - 1])
+    # each consecutive pair of a combination's active patterns, which implies
+    # every other pair. No gate is needed: off the picked combination,
+    # board_gate holds both flows at 0.
+    pairs = [(c, p1, p2, menu[combo.headway_indices[p1] - 1],
+              menu[combo.headway_indices[p2] - 1])
              for c, combo in enumerate(combos)
-             for act in [combo.active_patterns]
-             for a in range(len(act)) for a2 in range(a + 1, len(act))]
+             for p1, p2 in zip(combo.active_patterns, combo.active_patterns[1:])]
     if pairs:
         sh_c, sh_p1, sh_p2 = np.array([q[:3] for q in pairs], dtype=np.int64).T
         sh_t1, sh_t2 = np.array([q[3:] for q in pairs], dtype=np.float64).T

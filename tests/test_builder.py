@@ -126,12 +126,14 @@ class TestRowCounts:
 
 class TestShareRows:
     @pytest.mark.parametrize("transfers", [False, True], ids=["direct", "transfers"])
-    def test_rows_are_plain_equalities_of_two_boardings(self, transfers):
+    @pytest.mark.parametrize("n_patterns", [2, 3])
+    def test_rows_are_plain_equalities_of_two_boardings(self, transfers, n_patterns):
         # riders go to destinations 0 and 2 only: the cells of destination 1
         # get the same rows as the others
         menu = (5.0, 7.0)
-        model = build_model(make_scenario(transfers=transfers, menu=menu))
-        combos = enumerate_combinations(2, menu)
+        model = build_model(make_scenario(transfers=transfers, menu=menu, n_patterns=n_patterns,
+                                          symmetry=n_patterns == 2))
+        combos = enumerate_combinations(n_patterns, menu)
         variables = model.variables
         rows = [row for row in model.rows if row.family == "board_share"]
         assert {row.key[2] for row in rows} == {0, 1, 2}
@@ -145,6 +147,12 @@ class TestShareRows:
             assert variables[v2].key == (t, r, d, i, c, p2)
             h = combos[c].headway_indices
             assert (a1, a2) == (menu[h[p1] - 1], -menu[h[p2] - 1])
+        # consecutive active patterns only: k - 1 rows per combination of
+        # k active patterns imply the other pairs (3 stops: 12 entry cells)
+        act = [combo.active_patterns for combo in combos]
+        assert {row.key[4:] for row in rows} == {
+            (c, p1, p2) for c in range(len(combos)) for p1, p2 in zip(act[c], act[c][1:])}
+        assert len(rows) == 12 * sum(len(a) - 1 for a in act)
 
 
 class TestStoredLayout:

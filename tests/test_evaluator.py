@@ -4,7 +4,7 @@ import pytest
 import transitopt.evaluator as evaluator
 from transitopt import (
     EvaluationError, SolverConfig, UnroutableDemandError, assign_flows, build_model,
-    compute_metrics, conservation_residuals, decode_plan, fleet_requirement,
+    compute_metrics, conservation_residuals, decode_plan, fix_baseline, fleet_requirement,
     load_plan, load_scenario, solve,
 )
 from transitopt.evaluator import _assign_lp
@@ -257,6 +257,32 @@ class TestAgainstSolver:
         m = compute_metrics(fa, scenario, plan)
         assert m.objective == pytest.approx(result.objective, rel=1e-6)
 
+    @pytest.mark.parametrize("gamma_transfer, optimum", [(2.0, 835.0), (1.5, 780.0)],
+                             ids=["transfer-weighs-more", "equal-weights"])
+    def test_origin_and_transfer_boarders_share_a_cell(self, gamma_transfer, optimum):
+        # Stops A B C D, headway 10 on every pattern: pattern 0 runs B..D
+        # and back, pattern 1 passes D outbound and serves it after the
+        # 8.5-minute turnback, pattern 2 shuttles A-B. Riders B -> D and
+        # riders from A, who change at B, share the cell (D, B). Joining
+        # pattern 1 halves the wait and costs half the riders the turnback:
+        # worth it at a transfer wait weight of 2.0, not at the origin's 1.5.
+        # The design model picks one combination for the whole cell, so
+        # the evaluator must too.
+        scenario = make_scenario(
+            stops=("A", "B", "C", "D"), out_times=(3.0, 3.0, 3.0), in_times=(3.0, 3.0, 3.0),
+            menu=(10.0,), n_patterns=3, turnback_time=8.5, transfer_time=1.0,
+            demand=(((0, 0, 3), 20.0), ((0, 1, 3), 20.0)), fleet_cap=40.0,
+            gamma_wait=1.5, gamma_transfer=gamma_transfer, symmetry=False)
+        plan = load_plan(plan_doc({(0, 0): [((1, 2, 3, 4, 5, 6), 10.0), ((1, 2, 4, 5, 6), 10.0),
+                                            ((0, 1, 6, 7), 10.0)]}, scenario), scenario)
+        fa = assign_flows(scenario, plan)
+        assert {k[3] for k in fa.entry} == {0, 1}
+        assert {k[4] for k in fa.transfer} == {1}
+        fixed = solve(fix_baseline(build_model(scenario), plan), SolverConfig(time_limit_s=60))
+        assert fixed.status == "optimal"
+        assert fixed.objective == pytest.approx(optimum, rel=1e-9)
+        assert compute_metrics(fa, scenario, plan).objective == pytest.approx(optimum, rel=1e-9)
+
     def test_capacity_binds_when_enabled(self):
         # one vehicle of 10 riders every 10 minutes: 60 riders/hour per arc
         base = dict(
@@ -296,10 +322,14 @@ class TestAgainstSolver:
 
 
 class TestProgramKind:
-    @pytest.mark.parametrize("capacity", [False, True], ids=["capacity-off", "capacity-on"])
-    def test_integer_columns_only_with_capacity(self, monkeypatch, capacity):
-        # without capacity one combination per cell is optimal, so the
-        # program is an LP; with capacity binary picks enforce it
+    @pytest.mark.parametrize("capacity, gamma_transfer, integer", [
+        (False, 1.5, False), (False, 2.0, True), (True, 1.5, True),
+    ], ids=["capacity-off-equal-weights", "capacity-off-transfer-weighs-more", "capacity-on"])
+    def test_integer_columns_only_where_a_cell_could_split(self, monkeypatch, capacity,
+                                                           gamma_transfer, integer):
+        # without capacity and with one wait weight, one combination per cell
+        # is optimal and the program is an LP; otherwise binary picks hold
+        # each cell to one combination
         seen = []
         solve_arrays = evaluator.solve_arrays
 
@@ -308,8 +338,9 @@ class TestProgramKind:
             return solve_arrays(c, a, row_lo, row_hi, integrality, *rest)
 
         monkeypatch.setattr(evaluator, "solve_arrays", recording)
-        scenario = make_scenario(enforce_capacity=capacity, capacity=25.0, symmetry=False)
+        scenario = make_scenario(enforce_capacity=capacity, capacity=25.0, symmetry=False,
+                                 gamma_wait=1.5, gamma_transfer=gamma_transfer)
         plan = load_plan(full_pattern_plan_doc(scenario), scenario)
         assign_flows(scenario, plan)
         assert len(seen) == 1
-        assert bool(seen[0].any()) == capacity
+        assert bool(seen[0].any()) == integer
