@@ -24,22 +24,9 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from .model import SENSES, MilpModel, RowBlock, VarBlock
+from .model import SENSES, VAR_KEYS, MilpModel, RowBlock, VarBlock
 
 __all__ = ["lp_chunks", "write_lp"]
-
-_VAR_LABELS = {
-    "x": ("t", "r", "p", "i", "j"),
-    "y": ("t", "r", "p", "h"),
-    "cy": ("t", "r", "p", "h"),
-    "z": ("t", "r", "i", "d", "c"),
-    "fw": ("t", "r", "d", "i", "c"),
-    "fa": ("t", "r", "d", "i", "c", "p"),
-    "fl": ("t", "r", "d", "p", "i", "j"),
-    "fb": ("t", "r", "j", "p"),
-    "fx": ("t", "r", "d", "i", "j", "p", "c"),
-    "n": ("r", "t"),
-}
 
 _TERMS_PER_LINE = 8
 _HEADER = "\\ transitopt\n"
@@ -47,7 +34,7 @@ _HEADER = "\\ transitopt\n"
 # One str.format template per family, e.g. "x_t{}_r{}_p{}_i{}_j{}".
 _NAME_FORMATS = {
     family: family + "".join(f"_{label}{{}}" for label in labels)
-    for family, labels in _VAR_LABELS.items()
+    for family, labels in VAR_KEYS.items()
 }
 
 

@@ -56,6 +56,7 @@ __all__ = [
     "fix_baseline",
     "model_stats",
     "VAR_FAMILIES",
+    "VAR_KEYS",
     "ROW_FAMILIES",
     "SENSES",
 ]
@@ -65,18 +66,21 @@ class BuildError(ValueError):
     """Raised when a scenario cannot be translated into a model."""
 
 
-# Wire prefixes of the variable families. Key layout per family:
-#   x  (t, r, p, i, j)        pattern arc                      binary
-#   y  (t, r, p, h)           headway pick, h=0 means off      binary
-#   cy (t, r, p, h)           cycle minutes under headway h>=1 continuous
-#   z  (t, r, i, d, c)        combination pick                 binary
-#   fw (t, r, d, i, c)        entry flow
-#   fa (t, r, d, i, c, p)     boarding flow
-#   fl (t, r, d, p, i, j)     inter-stop (riding) flow
-#   fb (t, r, j, p)           exit flow
-#   fx (t, r, d, i, j, p, c)  transfer flow (alight i, board j)
-#   n  (r, t)                 fleet allocated to route r in period t
-VAR_FAMILIES = ("x", "y", "cy", "z", "fw", "fa", "fl", "fb", "fx", "n")
+# Variable families in id order, each with the labels of its key positions;
+# LP names are the family prefix plus ``_<label><index>`` per position.
+VAR_KEYS = {
+    "x": ("t", "r", "p", "i", "j"),             # pattern arc                      binary
+    "y": ("t", "r", "p", "h"),                  # headway pick, h=0 means off      binary
+    "cy": ("t", "r", "p", "h"),                 # cycle minutes under headway h>=1 continuous
+    "z": ("t", "r", "i", "d", "c"),             # combination pick                 binary
+    "fw": ("t", "r", "d", "i", "c"),            # entry flow
+    "fa": ("t", "r", "d", "i", "c", "p"),       # boarding flow
+    "fl": ("t", "r", "d", "p", "i", "j"),       # inter-stop (riding) flow
+    "fb": ("t", "r", "j", "p"),                 # exit flow
+    "fx": ("t", "r", "d", "i", "j", "p", "c"),  # transfer flow (alight i, board j)
+    "n": ("r", "t"),                            # fleet allocated to route r in period t
+}
+VAR_FAMILIES = tuple(VAR_KEYS)
 
 # Constraint families in export order. Each row is tagged with exactly one.
 ROW_FAMILIES = (
