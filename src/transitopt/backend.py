@@ -10,7 +10,8 @@ scipy ships (``scipy.optimize._highspy._core``), which ``_highs`` loads
 from its file on the first solve. Neither ``scipy.optimize`` nor
 ``scipy.sparse`` is imported, and commands that never solve load no scipy
 module at all. ``decode_plan`` turns the assignment back into domain
-objects, one variable block at a time.
+objects, one variable block at a time; a cell's boarders are split across
+the combination's patterns by frequency share.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .combos import enumerate_combinations
 from .model import SENSES, MilpModel, RowBlock
 from .plan import (FlowAssignment, PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs,
                    model_order)
@@ -226,7 +228,8 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
     x = result.assignment
 
     fa = FlowAssignment()
-    targets = {"fw": fa.entry, "fa": fa.boarding, "fl": fa.inter_stop,
+    boarders: dict[tuple, float] = {}                   # (t, r, d, i, c) -> riders
+    targets = {"fw": fa.entry, "fa": boarders, "fl": fa.inter_stop,
                "fb": fa.exit, "fx": fa.transfer}
     selected: dict[tuple, list[tuple[int, int]]] = {}   # (t, r, p) -> arcs picked
     picks: dict[tuple, list[int]] = {}                  # (t, r, p) -> headways picked
@@ -264,6 +267,12 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
                         raise DecodeError(
                             f"entry stop {i} label {d}: two combinations picked ({prior} and {c})")
                     fa.combo_choice[(t, r, i, d)] = c
+
+    for (t, r, d, i, c), v in boarders.items():
+        route = scenario.routes[r]
+        shares = enumerate_combinations(route.n_patterns, route.headway_menu(t))[c].shares
+        fa.boarding.update(((t, r, d, i, c, p), share * v)
+                           for p, share in enumerate(shares) if share > 0.0)
 
     cells: list[tuple[RoutePeriodPlan, ...]] = []
     for r, route in enumerate(scenario.routes):

@@ -542,11 +542,12 @@ def conservation_residuals(fa: FlowAssignment, scenario: Scenario,
                            plan: ServicePlan) -> dict[str, float]:
     """Worst violation of each balance family for an assignment.
 
-    board_share is normalized by the larger headway-scaled flow so the check
-    is meaningful at any demand scale; the others are absolute riders.
+    boarding_split (frequency shares) is normalized by the larger
+    headway-scaled flow so the check is meaningful at any demand scale; the
+    others are absolute riders.
     """
     res = {"demand_entry": 0.0, "demand_exit": 0.0, "entry_board_balance": 0.0,
-           "onboard_balance": 0.0, "arrive_exit_balance": 0.0, "board_share": 0.0}
+           "onboard_balance": 0.0, "arrive_exit_balance": 0.0, "boarding_split": 0.0}
 
     combo_sets = {
         (t, r): enumerate_combinations(route.n_patterns, route.headway_menu(t))
@@ -566,7 +567,7 @@ def conservation_residuals(fa: FlowAssignment, scenario: Scenario,
                 v1 = menu[combo.headway_indices[p1] - 1] * by_p.get(p1, 0.0)
                 v2 = menu[combo.headway_indices[p2] - 1] * by_p.get(p2, 0.0)
                 scale = max(1.0, abs(v1), abs(v2))
-                res["board_share"] = max(res["board_share"], abs(v1 - v2) / scale)
+                res["boarding_split"] = max(res["boarding_split"], abs(v1 - v2) / scale)
 
     entry_by_stop: dict[tuple, float] = {}
     for (t, r, d, i, c), v in fa.entry.items():

@@ -10,7 +10,9 @@ The model couples, per route and period:
 * a combination pick per (entry stop, destination) that fixes which patterns
   riders may board and the perceived headway they wait,
 * destination-labeled flows for entering, boarding, riding, exiting and
-  (optionally) transferring riders,
+  (optionally) transferring riders; boarding is one flow per entry cell and
+  combination, and each pattern's frequency share of it is a coefficient of
+  that pattern's on-board balance,
 * a per-route fleet variable drawing on shared vehicle and vehicle-hour pools.
 
 The objective is the total weighted journey time: riding minutes, plus
@@ -74,7 +76,7 @@ VAR_KEYS = {
     "cy": ("t", "r", "p", "h"),                 # cycle minutes under headway h>=1 continuous
     "z": ("t", "r", "i", "d", "c"),             # combination pick                 binary
     "fw": ("t", "r", "d", "i", "c"),            # entry flow
-    "fa": ("t", "r", "d", "i", "c", "p"),       # boarding flow
+    "fa": ("t", "r", "d", "i", "c"),            # boarding flow, all patterns
     "fl": ("t", "r", "d", "p", "i", "j"),       # inter-stop (riding) flow
     "fb": ("t", "r", "j", "p"),                 # exit flow
     "fx": ("t", "r", "d", "i", "j", "p", "c"),  # transfer flow (alight i, board j)
@@ -100,7 +102,6 @@ ROW_FAMILIES = (
     "one_combination",      # at most one combination per entry stop and label
     "combination_menu",     # combination only if its headways are picked
     "board_gate",           # boarding only under the picked combination
-    "board_share",          # boarding split matches the frequency-share rule
     "demand_entry",         # entries at both direction stops cover demand
     "demand_exit",          # exits at both direction stops cover demand
     "entry_board_balance",  # entries + transfers in == boardings
@@ -287,7 +288,11 @@ def big_m_flow(scenario: Scenario, r: int, t: int, d: int) -> float:
     """Coupling constant for destination-``d`` flow rows of route r, period t.
 
     Flow conservation bounds every d-labeled flow by the total demand into d,
-    so that sum is a valid (and per-destination tight) big-M.
+    so that sum is a valid (and per-destination tight) big-M. For the one
+    ``board_gate`` row per entry cell, which bounds the boarders of all
+    patterns together: at an optimum no rider passes a cell twice, since the
+    second visit closes a cycle that contains a transfer, and a transfer
+    costs more than 0. So every boarder of a cell is a distinct rider into d.
     """
     return scenario.demand[r].total_into(t, d)
 
@@ -350,6 +355,7 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     cp_c, cp_p = np.array([(c, p) for c, combo in enumerate(combos)
                            for p in combo.active_patterns], dtype=np.int64).reshape(-1, 2).T
     ncp = len(cp_c)
+    shares = np.array([combo.shares for combo in combos])          # [c, p]
 
     big_m = np.array([big_m_flow(scenario, r, t, d) for d in range(n)], dtype=np.float64)
 
@@ -383,11 +389,9 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     fwid = np.full((n, nd, nc), -1, dtype=np.int64)
     fwid[ent_d, ent_i] = fw_ids.reshape(n_ent, nc)
 
-    fa_d, fa_i = np.repeat(ent_d, ncp), np.repeat(ent_i, ncp)
-    fa_c, fa_p = np.tile(cp_c, n_ent), np.tile(cp_p, n_ent)
-    fa_ids = b.add_vars("fa", "C", (t, r, fa_d, fa_i, fa_c, fa_p))
-    faid = np.full((n, nd, nc, npat), -1, dtype=np.int64)
-    faid[fa_d, fa_i, fa_c, fa_p] = fa_ids
+    fa_ids = b.add_vars("fa", "C", (t, r, fw_d, fw_i, fw_c))
+    faid = np.full((n, nd, nc), -1, dtype=np.int64)
+    faid[ent_d, ent_i] = fa_ids.reshape(n_ent, nc)
 
     fl_d, fl_p, fl_a = np.nonzero(np.broadcast_to(entry[:, fwd_i][:, None, :],
                                                   (n, npat, len(fwd_i))))
@@ -494,27 +498,9 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     b.add_rows("combination_menu", (t, r, m_i, m_d, m_c, m_p),
                [(zid[m_i, m_d, m_c], 1.0), (np.tile(pick_y, len(z_i)), -1.0)], "<=", 0.0)
 
-    gate_z = np.where(big_m[fa_d] > 0.0, zid[fa_i, fa_d, fa_c], -1)
-    b.add_rows("board_gate", (t, r, fa_d, fa_i, fa_c, fa_p),
-               [(fa_ids, 1.0), (gate_z, -big_m[fa_d])], "<=", 0.0)
-
-    # Boarding splits in proportion to frequency: t1 fa[p1] = t2 fa[p2] for
-    # each consecutive pair of a combination's active patterns, which implies
-    # every other pair. No gate is needed: off the picked combination,
-    # board_gate holds both flows at 0.
-    pairs = [(c, p1, p2, menu[combo.headway_indices[p1] - 1],
-              menu[combo.headway_indices[p2] - 1])
-             for c, combo in enumerate(combos)
-             for p1, p2 in zip(combo.active_patterns, combo.active_patterns[1:])]
-    if pairs:
-        sh_c, sh_p1, sh_p2 = np.array([q[:3] for q in pairs], dtype=np.int64).T
-        sh_t1, sh_t2 = np.array([q[3:] for q in pairs], dtype=np.float64).T
-        cell, pair = (a.ravel() for a in np.indices((n_ent, len(pairs))))
-        d, i, c = ent_d[cell], ent_i[cell], sh_c[pair]
-        p1, p2 = sh_p1[pair], sh_p2[pair]
-        b.add_rows("board_share", (t, r, d, i, c, p1, p2),
-                   [(faid[d, i, c, p1], sh_t1[pair]), (faid[d, i, c, p2], -sh_t2[pair])],
-                   "=", 0.0)
+    gate_z = np.where(big_m[fw_d] > 0.0, zid[fw_i, fw_d, fw_c], -1)
+    b.add_rows("board_gate", (t, r, fw_d, fw_i, fw_c),
+               [(fa_ids, 1.0), (gate_z, -big_m[fw_d])], "<=", 0.0)
 
     # --- demand and conservation ---------------------------------------
     dm = scenario.demand[r]
@@ -532,11 +518,14 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
         same = by_combo[fw_d, fw_i, fw_c, 0]
         across = by_combo[fw_d, mirror[fw_i], fw_c, 1]
         groups.append((np.stack([same, across], axis=2).reshape(-1, 2 * npat), 1.0))
-    groups.append((faid[fw_d, fw_i, fw_c], -1.0))
+    groups.append((fa_ids, -1.0))
     b.add_rows("entry_board_balance", (t, r, fw_d, fw_i, fw_c), groups, "=", 0.0)
 
+    # riders boarding at j under combination c split across its active
+    # patterns in proportion to frequency: pattern p gets shares[c, p]
     ob_d, ob_p, ob_j = np.nonzero(np.broadcast_to(entry[:, None, :], (n, npat, nd)))
-    groups = [(faid.transpose(0, 1, 3, 2)[ob_d, ob_j, ob_p], 1.0),
+    split = shares[:, ob_p].T                           # [row, c]
+    groups = [(np.where(split > 0.0, faid[ob_d, ob_j], -1), split),
               (fl_into[ob_d, ob_p, ob_j], 1.0),
               (flid[ob_d, ob_p, ob_j], -1.0)]
     if opts.allow_transfers:

@@ -226,7 +226,9 @@ class FlowAssignment:
 
     entry:      (t, r, d, i, c)       riders entering stop i for physical
                                       destination d under combination c
-    boarding:   (t, r, d, i, c, p)    riders boarding pattern p
+    boarding:   (t, r, d, i, c, p)    riders boarding pattern p; decoded
+                                      from the model as p's frequency share
+                                      of the cell's boarders
     inter_stop: (t, r, d, p, i, j)    riders on board between stops
     exit:       (t, r, j, p)          riders leaving the system at stop j
     transfer:   (t, r, d, i, j, p, c) riders alighting pattern p at i and

@@ -19,14 +19,13 @@ def closed_form_variable_counts(n, n_patterns, menu_size, transfers, n_periods=1
     s = 2 * n
     arcs = s * (s - 1)
     n_combos = (menu_size + 1) ** n_patterns - 1
-    actives = n_patterns * menu_size * (menu_size + 1) ** (n_patterns - 1)
     per_period = {
         "x": n_patterns * arcs,
         "y": n_patterns * (menu_size + 1),
         "cy": n_patterns * menu_size,
         "z": n_combos * n * (s - 2),
         "fw": n_combos * n * (s - 2),
-        "fa": n * (s - 2) * actives,
+        "fa": n_combos * n * (s - 2),
         "fl": n * n_patterns * (comb(s, 2) - (s - 1)),
         "fb": s * n_patterns,
         "fx": n * (s - 2) * 2 * n_patterns * n_combos if transfers else 0,
@@ -101,10 +100,7 @@ class TestRowCounts:
         assert rows["fleet_hours"] == 1
         assert rows["one_combination"] == n * (s - 2)
         assert rows["combination_menu"] == n * (s - 2) * actives
-        assert rows["board_gate"] == n * (s - 2) * actives
-        # 4 combinations have two active patterns: one equality per entry
-        # cell and pair, with demand into the cell's destination or without
-        assert rows["board_share"] == n * (s - 2) * 4
+        assert rows["board_gate"] == n * (s - 2) * n_combos
         assert rows["demand_entry"] == n * (n - 1)
         assert rows["demand_exit"] == n
         assert rows["entry_board_balance"] == n * (s - 2) * n_combos
@@ -124,35 +120,33 @@ class TestRowCounts:
         assert rows_on["arc_capacity"] == 2 * comb(s, 2)
 
 
-class TestShareRows:
+class TestShareCoefficients:
     @pytest.mark.parametrize("transfers", [False, True], ids=["direct", "transfers"])
     @pytest.mark.parametrize("n_patterns", [2, 3])
-    def test_rows_are_plain_equalities_of_two_boardings(self, transfers, n_patterns):
+    def test_onboard_rows_board_each_pattern_its_share(self, transfers, n_patterns):
         # riders go to destinations 0 and 2 only: the cells of destination 1
-        # get the same rows as the others
+        # get the same terms as the others
         menu = (5.0, 7.0)
         model = build_model(make_scenario(transfers=transfers, menu=menu, n_patterns=n_patterns,
                                           symmetry=n_patterns == 2))
         combos = enumerate_combinations(n_patterns, menu)
         variables = model.variables
-        rows = [row for row in model.rows if row.family == "board_share"]
+        rows = [row for row in model.rows if row.family == "onboard_balance"]
         assert {row.key[2] for row in rows} == {0, 1, 2}
+        assert len(rows) == 3 * n_patterns * 4      # (d, p, j): 4 entry stops per label
         for row in rows:
-            t, r, d, i, c, p1, p2 = row.key
-            assert (row.sense, row.rhs) == ("=", 0.0)
-            assert len(row.coeffs) == 2
-            (v1, a1), (v2, a2) = row.coeffs
-            assert variables[v1].family == variables[v2].family == "fa"
-            assert variables[v1].key == (t, r, d, i, c, p1)
-            assert variables[v2].key == (t, r, d, i, c, p2)
-            h = combos[c].headway_indices
-            assert (a1, a2) == (menu[h[p1] - 1], -menu[h[p2] - 1])
-        # consecutive active patterns only: k - 1 rows per combination of
-        # k active patterns imply the other pairs (3 stops: 12 entry cells)
-        act = [combo.active_patterns for combo in combos]
-        assert {row.key[4:] for row in rows} == {
-            (c, p1, p2) for c in range(len(combos)) for p1, p2 in zip(act[c], act[c][1:])}
-        assert len(rows) == 12 * sum(len(a) - 1 for a in act)
+            t, r, d, p, j = row.key
+            boarding = [(variables[v].key, a) for v, a in row.coeffs
+                        if variables[v].family == "fa"]
+            # one term per combination in which p is active, in combination
+            # order, with p's frequency share as its coefficient
+            assert boarding == [((t, r, d, j, c), combo.shares[p])
+                                for c, combo in enumerate(combos)
+                                if p in combo.active_patterns]
+        # no row other than the entry balance and the gate reads a boarding
+        for row in model.rows:
+            if row.family not in ("onboard_balance", "entry_board_balance", "board_gate"):
+                assert all(variables[v].family != "fa" for v, _ in row.coeffs), row.family
 
 
 class TestStoredLayout:

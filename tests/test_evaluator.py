@@ -257,6 +257,23 @@ class TestAgainstSolver:
         m = compute_metrics(fa, scenario, plan)
         assert m.objective == pytest.approx(result.objective, rel=1e-6)
 
+    def test_three_headways_split_by_inexact_shares(self):
+        # a pool of 8 vehicles runs the three patterns at 5, 7 and 10
+        # minutes: riders split 14/31, 10/31 and 7/31, none of them an exact
+        # decimal, and the decoded split must price as the evaluator's own
+        scenario = make_scenario(menu=(5.0, 7.0, 10.0), n_patterns=3, fleet_cap=8.0,
+                                 symmetry=False)
+        assert scenario.options.allow_transfers
+        model = build_model(scenario)
+        result = solve(model, SolverConfig(time_limit_s=120))
+        assert result.status == "optimal"
+        plan, flows = decode_plan(model, result)
+        assert sorted(pat.headway for pat in plan.cell(0, 0).patterns) == [5.0, 7.0, 10.0]
+        m = compute_metrics(assign_flows(scenario, plan), scenario, plan)
+        assert m.objective == pytest.approx(result.objective, rel=1e-9)
+        for family, worst in conservation_residuals(flows, scenario, plan).items():
+            assert worst <= 1e-9, (family, worst)
+
     @pytest.mark.parametrize("gamma_transfer, optimum", [(2.0, 835.0), (1.5, 780.0)],
                              ids=["transfer-weighs-more", "equal-weights"])
     def test_origin_and_transfer_boarders_share_a_cell(self, gamma_transfer, optimum):

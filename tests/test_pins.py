@@ -1,9 +1,10 @@
 """Pinned outputs: the LP text of small models and of the city model, and
 the size of the city model.
 
-The pins were last taken when the frequency-share rows became plain
-equalities; the LP text is otherwise byte-identical to the writer's before
-the model moved to array blocks. Any change to the LP text or to a family's
+The pins were last taken when boarding became one variable per entry cell
+and combination, split across patterns by frequency-share coefficients;
+the LP text is otherwise byte-identical to the writer's before the model
+moved to array blocks. Any change to the LP text or to a family's
 size shows up here.
 """
 
@@ -17,27 +18,27 @@ from transitopt import (build_model, fix_baseline, load_plan, load_scenario, mod
 from _factories import city_doc, full_pattern_plan_doc, random_toy_doc
 
 LP_SHA256 = {
-    "transfers-off-1": "7b7ab2d4ffa9514449ade840ff5ef4d47ef7ad52ec21d83c9f53016028004ffe",
-    "transfers-off-2": "215c641d03da0fb3e16e983ccf633a6b8fb353d93659452418ca0d0f79c3087f",
-    "transfers-off-3": "c1f1f8507d2c8aa0d29274e5ab3ce8a49fe1542d000fc4cf7d2e03ec1d732067",
-    "transfers-on-dwell-1": "552e184bd4bf5696068b8c49809bd3d3cb7f8c7b1e521556e2be17ef3f53fa58",
-    "transfers-on-dwell-2": "b144cf76012c0951f65d563f9fa6081f6dd52264cb4b7ddd7feb28f54c77015e",
-    "transfers-on-dwell-3": "0ef2e8abb7c92c4fbb0cfdab484cd8730b26cf0a04aee452d26b9a0c567f6d4a",
-    "capacity-1": "bf8d654a0f7f68a54cbc0c454c7b4a54d9fe48f46bcac5ff8e705b0250d9327b",
-    "capacity-2": "9805696e2ad85854e9d4add6f1db846b0b5a49815bcca15043c81d778cacc83a",
-    "capacity-3": "150eb7172676d2148dc7d65f46ae97a111e30924977bd74c4d441d45641242fe",
-    "two-periods-1": "0959075c40caeb986e25080b4b2267021097159cad21db40b61b2318525ed272",
-    "two-periods-2": "0ee85e48a86ed309660a28cb069427566484bde0558ee89ba9d68d4ef1a4711e",
-    "two-periods-3": "bf999d49ca263353358f6b5b229e1da5dc1fb8e30b2fb71f2c42c59d09bfa350",
-    "integer-fleet-1": "1d3571952bb5cf4409ac02cc5034ee7c654e6eb31f9ab9dbb6bcb4c157114985",
-    "integer-fleet-2": "887b8b0a4dffb904b6e5283c34a08f24bcdf26558a31d88c18a713784c6fa58d",
-    "integer-fleet-3": "3a3c22776bb87fed639ec5d5617f6a187a70dabe1515e681b14c0246db41bfdc",
-    "symmetry-1": "91211fa453ce62def5058056eec043168a554212f2255671035e3b983ba744b4",
-    "symmetry-2": "0eeefd7a97a5374b3c5250d0b344e233e573989053bd3be69fdafd6cad39b43f",
-    "symmetry-3": "e0db4a5c978057300bbfd9bcf1382bf985700a113b8dc38ee4982b6784f9a63f",
-    "fixed-baseline-1": "b98775b40f2443dcfdc341d4ede6039d343c9811a42ec40104a63fce28931548",
-    "fixed-baseline-2": "df35e0c7ff68000286bb37c51d7b59fc4be65d085800617b137cbc0afa7f270f",
-    "fixed-baseline-3": "a8c62c8bccf43aa94a7979ecdbc7140bc5c1f7144ef48c22c8014773d13392f0",
+    "transfers-off-1": "f8d008380236ff3ef04032861abe56fbf7d036b43723d5d001d72175ac336f02",
+    "transfers-off-2": "fd62416dc2e0286475bdf1ef7533be1941ab6822f2f91167fc6b4741c2210988",
+    "transfers-off-3": "a9331dbb32bcc7e23b6cb9370a0e2c215bf0ae5974f80284f4075bae17bd721c",
+    "transfers-on-dwell-1": "97882cd6a831c949dce7c83840e54af168fff9d3fcd3a593c6a9c11c3f58ed8c",
+    "transfers-on-dwell-2": "3cfb739a82d767c995364c04f194cd8dfb625638fb839ced13304fc8aabd2074",
+    "transfers-on-dwell-3": "6003e3b429fa725ed69bd236564e55def0e2c59dbf5e1e7eb3f8b897860a93e8",
+    "capacity-1": "6f6723320c3f802f7e5130784c249934f943e1ece06e3f1915d9a676db4b5484",
+    "capacity-2": "003942e0aa9e335b07aa2d6bda2262d270b2000cf06e9c0cf332d06077c0fd47",
+    "capacity-3": "018a629445d668a2c7d34f8d723708e0df7c1414725943c1684ad1aa95eff689",
+    "two-periods-1": "841138a52f035068529f8060d53abeb95523270b9eba7d8f320caae9ba96bb49",
+    "two-periods-2": "65dc9f7a94762e7a55e2629ac89584deb4b3ed494c31c16f59f0e39e55930197",
+    "two-periods-3": "fcd3f61a3e83f69d1d82750596b5fea7e72f0caf4d69683e3e8b531451744f3c",
+    "integer-fleet-1": "6bf9babe9afb76906fb4ee4582efa90860507c72ae29aec510893543626fa109",
+    "integer-fleet-2": "e2798d586c5ecc5320056b1c605f559659bd5a00de8ca0f65d1df4d4857b3c56",
+    "integer-fleet-3": "67ed4f6a103540e01e2d507cf52b49429ab264fe419d015b2630f4d555b916f9",
+    "symmetry-1": "0111598fa13ca4781ccdaaddf88efa4c20599505d64fd10b628ba8bc1c7b048a",
+    "symmetry-2": "0001f823d24373a52459ec89c331de904c473dc427ef7c13574651bdadbc3f72",
+    "symmetry-3": "8a5b48149f2eb067de52b9187998b6231c82a250661b404c5585aff4285960b2",
+    "fixed-baseline-1": "c4732209cd42f42b64c392ce2fe3d20b159feb3365577b581be2f77010b84d86",
+    "fixed-baseline-2": "de5a51acd965c505cdf875af6a4b05476cd099fc1c27677af5f77926a7835f87",
+    "fixed-baseline-3": "211bbf641986ef65128cf4e42b7eb8433a3d2e4f2b85e75c684b388baf868151",
 }
 
 
@@ -72,7 +73,7 @@ def test_lp_text_pinned(case):
 
 
 # sha256 and length of the city model's LP text
-CITY_LP = ("9e3cf7dad9802ef189858581676401f92cde22b209a0573c62b9b1160809165c", 83_380_380)
+CITY_LP = ("268a6d5712608306b76b759c2fc6def92352d6bc19049ce38b5b4dfc190b8109", 80_519_172)
 
 
 def test_city_lp_text_pinned():
@@ -84,22 +85,22 @@ def test_city_model_stats_pinned():
     stats = model_stats(build_model(load_scenario(city_doc())))
     assert stats == {
         "variables": {
-            "total": 538543,
-            "by_kind": {"binary": 43522, "continuous": 495021, "integer": 0},
-            "by_family": {"x": 14620, "y": 6, "cy": 4, "z": 28896, "fw": 28896, "fa": 43344,
+            "total": 524095,
+            "by_kind": {"binary": 43522, "continuous": 480573, "integer": 0},
+            "by_family": {"x": 14620, "y": 6, "cy": 4, "z": 28896, "fw": 28896, "fa": 28896,
                           "fl": 307020, "fb": 172, "fx": 115584, "n": 1},
         },
         "rows": {
-            "total": 450268,
+            "total": 421372,
             "by_family": {
                 "loop_balance": 172, "loop_visit_cap": 172, "loop_wrap": 2,
                 "ride_arc_gate": 307020, "pattern_symmetry": 0, "one_headway": 2,
                 "headway_order": 2, "cycle_gate": 4, "cycle_split": 2, "arc_capacity": 0,
                 "fleet_need": 1, "fleet_pool": 1, "fleet_hours": 1, "one_combination": 3612,
-                "combination_menu": 43344, "board_gate": 43344, "board_share": 14448,
+                "combination_menu": 43344, "board_gate": 28896,
                 "demand_entry": 1806, "demand_exit": 43, "entry_board_balance": 28896,
                 "onboard_balance": 7224, "arrive_exit_balance": 172,
             },
         },
-        "nonzeros": 1901065,
+        "nonzeros": 1828825,
     }
