@@ -10,8 +10,8 @@ scipy ships (``scipy.optimize._highspy._core``), which ``_highs`` loads
 from its file on the first solve. Neither ``scipy.optimize`` nor
 ``scipy.sparse`` is imported, and commands that never solve load no scipy
 module at all. ``decode_plan`` turns the assignment back into domain
-objects, one variable block at a time; a cell's boarders are split across
-the combination's patterns by frequency share.
+objects, one variable block at a time: boarders split by frequency share,
+and a transfer node's alighters paired with its boarders in proportion.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ __all__ = [
 
 BINARY_TOL = 1e-6
 FLOW_CLAMP_TOL = 1e-9
+NODE_TOL = 1e-6     # relative mismatch of a transfer node's alighters and boarders
 
 
 class SolverError(RuntimeError):
@@ -229,8 +230,10 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
 
     fa = FlowAssignment()
     boarders: dict[tuple, float] = {}                   # (t, r, d, i, c) -> riders
+    alighting: dict[tuple, float] = {}                  # (t, r, d, p, i) -> riders
+    reboarding: dict[tuple, float] = {}                 # (t, r, d, i, c) -> riders
     targets = {"fw": fa.entry, "fa": boarders, "fl": fa.inter_stop,
-               "fb": fa.exit, "fx": fa.transfer}
+               "fb": fa.exit, "ft": alighting, "fx": reboarding}
     selected: dict[tuple, list[tuple[int, int]]] = {}   # (t, r, p) -> arcs picked
     picks: dict[tuple, list[int]] = {}                  # (t, r, p) -> headways picked
     fleet: dict[tuple, float] = {}                      # (r, t) -> vehicles
@@ -273,6 +276,21 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
         shares = enumerate_combinations(route.n_patterns, route.headway_menu(t))[c].shares
         fa.boarding.update(((t, r, d, i, c, p), share * v)
                            for p, share in enumerate(shares) if share > 0.0)
+
+    # node (t, r, d, physical stop): alighters (i, p) and boarders (j, c)
+    nodes: dict[tuple, tuple[list, list]] = {}
+    stop_of = [route.physical_of for route in scenario.routes]
+    for (t, r, d, p, i), v in alighting.items():
+        nodes.setdefault((t, r, d, stop_of[r](i)), ([], []))[0].append((i, p, v))
+    for (t, r, d, j, c), v in reboarding.items():
+        nodes.setdefault((t, r, d, stop_of[r](j)), ([], []))[1].append((j, c, v))
+    for (t, r, d, o), (out, into) in nodes.items():
+        alighted, boarded = sum(v for *_, v in out), sum(v for *_, v in into)
+        if abs(alighted - boarded) > NODE_TOL * max(1.0, boarded):
+            raise DecodeError(f"period {t} route {r} stop {o} label {d}: {alighted} riders "
+                              f"alight to transfer, {boarded} board")
+        fa.transfer.update(((t, r, d, i, j, p, c), a * w / boarded)
+                           for i, p, a in out for j, c, w in into)
 
     cells: list[tuple[RoutePeriodPlan, ...]] = []
     for r, route in enumerate(scenario.routes):

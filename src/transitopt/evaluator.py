@@ -6,16 +6,11 @@ the problem separates per origin-destination pair and is solved in closed
 form; otherwise one small program per route and period covers every
 destination with demand. Binary picks hold each entry stop to one
 combination for riders starting there and riders transferring there alike,
-as the design model does. The program is a linear program when capacity is
-off and a wait weighs the same at the origin as at a transfer: each
-destination's routing is then an optimal-strategy shortest path (Spiess &
-Florian 1989), both groups rank an entry stop's combinations alike, and some
-optimum uses one combination per entry stop without picks. With different
-weights the two groups can prefer different combinations at one stop, so
-the picks stay. The program goes through ``milp``, which assembles it with
-the backend's ``csr_rows`` and solves it with its ``solve_arrays``, the row
-assembler and HiGHS call the design model uses (scipy's bundled HiGHS
-binding on numpy arrays; no scipy package is imported).
+as the design model does. The program goes through ``milp``, which
+assembles it with the backend's ``csr_rows`` and solves it with its
+``solve_arrays``, the row assembler and HiGHS call the design model uses
+(scipy's bundled HiGHS binding on numpy arrays; no scipy package is
+imported).
 Both price exactly the objective used by the design model: riding minutes
 plus weighted perceived waiting plus weighted transfer penalties.
 """
@@ -274,11 +269,7 @@ def _check_routable(scenario: Scenario, t: int, r: int,
 
 def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
                fa: FlowAssignment) -> None:
-    """One program covering every destination with demand on route r in period t.
-
-    Combination picks ``z``, their one-per-cell rows and the boarding gates
-    exist only where an LP optimum could split a cell (see the module
-    docstring); otherwise the program is an LP."""
+    """One program covering every destination with demand on route r in period t."""
     route = scenario.routes[r]
     cell = plan.cell(r, t)
     nd = route.n_dir
@@ -292,7 +283,6 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     opts = scenario.options
     capacity = opts.enforce_capacity
     gamma_w, gamma_x, t_x = scenario.gamma_wait, scenario.gamma_transfer, scenario.transfer_time
-    picks = capacity or (opts.allow_transfers and gamma_w != gamma_x)
 
     dests = [d for d in range(route.n_physical) if dm.total_into(t, d) > 0.0]
     if not dests:
@@ -313,8 +303,7 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
         big_m = dm.total_into(t, d)
         for i in entry_stops:
             for c in avail:
-                if picks:
-                    z[(d, i, c)] = lp.var(binary=True)
+                z[(d, i, c)] = lp.var(binary=True)
                 w[(d, i, c)] = lp.var(cost=gamma_w * combos[c].perceived_headway / 2.0)
                 for p in combos[c].active_patterns:
                     a_[(d, i, c, p)] = lp.var()
@@ -343,13 +332,11 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
             lp.add(coeffs, "=", dm.riders(t, o, d))
 
         for i in entry_stops:
-            if picks:
-                lp.add([(z[(d, i, c)], 1.0) for c in avail], "<=", 1.0)
+            lp.add([(z[(d, i, c)], 1.0) for c in avail], "<=", 1.0)
             for c in avail:
                 combo = combos[c]
-                if picks:
-                    for p in combo.active_patterns:
-                        lp.add([(a_[(d, i, c, p)], 1.0), (z[(d, i, c)], -big_m)], "<=", 0.0)
+                for p in combo.active_patterns:
+                    lp.add([(a_[(d, i, c, p)], 1.0), (z[(d, i, c)], -big_m)], "<=", 0.0)
                 coeffs = [(w[(d, i, c)], 1.0)]
                 if opts.allow_transfers:
                     mi = route.mirror(i)
@@ -419,19 +406,10 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     for (d, s, p), idx in b_.items():
         if x[idx] > _FLOW_EPS:
             fa.exit[(t, r, s, p)] = fa.exit.get((t, r, s, p), 0.0) + x[idx]
-    for d in dests:
-        d_dir, d_mir = route.direction_stops_of(d)
-        for i in range(nd):
-            if i == d_dir or i == d_mir:
-                continue
-            flow_by_c = {}
-            for c in avail:
-                tot = x[w[(d, i, c)]]
-                tot += sum(x[a_[(d, i, c, p)]] for p in combos[c].active_patterns)
-                if tot > _FLOW_EPS and (not picks or x[z[(d, i, c)]] > 0.5):
-                    flow_by_c[c] = tot
-            if flow_by_c:
-                fa.combo_choice[(t, r, i, d)] = max(flow_by_c, key=lambda cc: (flow_by_c[cc], -cc))
+    for (d, i, c), idx in z.items():
+        used = x[w[(d, i, c)]] + sum(x[a_[(d, i, c, p)]] for p in combos[c].active_patterns)
+        if x[idx] > 0.5 and used > _FLOW_EPS:
+            fa.combo_choice[(t, r, i, d)] = c
 
 
 def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:

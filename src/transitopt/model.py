@@ -10,9 +10,9 @@ The model couples, per route and period:
 * a combination pick per (entry stop, destination) that fixes which patterns
   riders may board and the perceived headway they wait,
 * destination-labeled flows for entering, boarding, riding, exiting and
-  (optionally) transferring riders; boarding is one flow per entry cell and
-  combination, and each pattern's frequency share of it is a coefficient of
-  that pattern's on-board balance,
+  (optionally) transferring riders through one node per physical stop;
+  boarding is one flow per entry cell and combination, and each pattern's
+  frequency share of it is a coefficient of that pattern's on-board balance,
 * a per-route fleet variable drawing on shared vehicle and vehicle-hour pools.
 
 The objective is the total weighted journey time: riding minutes, plus
@@ -79,7 +79,8 @@ VAR_KEYS = {
     "fa": ("t", "r", "d", "i", "c"),            # boarding flow, all patterns
     "fl": ("t", "r", "d", "p", "i", "j"),       # inter-stop (riding) flow
     "fb": ("t", "r", "j", "p"),                 # exit flow
-    "fx": ("t", "r", "d", "i", "j", "p", "c"),  # transfer flow (alight i, board j)
+    "ft": ("t", "r", "d", "p", "i"),            # alighting pattern p at i to transfer
+    "fx": ("t", "r", "d", "i", "c"),            # transfer boarding at i under combination c
     "n": ("r", "t"),                            # fleet allocated to route r in period t
 }
 VAR_FAMILIES = tuple(VAR_KEYS)
@@ -105,7 +106,8 @@ ROW_FAMILIES = (
     "demand_entry",         # entries at both direction stops cover demand
     "demand_exit",          # exits at both direction stops cover demand
     "entry_board_balance",  # entries + transfers in == boardings
-    "onboard_balance",      # boardings + riding in == riding out + transfers
+    "onboard_balance",      # boardings + riding in == riding out + alightings
+    "transfer_balance",     # alightings == transfer boardings at a physical stop
     "arrive_exit_balance",  # riding into the destination == exits
 )
 
@@ -404,16 +406,15 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     fb_j, fb_p = np.divmod(np.arange(nd * npat), npat)
     fbid = b.add_vars("fb", "C", (t, r, fb_j, fb_p)).reshape(nd, npat)
 
+    ob_d, ob_p, ob_j = np.nonzero(np.broadcast_to(entry[:, None, :], (n, npat, nd)))
     if opts.allow_transfers:
-        # per entry cell: j in (i, mirror i), then pattern, then combination
-        fx_s, fx_p, fx_c = (np.tile(a.ravel(), n_ent)
-                            for a in np.indices((2, npat, nc)))
-        fx_d = np.repeat(ent_d, 2 * npat * nc)
-        fx_i = np.repeat(ent_i, 2 * npat * nc)
-        fx_ids = b.add_vars("fx", "C", (t, r, fx_d, fx_i, np.where(fx_s == 0, fx_i, mirror[fx_i]),
-                                        fx_p, fx_c))
-        fxid = np.full((n, nd, 2, npat, nc), -1, dtype=np.int64)   # [d, i, j is i / mirror i, p, c]
-        fxid[ent_d, ent_i] = fx_ids.reshape(n_ent, 2, npat, nc)
+        # alighting per on-board balance row, re-boarding per cell and combination
+        ft_ids = b.add_vars("ft", "C", (t, r, ob_d, ob_p, ob_j))
+        ftid = np.full((n, npat, nd), -1, dtype=np.int64)
+        ftid[ob_d, ob_p, ob_j] = ft_ids
+        fx_ids = b.add_vars("fx", "C", (t, r, fw_d, fw_i, fw_c))
+        fxid = np.full((n, nd, nc), -1, dtype=np.int64)
+        fxid[ent_d, ent_i] = fx_ids.reshape(n_ent, nc)
 
     nid = int(b.add_vars("n", "I" if opts.integer_fleet else "C", (r, t))[0])
 
@@ -424,7 +425,7 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     if opts.allow_transfers:
         change = [scenario.gamma_transfer * (combo.perceived_headway / 2.0 + scenario.transfer_time)
                   for combo in combos]
-        b.add_objective(fx_ids, np.tile(change, n_ent * 2 * npat))
+        b.add_objective(fx_ids, np.tile(change, n_ent))
 
     # --- pattern structure -------------------------------------------
     pj_p, pj_j = np.divmod(np.arange(npat * nd), nd)
@@ -513,24 +514,22 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
 
     groups = [(fw_ids, 1.0)]
     if opts.allow_transfers:
-        # per pattern: transfers at the same stop, then from the mirror stop
-        by_combo = fxid.transpose(0, 1, 4, 2, 3)        # [d, i, c, j is i / mirror i, p]
-        same = by_combo[fw_d, fw_i, fw_c, 0]
-        across = by_combo[fw_d, mirror[fw_i], fw_c, 1]
-        groups.append((np.stack([same, across], axis=2).reshape(-1, 2 * npat), 1.0))
+        groups.append((fx_ids, 1.0))
     groups.append((fa_ids, -1.0))
     b.add_rows("entry_board_balance", (t, r, fw_d, fw_i, fw_c), groups, "=", 0.0)
 
     # riders boarding at j under combination c split across its active
     # patterns in proportion to frequency: pattern p gets shares[c, p]
-    ob_d, ob_p, ob_j = np.nonzero(np.broadcast_to(entry[:, None, :], (n, npat, nd)))
     split = shares[:, ob_p].T                           # [row, c]
     groups = [(np.where(split > 0.0, faid[ob_d, ob_j], -1), split),
               (fl_into[ob_d, ob_p, ob_j], 1.0),
               (flid[ob_d, ob_p, ob_j], -1.0)]
     if opts.allow_transfers:
-        # per combination: transfers at the same stop, then to the mirror stop
-        groups.append((fxid.transpose(0, 1, 3, 4, 2)[ob_d, ob_j, ob_p].reshape(-1, 2 * nc), -1.0))
+        groups.append((ft_ids, -1.0))
+        # riders alighting at either direction stop of o board again at either
+        b.add_rows("transfer_balance", (t, r, o, d),
+                   [(ftid[d, :, o], 1.0), (ftid[d, :, mirror[o]], 1.0),
+                    (fxid[d, o], -1.0), (fxid[d, mirror[o]], -1.0)], "=", 0.0)
     b.add_rows("onboard_balance", (t, r, ob_d, ob_p, ob_j), groups, "=", 0.0)
 
     ax_d = np.repeat(dests, 2 * npat)

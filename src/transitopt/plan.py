@@ -232,7 +232,9 @@ class FlowAssignment:
     inter_stop: (t, r, d, p, i, j)    riders on board between stops
     exit:       (t, r, j, p)          riders leaving the system at stop j
     transfer:   (t, r, d, i, j, p, c) riders alighting pattern p at i and
-                                      re-boarding at j under combination c
+                                      re-boarding at j under combination c;
+                                      decoded from the model as a
+                                      proportional split of each node
     combo_choice: (t, r, i, d) -> combination index actually used
     """
 

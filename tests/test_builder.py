@@ -28,7 +28,8 @@ def closed_form_variable_counts(n, n_patterns, menu_size, transfers, n_periods=1
         "fa": n_combos * n * (s - 2),
         "fl": n * n_patterns * (comb(s, 2) - (s - 1)),
         "fb": s * n_patterns,
-        "fx": n * (s - 2) * 2 * n_patterns * n_combos if transfers else 0,
+        "ft": n * n_patterns * (s - 2) if transfers else 0,
+        "fx": n_combos * n * (s - 2) if transfers else 0,
         "n": 1,
     }
     return {fam: v * n_periods for fam, v in per_period.items()}
@@ -45,7 +46,9 @@ class TestVariableCounts:
     def test_transfers_off_removes_transfer_family(self):
         scenario = make_scenario(transfers=False)
         stats = model_stats(build_model(scenario))
+        assert stats["variables"]["by_family"]["ft"] == 0
         assert stats["variables"]["by_family"]["fx"] == 0
+        assert stats["rows"]["by_family"]["transfer_balance"] == 0
         expected = closed_form_variable_counts(3, 2, 2, transfers=False)
         assert stats["variables"]["by_family"] == expected
 
@@ -105,6 +108,7 @@ class TestRowCounts:
         assert rows["demand_exit"] == n
         assert rows["entry_board_balance"] == n * (s - 2) * n_combos
         assert rows["onboard_balance"] == n * patterns * (s - 2)
+        assert rows["transfer_balance"] == n * (n - 1)
         assert rows["arrive_exit_balance"] == n * 2 * patterns
 
     def test_symmetry_rows(self):
@@ -147,6 +151,40 @@ class TestShareCoefficients:
         for row in model.rows:
             if row.family not in ("onboard_balance", "entry_board_balance", "board_gate"):
                 assert all(variables[v].family != "fa" for v, _ in row.coeffs), row.family
+
+
+class TestTransferNodes:
+    @pytest.mark.parametrize("n_patterns", [2, 3])
+    def test_alighters_and_boarders_meet_in_one_row_per_stop(self, n_patterns):
+        # riders alight into one node per physical stop and destination and
+        # board out of it: the node's row reads every pattern's alighting at
+        # both direction stops and every combination's boarding at both
+        menu = (5.0, 7.0)
+        model = build_model(make_scenario(menu=menu, n_patterns=n_patterns,
+                                          symmetry=n_patterns == 2))
+        n_combos = len(enumerate_combinations(n_patterns, menu))
+        variables = model.variables
+        rows = [row for row in model.rows if row.family == "transfer_balance"]
+        assert sorted(row.key[2:] for row in rows) == [(o, d) for o in range(3)
+                                                       for d in range(3) if o != d]
+        for row in rows:
+            t, r, o, d = row.key
+            stops = (o, 5 - o)
+            assert row.sense == "=" and row.rhs == 0.0
+            terms = sorted((variables[v].family, variables[v].key, a) for v, a in row.coeffs)
+            assert terms == sorted(
+                [("ft", (t, r, d, p, i), 1.0) for i in stops for p in range(n_patterns)]
+                + [("fx", (t, r, d, i, c), -1.0) for i in stops for c in range(n_combos)])
+        # each balance carries exactly its own alighting or re-boarding
+        for row in model.rows:
+            terms = [(variables[v].family, variables[v].key, a) for v, a in row.coeffs
+                     if variables[v].family in ("ft", "fx")]
+            if row.family == "onboard_balance":
+                assert terms == [("ft", row.key, -1.0)]
+            elif row.family == "entry_board_balance":
+                assert terms == [("fx", row.key, 1.0)]
+            else:
+                assert row.family == "transfer_balance" or not terms, row.family
 
 
 class TestStoredLayout:

@@ -207,7 +207,7 @@ class TestSolve:
         assert main(["solve", "--scenario", str(scenario_file), "--out", str(out),
                      "--no-transfers"]) == 0
         stats = json.loads((out / "model_stats.json").read_text())
-        assert stats["variables"]["by_family"]["fx"] == 0
+        assert stats["variables"]["by_family"]["ft"] == stats["variables"]["by_family"]["fx"] == 0
 
     def test_invalid_scenario_exit_one(self, tmp_path):
         path = write_doc(tmp_path, scenario_doc(menu=(7.0, 5.0)))

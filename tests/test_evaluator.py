@@ -340,13 +340,12 @@ class TestAgainstSolver:
 
 class TestProgramKind:
     @pytest.mark.parametrize("capacity, gamma_transfer, integer", [
-        (False, 1.5, False), (False, 2.0, True), (True, 1.5, True),
+        (False, 1.5, True), (False, 2.0, True), (True, 1.5, True),
     ], ids=["capacity-off-equal-weights", "capacity-off-transfer-weighs-more", "capacity-on"])
     def test_integer_columns_only_where_a_cell_could_split(self, monkeypatch, capacity,
                                                            gamma_transfer, integer):
-        # without capacity and with one wait weight, one combination per cell
-        # is optimal and the program is an LP; otherwise binary picks hold
-        # each cell to one combination
+        # binary picks hold each cell to one combination in every regime
+        # the program covers, with equal wait weights too
         seen = []
         solve_arrays = evaluator.solve_arrays
 

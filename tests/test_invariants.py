@@ -12,7 +12,7 @@ from transitopt import (
 from transitopt.backend import DecodeError, _model_arrays, solve_arrays
 from transitopt.cli import main as cli_main
 
-from _factories import (add_route, full_pattern_plan_doc, make_scenario,
+from _factories import (add_route, full_pattern_plan_doc, ladder_doc, make_scenario,
                         random_toy_doc, scenario_doc)
 
 
@@ -25,6 +25,17 @@ class TestRelaxation:
                                SolverConfig(time_limit_s=120))
         assert relaxed.status == "optimal"  # bounded: big-M choices are sane
         assert relaxed.objective <= milp_result.objective + 1e-6
+
+    @pytest.mark.parametrize("n, bound", [(3, 721.525), (4, 1139.625)])
+    def test_ladder_root_bound_never_weakens(self, n, bound):
+        # the LP relaxation of the corridor rungs with transfers on, as
+        # first measured: a change of formulation may raise it, never lower it
+        model = build_model(load_scenario(ladder_doc(n, 7, transfers=True)))
+        c, a, lo, hi, integrality, lb, ub = _model_arrays(model)
+        relaxed = solve_arrays(c, a, lo, hi, np.zeros_like(integrality), lb, ub,
+                               SolverConfig(time_limit_s=120))
+        assert relaxed.status == "optimal"
+        assert relaxed.objective >= bound - 1e-9
 
 
 class TestModelWellFormed:
@@ -47,7 +58,7 @@ class TestModelWellFormed:
         families = {v.id: v.family for v in model.variables}
         for row in model.rows:
             for vid, _ in row.coeffs:
-                assert families[vid] != "fx"
+                assert families[vid] not in ("ft", "fx")
 
 
 class TestDecodeGuards:

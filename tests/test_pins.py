@@ -1,10 +1,11 @@
 """Pinned outputs: the LP text of small models and of the city model, and
 the size of the city model.
 
-The pins were last taken when boarding became one variable per entry cell
-and combination, split across patterns by frequency-share coefficients;
-the LP text is otherwise byte-identical to the writer's before the model
-moved to array blocks. Any change to the LP text or to a family's
+The pins were last taken when transfers came to pass through one node per
+physical stop and destination (``ft`` alighting, ``fx`` re-boarding and one
+``transfer_balance`` row per node), which changed only the models with
+transfers on; the LP text is otherwise byte-identical to the writer's before
+the model moved to array blocks. Any change to the LP text or to a family's
 size shows up here.
 """
 
@@ -21,9 +22,9 @@ LP_SHA256 = {
     "transfers-off-1": "f8d008380236ff3ef04032861abe56fbf7d036b43723d5d001d72175ac336f02",
     "transfers-off-2": "fd62416dc2e0286475bdf1ef7533be1941ab6822f2f91167fc6b4741c2210988",
     "transfers-off-3": "a9331dbb32bcc7e23b6cb9370a0e2c215bf0ae5974f80284f4075bae17bd721c",
-    "transfers-on-dwell-1": "97882cd6a831c949dce7c83840e54af168fff9d3fcd3a593c6a9c11c3f58ed8c",
-    "transfers-on-dwell-2": "3cfb739a82d767c995364c04f194cd8dfb625638fb839ced13304fc8aabd2074",
-    "transfers-on-dwell-3": "6003e3b429fa725ed69bd236564e55def0e2c59dbf5e1e7eb3f8b897860a93e8",
+    "transfers-on-dwell-1": "daea82991717a66377b7d5dd9e44d183d1712671080a0534a54d8e3c36f902d6",
+    "transfers-on-dwell-2": "881fd1e50c7bb926089b0fa9c8e15e0b901f3d3e1d8e287e7f412ede6b410e19",
+    "transfers-on-dwell-3": "f2bcf29cbfc60bc1a1b9e7fc136aedc313c91d352dc24148714dc07acbbd0ac5",
     "capacity-1": "6f6723320c3f802f7e5130784c249934f943e1ece06e3f1915d9a676db4b5484",
     "capacity-2": "003942e0aa9e335b07aa2d6bda2262d270b2000cf06e9c0cf332d06077c0fd47",
     "capacity-3": "018a629445d668a2c7d34f8d723708e0df7c1414725943c1684ad1aa95eff689",
@@ -73,7 +74,7 @@ def test_lp_text_pinned(case):
 
 
 # sha256 and length of the city model's LP text
-CITY_LP = ("268a6d5712608306b76b759c2fc6def92352d6bc19049ce38b5b4dfc190b8109", 80_519_172)
+CITY_LP = ("9ee4277071eb630c2db2c4c10125147ab679b6687caf4bfff562ae25aad21dac", 71_901_486)
 
 
 def test_city_lp_text_pinned():
@@ -85,13 +86,13 @@ def test_city_model_stats_pinned():
     stats = model_stats(build_model(load_scenario(city_doc())))
     assert stats == {
         "variables": {
-            "total": 524095,
-            "by_kind": {"binary": 43522, "continuous": 480573, "integer": 0},
+            "total": 444631,
+            "by_kind": {"binary": 43522, "continuous": 401109, "integer": 0},
             "by_family": {"x": 14620, "y": 6, "cy": 4, "z": 28896, "fw": 28896, "fa": 28896,
-                          "fl": 307020, "fb": 172, "fx": 115584, "n": 1},
+                          "fl": 307020, "fb": 172, "ft": 7224, "fx": 28896, "n": 1},
         },
         "rows": {
-            "total": 421372,
+            "total": 423178,
             "by_family": {
                 "loop_balance": 172, "loop_visit_cap": 172, "loop_wrap": 2,
                 "ride_arc_gate": 307020, "pattern_symmetry": 0, "one_headway": 2,
@@ -99,8 +100,8 @@ def test_city_model_stats_pinned():
                 "fleet_need": 1, "fleet_pool": 1, "fleet_hours": 1, "one_combination": 3612,
                 "combination_menu": 43344, "board_gate": 28896,
                 "demand_entry": 1806, "demand_exit": 43, "entry_board_balance": 28896,
-                "onboard_balance": 7224, "arrive_exit_balance": 172,
+                "onboard_balance": 7224, "transfer_balance": 1806, "arrive_exit_balance": 172,
             },
         },
-        "nonzeros": 1828825,
+        "nonzeros": 1669897,
     }

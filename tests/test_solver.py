@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from transitopt import (
-    SolverConfig, assign_flows, build_model, compute_metrics, decode_plan, fix_baseline,
-    load_plan, model_stats, solve, write_lp,
+    SolverConfig, assign_flows, build_model, compute_metrics, conservation_residuals,
+    decode_plan, fix_baseline, load_plan, model_stats, solve, write_lp,
 )
 from transitopt.backend import DecodeError
 from transitopt.model import MilpModel, row_block, var_block
@@ -263,3 +263,53 @@ class TestDecode:
         need = fleet_requirement(plan, scenario)
         for (r, t), v in need.items():
             assert plan.cell(r, t).fleet >= v - 1e-6
+
+
+class TestTransferDecode:
+    """Stops A B C D, direction stops 0-7 (mirror 7 - i), every pattern at
+    10 minutes: pattern 0 runs A B C outbound, pattern 1 C D outbound and D C
+    inbound, pattern 2 C A inbound. Riders A -> D change pattern at C
+    outbound; riders B -> A alight at C outbound and board at C inbound;
+    riders D -> A change pattern at C inbound. The last two meet in one
+    transfer node (stop C, destination A)."""
+
+    def solved(self):
+        scenario = make_scenario(
+            stops=("A", "B", "C", "D"), out_times=(3.0, 3.0, 3.0), in_times=(3.0, 3.0, 3.0),
+            menu=(10.0,), n_patterns=3, fleet_cap=40.0, symmetry=False,
+            demand=(((0, 0, 3), 10.0), ((0, 1, 0), 20.0), ((0, 3, 0), 30.0)))
+        doc = {"routes": [{"route": 0, "periods": [{"period": 0, "patterns": [
+            {"pattern": p, "headway": 10.0, "stops": stops}
+            for p, stops in enumerate([[0, 1, 2], [2, 3, 4, 5], [5, 7]])]}]}]}
+        plan = load_plan(doc, scenario)
+        model = fix_baseline(build_model(scenario), plan)
+        result = solve(model, SolverConfig(time_limit_s=60))
+        assert result.status == "optimal"
+        return scenario, plan, model, result
+
+    def test_direction_and_pattern_changes_decode_exactly(self):
+        scenario, plan, model, result = self.solved()
+        _, flows = decode_plan(model, result)
+        # (destination, alight stop, board stop, alight pattern) -> riders
+        changes: dict[tuple, float] = {}
+        for (t, r, d, i, j, p, c), v in flows.transfer.items():
+            changes[(d, i, j, p)] = changes.get((d, i, j, p), 0.0) + v
+        assert changes == pytest.approx({(3, 2, 2, 0): 10.0, (0, 2, 5, 0): 20.0,
+                                         (0, 5, 5, 1): 30.0}, rel=1e-9)
+        for family, worst in conservation_residuals(flows, scenario, plan).items():
+            assert worst <= 1e-9, (family, worst)
+        assert compute_metrics(flows, scenario, plan).objective == pytest.approx(
+            result.objective, rel=1e-9)
+        evaluated = compute_metrics(assign_flows(scenario, plan), scenario, plan)
+        assert evaluated.objective == pytest.approx(result.objective, rel=1e-9)
+
+    def test_node_whose_alighters_and_boarders_differ_is_refused(self):
+        from transitopt import SolveResult
+        _, _, model, result = self.solved()
+        x = np.array(result.assignment, copy=True)
+        # one more rider alights pattern 0 at C outbound for A than boards again
+        alight = next(v.id for v in model.variables
+                      if v.family == "ft" and v.key == (0, 0, 0, 0, 2))
+        x[alight] += 1.0
+        with pytest.raises(DecodeError, match="stop 2 label 0: .* riders alight to transfer"):
+            decode_plan(model, SolveResult("optimal", result.objective, x, 0.0))
