@@ -11,9 +11,9 @@ from .backend import (DecodeError, SolverConfig, SolveResult, SolverError,
                       decode_plan, solve)
 from .combos import (Combination, CombinationSet, enumerate_combinations,
                      frequency_shares, perceived_headway)
-from .evaluator import (EvaluationError, Metrics, UnroutableDemandError,
-                        assign_flows, compute_metrics, conservation_residuals,
-                        fleet_requirement)
+from .evaluator import (EvaluationError, InsufficientCapacityError, Metrics,
+                        UnroutableDemandError, assign_flows, compute_metrics,
+                        conservation_residuals, fleet_requirement)
 from .lpio import write_lp
 from .model import (BuildError, MilpModel, Row, Var, big_m_flow, build_model,
                     fix_baseline, model_stats)

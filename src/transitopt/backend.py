@@ -10,8 +10,10 @@ scipy ships (``scipy.optimize._highspy._core``), which ``_highs`` loads
 from its file on the first solve. Neither ``scipy.optimize`` nor
 ``scipy.sparse`` is imported, and commands that never solve load no scipy
 module at all. ``decode_plan`` turns the assignment back into domain
-objects, one variable block at a time: boarders split by frequency share,
-and a transfer node's alighters paired with its boarders in proportion.
+objects, one variable block at a time: a cell's boarders (entering plus
+re-boarding riders) split by frequency share, riders exiting where their
+ride reaches their destination, and a transfer node's alighters paired with
+its boarders in proportion.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ __all__ = [
 ]
 
 BINARY_TOL = 1e-6
-FLOW_CLAMP_TOL = 1e-9
+FLOW_CLAMP_TOL = 1e-7  # HiGHS's primal feasibility tolerance; optimal flows dip below 0 within it
 NODE_TOL = 1e-6     # relative mismatch of a transfer node's alighters and boarders
 
 
@@ -229,13 +231,12 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
     x = result.assignment
 
     fa = FlowAssignment()
-    boarders: dict[tuple, float] = {}                   # (t, r, d, i, c) -> riders
     alighting: dict[tuple, float] = {}                  # (t, r, d, p, i) -> riders
     reboarding: dict[tuple, float] = {}                 # (t, r, d, i, c) -> riders
-    targets = {"fw": fa.entry, "fa": boarders, "fl": fa.inter_stop,
-               "fb": fa.exit, "ft": alighting, "fx": reboarding}
+    targets = {"fw": fa.entry, "fl": fa.inter_stop, "ft": alighting, "fx": reboarding}
     selected: dict[tuple, list[tuple[int, int]]] = {}   # (t, r, p) -> arcs picked
     picks: dict[tuple, list[int]] = {}                  # (t, r, p) -> headways picked
+    chosen: dict[tuple, int] = {}                       # (t, r, i, d) -> combination
     fleet: dict[tuple, float] = {}                      # (r, t) -> vehicles
     for b in model.var_blocks:
         family = b.family
@@ -265,21 +266,28 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
                     picks.setdefault(key[:3], []).append(key[3])
                 else:
                     t, r, i, d, c = key
-                    prior = fa.combo_choice.get((t, r, i, d))
-                    if prior is not None and prior != c:
+                    prior = chosen.setdefault((t, r, i, d), c)
+                    if prior != c:
                         raise DecodeError(
                             f"entry stop {i} label {d}: two combinations picked ({prior} and {c})")
-                    fa.combo_choice[(t, r, i, d)] = c
 
+    boarders = dict(fa.entry)                           # (t, r, d, i, c) -> riders
+    for key, v in reboarding.items():
+        boarders[key] = boarders.get(key, 0.0) + v
     for (t, r, d, i, c), v in boarders.items():
         route = scenario.routes[r]
         shares = enumerate_combinations(route.n_patterns, route.headway_menu(t))[c].shares
         fa.boarding.update(((t, r, d, i, c, p), share * v)
                            for p, share in enumerate(shares) if share > 0.0)
 
+    # riders leave at the first stop of their destination their ride reaches
+    stop_of = [route.physical_of for route in scenario.routes]
+    for (t, r, d, p, i, j), v in fa.inter_stop.items():
+        if stop_of[r](j) == d:
+            fa.exit[(t, r, j, p)] = fa.exit.get((t, r, j, p), 0.0) + v
+
     # node (t, r, d, physical stop): alighters (i, p) and boarders (j, c)
     nodes: dict[tuple, tuple[list, list]] = {}
-    stop_of = [route.physical_of for route in scenario.routes]
     for (t, r, d, p, i), v in alighting.items():
         nodes.setdefault((t, r, d, stop_of[r](i)), ([], []))[0].append((i, p, v))
     for (t, r, d, j, c), v in reboarding.items():

@@ -33,6 +33,7 @@ __all__ = [
     "Metrics",
     "EvaluationError",
     "UnroutableDemandError",
+    "InsufficientCapacityError",
     "assign_flows",
     "compute_metrics",
     "fleet_requirement",
@@ -54,6 +55,11 @@ class UnroutableDemandError(EvaluationError):
         super().__init__(
             f"no feasible path for demand origin {o} -> destination {d} "
             f"on route {r} in period {t} under the given plan")
+
+
+class InsufficientCapacityError(EvaluationError):
+    """Demand that the planned patterns could carry, but not within their
+    vehicle capacity."""
 
 
 def fleet_requirement(plan: ServicePlan, scenario: Scenario) -> dict[tuple[int, int], float]:
@@ -162,7 +168,6 @@ def _assign_direct(scenario: Scenario, plan: ServicePlan, t: int, r: int,
         _, entry, c, rides = best
         combo = combos[c]
         fa.entry[(t, r, d, entry, c)] = fa.entry.get((t, r, d, entry, c), 0.0) + riders
-        fa.combo_choice[(t, r, entry, d)] = c
         for p, (_, exit_stop, arcs) in rides:
             amt = riders * combo.shares[p]
             key = (t, r, d, entry, c, p)
@@ -390,7 +395,7 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     res = milp(lp)
     if res.status == "infeasible":
         if capacity:
-            raise EvaluationError(
+            raise InsufficientCapacityError(
                 f"insufficient capacity to route demand on route {r} in period {t}")
         raise EvaluationError(
             f"flow assignment infeasible on route {r} period {t} (internal inconsistency)")
@@ -406,10 +411,6 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     for (d, s, p), idx in b_.items():
         if x[idx] > _FLOW_EPS:
             fa.exit[(t, r, s, p)] = fa.exit.get((t, r, s, p), 0.0) + x[idx]
-    for (d, i, c), idx in z.items():
-        used = x[w[(d, i, c)]] + sum(x[a_[(d, i, c, p)]] for p in combos[c].active_patterns)
-        if x[idx] > 0.5 and used > _FLOW_EPS:
-            fa.combo_choice[(t, r, i, d)] = c
 
 
 def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:

@@ -9,10 +9,11 @@ The model couples, per route and period:
   headway, that price vehicle requirements linearly,
 * a combination pick per (entry stop, destination) that fixes which patterns
   riders may board and the perceived headway they wait,
-* destination-labeled flows for entering, boarding, riding, exiting and
-  (optionally) transferring riders through one node per physical stop;
-  boarding is one flow per entry cell and combination, and each pattern's
-  frequency share of it is a coefficient of that pattern's on-board balance,
+* destination-labeled flows for entering, riding and (optionally)
+  transferring riders through one node per physical stop; a cell's boarders
+  are its entering plus its re-boarding riders, each pattern's frequency
+  share of them is a coefficient of that pattern's on-board balance, and
+  riders leave where their riding flow reaches a stop of their destination,
 * a per-route fleet variable drawing on shared vehicle and vehicle-hour pools.
 
 The objective is the total weighted journey time: riding minutes, plus
@@ -27,8 +28,9 @@ per key position. The objective is id and coefficient arrays in insertion
 order: per (period, route) riding, then waiting, then transfer terms. Every
 stored index array (keys, ``indptr``, ``cols``, objective ids) is int32, the
 width HiGHS takes; the builder's temporary id lookups stay int64.
-``MilpModel.variables``, ``.rows`` and ``.objective`` build ``Var``/``Row``/
-dict views of the blocks on every access.
+``MilpModel.variables`` and ``.rows`` build ``Var``/``Row`` views of the
+blocks on every access; they are kept only for ``perfbench/tracing.py``'s
+``_model_size``.
 """
 
 from __future__ import annotations
@@ -76,9 +78,7 @@ VAR_KEYS = {
     "cy": ("t", "r", "p", "h"),                 # cycle minutes under headway h>=1 continuous
     "z": ("t", "r", "i", "d", "c"),             # combination pick                 binary
     "fw": ("t", "r", "d", "i", "c"),            # entry flow
-    "fa": ("t", "r", "d", "i", "c"),            # boarding flow, all patterns
     "fl": ("t", "r", "d", "p", "i", "j"),       # inter-stop (riding) flow
-    "fb": ("t", "r", "j", "p"),                 # exit flow
     "ft": ("t", "r", "d", "p", "i"),            # alighting pattern p at i to transfer
     "fx": ("t", "r", "d", "i", "c"),            # transfer boarding at i under combination c
     "n": ("r", "t"),                            # fleet allocated to route r in period t
@@ -88,7 +88,6 @@ VAR_FAMILIES = tuple(VAR_KEYS)
 # Constraint families in export order. Each row is tagged with exactly one.
 ROW_FAMILIES = (
     "loop_balance",         # arcs in == arcs out at every stop of a pattern
-    "loop_visit_cap",       # at most one incoming arc per stop
     "loop_wrap",            # one backward arc if in service, none if off
     "ride_arc_gate",        # riding flow only on selected arcs
     "pattern_symmetry",     # mirrored arc selection across directions
@@ -102,19 +101,18 @@ ROW_FAMILIES = (
     "fleet_hours",          # duration-weighted fleet within vehicle-hours
     "one_combination",      # at most one combination per entry stop and label
     "combination_menu",     # combination only if its headways are picked
-    "board_gate",           # boarding only under the picked combination
+    "board_gate",           # entries + transfer boardings only under the picked combination
     "demand_entry",         # entries at both direction stops cover demand
-    "demand_exit",          # exits at both direction stops cover demand
-    "entry_board_balance",  # entries + transfers in == boardings
     "onboard_balance",      # boardings + riding in == riding out + alightings
     "transfer_balance",     # alightings == transfer boardings at a physical stop
-    "arrive_exit_balance",  # riding into the destination == exits
 )
 
 # Row senses; a RowBlock stores each row's position in this tuple.
 SENSES = ("<=", ">=", "=")
 
 
+# ``Var`` and ``Row`` are the element types of ``MilpModel.variables`` and
+# ``.rows``, kept only for ``perfbench/tracing.py::_model_size``.
 @dataclass(slots=True)
 class Var:
     id: int
@@ -200,10 +198,6 @@ class MilpModel:
                     for lo, hi, s, rhs, key in zip(bounds, bounds[1:], b.sense.tolist(),
                                                    b.rhs.tolist(), keys))
         return out
-
-    @property
-    def objective(self) -> dict[int, float]:
-        return dict(zip(self.obj_ids.tolist(), self.obj_coefs.tolist()))
 
 
 def var_block(family: str, kind: str, start: int, keys: Sequence, lb: Any = 0.0,
@@ -391,10 +385,6 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     fwid = np.full((n, nd, nc), -1, dtype=np.int64)
     fwid[ent_d, ent_i] = fw_ids.reshape(n_ent, nc)
 
-    fa_ids = b.add_vars("fa", "C", (t, r, fw_d, fw_i, fw_c))
-    faid = np.full((n, nd, nc), -1, dtype=np.int64)
-    faid[ent_d, ent_i] = fa_ids.reshape(n_ent, nc)
-
     fl_d, fl_p, fl_a = np.nonzero(np.broadcast_to(entry[:, fwd_i][:, None, :],
                                                   (n, npat, len(fwd_i))))
     fl_i, fl_j = fwd_i[fl_a], fwd_j[fl_a]
@@ -402,9 +392,6 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     flid = np.full((n, npat, nd, nd), -1, dtype=np.int64)
     flid[fl_d, fl_p, fl_i, fl_j] = fl_ids
     fl_into = flid.transpose(0, 1, 3, 2)                # [d, p, j, i]
-
-    fb_j, fb_p = np.divmod(np.arange(nd * npat), npat)
-    fbid = b.add_vars("fb", "C", (t, r, fb_j, fb_p)).reshape(nd, npat)
 
     ob_d, ob_p, ob_j = np.nonzero(np.broadcast_to(entry[:, None, :], (n, npat, nd)))
     if opts.allow_transfers:
@@ -433,10 +420,11 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     arcs_out = xid.reshape(npat * nd, nd)                       # row (p, j): x[p, j, k]
     b.add_rows("loop_balance", (t, r, pj_p, pj_j),
                [(arcs_into, 1.0), (arcs_out, -1.0)], "=", 0.0)
-    b.add_rows("loop_visit_cap", (t, r, pj_p, pj_j), [(arcs_into, 1.0)], "<=", 1.0)
     # Forward travel raises the stop index except on the wrap step, so
     # every cycle has an arc with i > j: one such arc per in-service
-    # pattern leaves exactly one loop, in sorted stop order.
+    # pattern leaves exactly one loop, in sorted stop order. The same
+    # count caps each stop's inflow at 1, fractional arcs too: a
+    # circulation's cycles weigh together at most its backward flow.
     back_i, back_j = np.tril_indices(nd, -1)
     b.add_rows("loop_wrap", (t, r, pats),
                [(xid[:, back_i, back_j], 1.0), (yid[:, 1:], -1.0)], "=", 0.0)
@@ -499,9 +487,11 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     b.add_rows("combination_menu", (t, r, m_i, m_d, m_c, m_p),
                [(zid[m_i, m_d, m_c], 1.0), (np.tile(pick_y, len(z_i)), -1.0)], "<=", 0.0)
 
+    # a cell's boarders are its entries plus its transfer boardings
+    boarders = [(ids, 1.0) for ids in ([fw_ids, fx_ids] if opts.allow_transfers else [fw_ids])]
     gate_z = np.where(big_m[fw_d] > 0.0, zid[fw_i, fw_d, fw_c], -1)
     b.add_rows("board_gate", (t, r, fw_d, fw_i, fw_c),
-               [(fa_ids, 1.0), (gate_z, -big_m[fw_d])], "<=", 0.0)
+               boarders + [(gate_z, -big_m[fw_d])], "<=", 0.0)
 
     # --- demand and conservation ---------------------------------------
     dm = scenario.demand[r]
@@ -509,21 +499,15 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     b.add_rows("demand_entry", (t, r, o, d),
                [(fwid[d, o], 1.0), (fwid[d, mirror[o]], 1.0)], "=",
                [dm.riders(t, oo, dd) for oo, dd in zip(o.tolist(), d.tolist())])
-    b.add_rows("demand_exit", (t, r, dests),
-               [(fbid[dests], 1.0), (fbid[mirror[dests]], 1.0)], "=", big_m)
-
-    groups = [(fw_ids, 1.0)]
-    if opts.allow_transfers:
-        groups.append((fx_ids, 1.0))
-    groups.append((fa_ids, -1.0))
-    b.add_rows("entry_board_balance", (t, r, fw_d, fw_i, fw_c), groups, "=", 0.0)
 
     # riders boarding at j under combination c split across its active
     # patterns in proportion to frequency: pattern p gets shares[c, p]
     split = shares[:, ob_p].T                           # [row, c]
-    groups = [(np.where(split > 0.0, faid[ob_d, ob_j], -1), split),
-              (fl_into[ob_d, ob_p, ob_j], 1.0),
-              (flid[ob_d, ob_p, ob_j], -1.0)]
+    groups = [(np.where(split > 0.0, ids[ob_d, ob_j], -1), split)
+              for ids in ([fwid, fxid] if opts.allow_transfers else [fwid])]
+    # No balance at d's stops: riders exit where their ride reaches one, and
+    # the equalities elsewhere make that inflow the demand into d.
+    groups += [(fl_into[ob_d, ob_p, ob_j], 1.0), (flid[ob_d, ob_p, ob_j], -1.0)]
     if opts.allow_transfers:
         groups.append((ft_ids, -1.0))
         # riders alighting at either direction stop of o board again at either
@@ -531,12 +515,6 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
                    [(ftid[d, :, o], 1.0), (ftid[d, :, mirror[o]], 1.0),
                     (fxid[d, o], -1.0), (fxid[d, mirror[o]], -1.0)], "=", 0.0)
     b.add_rows("onboard_balance", (t, r, ob_d, ob_p, ob_j), groups, "=", 0.0)
-
-    ax_d = np.repeat(dests, 2 * npat)
-    ax_j = np.repeat(np.stack([dests, mirror[dests]], axis=1).ravel(), npat)
-    ax_p = np.tile(pats, 2 * n)
-    b.add_rows("arrive_exit_balance", (t, r, ax_d, ax_j, ax_p),
-               [(fl_into[ax_d, ax_p, ax_j], 1.0), (fbid[ax_j, ax_p], -1.0)], "=", 0.0)
     return nid
 
 

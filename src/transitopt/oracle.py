@@ -5,7 +5,8 @@ order crossed with menu headways, each multiset of patterns once, listed in
 ``plan.model_order`` as the optimizer holds it), prices each design with the
 independent flow evaluator, and compares the minimum against a solver result.
 Designs that break the fleet pools are skipped; designs that cannot carry some
-demand are counted but never become the minimum.
+demand, by their stops or within their vehicle capacity, are counted but never
+become the minimum.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from itertools import combinations_with_replacement, islice, product
 from typing import Any, Iterator
 
 from .backend import SolveResult, SolverConfig, solve
-from .evaluator import UnroutableDemandError, assign_flows, compute_metrics
+from .evaluator import (InsufficientCapacityError, UnroutableDemandError, assign_flows,
+                        compute_metrics)
 from .model import build_model, fix_baseline
 from .network import RouteSpec, Scenario
 from .plan import PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs
@@ -194,7 +196,7 @@ def certify(scenario: Scenario, milp_result: SolveResult, *,
         enumerated += 1
         try:
             fa = assign_flows(scenario, plan)
-        except UnroutableDemandError:
+        except (UnroutableDemandError, InsufficientCapacityError):
             unroutable += 1
             continue
         obj = compute_metrics(fa, scenario, plan).objective

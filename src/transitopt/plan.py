@@ -4,8 +4,7 @@ A ServicePlan pins the design side of the problem: for every route, period,
 and pattern the direction stops served (one vehicle loop through them in
 ascending stop order) and the headway, plus the fleet allocated per route and
 period. A FlowAssignment holds the five flow families (entry, boarding,
-inter-stop, exit, transfer) and the combination chosen per entry stop and
-destination.
+inter-stop, exit, transfer).
 """
 
 from __future__ import annotations
@@ -228,14 +227,17 @@ class FlowAssignment:
                                       destination d under combination c
     boarding:   (t, r, d, i, c, p)    riders boarding pattern p; decoded
                                       from the model as p's frequency share
-                                      of the cell's boarders
+                                      of the cell's boarders, its entering
+                                      plus its re-boarding riders
     inter_stop: (t, r, d, p, i, j)    riders on board between stops
     exit:       (t, r, j, p)          riders leaving the system at stop j
+                                      from pattern p; decoded from the
+                                      model as the riding flow of label
+                                      physical_of(j) into j on p
     transfer:   (t, r, d, i, j, p, c) riders alighting pattern p at i and
                                       re-boarding at j under combination c;
                                       decoded from the model as a
                                       proportional split of each node
-    combo_choice: (t, r, i, d) -> combination index actually used
     """
 
     entry: dict[tuple, float] = field(default_factory=dict)
@@ -243,4 +245,3 @@ class FlowAssignment:
     inter_stop: dict[tuple, float] = field(default_factory=dict)
     exit: dict[tuple, float] = field(default_factory=dict)
     transfer: dict[tuple, float] = field(default_factory=dict)
-    combo_choice: dict[tuple, int] = field(default_factory=dict)

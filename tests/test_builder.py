@@ -11,6 +11,7 @@ from transitopt import (
 )
 from transitopt.model import ROW_FAMILIES
 
+from _blocks import rows_of, var_ids, var_labels
 from _factories import full_pattern_plan_doc, make_scenario, scenario_doc
 
 
@@ -25,9 +26,7 @@ def closed_form_variable_counts(n, n_patterns, menu_size, transfers, n_periods=1
         "cy": n_patterns * menu_size,
         "z": n_combos * n * (s - 2),
         "fw": n_combos * n * (s - 2),
-        "fa": n_combos * n * (s - 2),
         "fl": n * n_patterns * (comb(s, 2) - (s - 1)),
-        "fb": s * n_patterns,
         "ft": n * n_patterns * (s - 2) if transfers else 0,
         "fx": n_combos * n * (s - 2) if transfers else 0,
         "n": 1,
@@ -90,7 +89,6 @@ class TestRowCounts:
         scenario = make_scenario(symmetry=False)
         rows = model_stats(build_model(scenario))["rows"]["by_family"]
         assert rows["loop_balance"] == patterns * s
-        assert rows["loop_visit_cap"] == patterns * s
         assert rows["loop_wrap"] == patterns
         assert rows["ride_arc_gate"] == n * patterns * fl_per
         assert rows["pattern_symmetry"] == 0
@@ -105,11 +103,8 @@ class TestRowCounts:
         assert rows["combination_menu"] == n * (s - 2) * actives
         assert rows["board_gate"] == n * (s - 2) * n_combos
         assert rows["demand_entry"] == n * (n - 1)
-        assert rows["demand_exit"] == n
-        assert rows["entry_board_balance"] == n * (s - 2) * n_combos
         assert rows["onboard_balance"] == n * patterns * (s - 2)
         assert rows["transfer_balance"] == n * (n - 1)
-        assert rows["arrive_exit_balance"] == n * 2 * patterns
 
     def test_symmetry_rows(self):
         rows = model_stats(build_model(make_scenario(symmetry=True)))["rows"]["by_family"]
@@ -134,23 +129,33 @@ class TestShareCoefficients:
         model = build_model(make_scenario(transfers=transfers, menu=menu, n_patterns=n_patterns,
                                           symmetry=n_patterns == 2))
         combos = enumerate_combinations(n_patterns, menu)
-        variables = model.variables
-        rows = [row for row in model.rows if row.family == "onboard_balance"]
-        assert {row.key[2] for row in rows} == {0, 1, 2}
+        labels = var_labels(model)
+        boarding = ("fw", "fx") if transfers else ("fw",)
+        rows = list(rows_of(model, "onboard_balance"))
+        assert {key[2] for key, *_ in rows} == {0, 1, 2}
         assert len(rows) == 3 * n_patterns * 4      # (d, p, j): 4 entry stops per label
-        for row in rows:
-            t, r, d, p, j = row.key
-            boarding = [(variables[v].key, a) for v, a in row.coeffs
-                        if variables[v].family == "fa"]
-            # one term per combination in which p is active, in combination
-            # order, with p's frequency share as its coefficient
-            assert boarding == [((t, r, d, j, c), combo.shares[p])
-                                for c, combo in enumerate(combos)
-                                if p in combo.active_patterns]
-        # no row other than the entry balance and the gate reads a boarding
-        for row in model.rows:
-            if row.family not in ("onboard_balance", "entry_board_balance", "board_gate"):
-                assert all(variables[v].family != "fa" for v, _ in row.coeffs), row.family
+        for (t, r, d, p, j), terms, _, _ in rows:
+            # a cell's boarders are its entries and its transfer boardings:
+            # one term of each per combination in which p is active, in
+            # combination order, with p's frequency share as its coefficient
+            for family in boarding:
+                assert [(labels[v][1], a) for v, a in terms if labels[v][0] == family] == [
+                    ((t, r, d, j, c), combo.shares[p])
+                    for c, combo in enumerate(combos) if p in combo.active_patterns]
+        # a boarding flow appears in exactly its cell's rows: its gate, the
+        # on-board balances of the patterns its combination boards, and the
+        # demand row (entries) or the node row (re-boardings) of its stop
+        seen: dict[int, set] = {}
+        for family in ROW_FAMILIES:
+            for key, terms, _, _ in rows_of(model, family):
+                for v, _ in terms:
+                    seen.setdefault(v, set()).add((family, key))
+        own_row = {"fw": "demand_entry", "fx": "transfer_balance"}
+        for family in boarding:
+            for (t, r, d, i, c), v in var_ids(model, family).items():
+                assert seen[v] == (
+                    {("board_gate", (t, r, d, i, c)), (own_row[family], (t, r, min(i, 5 - i), d))}
+                    | {("onboard_balance", (t, r, d, p, i)) for p in combos[c].active_patterns})
 
 
 class TestTransferNodes:
@@ -163,28 +168,28 @@ class TestTransferNodes:
         model = build_model(make_scenario(menu=menu, n_patterns=n_patterns,
                                           symmetry=n_patterns == 2))
         n_combos = len(enumerate_combinations(n_patterns, menu))
-        variables = model.variables
-        rows = [row for row in model.rows if row.family == "transfer_balance"]
-        assert sorted(row.key[2:] for row in rows) == [(o, d) for o in range(3)
+        labels = var_labels(model)
+        rows = list(rows_of(model, "transfer_balance"))
+        assert sorted(key[2:] for key, *_ in rows) == [(o, d) for o in range(3)
                                                        for d in range(3) if o != d]
-        for row in rows:
-            t, r, o, d = row.key
+        for (t, r, o, d), terms, sense, rhs in rows:
             stops = (o, 5 - o)
-            assert row.sense == "=" and row.rhs == 0.0
-            terms = sorted((variables[v].family, variables[v].key, a) for v, a in row.coeffs)
-            assert terms == sorted(
+            assert sense == "=" and rhs == 0.0
+            assert sorted((*labels[v], a) for v, a in terms) == sorted(
                 [("ft", (t, r, d, p, i), 1.0) for i in stops for p in range(n_patterns)]
                 + [("fx", (t, r, d, i, c), -1.0) for i in stops for c in range(n_combos)])
-        # each balance carries exactly its own alighting or re-boarding
-        for row in model.rows:
-            terms = [(variables[v].family, variables[v].key, a) for v, a in row.coeffs
-                     if variables[v].family in ("ft", "fx")]
-            if row.family == "onboard_balance":
-                assert terms == [("ft", row.key, -1.0)]
-            elif row.family == "entry_board_balance":
-                assert terms == [("fx", row.key, 1.0)]
-            else:
-                assert row.family == "transfer_balance" or not terms, row.family
+        # each alighting leaves its own balance, each re-boarding passes its
+        # own gate
+        for family in ROW_FAMILIES:
+            for key, terms, _, _ in rows_of(model, family):
+                alight = [(*labels[v], a) for v, a in terms if labels[v][0] == "ft"]
+                gated = [(*labels[v], a) for v, a in terms if labels[v][0] == "fx"]
+                if family == "onboard_balance":
+                    assert alight == [("ft", key, -1.0)]
+                elif family == "board_gate":
+                    assert gated == [("fx", key, 1.0)] and not alight
+                else:
+                    assert family == "transfer_balance" or not alight + gated, family
 
 
 class TestStoredLayout:

@@ -269,7 +269,7 @@ class TestEvaluate:
         assert main(["evaluate", "--scenario", str(path), "--plan", str(plan_path),
                      "--out", str(tmp_path / "o")]) == 5
         assert capsys.readouterr().err == (
-            "error: EvaluationError: insufficient capacity to route demand "
+            "error: InsufficientCapacityError: insufficient capacity to route demand "
             "on route 0 in period 0\n")
 
     def test_missing_plan_exit_two(self, scenario_file, tmp_path):

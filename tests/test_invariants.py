@@ -12,6 +12,7 @@ from transitopt import (
 from transitopt.backend import DecodeError, _model_arrays, solve_arrays
 from transitopt.cli import main as cli_main
 
+from _blocks import var_ids, var_labels
 from _factories import (add_route, full_pattern_plan_doc, ladder_doc, make_scenario,
                         random_toy_doc, scenario_doc)
 
@@ -41,23 +42,24 @@ class TestRelaxation:
 class TestModelWellFormed:
     def test_rows_reference_registered_variables_only(self):
         model = build_model(make_scenario())
-        nvar = len(model.variables)
-        for row in model.rows:
-            for vid, coef in row.coeffs:
-                assert 0 <= vid < nvar
-        for vid in model.objective:
-            assert 0 <= vid < nvar
+        nvar = model.n_vars
+        for b in model.row_blocks:
+            assert ((0 <= b.cols) & (b.cols < nvar)).all(), b.family
+        assert ((0 <= model.obj_ids) & (model.obj_ids < nvar)).all()
 
     def test_variable_ids_dense_and_ordered(self):
         model = build_model(make_scenario())
-        for k, v in enumerate(model.variables):
-            assert v.id == k
+        stop = 0
+        for b in model.var_blocks:
+            assert b.start == stop and len(b.keys) == len(b.lb) == len(b.ub), b.family
+            stop = b.stop
+        assert stop == model.n_vars == len(var_labels(model))
 
     def test_transfers_off_rows_have_no_transfer_terms(self):
         model = build_model(make_scenario(transfers=False))
-        families = {v.id: v.family for v in model.variables}
-        for row in model.rows:
-            for vid, _ in row.coeffs:
+        families = [family for family, _ in var_labels(model)]
+        for b in model.row_blocks:
+            for vid in b.cols.tolist():
                 assert families[vid] not in ("ft", "fx")
 
 
@@ -66,7 +68,7 @@ class TestDecodeGuards:
         model = build_model(make_scenario())
         good = solve(model, SolverConfig(time_limit_s=120))
         x = np.array(good.assignment, copy=True)
-        some_binary = next(v.id for v in model.variables if v.kind == "B")
+        some_binary = next(b.start for b in model.var_blocks if b.kind == "B")
         x[some_binary] = 0.4
         bad = SolveResult(status="optimal", objective=good.objective,
                           assignment=x, wall_time_s=0.0)
@@ -77,12 +79,27 @@ class TestDecodeGuards:
         model = build_model(make_scenario())
         good = solve(model, SolverConfig(time_limit_s=120))
         x = np.array(good.assignment, copy=True)
-        some_flow = next(v.id for v in model.variables if v.family == "fw")
+        some_flow = next(b.start for b in model.var_blocks if b.family == "fw")
         x[some_flow] = -1e-6
         bad = SolveResult(status="optimal", objective=good.objective,
                           assignment=x, wall_time_s=0.0)
         with pytest.raises(DecodeError, match="negative"):
             decode_plan(model, bad)
+
+    def test_negative_flow_within_solver_tolerance_dropped(self):
+        # HiGHS's optima hold flows as low as -1e-9 (its primal feasibility
+        # tolerance is 1e-7): they decode, and the flow reads as absent
+        model = build_model(make_scenario())
+        good = solve(model, SolverConfig(time_limit_s=120))
+        _, flows = decode_plan(model, good)
+        key, idle = next((k, v) for k, v in var_ids(model, "fw").items()
+                         if good.assignment[v] == 0.0)
+        x = np.array(good.assignment, copy=True)
+        x[idle] = -5e-8
+        _, near = decode_plan(model, SolveResult(status="optimal", objective=good.objective,
+                                                 assignment=x, wall_time_s=0.0))
+        assert key not in near.entry
+        assert near == flows
 
 
 class TestIntegerFleet:

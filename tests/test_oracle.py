@@ -2,7 +2,7 @@ import pytest
 
 from transitopt import (
     OracleSizeError, SolverConfig, assign_flows, build_model, certify,
-    compute_metrics, enumerate_plans, load_plan, load_scenario, solve,
+    compute_metrics, decode_plan, enumerate_plans, load_plan, load_scenario, solve,
 )
 from transitopt import oracle
 from transitopt.plan import model_order, vehicle_need
@@ -171,6 +171,25 @@ class TestCertify:
         assert report.verdict == "match"
         assert report.unroutable_count > 0
         assert report.enumerated_count == 4
+
+    def test_designs_without_room_are_counted_not_fatal(self):
+        # capacity 3 binds: the optimum rides slower than the uncapacitated
+        # one, and 15 of the 17 designs cannot carry the demand at all
+        doc = random_toy_doc(11, transfers=True, dwell_saving=0.5)
+        uncapacitated = solve(build_model(load_scenario(doc)), SolverConfig(time_limit_s=60))
+        doc["options"]["enforce_capacity"] = True
+        doc["routes"][0]["capacity"] = 3.0
+        scenario = load_scenario(doc)
+        model = build_model(scenario)
+        result = solve(model, SolverConfig(time_limit_s=60))
+        assert uncapacitated.objective == pytest.approx(750.075, rel=1e-9)
+        assert result.objective == pytest.approx(765.0035714285714, rel=1e-9)
+        plan, _ = decode_plan(model, result)
+        evaluated = compute_metrics(assign_flows(scenario, plan), scenario, plan).objective
+        assert evaluated == pytest.approx(result.objective, rel=1e-9)
+        report = certify(scenario, result, cross_check="sample")
+        assert (report.enumerated_count, report.unroutable_count) == (17, 15)
+        assert report.verdict == "match"
 
 
 class TestRandomizedCertification:

@@ -1,12 +1,13 @@
 """Pinned outputs: the LP text of small models and of the city model, and
 the size of the city model.
 
-The pins were last taken when transfers came to pass through one node per
-physical stop and destination (``ft`` alighting, ``fx`` re-boarding and one
-``transfer_balance`` row per node), which changed only the models with
-transfers on; the LP text is otherwise byte-identical to the writer's before
-the model moved to array blocks. Any change to the LP text or to a family's
-size shows up here.
+The pins were last taken when the families the other rows imply were
+deleted (``loop_visit_cap``; the exit flow ``fb`` with ``demand_exit`` and
+``arrive_exit_balance``; the boarding copy ``fa`` with
+``entry_board_balance``): those rows go, and ``board_gate`` and
+``onboard_balance`` read ``fw`` (and ``fx``) where they read ``fa``. Every
+other row is unchanged. Any change to the LP text or to a family's size
+shows up here.
 """
 
 import hashlib
@@ -19,27 +20,27 @@ from transitopt import (build_model, fix_baseline, load_plan, load_scenario, mod
 from _factories import city_doc, full_pattern_plan_doc, random_toy_doc
 
 LP_SHA256 = {
-    "transfers-off-1": "f8d008380236ff3ef04032861abe56fbf7d036b43723d5d001d72175ac336f02",
-    "transfers-off-2": "fd62416dc2e0286475bdf1ef7533be1941ab6822f2f91167fc6b4741c2210988",
-    "transfers-off-3": "a9331dbb32bcc7e23b6cb9370a0e2c215bf0ae5974f80284f4075bae17bd721c",
-    "transfers-on-dwell-1": "daea82991717a66377b7d5dd9e44d183d1712671080a0534a54d8e3c36f902d6",
-    "transfers-on-dwell-2": "881fd1e50c7bb926089b0fa9c8e15e0b901f3d3e1d8e287e7f412ede6b410e19",
-    "transfers-on-dwell-3": "f2bcf29cbfc60bc1a1b9e7fc136aedc313c91d352dc24148714dc07acbbd0ac5",
-    "capacity-1": "6f6723320c3f802f7e5130784c249934f943e1ece06e3f1915d9a676db4b5484",
-    "capacity-2": "003942e0aa9e335b07aa2d6bda2262d270b2000cf06e9c0cf332d06077c0fd47",
-    "capacity-3": "018a629445d668a2c7d34f8d723708e0df7c1414725943c1684ad1aa95eff689",
-    "two-periods-1": "841138a52f035068529f8060d53abeb95523270b9eba7d8f320caae9ba96bb49",
-    "two-periods-2": "65dc9f7a94762e7a55e2629ac89584deb4b3ed494c31c16f59f0e39e55930197",
-    "two-periods-3": "fcd3f61a3e83f69d1d82750596b5fea7e72f0caf4d69683e3e8b531451744f3c",
-    "integer-fleet-1": "6bf9babe9afb76906fb4ee4582efa90860507c72ae29aec510893543626fa109",
-    "integer-fleet-2": "e2798d586c5ecc5320056b1c605f559659bd5a00de8ca0f65d1df4d4857b3c56",
-    "integer-fleet-3": "67ed4f6a103540e01e2d507cf52b49429ab264fe419d015b2630f4d555b916f9",
-    "symmetry-1": "0111598fa13ca4781ccdaaddf88efa4c20599505d64fd10b628ba8bc1c7b048a",
-    "symmetry-2": "0001f823d24373a52459ec89c331de904c473dc427ef7c13574651bdadbc3f72",
-    "symmetry-3": "8a5b48149f2eb067de52b9187998b6231c82a250661b404c5585aff4285960b2",
-    "fixed-baseline-1": "c4732209cd42f42b64c392ce2fe3d20b159feb3365577b581be2f77010b84d86",
-    "fixed-baseline-2": "de5a51acd965c505cdf875af6a4b05476cd099fc1c27677af5f77926a7835f87",
-    "fixed-baseline-3": "211bbf641986ef65128cf4e42b7eb8433a3d2e4f2b85e75c684b388baf868151",
+    "transfers-off-1": "7f1c226670db056b81154e344aab844a39992b66f87fa4893d2a4e227592d963",
+    "transfers-off-2": "167522053465131fa543d69eb0cb4a8a1439c8cbbb3f333fa4394029ff6ad577",
+    "transfers-off-3": "d6aa0428838ca755358a45f84b444e5c738306112636bc3369813ea24f9d8b98",
+    "transfers-on-dwell-1": "0c0ace80d72a187f598a3d52f2ba31e680157ad458654def47408ee2cfdb93e8",
+    "transfers-on-dwell-2": "0c12177f3df37abd1538336e246a416b4d795912da202a1dee1d2c698dfb375d",
+    "transfers-on-dwell-3": "54e003738854267ef73efda18313579c4cb621a55aabc08552c3d6c3322d559f",
+    "capacity-1": "ed6f0777d18723beebe88a1f18c162b5d1ddd84d5d7481da173d602086af5cbb",
+    "capacity-2": "f8e295a6bb5b5e77f446739e7c0ede1c7c86f04015b0d1cb83db69170cf67e46",
+    "capacity-3": "252c8633d3369c600dd15617b1c1e7c407e31822b81e2533c58d5086c87ba2fe",
+    "two-periods-1": "61da6f1c1d1d20488a9848c94fb63f659b9e9e405f08438b9249871be2863f8b",
+    "two-periods-2": "20efc0fe363177848df98d0ba3543a9bd54aecf1f4b9397f140e406d961371ca",
+    "two-periods-3": "1338335ca17aa1eb6f102ae05c43f4a82d29a0b413ffc86cb4ab2cd90beb3513",
+    "integer-fleet-1": "fbc12a8623eeb8552107685d16ff02259239f0f963d91bf23e3746ee82147755",
+    "integer-fleet-2": "5b538aaa417902539ca489a914fb1bfc0c83e5e85c7812f66093ef1c86898092",
+    "integer-fleet-3": "9e84d8b366758b890652ef026e0c07cf5a5a8f7b1fd60557434209e5567cc029",
+    "symmetry-1": "41f087bed3d2de2762b9296fdf571536272561c9ba30373f521ba899420cc8da",
+    "symmetry-2": "5a6eb8b387498519cea83c370e4e08afe0b0a36ae3f2debd031bd00ef381d27c",
+    "symmetry-3": "99bd23d47211a2f444d88630beebe65ebe9e51f0ad643a740a28036eb7c1deba",
+    "fixed-baseline-1": "dc652f004d2e6035f1ae91716a5ded44f0196ccd59603f73c03eb59b4dba92ed",
+    "fixed-baseline-2": "f11f3f6b14f49cc0eb0fbc9ab227319975d3bd9161cb46eab982493a6244a183",
+    "fixed-baseline-3": "39ae3889e766b2842dda5fa2d1244df6277349108e2698cbdd4c21f232bd33f3",
 }
 
 
@@ -74,7 +75,7 @@ def test_lp_text_pinned(case):
 
 
 # sha256 and length of the city model's LP text
-CITY_LP = ("9ee4277071eb630c2db2c4c10125147ab679b6687caf4bfff562ae25aad21dac", 71_901_486)
+CITY_LP = ("c59d5448ab083d2df21ed29bed0c34123230b76831d658ab606995e0554323df", 70_266_290)
 
 
 def test_city_lp_text_pinned():
@@ -86,22 +87,21 @@ def test_city_model_stats_pinned():
     stats = model_stats(build_model(load_scenario(city_doc())))
     assert stats == {
         "variables": {
-            "total": 444631,
-            "by_kind": {"binary": 43522, "continuous": 401109, "integer": 0},
-            "by_family": {"x": 14620, "y": 6, "cy": 4, "z": 28896, "fw": 28896, "fa": 28896,
-                          "fl": 307020, "fb": 172, "ft": 7224, "fx": 28896, "n": 1},
+            "total": 415563,
+            "by_kind": {"binary": 43522, "continuous": 372041, "integer": 0},
+            "by_family": {"x": 14620, "y": 6, "cy": 4, "z": 28896, "fw": 28896,
+                          "fl": 307020, "ft": 7224, "fx": 28896, "n": 1},
         },
         "rows": {
-            "total": 423178,
+            "total": 393895,
             "by_family": {
-                "loop_balance": 172, "loop_visit_cap": 172, "loop_wrap": 2,
+                "loop_balance": 172, "loop_wrap": 2,
                 "ride_arc_gate": 307020, "pattern_symmetry": 0, "one_headway": 2,
                 "headway_order": 2, "cycle_gate": 4, "cycle_split": 2, "arc_capacity": 0,
                 "fleet_need": 1, "fleet_pool": 1, "fleet_hours": 1, "one_combination": 3612,
-                "combination_menu": 43344, "board_gate": 28896,
-                "demand_entry": 1806, "demand_exit": 43, "entry_board_balance": 28896,
-                "onboard_balance": 7224, "transfer_balance": 1806, "arrive_exit_balance": 172,
+                "combination_menu": 43344, "board_gate": 28896, "demand_entry": 1806,
+                "onboard_balance": 7224, "transfer_balance": 1806,
             },
         },
-        "nonzeros": 1669897,
+        "nonzeros": 1633261,
     }

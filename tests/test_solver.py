@@ -10,6 +10,7 @@ from transitopt import (
 from transitopt.backend import DecodeError
 from transitopt.model import MilpModel, row_block, var_block
 
+from _blocks import var_ids
 from _factories import (full_pattern_plan_doc, ladder_doc, make_scenario, random_toy_doc,
                         scenario_doc)
 from transitopt import load_scenario
@@ -32,7 +33,7 @@ def assert_highs_round_trip(model, tmp_path):
     assert highs.readModel(str(path)) == HighsStatus.kOk
     lp = highs.getLp()
     assert lp.num_row_ == model_stats(model)["rows"]["total"]
-    assert lp.num_col_ == len(model.variables)
+    assert lp.num_col_ == model.n_vars
     direct = solve(model, SolverConfig(time_limit_s=120))
     highs.run()
     assert highs.getModelStatus() == HighsModelStatus.kOptimal
@@ -61,8 +62,8 @@ class TestSolve:
         result = solve(model, SolverConfig(time_limit_s=120))
         assert result.status == "optimal"
         assert result.ok
-        c = np.zeros(len(model.variables))
-        for vid, coef in model.objective.items():
+        c = np.zeros(model.n_vars)
+        for vid, coef in zip(model.obj_ids.tolist(), model.obj_coefs.tolist()):
             c[vid] = coef
         assert result.objective == pytest.approx(float(c @ result.assignment), rel=1e-9)
 
@@ -234,10 +235,11 @@ class TestDecode:
         # one pattern at headway 1 with the given arcs, every other variable 0
         from transitopt import SolveResult
         model = build_model(make_scenario(n_patterns=1, symmetry=False))
-        x = np.zeros(len(model.variables))
-        for v in model.variables:
-            if v.family == "y" and v.key == (0, 0, 0, 1) or v.family == "x" and v.key[3:] in arcs:
-                x[v.id] = 1.0
+        x = np.zeros(model.n_vars)
+        x[var_ids(model, "y")[(0, 0, 0, 1)]] = 1.0
+        for key, vid in var_ids(model, "x").items():
+            if key[3:] in arcs:
+                x[vid] = 1.0
         with pytest.raises(DecodeError, match="not one loop"):
             decode_plan(model, SolveResult("optimal", 0.0, x, 0.0))
 
@@ -247,11 +249,11 @@ class TestDecode:
         from transitopt import SolveResult
         model = build_model(make_scenario(symmetry=False))
         loop = {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)}
-        x = np.zeros(len(model.variables))
-        for v in model.variables:
-            if (v.family == "y" and v.key in ((0, 0, 0, 0), (0, 0, 1, 1))
-                    or v.family == "x" and v.key[2] == 1 and v.key[3:] in loop):
-                x[v.id] = 1.0
+        x = np.zeros(model.n_vars)
+        x[[var_ids(model, "y")[key] for key in ((0, 0, 0, 0), (0, 0, 1, 1))]] = 1.0
+        for key, vid in var_ids(model, "x").items():
+            if key[2] == 1 and key[3:] in loop:
+                x[vid] = 1.0
         with pytest.raises(DecodeError, match="model order"):
             decode_plan(model, SolveResult("optimal", 0.0, x, 0.0))
 
@@ -308,8 +310,7 @@ class TestTransferDecode:
         _, _, model, result = self.solved()
         x = np.array(result.assignment, copy=True)
         # one more rider alights pattern 0 at C outbound for A than boards again
-        alight = next(v.id for v in model.variables
-                      if v.family == "ft" and v.key == (0, 0, 0, 0, 2))
+        alight = var_ids(model, "ft")[(0, 0, 0, 0, 2)]
         x[alight] += 1.0
         with pytest.raises(DecodeError, match="stop 2 label 0: .* riders alight to transfer"):
             decode_plan(model, SolveResult("optimal", result.objective, x, 0.0))
