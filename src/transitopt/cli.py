@@ -19,8 +19,8 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from .backend import DecodeError, SolverConfig, SolverError, decode_plan, solve
-from .evaluator import (EvaluationError, UnroutableDemandError, assign_flows,
-                        compute_metrics)
+from .evaluator import (EvaluationError, InsufficientCapacityError, UnroutableDemandError,
+                        assign_flows, compute_metrics)
 from .lpio import lp_chunks
 from .model import build_model, model_stats
 from .network import Scenario, ScenarioError, load_scenario, validate_scenario
@@ -36,6 +36,8 @@ EXIT_FAILURE = 5
 
 # Failures that end a command with EXIT_FAILURE.
 _FAILURES = (SolverError, DecodeError, EvaluationError)
+# A plan that cannot carry its demand: no path, or not within capacity.
+_INFEASIBLE_PLAN = (UnroutableDemandError, InsufficientCapacityError)
 
 __all__ = ["main", "entry"]
 
@@ -277,9 +279,10 @@ def cmd_evaluate(args) -> int:
     run = _Run(args, "evaluate")
     try:
         flows = assign_flows(scenario, plan)
-    except UnroutableDemandError as exc:
+    except _INFEASIBLE_PLAN as exc:
         _err(f"infeasible: {exc}")
-        run.extra["infeasible_pair"] = {"t": exc.t, "route": exc.r, "o": exc.o, "d": exc.d}
+        if isinstance(exc, UnroutableDemandError):
+            run.extra["infeasible_pair"] = {"t": exc.t, "route": exc.r, "o": exc.o, "d": exc.d}
         run.finish()
         return EXIT_INFEASIBLE
     metrics = compute_metrics(flows, scenario, plan)
@@ -304,7 +307,7 @@ def cmd_compare(args) -> int:
     run = _Run(args, "compare")
     try:
         base_flows = assign_flows(scenario, baseline_plan)
-    except UnroutableDemandError as exc:
+    except _INFEASIBLE_PLAN as exc:
         _err(f"infeasible baseline: {exc}")
         run.finish()
         return EXIT_INFEASIBLE

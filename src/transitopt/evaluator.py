@@ -4,9 +4,12 @@ Given a frozen design (loops + headways), the cheapest flow routing is found
 without touching the model builder: when transfers and capacity are both off
 the problem separates per origin-destination pair and is solved in closed
 form; otherwise one small program per route and period covers every
-destination with demand. Binary picks hold each entry stop to one
+destination with demand. Where the plan leaves a cell more than one
+available combination, binary picks hold each entry stop to one
 combination for riders starting there and riders transferring there alike,
-as the design model does. The program goes through ``milp``, which
+as the design model does; with one combination (the full-pattern plan, any
+cell with one pattern in service) there is nothing to pick, and the
+program is an LP. The program goes through ``milp``, which
 assembles it with the backend's ``csr_rows`` and solves it with its
 ``solve_arrays``, the row assembler and HiGHS call the design model uses
 (scipy's bundled HiGHS binding on numpy arrays; no scipy package is
@@ -293,6 +296,8 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     if not dests:
         return
     _check_routable(scenario, t, r, views)
+    # one available combination needs no pick: the program is then an LP
+    choice = len(avail) > 1
 
     lp = _MiniLp()
     z: dict[tuple, int] = {}
@@ -308,7 +313,8 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
         big_m = dm.total_into(t, d)
         for i in entry_stops:
             for c in avail:
-                z[(d, i, c)] = lp.var(binary=True)
+                if choice:
+                    z[(d, i, c)] = lp.var(binary=True)
                 w[(d, i, c)] = lp.var(cost=gamma_w * combos[c].perceived_headway / 2.0)
                 for p in combos[c].active_patterns:
                     a_[(d, i, c, p)] = lp.var()
@@ -337,11 +343,13 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
             lp.add(coeffs, "=", dm.riders(t, o, d))
 
         for i in entry_stops:
-            lp.add([(z[(d, i, c)], 1.0) for c in avail], "<=", 1.0)
+            if choice:
+                lp.add([(z[(d, i, c)], 1.0) for c in avail], "<=", 1.0)
             for c in avail:
                 combo = combos[c]
-                for p in combo.active_patterns:
-                    lp.add([(a_[(d, i, c, p)], 1.0), (z[(d, i, c)], -big_m)], "<=", 0.0)
+                if choice:
+                    for p in combo.active_patterns:
+                        lp.add([(a_[(d, i, c, p)], 1.0), (z[(d, i, c)], -big_m)], "<=", 0.0)
                 coeffs = [(w[(d, i, c)], 1.0)]
                 if opts.allow_transfers:
                     mi = route.mirror(i)

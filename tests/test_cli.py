@@ -262,15 +262,14 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "origin 0 -> destination 2" in err
 
-    def test_insufficient_capacity_exit_five(self, tmp_path, capsys):
+    def test_insufficient_capacity_exit_three(self, tmp_path, capsys):
         path = write_doc(tmp_path, scenario_doc(enforce_capacity=True, capacity=1.0,
                                                 symmetry=False))
         plan_path = write_doc(tmp_path, full_pattern_plan_doc(load_scenario(path)), "plan.json")
         assert main(["evaluate", "--scenario", str(path), "--plan", str(plan_path),
-                     "--out", str(tmp_path / "o")]) == 5
+                     "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (
-            "error: InsufficientCapacityError: insufficient capacity to route demand "
-            "on route 0 in period 0\n")
+            "infeasible: insufficient capacity to route demand on route 0 in period 0\n")
 
     def test_missing_plan_exit_two(self, scenario_file, tmp_path):
         assert main(["evaluate", "--scenario", str(scenario_file),
@@ -409,6 +408,18 @@ class TestCompare:
                      "--baseline", str(out1 / "plan.json"), "--out", str(out2)]) == 0
         comparison = json.loads((out2 / "comparison.json").read_text())
         assert comparison["percent_change"]["objective"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_baseline_insufficient_capacity_exit_three(self, tmp_path, capsys):
+        path = write_doc(tmp_path, scenario_doc(enforce_capacity=True, capacity=1.0,
+                                                symmetry=False))
+        plan_path = write_doc(tmp_path, full_pattern_plan_doc(load_scenario(path)), "base.json")
+        out = tmp_path / "o"
+        assert main(["compare", "--scenario", str(path), "--baseline", str(plan_path),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "infeasible baseline: insufficient capacity to route demand "
+            "on route 0 in period 0\n")
+        assert json.loads((out / "manifest.json").read_text())["artifacts"] == {}
 
 
 class TestOracleCommand:

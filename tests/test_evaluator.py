@@ -339,23 +339,50 @@ class TestAgainstSolver:
 
 
 class TestProgramKind:
+    @staticmethod
+    def record(monkeypatch):
+        """What the evaluator hands HiGHS: (integrality, row_lo, row_hi) per solve."""
+        seen = []
+        solve_arrays = evaluator.solve_arrays
+
+        def recording(c, a, row_lo, row_hi, integrality, *rest):
+            seen.append((np.asarray(integrality), np.asarray(row_lo), np.asarray(row_hi)))
+            return solve_arrays(c, a, row_lo, row_hi, integrality, *rest)
+
+        monkeypatch.setattr(evaluator, "solve_arrays", recording)
+        return seen
+
     @pytest.mark.parametrize("capacity, gamma_transfer", [
         (False, 1.5), (False, 2.0), (True, 1.5),
     ], ids=["capacity-off-equal-weights", "capacity-off-transfer-weighs-more", "capacity-on"])
     def test_every_regime_gets_integer_picks(self, monkeypatch, capacity, gamma_transfer):
         # binary picks hold each cell to one combination in every regime
-        # the program covers, with equal wait weights too
-        seen = []
-        solve_arrays = evaluator.solve_arrays
-
-        def recording(c, a, row_lo, row_hi, integrality, *rest):
-            seen.append(np.asarray(integrality))
-            return solve_arrays(c, a, row_lo, row_hi, integrality, *rest)
-
-        monkeypatch.setattr(evaluator, "solve_arrays", recording)
+        # the program covers, with equal wait weights too, once two patterns
+        # in service give the cell three combinations to choose from
+        seen = self.record(monkeypatch)
         scenario = make_scenario(enforce_capacity=capacity, capacity=25.0, symmetry=False,
                                  gamma_wait=1.5, gamma_transfer=gamma_transfer)
-        plan = load_plan(full_pattern_plan_doc(scenario), scenario)
+        plan = load_plan(plan_doc({(0, 0): [((0, 1, 2, 3, 4, 5), 5.0), ((0, 1, 4, 5), 7.0)]},
+                                  scenario), scenario)
         assign_flows(scenario, plan)
         assert len(seen) == 1
-        assert seen[0].any()
+        assert seen[0][0].any()
+
+    @pytest.mark.parametrize("capacity", [False, True], ids=["capacity-off", "capacity-on"])
+    def test_one_combination_is_an_lp(self, monkeypatch, capacity):
+        # the full-pattern plan leaves the cell one combination, so there is
+        # nothing to pick: no integer column, and the only one-sided rows are
+        # the capacity rows, one per arc the loop rides (25 riders every
+        # 5 minutes for an hour)
+        seen = self.record(monkeypatch)
+        scenario = make_scenario(enforce_capacity=capacity, capacity=25.0, symmetry=False)
+        plan = load_plan(full_pattern_plan_doc(scenario, headway_choice=0), scenario)
+        priced = compute_metrics(assign_flows(scenario, plan), scenario, plan).objective
+        assert len(seen) == 1
+        integrality, row_lo, row_hi = seen[0]
+        assert not integrality.any()
+        one_sided = row_hi[np.isneginf(row_lo)]
+        assert one_sided.tolist() == [300.0] * (5 if capacity else 0)
+        fixed = solve(fix_baseline(build_model(scenario), plan), SolverConfig(time_limit_s=60))
+        assert fixed.status == "optimal"
+        assert priced == pytest.approx(fixed.objective, rel=1e-9)

@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -94,7 +95,9 @@ class TestBinding:
 
 def reference(c, indptr, cols, vals, sense, rhs, integrality, lb, ub, cfg):
     """Status, objective and assignment of ``scipy.optimize.milp`` on the
-    rows given in CSR form, assembled by ``scipy.sparse``."""
+    rows given in CSR form, assembled by ``scipy.sparse``, with Feasibility
+    Jump off as in ``solve_arrays``. ``milp`` hands that option to HiGHS
+    verbatim and warns that it did; that one warning is filtered."""
     from scipy.optimize import Bounds, LinearConstraint, milp
     from scipy.sparse import csr_matrix
 
@@ -102,10 +105,15 @@ def reference(c, indptr, cols, vals, sense, rhs, integrality, lb, ub, cfg):
     a.sum_duplicates()
     lo = np.where(sense == SENSES.index("<="), -np.inf, rhs)
     hi = np.where(sense == SENSES.index(">="), np.inf, rhs)
-    res = milp(c=c, constraints=LinearConstraint(a, lo, hi), integrality=integrality,
-               bounds=Bounds(lb, ub),
-               options={"time_limit": cfg.time_limit_s, "mip_rel_gap": cfg.rel_gap,
-                        "presolve": True, "disp": False})
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", r"Unrecognized options detected: \{'mip_heuristic_run_feasibility_jump'\}",
+            RuntimeWarning)
+        res = milp(c=c, constraints=LinearConstraint(a, lo, hi), integrality=integrality,
+                   bounds=Bounds(lb, ub),
+                   options={"time_limit": cfg.time_limit_s, "mip_rel_gap": cfg.rel_gap,
+                            "presolve": True, "disp": False,
+                            "mip_heuristic_run_feasibility_jump": False})
     status = {0: "optimal", 2: "infeasible"}.get(res.status, "error")
     if res.status == 1:
         status = "feasible" if res.x is not None else "timeout"
@@ -200,6 +208,8 @@ class TestAgainstScipyMilp:
         assert_same(ours, model_reference(model, cfg))
 
     def test_evaluator_program_with_capacity_matches(self, monkeypatch):
+        # the full-pattern plan leaves one combination, so its program is an
+        # LP; a second pattern in service gives the program binary picks
         programs = []
 
         def recording(lp):
@@ -209,16 +219,21 @@ class TestAgainstScipyMilp:
         solve_program = evaluator.milp
         monkeypatch.setattr(evaluator, "milp", recording)
         scenario = make_scenario(enforce_capacity=True, capacity=25.0, symmetry=False)
-        assign_flows(scenario, load_plan(full_pattern_plan_doc(scenario), scenario))
-        assert len(programs) == 1
-        lp, ours = programs[0]
-        assert ours.status == "optimal"
-        integrality = np.asarray(lp.is_binary, dtype=np.uint8)
-        assert_same(ours, reference(
-            np.asarray(lp.costs), np.asarray(lp.indptr), np.asarray(lp.cols),
-            np.asarray(lp.vals, dtype=np.float64), np.asarray(lp.sense), np.asarray(lp.rhs),
-            integrality, np.zeros(len(lp.costs)), np.where(integrality == 1, 1.0, np.inf),
-            SolverConfig()))
+        one = full_pattern_plan_doc(scenario)
+        two = full_pattern_plan_doc(scenario)
+        two["routes"][0]["periods"][0]["patterns"][1].update(headway=5.0, stops=[0, 1, 4, 5])
+        for doc in (one, two):
+            assign_flows(scenario, load_plan(doc, scenario))
+        assert len(programs) == 2
+        for (lp, ours), picks in zip(programs, (False, True)):
+            assert ours.status == "optimal"
+            integrality = np.asarray(lp.is_binary, dtype=np.uint8)
+            assert integrality.any() == picks
+            assert_same(ours, reference(
+                np.asarray(lp.costs), np.asarray(lp.indptr), np.asarray(lp.cols),
+                np.asarray(lp.vals, dtype=np.float64), np.asarray(lp.sense), np.asarray(lp.rhs),
+                integrality, np.zeros(len(lp.costs)), np.where(integrality == 1, 1.0, np.inf),
+                SolverConfig()))
 
 
 class TestTimeLimit:
