@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, combinations_with_replacement, islice, product
 from itertools import combinations as subsets_of
-from itertools import combinations_with_replacement, islice, product
 from typing import Any, Iterator
+
+import numpy as np
 
 from .backend import SolveResult, SolverConfig, solve
 from .evaluator import (InsufficientCapacityError, UnroutableDemandError, assign_flows,
@@ -85,10 +87,19 @@ def _served_subsets(route: RouteSpec, symmetric: bool) -> list[tuple[int, ...]]:
             if all(route.arc_allowed(u, v) for u, v in loop_arcs(s))]
 
 
-def _fits(scenario: Scenario, fleet: float) -> bool:
-    """``fleet`` vehicles fit the fleet pool and the vehicle-hours budget."""
-    return (fleet <= scenario.fleet_cap + 1e-9
-            and scenario.periods[0].duration_hours * fleet <= scenario.vehicle_hours_cap + 1e-9)
+def _fits(scenario: Scenario, fleet: Any) -> Any:
+    """``fleet`` vehicles fit the fleet pool and the vehicle-hours budget;
+    elementwise for an array of fleets."""
+    return ((fleet <= scenario.fleet_cap + 1e-9)
+            & (scenario.periods[0].duration_hours * fleet <= scenario.vehicle_hours_cap + 1e-9))
+
+
+def _index_rows(lo: int, hi: int, k: int, limit: int) -> np.ndarray:
+    """The first ``limit`` of ``combinations_with_replacement(range(lo, hi), k)``,
+    one row each."""
+    n = min(math.comb(hi - lo + k - 1, k), limit)
+    rows = islice(combinations_with_replacement(range(lo, hi), k), n)
+    return np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=n * k).reshape(n, k)
 
 
 def _route_cells(route: RouteSpec, scenario: Scenario) -> tuple[list[RoutePeriodPlan], int]:
@@ -96,12 +107,15 @@ def _route_cells(route: RouteSpec, scenario: Scenario) -> tuple[list[RoutePeriod
     multiset of patterns once, and the number of designs examined.
 
     A choice is (headway index, served subset), taken in that order, and
-    None is out of service, taken last; a design is a sorted multiset of
-    choices, which lists its patterns in ``model_order``. Under
-    ``require_full_pattern`` pattern 0 runs the full loop at some h0 and
-    the others draw from the choices with h >= h0. Each choice's pattern
-    and vehicle need are made once; a design's fleet sums them in pattern
-    order, as ``vehicle_need`` does. A design whose own fleet breaks a pool
+    out of service is taken last; a design is a sorted multiset of choices,
+    which lists its patterns in ``model_order``. Under
+    ``require_full_pattern`` pattern 0 runs the full loop at some h0 and the
+    others draw from the choices with h >= h0. Each served subset's cycle
+    time is computed once and shared by the menu's headways. The designs are
+    rows of choice indices, sized in one array pass: a design's fleet sums
+    its choices' vehicle needs in pattern order, out of service counting 0.0,
+    which with at most MAX_PATTERNS = 2 needs is the one correctly rounded
+    addition ``vehicle_need`` makes. A design whose own fleet breaks a pool
     breaks it together with any other route's (fleets are not negative), so
     its cell is never built. At most MAX_DESIGNS + 1 designs are examined.
     """
@@ -109,29 +123,30 @@ def _route_cells(route: RouteSpec, scenario: Scenario) -> tuple[list[RoutePeriod
     subsets = _served_subsets(route, scenario.options.enforce_symmetry)
     if not subsets:
         raise OracleSizeError(f"route {route.id}: no feasible served-stop subsets")
-    choices = [(h, s) for h in range(1, len(menu) + 1) for s in subsets]
-    pattern = {c: PatternPlan(stops=c[1], headway=menu[c[0] - 1], headway_index=c[0])
-               for c in choices}
-    need = {c: pat.cycle_time(route) / pat.headway for c, pat in pattern.items()}
-    pattern[None] = _OFF
+    # choice h * len(subsets) + s is subset s at headway index h + 1
+    patterns = [PatternPlan(stops=s, headway=headway, headway_index=h)
+                for h, headway in enumerate(menu, 1) for s in subsets]
+    cycle = [pat.cycle_time(route) for pat in patterns[:len(subsets)]]
+    need = np.array([c / headway for headway in menu for c in cycle] + [0.0])
+    off = len(patterns)
+    patterns.append(_OFF)
     k = route.n_patterns
+    limit = MAX_DESIGNS + 1
     if scenario.options.require_full_pattern:
-        full = route.full_loop()   # a subset: validate_scenario allows its arcs
-        designs = (((h0, full),) + rest
-                   for h0 in range(1, len(menu) + 1)
-                   for rest in combinations_with_replacement(
-                       [c for c in choices if c[0] >= h0] + [None], k - 1))
+        full = subsets.index(route.full_loop())   # validate_scenario allows its arcs
+        blocks = []
+        for lead in range(full, off, len(subsets)):   # the full loop at each headway
+            rest = _index_rows(lead - full, off + 1, k - 1, limit)   # no faster than lead
+            blocks.append(np.column_stack((np.full(len(rest), lead), rest)))
+        designs = np.concatenate(blocks)[:limit]
     else:
-        designs = (d for d in combinations_with_replacement(choices + [None], k)
-                   if d[0] is not None)
-    cells = []
-    examined = 0
-    for design in islice(designs, MAX_DESIGNS + 1):
-        examined += 1
-        fleet = sum(need[c] for c in design if c is not None)
-        if _fits(scenario, fleet):
-            cells.append(RoutePeriodPlan(patterns=tuple(pattern[c] for c in design), fleet=fleet))
-    return cells, examined
+        # every multiset but the last one, all out of service
+        designs = _index_rows(0, off + 1, k, min(math.comb(off + k, k) - 1, limit))
+    fleets = need[designs].sum(axis=1)
+    fit = _fits(scenario, fleets)
+    cells = [RoutePeriodPlan(patterns=tuple(patterns[c] for c in design), fleet=fleet)
+             for design, fleet in zip(designs[fit].tolist(), fleets[fit].tolist())]
+    return cells, len(designs)
 
 
 def enumerate_plans(scenario: Scenario) -> Iterator[ServicePlan]:
@@ -179,8 +194,11 @@ def certify(scenario: Scenario, milp_result: SolveResult, *,
 
     cross_check controls how many enumerated plans are additionally priced
     through the fixed-design solver path: "none", "sample" (every
-    SAMPLE_EVERY-th routable design and the best one) or "all"; any
-    disagreement beyond 1e-6 relative flags an internal inconsistency.
+    SAMPLE_EVERY-th routable design, starting with the first, plus the best
+    one) or "all". Each distinct design is solved once: the best one is
+    added only when the sample does not already hold it, and
+    ``cross_checked`` counts the designs solved. Any disagreement beyond
+    1e-6 relative flags an internal inconsistency.
     """
     if cross_check not in ("none", "sample", "all"):
         raise ValueError(f"unknown cross_check mode {cross_check!r}")
@@ -214,7 +232,8 @@ def certify(scenario: Scenario, milp_result: SolveResult, *,
     if cross_check != "none" and (to_cross or best_plans):
         base_model = build_model(scenario)
         cfg = SolverConfig()
-        if best_plans:
+        # each design is enumerated once, so identity finds the best in the sample
+        if best_plans and not any(plan is best_plans[0] for plan, _ in to_cross):
             to_cross.append((best_plans[0], best))
         for plan, obj in to_cross:
             fixed = fix_baseline(base_model, plan)

@@ -1,11 +1,14 @@
+from itertools import combinations_with_replacement, islice
+
 import pytest
 
 from transitopt import (
     OracleSizeError, SolverConfig, assign_flows, build_model, certify,
-    compute_metrics, decode_plan, enumerate_plans, load_plan, load_scenario, solve,
+    compute_metrics, decode_plan, enumerate_plans, fix_baseline, load_plan, load_scenario,
+    solve,
 )
 from transitopt import oracle
-from transitopt.plan import model_order, vehicle_need
+from transitopt.plan import PatternPlan, RoutePeriodPlan, model_order, vehicle_need
 
 from _factories import full_pattern_plan_doc, make_scenario, random_toy_doc, scenario_doc
 
@@ -19,7 +22,81 @@ def tiny_scenario(**kw):
     return make_scenario(**defaults)
 
 
+def route_cells_reference(route, scenario):
+    """``oracle._route_cells`` one design at a time: a generator of choice
+    tuples, each design's fleet summed in Python and tested on its own."""
+    menu = route.headway_menu(0)
+    subsets = oracle._served_subsets(route, scenario.options.enforce_symmetry)
+    choices = [(h, s) for h in range(1, len(menu) + 1) for s in subsets]
+    pattern = {c: PatternPlan(stops=c[1], headway=menu[c[0] - 1], headway_index=c[0])
+               for c in choices}
+    need = {c: pat.cycle_time(route) / pat.headway for c, pat in pattern.items()}
+    pattern[None] = oracle._OFF
+    k = route.n_patterns
+    if scenario.options.require_full_pattern:
+        full = route.full_loop()
+        designs = (((h0, full),) + rest
+                   for h0 in range(1, len(menu) + 1)
+                   for rest in combinations_with_replacement(
+                       [c for c in choices if c[0] >= h0] + [None], k - 1))
+    else:
+        designs = (d for d in combinations_with_replacement(choices + [None], k)
+                   if d[0] is not None)
+    cells = []
+    examined = 0
+    for design in islice(designs, oracle.MAX_DESIGNS + 1):
+        examined += 1
+        fleet = sum(need[c] for c in design if c is not None)
+        if (fleet <= scenario.fleet_cap + 1e-9 and scenario.periods[0].duration_hours * fleet
+                <= scenario.vehicle_hours_cap + 1e-9):
+            cells.append(RoutePeriodPlan(patterns=tuple(pattern[c] for c in design), fleet=fleet))
+    return cells, examined
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("kwargs", [
+        pytest.param({"fleet_cap": 30.0}, id="symmetric"),
+        pytest.param({"symmetry": False, "fleet_cap": 30.0}, id="asymmetric"),
+        pytest.param({"menu": (5.0, 7.0), "n_patterns": 2, "fleet_cap": 100.0,
+                      "vehicle_hours_cap": 100.0}, id="two-patterns"),
+        pytest.param({"menu": (5.0, 7.0), "n_patterns": 2, "symmetry": False,
+                      "fleet_cap": 100.0, "vehicle_hours_cap": 100.0},
+                     id="two-patterns-asymmetric"),
+        pytest.param({"menu": (5.0, 7.0), "full_pattern": True, "fleet_cap": 30.0},
+                     id="full-pattern"),
+        pytest.param({"menu": (5.0, 7.0), "n_patterns": 2, "full_pattern": True,
+                      "symmetry": False, "fleet_cap": 100.0, "vehicle_hours_cap": 100.0},
+                     id="full-pattern-two-patterns"),
+        pytest.param({"menu": (5.0, 7.0), "n_patterns": 2, "symmetry": False,
+                      "fleet_cap": 4.0, "vehicle_hours_cap": 4.0}, id="binding-pool"),
+        pytest.param({"menu": (5.0, 7.0), "n_patterns": 2, "fleet_cap": 100.0,
+                      "vehicle_hours_cap": 2.6}, id="binding-hours"),
+        pytest.param({"menu": (5.0, 7.0), "n_patterns": 2, "symmetry": False,
+                      "dwell_saving": 0.5, "fleet_cap": 100.0, "vehicle_hours_cap": 100.0},
+                     id="dwell-saving"),
+        pytest.param({"menu": (5.0, 7.0), "n_patterns": 2, "full_pattern": True,
+                      "symmetry": False, "dwell_saving": 0.5, "fleet_cap": 7.0,
+                      "vehicle_hours_cap": 7.0}, id="full-pattern-dwell-binding"),
+    ])
+    def test_cells_match_one_design_at_a_time(self, kwargs):
+        scenario = tiny_scenario(**kwargs)
+        route = scenario.routes[0]
+        cells, examined = oracle._route_cells(route, scenario)
+        ref_cells, ref_examined = route_cells_reference(route, scenario)
+        assert examined == ref_examined
+        assert cells == ref_cells
+        assert [c.fleet.hex() for c in cells] == [c.fleet.hex() for c in ref_cells]
+
+    def test_design_limit_cuts_where_one_design_at_a_time_does(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_DESIGNS", 50)
+        for kwargs in ({}, {"full_pattern": True}):
+            scenario = tiny_scenario(menu=(5.0, 7.0), n_patterns=2, symmetry=False,
+                                     fleet_cap=100.0, vehicle_hours_cap=100.0, **kwargs)
+            route = scenario.routes[0]
+            cells, examined = oracle._route_cells(route, scenario)
+            assert (cells, examined) == route_cells_reference(route, scenario)
+            assert examined == 51
+
     def test_single_pattern_single_headway_counts_subsets(self):
         scenario = tiny_scenario(fleet_cap=30.0)
         plans = list(enumerate_plans(scenario))
@@ -136,7 +213,43 @@ class TestCertify:
         result = solve(build_model(scenario), SolverConfig(time_limit_s=120))
         report = certify(scenario, result, cross_check="all")
         assert report.verdict == "match"
-        assert report.cross_checked == report.enumerated_count - report.unroutable_count + 1
+        # every routable design once; the best one is among them
+        assert report.cross_checked == report.enumerated_count - report.unroutable_count
+
+    def test_one_routable_design_is_solved_once(self, monkeypatch):
+        scenario = tiny_scenario(full_pattern=True)
+        result = solve(build_model(scenario), SolverConfig(time_limit_s=60))
+        solved = []
+        monkeypatch.setattr(oracle, "solve",
+                            lambda model, cfg: solved.append(model) or solve(model, cfg))
+        report = certify(scenario, result, cross_check="sample")
+        assert (report.enumerated_count, report.unroutable_count) == (1, 0)
+        assert report.verdict == "match"
+        assert len(solved) == report.cross_checked == 1
+
+    def test_best_outside_the_sample_is_cross_checked(self, monkeypatch):
+        # the sample holds only the first routable design, stops (0, 1, 4, 5)
+        # and (0, 2, 3, 5); the best runs (0, 2, 3, 5) twice
+        monkeypatch.setattr(oracle, "SAMPLE_EVERY", 1000)
+        scenario = tiny_scenario(menu=(5.0, 7.0), n_patterns=2, fleet_cap=30.0)
+        result = solve(build_model(scenario), SolverConfig(time_limit_s=60))
+        fixed = []
+        monkeypatch.setattr(oracle, "fix_baseline",
+                            lambda model, plan: fixed.append(plan) or fix_baseline(model, plan))
+        report = certify(scenario, result, cross_check="sample")
+        assert report.verdict == "match"
+        assert len(fixed) == report.cross_checked == 2
+        assert fixed[0] != fixed[1]
+        assert fixed[1] is report.best_plans[0]
+
+    def test_unknown_mode_refused_before_enumerating(self, monkeypatch):
+        def enumerate_plans(scenario):
+            raise AssertionError("enumerated")
+        monkeypatch.setattr(oracle, "enumerate_plans", enumerate_plans)
+        scenario = tiny_scenario()
+        result = solve(build_model(scenario), SolverConfig(time_limit_s=60))
+        with pytest.raises(ValueError, match="unknown cross_check mode 'most'"):
+            certify(scenario, result, cross_check="most")
 
     def test_tightened_milp_never_beats_oracle(self):
         tight = make_scenario(fleet_cap=18.0 / 7.0 + 0.01, vehicle_hours_cap=3.0)
