@@ -239,17 +239,11 @@ def row_block(family: str, keys: Sequence, terms: Sequence[tuple[Any, Any]], sen
     present = cols >= 0
     indptr = np.zeros(nrows + 1, dtype=np.int32)
     np.cumsum(present.sum(axis=1), out=indptr[1:])
-    if isinstance(sense, str):
-        codes = np.full(nrows, SENSES.index(sense), dtype=np.int8)
-    else:
-        codes = np.array([SENSES.index(s) for s in sense], dtype=np.int8)
-    if np.ndim(rhs) == 0:
-        rhs = np.full(nrows, rhs, dtype=np.float64)
-    else:
-        rhs = np.array(np.broadcast_to(np.asarray(rhs, dtype=np.float64), (nrows,)))
+    codes = [SENSES.index(s) for s in ([sense] if isinstance(sense, str) else sense)]
     return RowBlock(family, tuple(np.broadcast_to(np.asarray(k, dtype=np.int32), (nrows,))
                                   for k in keys),
-                    indptr, cols[present], vals[present], codes, rhs)
+                    indptr, cols[present], vals[present], np.full(nrows, codes, dtype=np.int8),
+                    np.full(nrows, rhs, dtype=np.float64))
 
 
 class _Builder:

@@ -153,6 +153,11 @@ class TestExport:
             "",
         ])
 
+    @pytest.mark.parametrize("sense, rhs", [(["=", ">=", "<="], 1.0), ("=", [1.0, 2.0, 3.0])])
+    def test_per_row_sense_and_rhs_need_one_entry_per_row(self, sense, rhs):
+        with pytest.raises(ValueError):
+            row_block("one_headway", (0, 0, [0, 1]), [([0, 1], 1.0)], sense, rhs)
+
     def test_all_zero_objective_names_the_first_variable(self):
         model = MilpModel(
             var_blocks=[var_block("n", "C", 0, ([0, 1], 0))],
