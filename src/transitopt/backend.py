@@ -10,10 +10,8 @@ scipy ships (``scipy.optimize._highspy._core``), which ``_highs`` loads
 from its file on the first solve. Neither ``scipy.optimize`` nor
 ``scipy.sparse`` is imported, and commands that never solve load no scipy
 module at all. ``decode_plan`` turns the assignment back into domain
-objects, one variable block at a time: a cell's boarders (entering plus
-re-boarding riders) split by frequency share, riders exiting where their
-ride reaches their destination, and a transfer node's alighters paired with
-its boarders in proportion.
+objects, one variable block at a time, and derives the boarding, exit and
+transfer flows with ``FlowAssignment.from_flows``, as the evaluator does.
 """
 
 from __future__ import annotations
@@ -27,10 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .combos import enumerate_combinations
 from .model import SENSES, MilpModel, RowBlock
-from .plan import (FlowAssignment, PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs,
-                   model_order)
+from .plan import (DecodeError, FlowAssignment, PatternPlan, RoutePeriodPlan, ServicePlan,
+                   loop_arcs, model_order)
 
 __all__ = [
     "SolverConfig",
@@ -43,15 +40,10 @@ __all__ = [
 
 BINARY_TOL = 1e-6
 FLOW_CLAMP_TOL = 1e-7  # HiGHS's primal feasibility tolerance; optimal flows dip below 0 within it
-NODE_TOL = 1e-6     # relative mismatch of a transfer node's alighters and boarders
 
 
 class SolverError(RuntimeError):
     """Malformed input or numerical failure inside the solver."""
-
-
-class DecodeError(ValueError):
-    """Solution violates a decoded-plan invariant (never silently repaired)."""
 
 
 @dataclass(frozen=True)
@@ -235,10 +227,11 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
     scenario = model.scenario
     x = result.assignment
 
-    fa = FlowAssignment()
+    entry: dict[tuple, float] = {}                      # (t, r, d, i, c) -> riders
+    inter_stop: dict[tuple, float] = {}                 # (t, r, d, p, i, j) -> riders
     alighting: dict[tuple, float] = {}                  # (t, r, d, p, i) -> riders
     reboarding: dict[tuple, float] = {}                 # (t, r, d, i, c) -> riders
-    targets = {"fw": fa.entry, "fl": fa.inter_stop, "ft": alighting, "fx": reboarding}
+    targets = {"fw": entry, "fl": inter_stop, "ft": alighting, "fx": reboarding}
     selected: dict[tuple, list[tuple[int, int]]] = {}   # (t, r, p) -> arcs picked
     picks: dict[tuple, list[int]] = {}                  # (t, r, p) -> headways picked
     chosen: dict[tuple, int] = {}                       # (t, r, i, d) -> combination
@@ -276,34 +269,7 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
                         raise DecodeError(
                             f"entry stop {i} label {d}: two combinations picked ({prior} and {c})")
 
-    boarders = dict(fa.entry)                           # (t, r, d, i, c) -> riders
-    for key, v in reboarding.items():
-        boarders[key] = boarders.get(key, 0.0) + v
-    for (t, r, d, i, c), v in boarders.items():
-        route = scenario.routes[r]
-        shares = enumerate_combinations(route.n_patterns, route.headway_menu(t))[c].shares
-        fa.boarding.update(((t, r, d, i, c, p), share * v)
-                           for p, share in enumerate(shares) if share > 0.0)
-
-    # riders leave at the first stop of their destination their ride reaches
-    stop_of = [route.physical_of for route in scenario.routes]
-    for (t, r, d, p, i, j), v in fa.inter_stop.items():
-        if stop_of[r](j) == d:
-            fa.exit[(t, r, j, p)] = fa.exit.get((t, r, j, p), 0.0) + v
-
-    # node (t, r, d, physical stop): alighters (i, p) and boarders (j, c)
-    nodes: dict[tuple, tuple[list, list]] = {}
-    for (t, r, d, p, i), v in alighting.items():
-        nodes.setdefault((t, r, d, stop_of[r](i)), ([], []))[0].append((i, p, v))
-    for (t, r, d, j, c), v in reboarding.items():
-        nodes.setdefault((t, r, d, stop_of[r](j)), ([], []))[1].append((j, c, v))
-    for (t, r, d, o), (out, into) in nodes.items():
-        alighted, boarded = sum(v for *_, v in out), sum(v for *_, v in into)
-        if abs(alighted - boarded) > NODE_TOL * max(1.0, boarded):
-            raise DecodeError(f"period {t} route {r} stop {o} label {d}: {alighted} riders "
-                              f"alight to transfer, {boarded} board")
-        fa.transfer.update(((t, r, d, i, j, p, c), a * w / boarded)
-                           for i, p, a in out for j, c, w in into)
+    fa = FlowAssignment.from_flows(scenario, entry, inter_stop, alighting, reboarding)
 
     cells: list[tuple[RoutePeriodPlan, ...]] = []
     for r, route in enumerate(scenario.routes):

@@ -3,8 +3,9 @@
 Exit codes are a stable contract: 0 success, 1 validation failure (a
 document the loader refuses included), 2 I/O failure (unreadable file or
 malformed JSON), 3 infeasible, 4 oracle mismatch, 5 solver, decode or evaluator
-failure. All artifacts land under --out with fixed names; a manifest records
-checksums of everything written.
+failure, or an oracle internal inconsistency (the evaluator and the
+fixed-design solver price one design differently). All artifacts land under
+--out with fixed names; a manifest records checksums of everything written.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .evaluator import (EvaluationError, InsufficientCapacityError, UnroutableDe
 from .lpio import lp_chunks
 from .model import build_model, model_stats
 from .network import Scenario, ScenarioError, load_scenario, validate_scenario
-from .oracle import OracleSizeError, certify, enumerate_plans
+from .oracle import InternalInconsistencyError, OracleSizeError, certify, enumerate_plans
 from .plan import PlanError, ServicePlan, load_plan
 
 EXIT_OK = 0
@@ -35,7 +36,7 @@ EXIT_MISMATCH = 4
 EXIT_FAILURE = 5
 
 # Failures that end a command with EXIT_FAILURE.
-_FAILURES = (SolverError, DecodeError, EvaluationError)
+_FAILURES = (SolverError, DecodeError, EvaluationError, InternalInconsistencyError)
 # A plan that cannot carry its demand: no path, or not within capacity.
 _INFEASIBLE_PLAN = (UnroutableDemandError, InsufficientCapacityError)
 
@@ -348,18 +349,22 @@ def cmd_oracle(args) -> int:
     scenario = _validated(args)
     run = _Run(args, "oracle")
     try:
-        enumerate_plans(scenario)    # the size checks, before the solve
+        plans = enumerate_plans(scenario)    # the size checks, before the solve
     except OracleSizeError as exc:
         _err(f"invalid: {exc}")
         run.finish()
         return EXIT_INVALID
-    result = solve(build_model(scenario), cfg)
-    _err(f"solver: status={result.status} objective={result.objective}")
-    if not result.ok:
-        run.extra["solver_status"] = result.status
+    try:
+        result = solve(build_model(scenario), cfg)
+        _err(f"solver: status={result.status} objective={result.objective}")
+        if not result.ok:
+            run.extra["solver_status"] = result.status
+            run.finish()
+            return EXIT_INFEASIBLE
+        report = certify(scenario, result, cross_check=args.cross_check, plans=plans)
+    except _FAILURES:
         run.finish()
-        return EXIT_INFEASIBLE
-    report = certify(scenario, result, cross_check=args.cross_check)
+        raise
     run.write_json("oracle_report.json", report.to_dict())
     run.finish()
     print(f"oracle best {report.best_objective} solver {report.milp_objective} "

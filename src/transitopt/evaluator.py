@@ -4,16 +4,22 @@ Given a frozen design (loops + headways), the cheapest flow routing is found
 without touching the model builder: when transfers and capacity are both off
 the problem separates per origin-destination pair and is solved in closed
 form; otherwise one small program per route and period covers every
-destination with demand. Where the plan leaves a cell more than one
+destination with demand. The program is written from the plan's loops, in
+the design model's lean forms: one entering and one re-boarding flow per
+entry cell and combination, whose frequency shares are coefficients of each
+pattern's on-board balance; riding flows on the loops' forward arcs; one
+transfer node per destination and physical stop; and exits implied where a
+ride reaches the destination. Where the plan leaves a cell more than one
 available combination, binary picks hold each entry stop to one
 combination for riders starting there and riders transferring there alike,
 as the design model does; with one combination (the full-pattern plan, any
 cell with one pattern in service) there is nothing to pick, and the
-program is an LP. The program goes through ``milp``, which
-assembles it with the backend's ``csr_rows`` and solves it with its
-``solve_arrays``, the row assembler and HiGHS call the design model uses
+program is an LP. Its rows are numpy index arrays assembled by the model's
+``row_block``; ``milp`` joins them with the backend's ``csr_rows`` and
+solves them with its ``solve_arrays``, the HiGHS call the design model uses
 (scipy's bundled HiGHS binding on numpy arrays; no scipy package is
-imported).
+imported). The boarding, exit and transfer keys of the result are derived by
+``FlowAssignment.from_flows``, as for a solved model.
 Both price exactly the objective used by the design model: riding minutes
 plus weighted perceived waiting plus weighted transfer penalties.
 """
@@ -22,13 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .backend import SolverConfig, SolveResult, csr_rows, solve_arrays
 from .combos import CombinationSet, enumerate_combinations
-from .model import SENSES, RowBlock
+from .model import RowBlock, row_block
 from .network import RouteSpec, Scenario
 from .plan import FlowAssignment, RoutePeriodPlan, ServicePlan, vehicle_need
 
@@ -83,9 +90,6 @@ class _PatternView:
     stops: tuple[int, ...]
     headway: float
     pos: dict[int, int]
-    fwd_arcs: list[tuple[int, int]]          # loop arcs with rising index
-    arc_in: dict[int, tuple[int, int]]
-    arc_out: dict[int, tuple[int, int]]
 
 
 def _pattern_views(route: RouteSpec, cell: RoutePeriodPlan) -> list[_PatternView]:
@@ -93,15 +97,11 @@ def _pattern_views(route: RouteSpec, cell: RoutePeriodPlan) -> list[_PatternView
     for p, pat in enumerate(cell.patterns):
         if not pat.in_service:
             continue
-        fwd = list(zip(pat.stops, pat.stops[1:]))
         views.append(_PatternView(
             p=p,
             stops=pat.stops,
             headway=pat.headway,
             pos={s: k for k, s in enumerate(pat.stops)},
-            fwd_arcs=fwd,
-            arc_in={v: (u, v) for u, v in fwd},
-            arc_out={u: (u, v) for u, v in fwd},
         ))
     return views
 
@@ -183,53 +183,22 @@ def _assign_direct(scenario: Scenario, plan: ServicePlan, t: int, r: int,
 
 
 # ---------------------------------------------------------------------------
-# Linear-program assignment (transfers and/or capacity)
+# Program assignment (transfers and/or capacity)
 # ---------------------------------------------------------------------------
 
-class _MiniLp:
-    """Tiny standalone program: costs and binary flags per variable, rows in
-    CSR form with sense codes into ``SENSES``."""
-
-    def __init__(self):
-        self.costs: list[float] = []
-        self.is_binary: list[bool] = []
-        self.indptr: list[int] = [0]
-        self.cols: list[int] = []
-        self.vals: list[float] = []
-        self.sense: list[int] = []
-        self.rhs: list[float] = []
-
-    def var(self, cost: float = 0.0, binary: bool = False) -> int:
-        self.costs.append(cost)
-        self.is_binary.append(binary)
-        return len(self.costs) - 1
-
-    def add(self, coeffs: list[tuple[int, float]], sense: str, rhs: float) -> None:
-        self.cols += [col for col, _ in coeffs]
-        self.vals += [val for _, val in coeffs]
-        self.indptr.append(len(self.cols))
-        self.sense.append(SENSES.index(sense))
-        self.rhs.append(rhs)
-
-
-def milp(lp: _MiniLp) -> SolveResult:
-    """Assemble ``lp`` with the backend's ``csr_rows`` and solve it with its
-    ``solve_arrays``: the evaluator's one solve call. The program's rows
-    reach HiGHS as written, in the numpy CSR arrays the design model's rows
-    become, with the same options and status mapping.
+def milp(cost: np.ndarray, integrality: np.ndarray, rows: list[RowBlock]) -> SolveResult:
+    """Minimise ``cost`` over non-negative columns, binary where
+    ``integrality`` is 1, subject to ``rows``: the evaluator's one solve
+    call, through the backend's ``csr_rows`` and ``solve_arrays`` with the
+    design model's options and status mapping.
 
     Keep the name: ``perfbench/tracing.py`` wraps ``evaluator.milp`` to count
     and time the evaluator's programs, and ``--trace 1`` fails without it.
     """
-    n = len(lp.costs)
-    rows = RowBlock("assignment", (), np.asarray(lp.indptr, dtype=np.int32),
-                    np.asarray(lp.cols, dtype=np.int32), np.asarray(lp.vals, dtype=np.float64),
-                    np.asarray(lp.sense, dtype=np.int8), np.asarray(lp.rhs, dtype=np.float64))
-    a, lo, hi = csr_rows([rows], n)
-    integrality = np.asarray(lp.is_binary, dtype=np.uint8)
+    n = len(cost)
+    a, lo, hi = csr_rows(rows, n)
     ub = np.where(integrality == 1, 1.0, np.inf)
-    return solve_arrays(np.asarray(lp.costs), a, lo, hi, integrality, np.zeros(n), ub,
-                        SolverConfig())
+    return solve_arrays(cost, a, lo, hi, integrality, np.zeros(n), ub, SolverConfig())
 
 
 def _check_routable(scenario: Scenario, t: int, r: int,
@@ -275,132 +244,128 @@ def _check_routable(scenario: Scenario, t: int, r: int,
             raise UnroutableDemandError(t, r, o, d)
 
 
-def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
-               fa: FlowAssignment) -> None:
-    """One program covering every destination with demand on route r in period t."""
-    route = scenario.routes[r]
-    cell = plan.cell(r, t)
-    nd = route.n_dir
-    menu = route.headway_menu(t)
-    combos = enumerate_combinations(route.n_patterns, menu)
-    assigned = tuple(pat.headway_index for pat in cell.patterns)
-    avail = combos.consistent_with(assigned)
-    views = _pattern_views(route, cell)
-    tmat = route.travel_time_matrix()
-    dm = scenario.demand[r]
-    opts = scenario.options
-    capacity = opts.enforce_capacity
-    gamma_w, gamma_x, t_x = scenario.gamma_wait, scenario.gamma_transfer, scenario.transfer_time
+def _harvest(target: dict[tuple, float], x: np.ndarray, ids: np.ndarray, t: int, r: int,
+             *keys: np.ndarray) -> None:
+    """Add to ``target`` each column of ``ids`` above ``_FLOW_EPS``, keyed
+    (t, r, *keys) with one entry of each key array per column."""
+    vals = x[ids]
+    hit = np.flatnonzero(vals > _FLOW_EPS)
+    target.update(zip(zip(repeat(t), repeat(r), *(k[hit].tolist() for k in keys)),
+                      vals[hit].tolist()))
 
-    dests = [d for d in range(route.n_physical) if dm.total_into(t, d) > 0.0]
+
+def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
+               entry: dict[tuple, float], inter_stop: dict[tuple, float],
+               alighting: dict[tuple, float], reboarding: dict[tuple, float]) -> None:
+    """One program covering every destination with demand on route r in
+    period t; its flows go into the four dicts ``FlowAssignment.from_flows``
+    takes.
+
+    Each ``*id`` array maps a family's index tuple to column ids, -1 where
+    the column does not exist; k indexes the destinations with demand, v the
+    in-service patterns and a the available combinations."""
+    route = scenario.routes[r]
+    dm = scenario.demand[r]
+    n, nd = route.n_physical, route.n_dir
+    dests = [d for d in range(n) if dm.total_into(t, d) > 0.0]
     if not dests:
         return
+    cell = plan.cell(r, t)
+    views = _pattern_views(route, cell)
     _check_routable(scenario, t, r, views)
+    combos = enumerate_combinations(route.n_patterns, route.headway_menu(t))
+    avail = combos.consistent_with(tuple(pat.headway_index for pat in cell.patterns))
+    transfers = scenario.options.allow_transfers
+    nk, nv, na = len(dests), len(views), len(avail)
+    dest = np.array(dests)
+    pv = np.array([view.p for view in views])
+    # entering[k, i]: stop i can take riders to dests[k] (neither of its stops)
+    stop = np.arange(nd)
+    entering = (stop != dest[:, None]) & (stop != nd - 1 - dest[:, None])
+    # cells (k, i) with each available combination a, and balance rows (k, v, j)
+    cell_k, cell_i, cell_a = np.nonzero(np.repeat(entering[:, :, None], na, axis=2))
+    ob_k, ob_v, ob_j = np.nonzero(np.repeat(entering[:, None, :], nv, axis=1))
+    cell_c = np.array(avail)[cell_a]
+
+    costs: list[np.ndarray] = []
+
+    def columns(cost: np.ndarray) -> np.ndarray:
+        """Ids of new columns, one per entry of ``cost``."""
+        start = sum(map(len, costs))
+        costs.append(cost)
+        return np.arange(start, start + len(cost))
+
+    def lookup(shape: tuple, where: tuple, ids: np.ndarray) -> np.ndarray:
+        """Column ids by index tuple: ``ids`` at ``where``, -1 elsewhere."""
+        out = np.full(shape, -1)
+        out[where] = ids
+        return out
+
     # one available combination needs no pick: the program is then an LP
-    choice = len(avail) > 1
+    choice = na > 1
+    if choice:
+        z_ids = columns(np.zeros(len(cell_k)))
+    half = np.array([combos[c].perceived_headway / 2.0 for c in avail])
+    w_ids = columns(scenario.gamma_wait * half[cell_a])
+    wid = lookup((nk, nd, na), (cell_k, cell_i, cell_a), w_ids)
+    if transfers:
+        x_ids = columns(scenario.gamma_transfer * (half + scenario.transfer_time)[cell_a])
+        xid = lookup((nk, nd, na), (cell_k, cell_i, cell_a), x_ids)
+        ft_ids = columns(np.zeros(len(ob_k)))
+        ftid = lookup((nk, nv, nd), (ob_k, ob_v, ob_j), ft_ids)
 
-    lp = _MiniLp()
-    z: dict[tuple, int] = {}
-    w: dict[tuple, int] = {}
-    a_: dict[tuple, int] = {}
-    l_: dict[tuple, int] = {}
-    b_: dict[tuple, int] = {}
-    chi: dict[tuple, int] = {}
+    # riding flows on each pattern's forward loop arcs that leave an entry stop
+    tmat = route.travel_time_matrix()
+    arcs = [(v, u, w, tmat[u][w]) for v, view in enumerate(views)
+            for u, w in zip(view.stops, view.stops[1:])]
+    arc_v, arc_u, arc_w = np.array([arc[:3] for arc in arcs]).T
+    fl_k, fl_a = np.nonzero(entering[:, arc_u])
+    fl_v, fl_u, fl_w = arc_v[fl_a], arc_u[fl_a], arc_w[fl_a]
+    fl_ids = columns(np.array([arc[3] for arc in arcs])[fl_a])
+    fl_out = lookup((nk, nv, nd), (fl_k, fl_v, fl_u), fl_ids)   # on the arc leaving a stop
+    fl_in = lookup((nk, nv, nd), (fl_k, fl_v, fl_w), fl_ids)    # on the arc reaching a stop
 
-    for d in dests:
-        d_dir, d_mir = route.direction_stops_of(d)
-        entry_stops = [i for i in range(nd) if i != d_dir and i != d_mir]
-        big_m = dm.total_into(t, d)
-        for i in entry_stops:
-            for c in avail:
-                if choice:
-                    z[(d, i, c)] = lp.var(binary=True)
-                w[(d, i, c)] = lp.var(cost=gamma_w * combos[c].perceived_headway / 2.0)
-                for p in combos[c].active_patterns:
-                    a_[(d, i, c, p)] = lp.var()
-        for view in views:
-            for u, v in view.fwd_arcs:
-                if u == d_dir or u == d_mir:
-                    continue
-                l_[(d, view.p, u, v)] = lp.var(cost=tmat[u][v])
-            for s in (d_dir, d_mir):
-                b_[(d, s, view.p)] = lp.var()
-        if opts.allow_transfers:
-            for i in entry_stops:
-                for j in (i, route.mirror(i)):
-                    for view in views:
-                        for c in avail:
-                            chi[(d, i, j, view.p, c)] = lp.var(
-                                cost=gamma_x * (combos[c].perceived_headway / 2.0 + t_x))
-
-        # demand coverage at both direction stops of each origin
-        for o in range(route.n_physical):
-            if o == d:
-                continue
-            o_dir, o_mir = route.direction_stops_of(o)
-            coeffs = [(w[(d, o_dir, c)], 1.0) for c in avail]
-            coeffs += [(w[(d, o_mir, c)], 1.0) for c in avail]
-            lp.add(coeffs, "=", dm.riders(t, o, d))
-
-        for i in entry_stops:
-            if choice:
-                lp.add([(z[(d, i, c)], 1.0) for c in avail], "<=", 1.0)
-            for c in avail:
-                combo = combos[c]
-                if choice:
-                    for p in combo.active_patterns:
-                        lp.add([(a_[(d, i, c, p)], 1.0), (z[(d, i, c)], -big_m)], "<=", 0.0)
-                coeffs = [(w[(d, i, c)], 1.0)]
-                if opts.allow_transfers:
-                    mi = route.mirror(i)
-                    for view in views:
-                        coeffs.append((chi[(d, i, i, view.p, c)], 1.0))
-                        coeffs.append((chi[(d, mi, i, view.p, c)], 1.0))
-                coeffs += [(a_[(d, i, c, p)], -1.0) for p in combo.active_patterns]
-                lp.add(coeffs, "=", 0.0)
-                act = combo.active_patterns
-                for k in range(len(act) - 1):
-                    p1, p2 = act[k], act[k + 1]
-                    t1 = menu[combo.headway_indices[p1] - 1]
-                    t2 = menu[combo.headway_indices[p2] - 1]
-                    lp.add([(a_[(d, i, c, p1)], t1), (a_[(d, i, c, p2)], -t2)], "=", 0.0)
-
-        for view in views:
-            for s in entry_stops:
-                coeffs = [(a_[(d, s, c, view.p)], 1.0)
-                          for c in avail if view.p in combos[c].active_patterns]
-                arc = view.arc_in.get(s)
-                if arc and (d, view.p, arc[0], arc[1]) in l_:
-                    coeffs.append((l_[(d, view.p, arc[0], arc[1])], 1.0))
-                arc = view.arc_out.get(s)
-                if arc:
-                    coeffs.append((l_[(d, view.p, arc[0], arc[1])], -1.0))
-                if opts.allow_transfers:
-                    for j in (s, route.mirror(s)):
-                        for c in avail:
-                            coeffs.append((chi[(d, s, j, view.p, c)], -1.0))
-                lp.add(coeffs, "=", 0.0)
-            for s in (d_dir, d_mir):
-                coeffs = [(b_[(d, s, view.p)], -1.0)]
-                arc = view.arc_in.get(s)
-                if arc and (d, view.p, arc[0], arc[1]) in l_:
-                    coeffs.append((l_[(d, view.p, arc[0], arc[1])], 1.0))
-                lp.add(coeffs, "=", 0.0)
-
-        lp.add([(b_[(d, s, view.p)], 1.0) for view in views for s in (d_dir, d_mir)],
-               "=", big_m)
-
+    rows = []
+    if choice:
+        big_m = np.array([dm.total_into(t, d) for d in dests])
+        rows.append(row_block("one_combination", (), [(z_ids.reshape(-1, na), 1.0)],
+                              "<=", 1.0))
+        boarders = [(w_ids, 1.0), (x_ids, 1.0)] if transfers else [(w_ids, 1.0)]
+        rows.append(row_block("board_gate", (), boarders + [(z_ids, -big_m[cell_k])],
+                              "<=", 0.0))
+    # entries at both direction stops of each origin cover its demand
+    dm_k, dm_o = np.nonzero(np.arange(n) != dest[:, None])
+    dm_mir = nd - 1 - dm_o
+    rows.append(row_block("demand_entry", (), [(wid[dm_k, dm_o], 1.0), (wid[dm_k, dm_mir], 1.0)],
+                          "=", [dm.riders(t, o, dests[k])
+                                for k, o in zip(dm_k.tolist(), dm_o.tolist())]))
+    # a cell's boarders split across the patterns of its combination by
+    # frequency share; no balance at the destination's stops, where riders exit
+    split = np.array([combos[c].shares for c in avail])[:, pv[ob_v]].T
+    groups = [(np.where(split > 0.0, ids[ob_k, ob_j], -1), split)
+              for ids in ([wid, xid] if transfers else [wid])]
+    groups += [(fl_in[ob_k, ob_v, ob_j], 1.0), (fl_out[ob_k, ob_v, ob_j], -1.0)]
+    if transfers:
+        groups.append((ft_ids, -1.0))
+        # riders alighting at either direction stop of o board again at either
+        rows.append(row_block("transfer_balance", (),
+                              [(ftid[dm_k, :, dm_o], 1.0), (ftid[dm_k, :, dm_mir], 1.0),
+                               (xid[dm_k, dm_o], -1.0), (xid[dm_k, dm_mir], -1.0)], "=", 0.0))
+    rows.append(row_block("onboard_balance", (), groups, "=", 0.0))
+    capacity = scenario.options.enforce_capacity
     if capacity:
         minutes = 60.0 * scenario.periods[t].duration_hours
-        for view in views:
-            per_period = route.vehicle_capacity * minutes / view.headway
-            for u, v in view.fwd_arcs:
-                coeffs = [(l_[(d, view.p, u, v)], 1.0)
-                          for d in dests if (d, view.p, u, v) in l_]
-                if coeffs:
-                    lp.add(coeffs, "<=", per_period)
+        per_period = np.array([route.vehicle_capacity * minutes / view.headway for view in views])
+        riding = fl_out[:, arc_v, arc_u].T              # [arc, k]
+        ridden = (riding >= 0).any(axis=1)
+        rows.append(row_block("arc_capacity", (), [(riding[ridden], 1.0)], "<=",
+                              per_period[arc_v[ridden]]))
 
-    res = milp(lp)
+    cost = np.concatenate(costs)
+    integrality = np.zeros(len(cost), dtype=np.uint8)
+    if choice:
+        integrality[z_ids] = 1
+    res = milp(cost, integrality, rows)
     if res.status == "infeasible":
         if capacity:
             raise InsufficientCapacityError(
@@ -409,16 +374,13 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
             f"flow assignment infeasible on route {r} period {t} (internal inconsistency)")
     if res.status != "optimal":
         raise EvaluationError(f"flow assignment solve failed: {res.message}")
-    x = res.assignment.tolist()
-
-    for target, ids in ((fa.entry, w), (fa.boarding, a_), (fa.inter_stop, l_),
-                        (fa.transfer, chi)):
-        for key, idx in ids.items():
-            if x[idx] > _FLOW_EPS:
-                target[(t, r, *key)] = x[idx]
-    for (d, s, p), idx in b_.items():
-        if x[idx] > _FLOW_EPS:
-            fa.exit[(t, r, s, p)] = fa.exit.get((t, r, s, p), 0.0) + x[idx]
+    x = res.assignment
+    cell_d = dest[cell_k]
+    _harvest(entry, x, w_ids, t, r, cell_d, cell_i, cell_c)
+    _harvest(inter_stop, x, fl_ids, t, r, dest[fl_k], pv[fl_v], fl_u, fl_w)
+    if transfers:
+        _harvest(alighting, x, ft_ids, t, r, dest[ob_k], pv[ob_v], ob_j)
+        _harvest(reboarding, x, x_ids, t, r, cell_d, cell_i, cell_c)
 
 
 def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:
@@ -427,14 +389,18 @@ def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:
     Raises UnroutableDemandError naming the first origin-destination pair
     that cannot be served under the plan.
     """
-    fa = FlowAssignment()
     opts = scenario.options
-    for t in range(len(scenario.periods)):
-        for r in range(len(scenario.routes)):
-            if opts.allow_transfers or opts.enforce_capacity:
-                _assign_lp(scenario, plan, t, r, fa)
-            else:
-                _assign_direct(scenario, plan, t, r, fa)
+    periods, routes = range(len(scenario.periods)), range(len(scenario.routes))
+    if opts.allow_transfers or opts.enforce_capacity:
+        flows: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
+        for t in periods:
+            for r in routes:
+                _assign_lp(scenario, plan, t, r, *flows)
+        return FlowAssignment.from_flows(scenario, *flows)
+    fa = FlowAssignment()
+    for t in periods:
+        for r in routes:
+            _assign_direct(scenario, plan, t, r, fa)
     return fa
 
 

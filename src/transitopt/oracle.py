@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, combinations_with_replacement, islice, product
 from itertools import combinations as subsets_of
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -188,10 +188,11 @@ class OracleReport:
         }
 
 
-def certify(scenario: Scenario, milp_result: SolveResult, *,
-            cross_check: str = "sample") -> OracleReport:
+def certify(scenario: Scenario, milp_result: SolveResult, *, cross_check: str = "sample",
+            plans: Iterable[ServicePlan] | None = None) -> OracleReport:
     """Price every enumerated design and compare the best with a solver result.
 
+    ``plans``, if given, is what ``enumerate_plans(scenario)`` returned.
     cross_check controls how many enumerated plans are additionally priced
     through the fixed-design solver path: "none", "sample" (every
     SAMPLE_EVERY-th routable design, starting with the first, plus the best
@@ -210,7 +211,7 @@ def certify(scenario: Scenario, milp_result: SolveResult, *,
     unroutable = 0
     to_cross: list[tuple[ServicePlan, float]] = []
 
-    for plan in enumerate_plans(scenario):
+    for plan in enumerate_plans(scenario) if plans is None else plans:
         enumerated += 1
         try:
             fa = assign_flows(scenario, plan)

@@ -14,16 +14,23 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
+from .combos import enumerate_combinations
 from .network import RouteSpec, Scenario, ScenarioError, _int, _list, _num, _obj
 
 __all__ = ["PatternPlan", "RoutePeriodPlan", "ServicePlan", "FlowAssignment",
-           "PlanError", "load_plan", "loop_arcs", "model_order", "vehicle_need"]
+           "PlanError", "DecodeError", "load_plan", "loop_arcs", "model_order",
+           "vehicle_need"]
 
 _HEADWAY_TOL = 1e-9
+NODE_TOL = 1e-6     # relative mismatch of a transfer node's alighters and boarders
 
 
 class PlanError(ValueError):
     """Raised for plans that do not fit their scenario."""
+
+
+class DecodeError(ValueError):
+    """Solution violates a decoded-plan invariant (never silently repaired)."""
 
 
 def loop_arcs(stops: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
@@ -225,19 +232,21 @@ class FlowAssignment:
 
     entry:      (t, r, d, i, c)       riders entering stop i for physical
                                       destination d under combination c
-    boarding:   (t, r, d, i, c, p)    riders boarding pattern p; decoded
-                                      from the model as p's frequency share
-                                      of the cell's boarders, its entering
-                                      plus its re-boarding riders
+    boarding:   (t, r, d, i, c, p)    riders boarding pattern p; derived
+                                      as p's frequency share of the
+                                      cell's boarders, its entering plus
+                                      its re-boarding riders
     inter_stop: (t, r, d, p, i, j)    riders on board between stops
     exit:       (t, r, j, p)          riders leaving the system at stop j
-                                      from pattern p; decoded from the
-                                      model as the riding flow of label
-                                      physical_of(j) into j on p
+                                      from pattern p; derived as the
+                                      riding flow of label physical_of(j)
+                                      into j on p
     transfer:   (t, r, d, i, j, p, c) riders alighting pattern p at i and
                                       re-boarding at j under combination c;
-                                      decoded from the model as a
-                                      proportional split of each node
+                                      derived as a proportional split of
+                                      each node
+
+    ``from_flows`` derives them, for the design model and the evaluator.
     """
 
     entry: dict[tuple, float] = field(default_factory=dict)
@@ -245,3 +254,44 @@ class FlowAssignment:
     inter_stop: dict[tuple, float] = field(default_factory=dict)
     exit: dict[tuple, float] = field(default_factory=dict)
     transfer: dict[tuple, float] = field(default_factory=dict)
+
+    @classmethod
+    def from_flows(cls, scenario: Scenario, entry: dict[tuple, float],
+                   inter_stop: dict[tuple, float], alighting: dict[tuple, float],
+                   reboarding: dict[tuple, float]) -> FlowAssignment:
+        """The assignment of ``entry`` and ``inter_stop`` riders with its
+        boarding, exit and transfer keys, given the riders ``alighting``
+        pattern p at stop i to transfer, keyed (t, r, d, p, i), and
+        ``reboarding`` at i under combination c, keyed (t, r, d, i, c). A
+        transfer node (t, r, d, physical stop) whose two sides differ by more
+        than ``NODE_TOL`` relative raises ``DecodeError``."""
+        fa = cls(entry=entry, inter_stop=inter_stop)
+        boarders = dict(entry)                          # (t, r, d, i, c) -> riders
+        for key, v in reboarding.items():
+            boarders[key] = boarders.get(key, 0.0) + v
+        for (t, r, d, i, c), v in boarders.items():
+            route = scenario.routes[r]
+            shares = enumerate_combinations(route.n_patterns, route.headway_menu(t))[c].shares
+            fa.boarding.update(((t, r, d, i, c, p), share * v)
+                               for p, share in enumerate(shares) if share > 0.0)
+
+        # riders leave at the first stop of their destination their ride reaches
+        stop_of = [route.physical_of for route in scenario.routes]
+        for (t, r, d, p, i, j), v in inter_stop.items():
+            if stop_of[r](j) == d:
+                fa.exit[(t, r, j, p)] = fa.exit.get((t, r, j, p), 0.0) + v
+
+        # node (t, r, d, physical stop): alighters (i, p) and boarders (j, c)
+        nodes: dict[tuple, tuple[list, list]] = {}
+        for (t, r, d, p, i), v in alighting.items():
+            nodes.setdefault((t, r, d, stop_of[r](i)), ([], []))[0].append((i, p, v))
+        for (t, r, d, j, c), v in reboarding.items():
+            nodes.setdefault((t, r, d, stop_of[r](j)), ([], []))[1].append((j, c, v))
+        for (t, r, d, o), (out, into) in nodes.items():
+            alighted, boarded = sum(v for *_, v in out), sum(v for *_, v in into)
+            if abs(alighted - boarded) > NODE_TOL * max(1.0, boarded):
+                raise DecodeError(f"period {t} route {r} stop {o} label {d}: {alighted} riders "
+                                  f"alight to transfer, {boarded} board")
+            fa.transfer.update(((t, r, d, i, j, p, c), a * w / boarded)
+                               for i, p, a in out for j, c, w in into)
+        return fa

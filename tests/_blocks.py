@@ -1,5 +1,7 @@
-"""Read a built model's variable and row blocks in tests."""
+"""Read a built model's variable and row blocks, and the evaluator's
+programs, in tests."""
 
+import transitopt.evaluator as evaluator
 from transitopt.model import SENSES
 
 
@@ -27,3 +29,21 @@ def rows_of(model, family: str):
             lo, hi = bounds[k], bounds[k + 1]
             yield (tuple(key), list(zip(cols[lo:hi], vals[lo:hi])), SENSES[b.sense[k]],
                    float(b.rhs[k]))
+
+
+def record_programs(monkeypatch) -> list[dict]:
+    """Columns, binaries, rows by family and nonzeros of every program the
+    evaluator solves from now on, in solve order."""
+    sizes = []
+    milp = evaluator.milp
+
+    def recording(cost, integrality, rows):
+        by_family: dict[str, int] = {}
+        for b in rows:
+            by_family[b.family] = by_family.get(b.family, 0) + len(b.rhs)
+        sizes.append({"columns": len(cost), "binaries": int(integrality.sum()),
+                      "rows": by_family, "nonzeros": sum(len(b.cols) for b in rows)})
+        return milp(cost, integrality, rows)
+
+    monkeypatch.setattr(evaluator, "milp", recording)
+    return sizes

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -9,6 +10,7 @@ import pytest
 
 import transitopt
 import transitopt.cli
+import transitopt.oracle
 from transitopt.backend import DecodeError, SolverError
 from transitopt.cli import main
 
@@ -429,6 +431,38 @@ class TestOracleCommand:
         report = json.loads((out / "oracle_report.json").read_text())
         assert report["verdict"] == "match"
         assert "verdict match" in capsys.readouterr().out
+
+    def test_internal_inconsistency_exit_five(self, scenario_file, tmp_path, monkeypatch,
+                                              capsys):
+        # a fixed-design solve that prices a design 1.0 above the evaluator
+        # is a program failure, not a verdict on the optimum
+        solve = transitopt.oracle.solve
+
+        def off_by_one(model, cfg):
+            res = solve(model, cfg)
+            return dataclasses.replace(res, objective=res.objective + 1.0)
+
+        monkeypatch.setattr(transitopt.oracle, "solve", off_by_one)
+        out = tmp_path / "o"
+        assert main(["oracle", "--scenario", str(scenario_file), "--out", str(out)]) == 5
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1
+        assert errors[0].startswith("error: InternalInconsistencyError: evaluator priced a plan at ")
+        assert json.loads((out / "manifest.json").read_text())["artifacts"] == {}
+
+    def test_each_route_enumerated_once(self, scenario_file, tmp_path, monkeypatch):
+        # the size checks' enumeration is the one certify prices
+        calls = []
+        route_cells = transitopt.oracle._route_cells
+
+        def counting(route, scenario):
+            calls.append(route.id)
+            return route_cells(route, scenario)
+
+        monkeypatch.setattr(transitopt.oracle, "_route_cells", counting)
+        assert main(["oracle", "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]) == 0
+        assert calls == [0]
 
     def test_oversized_exit_one(self, tmp_path):
         doc = scenario_doc(menu=(4.0, 5.0, 6.0))

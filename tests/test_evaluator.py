@@ -4,14 +4,19 @@ import pytest
 import transitopt.evaluator as evaluator
 from transitopt import (
     EvaluationError, SolverConfig, UnroutableDemandError, assign_flows, build_model,
-    compute_metrics, conservation_residuals, decode_plan, fix_baseline, fleet_requirement,
-    load_plan, load_scenario, solve,
+    compute_metrics, conservation_residuals, decode_plan, enumerate_combinations, fix_baseline,
+    fleet_requirement, load_plan, load_scenario, solve,
 )
-from transitopt.evaluator import _assign_lp
+from transitopt.backend import csr_rows, solve_arrays
+from transitopt.evaluator import (InsufficientCapacityError, _assign_lp, _check_routable,
+                                  _pattern_views)
+from transitopt.model import SENSES, RowBlock
 from transitopt.plan import FlowAssignment
 
+from _blocks import record_programs
 from _factories import (full_pattern_plan_doc, make_scenario, random_toy_doc,
                         scenario_doc)
+from transitopt.oracle import enumerate_plans
 
 
 def plan_doc(patterns_by_rt, scenario):
@@ -31,6 +36,209 @@ def plan_doc(patterns_by_rt, scenario):
             periods.append({"period": t, "patterns": pats})
         routes.append({"route": r, "periods": periods})
     return {"routes": routes}
+
+
+# ---------------------------------------------------------------------------
+# Reference: the evaluator's program in its earlier, wide form
+# ---------------------------------------------------------------------------
+
+class MiniLp:
+    """Tiny standalone program: costs and binary flags per variable, rows in
+    CSR form with sense codes into ``SENSES``."""
+
+    def __init__(self):
+        self.costs: list[float] = []
+        self.is_binary: list[bool] = []
+        self.indptr: list[int] = [0]
+        self.cols: list[int] = []
+        self.vals: list[float] = []
+        self.sense: list[int] = []
+        self.rhs: list[float] = []
+
+    def var(self, cost: float = 0.0, binary: bool = False) -> int:
+        self.costs.append(cost)
+        self.is_binary.append(binary)
+        return len(self.costs) - 1
+
+    def add(self, coeffs, sense: str, rhs: float) -> None:
+        self.cols += [col for col, _ in coeffs]
+        self.vals += [val for _, val in coeffs]
+        self.indptr.append(len(self.cols))
+        self.sense.append(SENSES.index(sense))
+        self.rhs.append(rhs)
+
+    def solve(self):
+        n = len(self.costs)
+        rows = RowBlock("assignment", (), np.asarray(self.indptr, dtype=np.int32),
+                        np.asarray(self.cols, dtype=np.int32),
+                        np.asarray(self.vals, dtype=np.float64),
+                        np.asarray(self.sense, dtype=np.int8),
+                        np.asarray(self.rhs, dtype=np.float64))
+        a, lo, hi = csr_rows([rows], n)
+        integrality = np.asarray(self.is_binary, dtype=np.uint8)
+        ub = np.where(integrality == 1, 1.0, np.inf)
+        return solve_arrays(np.asarray(self.costs), a, lo, hi, integrality, np.zeros(n), ub,
+                            SolverConfig())
+
+
+def assign_lp_reference(scenario, plan, t, r, fa):
+    """The program of route r in period t with a boarding copy per pattern
+    tied by share equalities, exit flows with their rows and a transfer flow
+    per (d, i, j, p, c), built row by row; fills every family of ``fa``."""
+    route = scenario.routes[r]
+    cell = plan.cell(r, t)
+    nd = route.n_dir
+    menu = route.headway_menu(t)
+    combos = enumerate_combinations(route.n_patterns, menu)
+    assigned = tuple(pat.headway_index for pat in cell.patterns)
+    avail = combos.consistent_with(assigned)
+    views = _pattern_views(route, cell)
+    fwd_arcs = {view.p: list(zip(view.stops, view.stops[1:])) for view in views}
+    arc_in = {p: {v: (u, v) for u, v in arcs} for p, arcs in fwd_arcs.items()}
+    arc_out = {p: {u: (u, v) for u, v in arcs} for p, arcs in fwd_arcs.items()}
+    tmat = route.travel_time_matrix()
+    dm = scenario.demand[r]
+    opts = scenario.options
+    capacity = opts.enforce_capacity
+    gamma_w, gamma_x, t_x = scenario.gamma_wait, scenario.gamma_transfer, scenario.transfer_time
+
+    dests = [d for d in range(route.n_physical) if dm.total_into(t, d) > 0.0]
+    if not dests:
+        return
+    _check_routable(scenario, t, r, views)
+    choice = len(avail) > 1
+
+    lp = MiniLp()
+    z, w, a_, l_, b_, chi = {}, {}, {}, {}, {}, {}
+
+    for d in dests:
+        d_dir, d_mir = route.direction_stops_of(d)
+        entry_stops = [i for i in range(nd) if i != d_dir and i != d_mir]
+        big_m = dm.total_into(t, d)
+        for i in entry_stops:
+            for c in avail:
+                if choice:
+                    z[(d, i, c)] = lp.var(binary=True)
+                w[(d, i, c)] = lp.var(cost=gamma_w * combos[c].perceived_headway / 2.0)
+                for p in combos[c].active_patterns:
+                    a_[(d, i, c, p)] = lp.var()
+        for view in views:
+            for u, v in fwd_arcs[view.p]:
+                if u == d_dir or u == d_mir:
+                    continue
+                l_[(d, view.p, u, v)] = lp.var(cost=tmat[u][v])
+            for s in (d_dir, d_mir):
+                b_[(d, s, view.p)] = lp.var()
+        if opts.allow_transfers:
+            for i in entry_stops:
+                for j in (i, route.mirror(i)):
+                    for view in views:
+                        for c in avail:
+                            chi[(d, i, j, view.p, c)] = lp.var(
+                                cost=gamma_x * (combos[c].perceived_headway / 2.0 + t_x))
+
+        for o in range(route.n_physical):
+            if o == d:
+                continue
+            o_dir, o_mir = route.direction_stops_of(o)
+            coeffs = [(w[(d, o_dir, c)], 1.0) for c in avail]
+            coeffs += [(w[(d, o_mir, c)], 1.0) for c in avail]
+            lp.add(coeffs, "=", dm.riders(t, o, d))
+
+        for i in entry_stops:
+            if choice:
+                lp.add([(z[(d, i, c)], 1.0) for c in avail], "<=", 1.0)
+            for c in avail:
+                combo = combos[c]
+                if choice:
+                    for p in combo.active_patterns:
+                        lp.add([(a_[(d, i, c, p)], 1.0), (z[(d, i, c)], -big_m)], "<=", 0.0)
+                coeffs = [(w[(d, i, c)], 1.0)]
+                if opts.allow_transfers:
+                    mi = route.mirror(i)
+                    for view in views:
+                        coeffs.append((chi[(d, i, i, view.p, c)], 1.0))
+                        coeffs.append((chi[(d, mi, i, view.p, c)], 1.0))
+                coeffs += [(a_[(d, i, c, p)], -1.0) for p in combo.active_patterns]
+                lp.add(coeffs, "=", 0.0)
+                act = combo.active_patterns
+                for k in range(len(act) - 1):
+                    p1, p2 = act[k], act[k + 1]
+                    t1 = menu[combo.headway_indices[p1] - 1]
+                    t2 = menu[combo.headway_indices[p2] - 1]
+                    lp.add([(a_[(d, i, c, p1)], t1), (a_[(d, i, c, p2)], -t2)], "=", 0.0)
+
+        for view in views:
+            for s in entry_stops:
+                coeffs = [(a_[(d, s, c, view.p)], 1.0)
+                          for c in avail if view.p in combos[c].active_patterns]
+                arc = arc_in[view.p].get(s)
+                if arc and (d, view.p, arc[0], arc[1]) in l_:
+                    coeffs.append((l_[(d, view.p, arc[0], arc[1])], 1.0))
+                arc = arc_out[view.p].get(s)
+                if arc:
+                    coeffs.append((l_[(d, view.p, arc[0], arc[1])], -1.0))
+                if opts.allow_transfers:
+                    for j in (s, route.mirror(s)):
+                        for c in avail:
+                            coeffs.append((chi[(d, s, j, view.p, c)], -1.0))
+                lp.add(coeffs, "=", 0.0)
+            for s in (d_dir, d_mir):
+                coeffs = [(b_[(d, s, view.p)], -1.0)]
+                arc = arc_in[view.p].get(s)
+                if arc and (d, view.p, arc[0], arc[1]) in l_:
+                    coeffs.append((l_[(d, view.p, arc[0], arc[1])], 1.0))
+                lp.add(coeffs, "=", 0.0)
+
+        lp.add([(b_[(d, s, view.p)], 1.0) for view in views for s in (d_dir, d_mir)],
+               "=", big_m)
+
+    if capacity:
+        minutes = 60.0 * scenario.periods[t].duration_hours
+        for view in views:
+            per_period = route.vehicle_capacity * minutes / view.headway
+            for u, v in fwd_arcs[view.p]:
+                coeffs = [(l_[(d, view.p, u, v)], 1.0)
+                          for d in dests if (d, view.p, u, v) in l_]
+                if coeffs:
+                    lp.add(coeffs, "<=", per_period)
+
+    res = lp.solve()
+    if res.status == "infeasible":
+        if capacity:
+            raise InsufficientCapacityError(
+                f"insufficient capacity to route demand on route {r} in period {t}")
+        raise EvaluationError(
+            f"flow assignment infeasible on route {r} period {t} (internal inconsistency)")
+    if res.status != "optimal":
+        raise EvaluationError(f"flow assignment solve failed: {res.message}")
+    x = res.assignment.tolist()
+
+    for target, ids in ((fa.entry, w), (fa.boarding, a_), (fa.inter_stop, l_),
+                        (fa.transfer, chi)):
+        for key, idx in ids.items():
+            if x[idx] > 1e-9:
+                target[(t, r, *key)] = x[idx]
+    for (d, s, p), idx in b_.items():
+        if x[idx] > 1e-9:
+            fa.exit[(t, r, s, p)] = fa.exit.get((t, r, s, p), 0.0) + x[idx]
+
+
+def reference_flows(scenario, plan) -> FlowAssignment:
+    fa = FlowAssignment()
+    for t in range(len(scenario.periods)):
+        for r in range(len(scenario.routes)):
+            assign_lp_reference(scenario, plan, t, r, fa)
+    return fa
+
+
+def lp_flows(scenario, plan) -> FlowAssignment:
+    """``assign_flows`` through the program, whatever the options."""
+    flows = ({}, {}, {}, {})
+    for t in range(len(scenario.periods)):
+        for r in range(len(scenario.routes)):
+            _assign_lp(scenario, plan, t, r, *flows)
+    return FlowAssignment.from_flows(scenario, *flows)
 
 
 class TestHandExamples:
@@ -168,8 +376,80 @@ class TestFleetRequirement:
         assert full_only == pytest.approx(18.0 / 7.0)
 
 
+def toy_doc(seed, *, transfers=False, capacity=None, dwell_saving=0.0):
+    doc = random_toy_doc(seed, transfers=transfers, dwell_saving=dwell_saving)
+    if capacity is not None:
+        doc["options"]["enforce_capacity"] = True
+        doc["routes"][0]["capacity"] = capacity
+    return doc
+
+
+def two_period_doc():
+    return scenario_doc(symmetry=False, period_hours=(1.0, 2.0),
+                        demand=(((0, 0, 2), 30.0), ((0, 2, 0), 20.0), ((1, 1, 2), 15.0),
+                                ((1, 0, 1), 10.0), ((1, 2, 1), 25.0)))
+
+
+def two_period_plans(scenario):
+    """The full loop at the slower headway, alone and with a short loop."""
+    full = tuple(range(6))
+    return [load_plan(plan_doc({(0, t): patterns for t in range(2)}, scenario), scenario)
+            for patterns in ([(full, 7.0), None], [(full, 7.0), ((0, 1, 4, 5), 5.0)],
+                             [((0, 1, 2, 3), 5.0), ((2, 3, 4, 5), 7.0)])]
+
+
+class TestAgainstWideProgram:
+    """The program against ``assign_lp_reference``, the earlier program with
+    a boarding copy per pattern, exit flows and a five-index transfer flow,
+    on every regime the program covers: objectives equal to 1e-9 relative,
+    or the same refusal."""
+
+    CASES = {
+        "direct": lambda: toy_doc(14),
+        "transfers": lambda: toy_doc(10, transfers=True),
+        "capacity": lambda: toy_doc(14, capacity=5.0),
+        "transfers-capacity": lambda: toy_doc(10, transfers=True, capacity=6.0),
+        "transfers-dwell": lambda: toy_doc(3, transfers=True, dwell_saving=0.5),
+        "two-periods": two_period_doc,
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_objective_or_refusal(self, case, monkeypatch):
+        picks = []
+        milp = evaluator.milp
+
+        def recording(cost, integrality, rows):
+            picks.append(bool(integrality.any()))
+            return milp(cost, integrality, rows)
+
+        monkeypatch.setattr(evaluator, "milp", recording)
+        scenario = load_scenario(self.CASES[case]())
+        plans = (two_period_plans(scenario) if case == "two-periods"
+                 else enumerate_plans(scenario))
+        priced = refused = 0
+        for plan in plans:
+            try:
+                reference = reference_flows(scenario, plan)
+            except EvaluationError as exc:
+                with pytest.raises(type(exc)) as err:
+                    lp_flows(scenario, plan)
+                assert str(err.value) == str(exc)
+                refused += not isinstance(exc, UnroutableDemandError)
+                continue
+            fa = lp_flows(scenario, plan)
+            expected = compute_metrics(reference, scenario, plan).objective
+            assert compute_metrics(fa, scenario, plan).objective == pytest.approx(
+                expected, rel=1e-9)
+            for family, worst in conservation_residuals(fa, scenario, plan).items():
+                assert worst <= 1e-6, (family, worst)
+            priced += 1
+        assert priced >= 3
+        assert True in picks and False in picks
+        assert bool(refused) == case.endswith("capacity")
+
+
 class TestCrossPathEquivalence:
-    """The closed-form path and the mini-program path must agree exactly."""
+    """The closed-form path and the program path must agree exactly."""
 
     @pytest.mark.parametrize("seed", [11, 12, 13, 14])
     def test_direct_vs_lp_no_transfers(self, seed):
@@ -177,9 +457,7 @@ class TestCrossPathEquivalence:
         plan = load_plan(full_pattern_plan_doc(scenario), scenario)
         fa_direct = assign_flows(scenario, plan)
         m_direct = compute_metrics(fa_direct, scenario, plan)
-        fa_lp = FlowAssignment()
-        _assign_lp(scenario, plan, 0, 0, fa_lp)
-        m_lp = compute_metrics(fa_lp, scenario, plan)
+        m_lp = compute_metrics(lp_flows(scenario, plan), scenario, plan)
         assert m_direct.objective == pytest.approx(m_lp.objective, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("seed", [21, 22])
@@ -195,10 +473,8 @@ class TestCrossPathEquivalence:
         except Exception:
             pytest.skip("plan outside fleet bounds for this seed")
         fa_direct = assign_flows(scenario, plan)
-        fa_lp = FlowAssignment()
-        _assign_lp(scenario, plan, 0, 0, fa_lp)
         m1 = compute_metrics(fa_direct, scenario, plan)
-        m2 = compute_metrics(fa_lp, scenario, plan)
+        m2 = compute_metrics(lp_flows(scenario, plan), scenario, plan)
         assert m1.objective == pytest.approx(m2.objective, rel=1e-9, abs=1e-9)
 
 
@@ -386,3 +662,20 @@ class TestProgramKind:
         fixed = solve(fix_baseline(build_model(scenario), plan), SolverConfig(time_limit_s=60))
         assert fixed.status == "optimal"
         assert priced == pytest.approx(fixed.objective, rel=1e-9)
+
+    def test_two_pattern_transfer_program_size(self, monkeypatch):
+        # destinations C (40 riders in) and A (20), 6 direction stops, two
+        # patterns in service: per destination 4 entry stops x 3
+        # combinations of picks, entries and re-boardings, 2 x 4 alightings,
+        # and 6 riding flows; no boarding copies, exit flows or
+        # pattern-to-combination transfer flows, and no rows for them
+        sizes = record_programs(monkeypatch)
+        scenario = make_scenario(symmetry=False)
+        plan = load_plan(plan_doc({(0, 0): [((0, 1, 2, 3, 4, 5), 5.0), ((0, 1, 4, 5), 7.0)]},
+                                  scenario), scenario)
+        assign_flows(scenario, plan)
+        assert sizes == [{
+            "columns": 100, "binaries": 24, "nonzeros": 261,
+            "rows": {"one_combination": 8, "board_gate": 24, "demand_entry": 4,
+                     "transfer_balance": 4, "onboard_balance": 16},
+        }]

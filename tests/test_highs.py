@@ -120,14 +120,18 @@ def reference(c, indptr, cols, vals, sense, rhs, integrality, lb, ub, cfg):
     return status, res.fun if res.x is not None else None, res.x
 
 
-def model_reference(model, cfg):
-    c, _, _, _, integrality, lb, ub = _model_arrays(model)
-    blocks = model.row_blocks
+def rows_reference(c, blocks, integrality, lb, ub, cfg):
+    """``reference`` on the rows of ``blocks``, in order."""
     offsets = np.cumsum([0] + [len(b.cols) for b in blocks])
     indptr = np.concatenate([[0]] + [b.indptr[1:] + at for b, at in zip(blocks, offsets)])
     return reference(c, indptr, *(np.concatenate([getattr(b, f) for b in blocks])
                                   for f in ("cols", "vals", "sense", "rhs")),
                      integrality, lb, ub, cfg)
+
+
+def model_reference(model, cfg):
+    c, _, _, _, integrality, lb, ub = _model_arrays(model)
+    return rows_reference(c, model.row_blocks, integrality, lb, ub, cfg)
 
 
 def assert_same(ours, ref):
@@ -212,8 +216,8 @@ class TestAgainstScipyMilp:
         # LP; a second pattern in service gives the program binary picks
         programs = []
 
-        def recording(lp):
-            programs.append((lp, solve_program(lp)))
+        def recording(cost, integrality, rows):
+            programs.append(((cost, integrality, rows), solve_program(cost, integrality, rows)))
             return programs[-1][1]
 
         solve_program = evaluator.milp
@@ -225,15 +229,12 @@ class TestAgainstScipyMilp:
         for doc in (one, two):
             assign_flows(scenario, load_plan(doc, scenario))
         assert len(programs) == 2
-        for (lp, ours), picks in zip(programs, (False, True)):
+        for ((cost, integrality, rows), ours), picks in zip(programs, (False, True)):
             assert ours.status == "optimal"
-            integrality = np.asarray(lp.is_binary, dtype=np.uint8)
             assert integrality.any() == picks
-            assert_same(ours, reference(
-                np.asarray(lp.costs), np.asarray(lp.indptr), np.asarray(lp.cols),
-                np.asarray(lp.vals, dtype=np.float64), np.asarray(lp.sense), np.asarray(lp.rhs),
-                integrality, np.zeros(len(lp.costs)), np.where(integrality == 1, 1.0, np.inf),
-                SolverConfig()))
+            assert_same(ours, rows_reference(cost, rows, integrality, np.zeros(len(cost)),
+                                             np.where(integrality == 1, 1.0, np.inf),
+                                             SolverConfig()))
 
 
 class TestTimeLimit:

@@ -1,5 +1,6 @@
-"""Pinned outputs: the LP text of small models and of the city model, and
-the size of the city model.
+"""Pinned outputs: the LP text of small models and of the city model, the
+size of the city model, and the size of the evaluator's program for the
+city's full-pattern plan.
 
 The pins were last taken when the families the other rows imply were
 deleted (``loop_visit_cap``; the exit flow ``fb`` with ``demand_exit`` and
@@ -14,9 +15,10 @@ import hashlib
 
 import pytest
 
-from transitopt import (build_model, fix_baseline, load_plan, load_scenario, model_stats,
-                        write_lp)
+from transitopt import (assign_flows, build_model, fix_baseline, load_plan, load_scenario,
+                        model_stats, write_lp)
 
+from _blocks import record_programs
 from _factories import city_doc, full_pattern_plan_doc, random_toy_doc
 
 LP_SHA256 = {
@@ -105,3 +107,15 @@ def test_city_model_stats_pinned():
         },
         "nonzeros": 1633261,
     }
+
+
+def test_city_evaluator_program_pinned(monkeypatch):
+    # one combination, so no picks: per destination (43) 84 entries,
+    # re-boardings and alightings each, and 83 or 84 riding flows
+    sizes = record_programs(monkeypatch)
+    scenario = load_scenario(city_doc())
+    assign_flows(scenario, load_plan(full_pattern_plan_doc(scenario), scenario))
+    assert sizes == [{
+        "columns": 14406, "binaries": 0, "nonzeros": 28728,
+        "rows": {"demand_entry": 1806, "transfer_balance": 1806, "onboard_balance": 3612},
+    }]
