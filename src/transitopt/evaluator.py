@@ -37,7 +37,7 @@ from .backend import SolverConfig, SolveResult, csr_rows, solve_arrays
 from .combos import CombinationSet, enumerate_combinations
 from .model import RowBlock, row_block
 from .network import RouteSpec, Scenario
-from .plan import FlowAssignment, RoutePeriodPlan, ServicePlan, vehicle_need
+from .plan import DecodeError, FlowAssignment, RoutePeriodPlan, ServicePlan, vehicle_need
 
 __all__ = [
     "Metrics",
@@ -387,7 +387,10 @@ def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:
     """Cheapest passenger routing for a fixed plan.
 
     Raises UnroutableDemandError naming the first origin-destination pair
-    that cannot be served under the plan.
+    that cannot be served under the plan, InsufficientCapacityError when the
+    plan cannot carry its demand within vehicle capacity, and EvaluationError
+    naming the period, route and stop when a solved program's transfer node
+    does not balance.
     """
     opts = scenario.options
     periods, routes = range(len(scenario.periods)), range(len(scenario.routes))
@@ -396,7 +399,10 @@ def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:
         for t in periods:
             for r in routes:
                 _assign_lp(scenario, plan, t, r, *flows)
-        return FlowAssignment.from_flows(scenario, *flows)
+        try:
+            return FlowAssignment.from_flows(scenario, *flows)
+        except DecodeError as exc:
+            raise EvaluationError(f"transfer node out of balance: {exc}") from exc
     fa = FlowAssignment()
     for t in periods:
         for r in routes:

@@ -228,22 +228,17 @@ def row_block(family: str, keys: Sequence, terms: Sequence[tuple[Any, Any]], sen
     groups' terms, in group order. ``keys`` (integers, one entry per key
     position), ``sense`` (a symbol, or one symbol per row) and ``rhs`` are per
     row or shared by all."""
-    groups = [np.asarray(cols, dtype=np.int32) for cols, _ in terms]
-    nrows = len(groups[0])
-    cols = np.concatenate([c if c.ndim == 2 else c[:, None] for c in groups], axis=1)
-    # each group's coefficients are broadcast into its own columns
-    vals = np.empty(cols.shape)
-    at = 0
-    for group, (_, coefs) in zip(groups, terms):
-        if group.ndim == 2:
-            vals[:, at:at + group.shape[1]] = coefs
-            at += group.shape[1]
-        else:
-            vals[:, at] = coefs
-            at += 1
+    groups = []
+    for cols, coefs in terms:
+        cols = np.asarray(cols, dtype=np.int32)
+        coefs = np.broadcast_to(np.asarray(coefs, dtype=np.float64), cols.shape)
+        groups.append((cols, coefs) if cols.ndim == 2 else (cols[:, None], coefs[:, None]))
+    nrows = len(groups[0][0])
+    cols = np.concatenate([c for c, _ in groups], axis=1)
+    vals = np.concatenate([v for _, v in groups], axis=1)
     present = cols >= 0
     indptr = np.zeros(nrows + 1, dtype=np.int32)
-    present.sum(axis=1, dtype=np.int32).cumsum(out=indptr[1:])
+    np.cumsum(present.sum(axis=1), out=indptr[1:])
     codes = [SENSES.index(s) for s in ([sense] if isinstance(sense, str) else sense)]
     return RowBlock(family, tuple(np.broadcast_to(np.asarray(k, dtype=np.int32), (nrows,))
                                   for k in keys),

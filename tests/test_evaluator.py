@@ -303,6 +303,27 @@ class TestHandExamples:
         assert m.objective == pytest.approx(10 * (4.5 + 3 + 14 + 4))
         assert m.transfers_count == pytest.approx(10.0)
 
+    def test_unbalanced_transfer_node_is_an_evaluation_error(self, monkeypatch):
+        # the same design, its alighters doubled before the flow split
+        class Skewed(FlowAssignment):
+            @classmethod
+            def from_flows(cls, scenario, entry, inter_stop, alighting, reboarding):
+                alighting = {key: 2.0 * v for key, v in alighting.items()}
+                return super().from_flows(scenario, entry, inter_stop, alighting, reboarding)
+
+        monkeypatch.setattr(evaluator, "FlowAssignment", Skewed)
+        scenario = make_scenario(
+            menu=(6.0, 8.0),
+            demand=(((0, 0, 2), 10.0),),
+            fleet_cap=12.0, turnback_time=2.0,
+            transfers=True,
+        )
+        plan = load_plan(plan_doc(
+            {(0, 0): [((0, 1, 4, 5), 6.0), ((1, 2, 3, 4), 8.0)]}, scenario), scenario)
+        with pytest.raises(EvaluationError, match=r"^transfer node out of balance: period 0 "
+                                                  r"route 0 stop 1 label 2: 20\.0"):
+            assign_flows(scenario, plan)
+
     def test_transfer_journey_priced_identically_by_solver(self):
         # same disjoint-pattern design, this time through the fixed-design
         # solver path: wait 4.5 + ride 3 + transfer 14 + ride 4 per rider
@@ -415,14 +436,7 @@ class TestAgainstWideProgram:
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_same_objective_or_refusal(self, case, monkeypatch):
-        picks = []
-        milp = evaluator.milp
-
-        def recording(cost, integrality, rows):
-            picks.append(bool(integrality.any()))
-            return milp(cost, integrality, rows)
-
-        monkeypatch.setattr(evaluator, "milp", recording)
+        sizes = record_programs(monkeypatch)
         scenario = load_scenario(self.CASES[case]())
         plans = (two_period_plans(scenario) if case == "two-periods"
                  else enumerate_plans(scenario))
@@ -444,6 +458,7 @@ class TestAgainstWideProgram:
                 assert worst <= 1e-6, (family, worst)
             priced += 1
         assert priced >= 3
+        picks = [s["binaries"] > 0 for s in sizes]
         assert True in picks and False in picks
         assert bool(refused) == case.endswith("capacity")
 
