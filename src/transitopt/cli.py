@@ -1,11 +1,14 @@
 """Command-line pipeline: validate, solve, evaluate, compare, oracle, export.
 
 Exit codes are a stable contract: 0 success, 1 validation failure (a
-document the loader refuses included), 2 I/O failure (unreadable file or
-malformed JSON), 3 infeasible, 4 oracle mismatch, 5 solver, decode or evaluator
-failure, or an oracle internal inconsistency (the evaluator and the
-fixed-design solver price one design differently). All artifacts land under
---out with fixed names; a manifest records checksums of everything written.
+document the loader refuses included), 2 I/O failure (unreadable file,
+malformed JSON, or an --out directory or artifact that cannot be written),
+3 infeasible, 4 oracle mismatch, 5 solver, decode or evaluator failure, or an
+oracle internal inconsistency (the evaluator and the fixed-design solver
+price one design differently). Each command that writes files runs in one
+``with _Run(...)`` block: every artifact lands under --out with a fixed name
+through one hashing writer, and once --out exists ``manifest.json`` records
+the checksums of everything written, on every exit.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Iterable
 
-from .backend import DecodeError, SolverConfig, SolverError, decode_plan, solve
-from .evaluator import (EvaluationError, InsufficientCapacityError, UnroutableDemandError,
-                        assign_flows, compute_metrics)
+from .backend import DecodeError, SolveResult, SolverConfig, SolverError, decode_plan, solve
+from .evaluator import (EvaluationError, InsufficientCapacityError, Metrics,
+                        UnroutableDemandError, assign_flows, compute_metrics)
 from .lpio import lp_chunks
 from .model import build_model, model_stats
 from .network import Scenario, ScenarioError, load_scenario, validate_scenario
@@ -61,7 +64,9 @@ def _sha256(path: Path) -> str:
 
 
 class _Run:
-    """Collects artifacts for one command and writes the manifest."""
+    """One command's --out directory: every file under it goes through
+    ``write_chunks``, and ``manifest.json`` is written however the ``with``
+    block is left (a return, ``_Exit`` or an exception)."""
 
     def __init__(self, args, command: str):
         self.command = command
@@ -76,30 +81,37 @@ class _Run:
         self.started = datetime.now(timezone.utc).isoformat()
         self.extra: dict = {}
 
-    def write_chunks(self, name: str, chunks: Iterable[str]) -> Path:
+    def write_chunks(self, name: str, chunks: Iterable[str]) -> None:
         """Write ``chunks`` to artifact ``name`` one at a time, hashing the
-        bytes as they go out."""
+        bytes as they go out; a file that cannot be written ends with EXIT_IO."""
         path = self.out / name
         h = hashlib.sha256()
-        with path.open("wb") as f:
-            for chunk in chunks:
-                data = chunk.encode()
-                h.update(data)
-                f.write(data)
+        try:
+            with path.open("wb") as f:
+                for chunk in chunks:
+                    data = chunk.encode()
+                    h.update(data)
+                    f.write(data)
+        except OSError as exc:
+            _err(f"error: cannot write {path}: {exc}")
+            raise _Exit(EXIT_IO) from exc
         self.artifacts[name] = h.hexdigest()
-        return path
 
-    def write_text(self, name: str, text: str) -> Path:
-        return self.write_chunks(name, (text,))
+    def write_text(self, name: str, text: str) -> None:
+        self.write_chunks(name, (text,))
 
-    def write_json(self, name: str, obj) -> Path:
-        return self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    def write_json(self, name: str, obj) -> None:
+        self.write_text(name, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
-    def finish(self) -> None:
+    def __enter__(self) -> "_Run":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        scenario = Path(self.args.scenario)
         manifest = {
             "command": self.command,
-            "scenario_path": str(self.args.scenario),
-            "scenario_sha256": _sha256(Path(self.args.scenario)) if Path(self.args.scenario).is_file() else None,
+            "scenario_path": str(scenario),
+            "scenario_sha256": _sha256(scenario) if scenario.is_file() else None,
             "options_overrides": _override_dict(self.args),
             "out_dir": str(self.out),
             "started_at": self.started,
@@ -109,8 +121,12 @@ class _Run:
         if hasattr(self.args, "time_limit"):   # the commands that solve
             manifest["solver"] = {"time_limit_s": self.args.time_limit, "rel_gap": self.args.gap}
         manifest.update(self.extra)
-        (self.out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        try:
+            self.write_json("manifest.json", manifest)  # lists the files written before it
+        except _Exit:
+            if exc is None:
+                raise
+            # its line is out; the failure that ended the block keeps its exit code
 
 
 def _override_dict(args) -> dict:
@@ -223,44 +239,58 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_INVALID
 
 
-def _solve_pipeline(scenario: Scenario, cfg: SolverConfig, run: _Run):
-    """Shared by solve/compare: build, export, solve, decode, report.
+def _price(run: _Run, scenario: Scenario, plan: ServicePlan, what: str) -> Metrics:
+    """The metrics of a fixed ``plan``. A plan that cannot carry its demand
+    is one ``<what>: ...`` line and EXIT_INFEASIBLE; when some pair has no
+    path, the manifest names it as ``infeasible_pair``."""
+    try:
+        flows = assign_flows(scenario, plan)
+    except _INFEASIBLE_PLAN as exc:
+        _err(f"{what}: {exc}")
+        if isinstance(exc, UnroutableDemandError):
+            run.extra["infeasible_pair"] = {"t": exc.t, "route": exc.r, "o": exc.o, "d": exc.d}
+        raise _Exit(EXIT_INFEASIBLE) from exc
+    return compute_metrics(flows, scenario, plan)
 
-    On a solver, decode or evaluator failure the manifest is written before
-    the error propagates, so it lists the artifacts already under --out."""
+
+def _write_metrics(run: _Run, scenario: Scenario, plan: ServicePlan, metrics: Metrics) -> None:
+    values = metrics.to_dict()
+    run.write_json("metrics.json", values)
+    run.write_text("metrics.csv", _metrics_csv(values))
+    run.write_text("patterns.txt", render_patterns(scenario, plan))
+
+
+def _solve(run: _Run, model, cfg: SolverConfig) -> SolveResult:
+    """Solve ``model`` and report status, objective and wall time on stderr
+    and in the manifest; a solve without a design ends with EXIT_INFEASIBLE."""
+    result = solve(model, cfg)
+    run.extra["solver_status"] = result.status
+    run.extra["solver_wall_time_s"] = result.wall_time_s
+    _err(f"solver: status={result.status} objective={result.objective} "
+         f"wall={result.wall_time_s:.2f}s")
+    if not result.ok:
+        raise _Exit(EXIT_INFEASIBLE)
+    return result
+
+
+def _solve_pipeline(scenario: Scenario, cfg: SolverConfig, run: _Run):
+    """Shared by solve/compare: build, export, solve, decode, price."""
     model = build_model(scenario)
     run.write_json("model_stats.json", model_stats(model))
     run.write_chunks("model.lp", lp_chunks(model))
-    try:
-        result = solve(model, cfg)
-        run.extra["solver_status"] = result.status
-        run.extra["solver_wall_time_s"] = result.wall_time_s
-        _err(f"solver: status={result.status} objective={result.objective} "
-             f"wall={result.wall_time_s:.2f}s")
-        if not result.ok:
-            return result, None, None
-        plan, flows = decode_plan(model, result)
-        metrics = compute_metrics(flows, scenario, plan)
-    except _FAILURES:
-        run.finish()
-        raise
-    return result, plan, metrics
+    result = _solve(run, model, cfg)
+    plan, flows = decode_plan(model, result)
+    return result, plan, compute_metrics(flows, scenario, plan)
 
 
 def cmd_solve(args) -> int:
     cfg = _solver_config(args)
     scenario = _validated(args)
-    run = _Run(args, "solve")
-    result, plan, metrics = _solve_pipeline(scenario, cfg, run)
-    if plan is None:
-        run.finish()
-        return EXIT_INFEASIBLE
-    run.write_text("plan.json", plan.to_json())
-    run.write_json("metrics.json", metrics.to_dict())
-    run.write_text("metrics.csv", _metrics_csv(metrics.to_dict()))
-    run.write_text("patterns.txt", render_patterns(scenario, plan))
-    run.extra["objective"] = result.objective
-    run.finish()
+    with _Run(args, "solve") as run:
+        result, plan, metrics = _solve_pipeline(scenario, cfg, run)
+        run.write_text("plan.json", plan.to_json())
+        _write_metrics(run, scenario, plan, metrics)
+        run.extra["objective"] = result.objective
     print(f"objective {result.objective}")
     return EXIT_OK
 
@@ -277,20 +307,9 @@ def _load_plan_file(path: str, scenario: Scenario) -> ServicePlan:
 def cmd_evaluate(args) -> int:
     scenario = _validated(args)
     plan = _load_plan_file(args.plan, scenario)
-    run = _Run(args, "evaluate")
-    try:
-        flows = assign_flows(scenario, plan)
-    except _INFEASIBLE_PLAN as exc:
-        _err(f"infeasible: {exc}")
-        if isinstance(exc, UnroutableDemandError):
-            run.extra["infeasible_pair"] = {"t": exc.t, "route": exc.r, "o": exc.o, "d": exc.d}
-        run.finish()
-        return EXIT_INFEASIBLE
-    metrics = compute_metrics(flows, scenario, plan)
-    run.write_json("metrics.json", metrics.to_dict())
-    run.write_text("metrics.csv", _metrics_csv(metrics.to_dict()))
-    run.write_text("patterns.txt", render_patterns(scenario, plan))
-    run.finish()
+    with _Run(args, "evaluate") as run:
+        metrics = _price(run, scenario, plan, "infeasible")
+        _write_metrics(run, scenario, plan, metrics)
     print(f"objective {metrics.objective}")
     return EXIT_OK
 
@@ -305,39 +324,28 @@ def cmd_compare(args) -> int:
     cfg = _solver_config(args)
     scenario = _validated(args)
     baseline_plan = _load_plan_file(args.baseline, scenario)
-    run = _Run(args, "compare")
-    try:
-        base_flows = assign_flows(scenario, baseline_plan)
-    except _INFEASIBLE_PLAN as exc:
-        _err(f"infeasible baseline: {exc}")
-        run.finish()
-        return EXIT_INFEASIBLE
-    base_metrics = compute_metrics(base_flows, scenario, baseline_plan)
-    result, plan, metrics = _solve_pipeline(scenario, cfg, run)
-    if plan is None:
-        run.finish()
-        return EXIT_INFEASIBLE
-    run.write_text("plan.json", plan.to_json())
-    run.write_json("metrics.json", metrics.to_dict())
-    run.write_text("patterns.txt", render_patterns(scenario, plan))
-    base_fleet = base_metrics.fleet_by_route_period
-    opt_fleet = metrics.fleet_by_route_period
-    comparison = {
-        "baseline": base_metrics.to_dict(),
-        "optimized": metrics.to_dict(),
-        "percent_change": {
-            "objective": _percent(metrics.objective, base_metrics.objective),
-            "avg_riding_time_min": _percent(metrics.avg_riding_min, base_metrics.avg_riding_min),
-            "avg_wait_time_min": _percent(metrics.avg_waiting_min, base_metrics.avg_waiting_min),
-            "number_of_transfers": _percent(metrics.transfers_count, base_metrics.transfers_count),
-            "fleet_by_route_period": {
-                f"route{r}_period{t}": _percent(opt_fleet[(r, t)], base_fleet[(r, t)])
-                for (r, t) in sorted(opt_fleet)
+    with _Run(args, "compare") as run:
+        base_metrics = _price(run, scenario, baseline_plan, "infeasible baseline")
+        _, plan, metrics = _solve_pipeline(scenario, cfg, run)
+        run.write_text("plan.json", plan.to_json())
+        _write_metrics(run, scenario, plan, metrics)
+        base_fleet = base_metrics.fleet_by_route_period
+        opt_fleet = metrics.fleet_by_route_period
+        comparison = {
+            "baseline": base_metrics.to_dict(),
+            "optimized": metrics.to_dict(),
+            "percent_change": {
+                "objective": _percent(metrics.objective, base_metrics.objective),
+                "avg_riding_time_min": _percent(metrics.avg_riding_min, base_metrics.avg_riding_min),
+                "avg_wait_time_min": _percent(metrics.avg_waiting_min, base_metrics.avg_waiting_min),
+                "number_of_transfers": _percent(metrics.transfers_count, base_metrics.transfers_count),
+                "fleet_by_route_period": {
+                    f"route{r}_period{t}": _percent(opt_fleet[(r, t)], base_fleet[(r, t)])
+                    for (r, t) in sorted(opt_fleet)
+                },
             },
-        },
-    }
-    run.write_json("comparison.json", comparison)
-    run.finish()
+        }
+        run.write_json("comparison.json", comparison)
     delta = comparison["percent_change"]["objective"]
     print(f"baseline {base_metrics.objective} optimized {metrics.objective} "
           f"delta {delta if delta is None else round(delta, 4)}%")
@@ -347,26 +355,15 @@ def cmd_compare(args) -> int:
 def cmd_oracle(args) -> int:
     cfg = _solver_config(args)
     scenario = _validated(args)
-    run = _Run(args, "oracle")
-    try:
-        plans = enumerate_plans(scenario)    # the size checks, before the solve
-    except OracleSizeError as exc:
-        _err(f"invalid: {exc}")
-        run.finish()
-        return EXIT_INVALID
-    try:
-        result = solve(build_model(scenario), cfg)
-        _err(f"solver: status={result.status} objective={result.objective}")
-        if not result.ok:
-            run.extra["solver_status"] = result.status
-            run.finish()
-            return EXIT_INFEASIBLE
+    with _Run(args, "oracle") as run:
+        try:
+            plans = enumerate_plans(scenario)    # the size checks, before the solve
+        except OracleSizeError as exc:
+            _err(f"invalid: {exc}")
+            raise _Exit(EXIT_INVALID) from exc
+        result = _solve(run, build_model(scenario), cfg)
         report = certify(scenario, result, cross_check=args.cross_check, plans=plans)
-    except _FAILURES:
-        run.finish()
-        raise
-    run.write_json("oracle_report.json", report.to_dict())
-    run.finish()
+        run.write_json("oracle_report.json", report.to_dict())
     print(f"oracle best {report.best_objective} solver {report.milp_objective} "
           f"verdict {report.verdict}")
     return EXIT_OK if report.verdict == "match" else EXIT_MISMATCH
@@ -374,12 +371,11 @@ def cmd_oracle(args) -> int:
 
 def cmd_export(args) -> int:
     scenario = _validated(args)
-    run = _Run(args, "export")
-    model = build_model(scenario)
-    run.write_chunks("model.lp", lp_chunks(model))
-    stats = model_stats(model)
-    run.write_json("model_stats.json", stats)
-    run.finish()
+    with _Run(args, "export") as run:
+        model = build_model(scenario)
+        run.write_chunks("model.lp", lp_chunks(model))
+        stats = model_stats(model)
+        run.write_json("model_stats.json", stats)
     print(f"exported {stats['variables']['total']} variables, {stats['rows']['total']} rows")
     return EXIT_OK
 

@@ -12,6 +12,7 @@ import transitopt
 import transitopt.cli
 import transitopt.oracle
 from transitopt.backend import DecodeError, SolverError
+from transitopt.evaluator import EvaluationError
 from transitopt.cli import main
 
 from _factories import full_pattern_plan_doc, ladder_doc, random_toy_doc, scenario_doc
@@ -264,6 +265,13 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert "origin 0 -> destination 2" in err
 
+    def test_unroutable_pair_in_manifest(self, tmp_path):
+        path, plan_path = _unroutable(tmp_path)
+        out = tmp_path / "run"
+        assert main(["evaluate", "--scenario", str(path), "--plan", str(plan_path),
+                     "--out", str(out)]) == 3
+        assert _checked_manifest(out)["infeasible_pair"] == {"t": 0, "route": 0, "o": 0, "d": 2}
+
     def test_insufficient_capacity_exit_three(self, tmp_path, capsys):
         path = write_doc(tmp_path, scenario_doc(enforce_capacity=True, capacity=1.0,
                                                 symmetry=False))
@@ -423,8 +431,28 @@ class TestCompare:
             "on route 0 in period 0\n")
         assert json.loads((out / "manifest.json").read_text())["artifacts"] == {}
 
+    def test_unroutable_baseline_pair_in_manifest(self, tmp_path, capsys):
+        path, plan_path = _unroutable(tmp_path)
+        out = tmp_path / "run"
+        assert main(["compare", "--scenario", str(path), "--baseline", str(plan_path),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "infeasible baseline: no feasible path for demand origin 0 -> destination 2 ")
+        assert _checked_manifest(out)["infeasible_pair"] == {"t": 0, "route": 0, "o": 0, "d": 2}
+
 
 class TestOracleCommand:
+    def test_solver_fields_recorded(self, scenario_file, tmp_path, capsys):
+        # the oracle reports its solve as solve and compare do
+        out = tmp_path / "run"
+        assert main(["oracle", "--scenario", str(scenario_file), "--out", str(out)]) == 0
+        manifest = _checked_manifest(out)
+        assert manifest["solver_status"] == "optimal"
+        assert manifest["solver_wall_time_s"] > 0
+        solver_line = capsys.readouterr().err.splitlines()[0]
+        assert solver_line.startswith("solver: status=optimal objective=")
+        assert " wall=" in solver_line
+
     def test_match_exit_zero(self, scenario_file, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["oracle", "--scenario", str(scenario_file), "--out", str(out)]) == 0
@@ -532,6 +560,127 @@ class TestOutDirectory:
         assert main(["export", "--scenario", str(scenario_file), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot create output directory ")
+
+
+def _unroutable(tmp_path):
+    """A scenario and a plan whose only pattern never serves stop C, where
+    the one pair (t=0, route 0, 0 -> 2) rides."""
+    path = write_doc(tmp_path, scenario_doc(n_patterns=1, transfers=False,
+                                            demand=(((0, 0, 2), 10.0),)))
+    plan = full_pattern_plan_doc(load_scenario(path))
+    plan["routes"][0]["periods"][0]["patterns"][0]["stops"] = [0, 1, 4, 5]
+    return path, write_doc(tmp_path, plan, "plan.json")
+
+
+def _checked_manifest(out: Path) -> dict:
+    """The manifest under ``out``, once every digest in it matches its file."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name, digest in manifest["artifacts"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    return manifest
+
+
+def _off_by_one(solve):
+    """``solve`` with every objective 1.0 higher."""
+    def solved(model, cfg):
+        res = solve(model, cfg)
+        return dataclasses.replace(res, objective=res.objective + 1.0)
+    return solved
+
+
+_EXITS = [("export", 0), ("solve", 0), ("solve", 3), ("solve", 5), ("evaluate", 0),
+          ("evaluate", 3), ("evaluate", 5), ("compare", 0), ("compare", 3), ("compare", 5),
+          ("oracle", 0), ("oracle", 1), ("oracle", 3), ("oracle", 4), ("oracle", 5)]
+
+# what each command writes besides the manifest when it succeeds
+_ARTIFACTS = {
+    "export": {"model.lp", "model_stats.json"},
+    "solve": {"model.lp", "model_stats.json", "plan.json", "metrics.json", "metrics.csv",
+              "patterns.txt"},
+    "evaluate": {"metrics.json", "metrics.csv", "patterns.txt"},
+    "compare": {"model.lp", "model_stats.json", "plan.json", "metrics.json", "metrics.csv",
+                "patterns.txt", "comparison.json"},
+    "oracle": {"oracle_report.json"},
+}
+
+
+class TestManifestOnEveryExit:
+    """Once --out exists, every exit a command can reach leaves a manifest
+    whose digests match the files it lists."""
+
+    @pytest.mark.parametrize("command, code", _EXITS, ids=[f"{c}-{e}" for c, e in _EXITS])
+    def test_manifest_written(self, tmp_path, monkeypatch, command, code):
+        scenario_path = write_doc(tmp_path, scenario_doc())
+        plan_path = write_doc(tmp_path, full_pattern_plan_doc(load_scenario(scenario_path)),
+                              "plan.json")
+        if code == 1:    # more designs than the oracle enumerates
+            scenario_path = write_doc(tmp_path, scenario_doc(menu=(4.0, 5.0, 6.0)))
+        elif code == 3 and command in ("evaluate", "compare"):
+            scenario_path, plan_path = _unroutable(tmp_path)
+        elif code == 3:  # no design within the fleet caps
+            scenario_path = write_doc(tmp_path, scenario_doc(fleet_cap=0.5,
+                                                             vehicle_hours_cap=0.5))
+        elif code == 4:  # a solver optimum 1.0 above the best enumerated design
+            monkeypatch.setattr(transitopt.cli, "solve", _off_by_one(transitopt.cli.solve))
+        elif code == 5 and command in ("evaluate", "compare"):
+            def broken(scenario, plan):
+                raise EvaluationError("assignment program failed")
+            monkeypatch.setattr(transitopt.cli, "assign_flows", broken)
+        elif code == 5 and command == "solve":
+            def split_loops(model, result):
+                raise DecodeError("arcs split into multiple loops")
+            monkeypatch.setattr(transitopt.cli, "decode_plan", split_loops)
+        elif code == 5:  # a fixed-design solve that disagrees with the evaluator
+            monkeypatch.setattr(transitopt.oracle, "solve", _off_by_one(transitopt.oracle.solve))
+        out = tmp_path / "run"
+        extra = {"evaluate": ["--plan", str(plan_path)],
+                 "compare": ["--baseline", str(plan_path)]}.get(command, [])
+        assert main([command, "--scenario", str(scenario_path), "--out", str(out), *extra]) == code
+        manifest = _checked_manifest(out)
+        assert manifest["command"] == command
+        if code == 0:
+            assert set(manifest["artifacts"]) == _ARTIFACTS[command]
+
+
+class TestUnwritableArtifact:
+    """An artifact that cannot be written is an I/O failure: one `error:`
+    line and exit 2, never a traceback, with the manifest listing the files
+    written before it."""
+
+    @pytest.mark.parametrize("command, blocked, written", [
+        ("export", "model.lp", set()),
+        ("solve", "plan.json", {"model.lp", "model_stats.json"}),  # written after the solve
+    ], ids=["export-model.lp", "solve-plan.json"])
+    def test_directory_in_the_way_exit_two(self, scenario_file, tmp_path, capsys, command,
+                                           blocked, written):
+        out = tmp_path / "run"
+        (out / blocked).mkdir(parents=True)
+        assert main([command, "--scenario", str(scenario_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {out / blocked}: ")
+        assert set(_checked_manifest(out)["artifacts"]) == written
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["priced", "evaluator-fails"])
+    def test_unwritable_manifest(self, scenario_file, tmp_path, monkeypatch, capsys, fails):
+        # a manifest that cannot be written is exit 2, unless a failure ended
+        # the command first: that failure keeps its exit code and its line
+        plan_path = write_doc(tmp_path, full_pattern_plan_doc(load_scenario(scenario_file)),
+                              "plan.json")
+        if fails:
+            def broken(scenario, plan):
+                raise EvaluationError("assignment program failed")
+            monkeypatch.setattr(transitopt.cli, "assign_flows", broken)
+        out = tmp_path / "run"
+        (out / "manifest.json").mkdir(parents=True)
+        assert main(["evaluate", "--scenario", str(scenario_file), "--plan", str(plan_path),
+                     "--out", str(out)]) == (5 if fails else 2)
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert err[0].startswith(f"error: cannot write {out / 'manifest.json'}: ")
+        assert err[1:] == (["error: EvaluationError: assignment program failed"] if fails else [])
+        assert captured.out == ""
 
 
 class TestExport:
