@@ -32,6 +32,24 @@ def write_doc(tmp_path, doc, name="scenario.json"):
     return path
 
 
+def _unroutable(tmp_path):
+    """A scenario with one demand pair (period 0, route 0, stop 0 -> 2) and a
+    plan whose only pattern never serves stop C."""
+    path = write_doc(tmp_path, scenario_doc(n_patterns=1, transfers=False,
+                                            demand=(((0, 0, 2), 10.0),)))
+    plan = full_pattern_plan_doc(load_scenario(path))
+    plan["routes"][0]["periods"][0]["patterns"][0]["stops"] = [0, 1, 4, 5]
+    return path, write_doc(tmp_path, plan, "plan.json")
+
+
+def _checked_manifest(out: Path) -> dict:
+    """The manifest under ``out``, once every digest in it matches its file."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name, digest in manifest["artifacts"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    return manifest
+
+
 class TestValidate:
     def test_clean_exit_zero(self, scenario_file, capsys):
         assert main(["validate", "--scenario", str(scenario_file)]) == 0
@@ -560,24 +578,6 @@ class TestOutDirectory:
         assert main(["export", "--scenario", str(scenario_file), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot create output directory ")
-
-
-def _unroutable(tmp_path):
-    """A scenario and a plan whose only pattern never serves stop C, where
-    the one pair (t=0, route 0, 0 -> 2) rides."""
-    path = write_doc(tmp_path, scenario_doc(n_patterns=1, transfers=False,
-                                            demand=(((0, 0, 2), 10.0),)))
-    plan = full_pattern_plan_doc(load_scenario(path))
-    plan["routes"][0]["periods"][0]["patterns"][0]["stops"] = [0, 1, 4, 5]
-    return path, write_doc(tmp_path, plan, "plan.json")
-
-
-def _checked_manifest(out: Path) -> dict:
-    """The manifest under ``out``, once every digest in it matches its file."""
-    manifest = json.loads((out / "manifest.json").read_text())
-    for name, digest in manifest["artifacts"].items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
-    return manifest
 
 
 def _off_by_one(solve):
