@@ -129,19 +129,21 @@ class _Run:
             # its line is out; the failure that ended the block keeps its exit code
 
 
+# The model toggles on the command line, in --help order: (flag, the
+# OptionFlags field it sets, the value it sets, help text).
+_OPTION_FLAGS = (
+    ("--no-transfers", "allow_transfers", False, "disable transfer flows"),
+    ("--symmetry", "enforce_symmetry", True, "force mirrored patterns"),
+    ("--capacity", "enforce_capacity", True, "enforce vehicle capacity"),
+    ("--full-pattern", "require_full_pattern", True, "pin pattern 0 to all stops"),
+    ("--integer-fleet", "integer_fleet", True, "whole vehicles per route"),
+)
+
+
 def _override_dict(args) -> dict:
-    out = {}
-    if getattr(args, "no_transfers", False):
-        out["allow_transfers"] = False
-    if getattr(args, "symmetry", False):
-        out["enforce_symmetry"] = True
-    if getattr(args, "capacity", False):
-        out["enforce_capacity"] = True
-    if getattr(args, "full_pattern", False):
-        out["require_full_pattern"] = True
-    if getattr(args, "integer_fleet", False):
-        out["integer_fleet"] = True
-    return out
+    """The OptionFlags fields the command line sets, with their values."""
+    return {name: value for _, name, value, _ in _OPTION_FLAGS
+            if getattr(args, name) is not None}
 
 
 def _read_json(path: str, what: str) -> Any:
@@ -392,11 +394,8 @@ def _add_common(p: argparse.ArgumentParser, *, out_required: bool = True,
     if solver:
         p.add_argument("--time-limit", type=float, default=600.0, help="solver time limit (s)")
         p.add_argument("--gap", type=float, default=0.0, help="relative MIP gap target")
-    p.add_argument("--no-transfers", action="store_true", help="disable transfer flows")
-    p.add_argument("--symmetry", action="store_true", help="force mirrored patterns")
-    p.add_argument("--capacity", action="store_true", help="enforce vehicle capacity")
-    p.add_argument("--full-pattern", action="store_true", help="pin pattern 0 to all stops")
-    p.add_argument("--integer-fleet", action="store_true", help="whole vehicles per route")
+    for flag, name, value, help_text in _OPTION_FLAGS:
+        p.add_argument(flag, dest=name, action="store_const", const=value, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:

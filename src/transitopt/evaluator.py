@@ -18,15 +18,16 @@ program is an LP. Its rows are numpy index arrays assembled by the model's
 ``row_block``; ``milp`` joins them with the backend's ``csr_rows`` and
 solves them with its ``solve_arrays``, the HiGHS call the design model uses
 (scipy's bundled HiGHS binding on numpy arrays; no scipy package is
-imported). The boarding, exit and transfer keys of the result are derived by
-``FlowAssignment.from_flows``, as for a solved model.
-Both price exactly the objective used by the design model: riding minutes
-plus weighted perceived waiting plus weighted transfer penalties.
+imported). Both routings, the closed form and the program, end in
+``FlowAssignment.from_flows``: they hand it their entering and riding flows
+(the program also its alighting and re-boarding flows), and it derives the
+boarding, exit and transfer keys, as for a solved model. Both price exactly
+the objective used by the design model: riding minutes plus weighted
+perceived waiting plus weighted transfer penalties.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
@@ -110,8 +111,8 @@ def _ride_to_destination(view: _PatternView, tmat: list[list[float]],
                          i: int, targets: tuple[int, int]):
     """Ride pattern ``view`` from stop i to the first served destination stop.
 
-    Returns (minutes, exit_stop, arcs) or None when the destination is not
-    reachable before the loop wraps back to its first stop.
+    Returns (minutes, arcs) or None when the destination is not reachable
+    before the loop wraps back to its first stop.
     """
     if i not in view.pos:
         return None
@@ -123,7 +124,7 @@ def _ride_to_destination(view: _PatternView, tmat: list[list[float]],
         arcs.append((cur, nxt))
         cur = nxt
         if cur in targets:
-            return minutes, cur, arcs
+            return minutes, arcs
     return None
 
 
@@ -132,7 +133,11 @@ def _ride_to_destination(view: _PatternView, tmat: list[list[float]],
 # ---------------------------------------------------------------------------
 
 def _assign_direct(scenario: Scenario, plan: ServicePlan, t: int, r: int,
-                   fa: FlowAssignment) -> None:
+                   entry: dict[tuple, float], inter_stop: dict[tuple, float],
+                   *_: dict[tuple, float]) -> None:
+    """Each pair's cheapest entry stop and combination on route r in period
+    t, its entering and riding flows into the dicts ``_assign_lp`` fills; with
+    transfers off there is no alighting or re-boarding flow."""
     route = scenario.routes[r]
     cell = plan.cell(r, t)
     menu = route.headway_menu(t)
@@ -148,13 +153,13 @@ def _assign_direct(scenario: Scenario, plan: ServicePlan, t: int, r: int,
             continue
         d_dir, d_mir = route.direction_stops_of(d)
         best = None
-        for entry in route.direction_stops_of(o):
+        for i in route.direction_stops_of(o):
             for c in avail:
                 combo = combos[c]
                 rides = []
                 ok = True
                 for p in combo.active_patterns:
-                    got = _ride_to_destination(views[p], tmat, entry, (d_dir, d_mir))
+                    got = _ride_to_destination(views[p], tmat, i, (d_dir, d_mir))
                     if got is None:
                         ok = False
                         break
@@ -162,24 +167,19 @@ def _assign_direct(scenario: Scenario, plan: ServicePlan, t: int, r: int,
                 if not ok:
                     continue
                 cost = gamma_w * combo.perceived_headway / 2.0
-                for p, (minutes, _, _) in rides:
+                for p, (minutes, _) in rides:
                     cost += combo.shares[p] * minutes
                 if best is None or cost < best[0] - 1e-15:
-                    best = (cost, entry, c, rides)
+                    best = (cost, i, c, rides)
         if best is None:
             raise UnroutableDemandError(t, r, o, d)
-        _, entry, c, rides = best
-        combo = combos[c]
-        fa.entry[(t, r, d, entry, c)] = fa.entry.get((t, r, d, entry, c), 0.0) + riders
-        for p, (_, exit_stop, arcs) in rides:
-            amt = riders * combo.shares[p]
-            key = (t, r, d, entry, c, p)
-            fa.boarding[key] = fa.boarding.get(key, 0.0) + amt
+        _, i, c, rides = best
+        entry[(t, r, d, i, c)] = riders
+        for p, (_, arcs) in rides:
+            amt = riders * combos[c].shares[p]
             for u, v in arcs:
-                akey = (t, r, d, p, u, v)
-                fa.inter_stop[akey] = fa.inter_stop.get(akey, 0.0) + amt
-            ekey = (t, r, exit_stop, p)
-            fa.exit[ekey] = fa.exit.get(ekey, 0.0) + amt
+                key = (t, r, d, p, u, v)
+                inter_stop[key] = inter_stop.get(key, 0.0) + amt
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +393,15 @@ def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:
     does not balance.
     """
     opts = scenario.options
-    periods, routes = range(len(scenario.periods)), range(len(scenario.routes))
-    if opts.allow_transfers or opts.enforce_capacity:
-        flows: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
-        for t in periods:
-            for r in routes:
-                _assign_lp(scenario, plan, t, r, *flows)
-        try:
-            return FlowAssignment.from_flows(scenario, *flows)
-        except DecodeError as exc:
-            raise EvaluationError(f"transfer node out of balance: {exc}") from exc
-    fa = FlowAssignment()
-    for t in periods:
-        for r in routes:
-            _assign_direct(scenario, plan, t, r, fa)
-    return fa
+    assign = _assign_lp if opts.allow_transfers or opts.enforce_capacity else _assign_direct
+    flows: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
+    for t in range(len(scenario.periods)):
+        for r in range(len(scenario.routes)):
+            assign(scenario, plan, t, r, *flows)
+    try:
+        return FlowAssignment.from_flows(scenario, *flows)
+    except DecodeError as exc:
+        raise EvaluationError(f"transfer node out of balance: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +470,6 @@ def compute_metrics(fa: FlowAssignment, scenario: Scenario, plan: ServicePlan) -
     transfers_count = sum(fa.transfer.values())
     riders = scenario.total_riders()
     objective = (riding + scenario.gamma_wait * waiting + scenario.gamma_transfer * transfer)
-    denom = riders if riders > 0 else math.inf
     return Metrics(
         objective=objective,
         riding_minutes_total=riding,
@@ -486,9 +479,9 @@ def compute_metrics(fa: FlowAssignment, scenario: Scenario, plan: ServicePlan) -
         transfer_weighted_total=scenario.gamma_transfer * transfer,
         transfers_count=transfers_count,
         riders_total=riders,
-        avg_riding_min=riding / denom if riders > 0 else 0.0,
-        avg_waiting_min=waiting / denom if riders > 0 else 0.0,
-        avg_journey_min=(riding + waiting + transfer) / denom if riders > 0 else 0.0,
+        avg_riding_min=riding / riders if riders > 0 else 0.0,
+        avg_waiting_min=waiting / riders if riders > 0 else 0.0,
+        avg_journey_min=(riding + waiting + transfer) / riders if riders > 0 else 0.0,
         fleet_by_route_period=fleet_requirement(plan, scenario),
     )
 

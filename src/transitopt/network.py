@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator, Mapping
@@ -379,9 +379,7 @@ def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
     parsed = [_parse_route(_obj(r, f"routes[{k}]"), k) for k, r in enumerate(routes_doc)]
 
     opt_doc = _obj(doc.get("options", {}), "options")
-    known = {"allow_transfers", "enforce_symmetry", "enforce_capacity",
-             "require_full_pattern", "integer_fleet"}
-    unknown = set(opt_doc) - known
+    unknown = set(opt_doc) - {f.name for f in fields(OptionFlags)}
     if unknown:
         raise ScenarioError(f"options: unknown keys {sorted(unknown)}")
     options = OptionFlags(**{k: _bool(v, f"options.{k}") for k, v in opt_doc.items()})

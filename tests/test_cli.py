@@ -230,6 +230,18 @@ class TestSolve:
         stats = json.loads((out / "model_stats.json").read_text())
         assert stats["variables"]["by_family"]["ft"] == stats["variables"]["by_family"]["fx"] == 0
 
+    @pytest.mark.parametrize("flag, field, value", [
+        ("--no-transfers", "allow_transfers", False),
+        ("--symmetry", "enforce_symmetry", True),
+        ("--capacity", "enforce_capacity", True),
+        ("--full-pattern", "require_full_pattern", True),
+        ("--integer-fleet", "integer_fleet", True),
+    ])
+    def test_option_flag_in_manifest(self, scenario_file, tmp_path, flag, field, value):
+        out = tmp_path / "run"
+        assert main(["export", "--scenario", str(scenario_file), "--out", str(out), flag]) == 0
+        assert _checked_manifest(out)["options_overrides"] == {field: value}
+
     def test_invalid_scenario_exit_one(self, tmp_path):
         path = write_doc(tmp_path, scenario_doc(menu=(7.0, 5.0)))
         assert main(["solve", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from transitopt.model import SENSES, RowBlock
 from transitopt.plan import FlowAssignment
 
 from _blocks import record_programs
-from _factories import (full_pattern_plan_doc, make_scenario, random_toy_doc,
+from _factories import (add_route, full_pattern_plan_doc, make_scenario, random_toy_doc,
                         scenario_doc)
 from transitopt.oracle import enumerate_plans
 
@@ -412,9 +414,14 @@ def two_period_doc():
 
 
 def two_period_plans(scenario):
-    """The full loop at the slower headway, alone and with a short loop."""
+    """Route 0: the full loop at the slower headway, alone and with a short
+    loop, and two short loops. Any other route runs its full loop alone at
+    its slowest headway."""
     full = tuple(range(6))
-    return [load_plan(plan_doc({(0, t): patterns for t in range(2)}, scenario), scenario)
+    others = {(r, t): [(tuple(range(route.n_dir)), route.headway_menu(t)[-1])]
+              + [None] * (route.n_patterns - 1)
+              for r, route in enumerate(scenario.routes) if r > 0 for t in range(2)}
+    return [load_plan(plan_doc({(0, t): patterns for t in range(2)} | others, scenario), scenario)
             for patterns in ([(full, 7.0), None], [(full, 7.0), ((0, 1, 4, 5), 5.0)],
                              [((0, 1, 2, 3), 5.0), ((2, 3, 4, 5), 7.0)])]
 
@@ -466,6 +473,49 @@ class TestAgainstWideProgram:
 class TestCrossPathEquivalence:
     """The closed-form path and the program path must agree exactly."""
 
+    @staticmethod
+    def priced_alike(scenario, plan) -> bool:
+        """``assign_flows`` (the closed form: transfers and capacity off) and
+        the program give objectives within 1e-9 relative, with conservation
+        residuals of at most 1e-9 on both, or refuse the same pair; True when
+        the plan is priced."""
+        try:
+            direct = assign_flows(scenario, plan)
+        except UnroutableDemandError as exc:
+            with pytest.raises(UnroutableDemandError) as err:
+                lp_flows(scenario, plan)
+            refused = err.value
+            assert (refused.t, refused.r, refused.o, refused.d) == (exc.t, exc.r, exc.o, exc.d)
+            return False
+        program = lp_flows(scenario, plan)
+        for fa in (direct, program):
+            for family, worst in conservation_residuals(fa, scenario, plan).items():
+                assert worst <= 1e-9, (family, worst)
+        assert compute_metrics(direct, scenario, plan).objective == pytest.approx(
+            compute_metrics(program, scenario, plan).objective, rel=1e-9)
+        return True
+
+    @pytest.mark.parametrize("dwell_saving", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_enumerated_designs(self, seed, dwell_saving):
+        scenario = load_scenario(random_toy_doc(seed, dwell_saving=dwell_saving))
+        assert not scenario.options.allow_transfers
+        plans = list(islice(enumerate_plans(scenario), 40))
+        assert plans
+        for plan in plans:
+            self.priced_alike(scenario, plan)
+
+    @pytest.mark.parametrize("routes", [1, 2])
+    def test_two_periods(self, routes):
+        doc = two_period_doc()
+        doc["options"]["allow_transfers"] = False
+        if routes == 2:
+            add_route(doc, stops=("X", "Y"), out_times=(6.0,), in_times=(6.0,),
+                      menu=(4.0, 8.0), n_patterns=1, turnback_time=1.0,
+                      demand=(((0, 0, 1), 30.0), ((1, 1, 0), 12.0)))
+        scenario = load_scenario(doc)
+        assert all(self.priced_alike(scenario, plan) for plan in two_period_plans(scenario))
+
     @pytest.mark.parametrize("seed", [11, 12, 13, 14])
     def test_direct_vs_lp_no_transfers(self, seed):
         scenario = load_scenario(random_toy_doc(seed, transfers=False))
@@ -483,10 +533,7 @@ class TestCrossPathEquivalence:
         short = tuple(sorted([0, 1] + [route.mirror(0), route.mirror(1)]))
         doc = plan_doc({(0, 0): [(tuple(range(route.n_dir)), menu[0]), (short, menu[1])]},
                        scenario)
-        try:
-            plan = load_plan(doc, scenario)
-        except Exception:
-            pytest.skip("plan outside fleet bounds for this seed")
+        plan = load_plan(doc, scenario)
         fa_direct = assign_flows(scenario, plan)
         m1 = compute_metrics(fa_direct, scenario, plan)
         m2 = compute_metrics(lp_flows(scenario, plan), scenario, plan)

@@ -171,6 +171,13 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="cannot read"):
             load_scenario(tmp_path / "nope.json")
 
+    def test_unknown_option_is_named(self):
+        doc = scenario_doc()
+        doc["options"]["allow_transfer"] = False
+        with pytest.raises(ScenarioError) as err:
+            load_scenario(doc)
+        assert str(err.value) == "options: unknown keys ['allow_transfer']"
+
 
     def test_overlong_integer_is_not_valid_json(self, tmp_path):
         # past CPython's int digit limit json raises a plain ValueError
