@@ -9,9 +9,12 @@ assignment programs alike: it hands the arrays to the HiGHS binding that
 scipy ships (``scipy.optimize._highspy._core``), which ``_highs`` loads
 from its file on the first solve. Neither ``scipy.optimize`` nor
 ``scipy.sparse`` is imported, and commands that never solve load no scipy
-module at all. ``decode_plan`` turns the assignment back into domain
-objects, one variable block at a time, and derives the boarding, exit and
-transfer flows with ``FlowAssignment.from_flows``, as the evaluator does.
+module at all. ``solve`` runs a built model and keeps it on its result
+(``SolveResult.model``), so ``oracle.certify`` can pin designs on the model
+that was solved without building another. ``decode_plan`` turns the
+assignment back into domain objects, one variable block at a time, and
+derives the boarding, exit and transfer flows with
+``FlowAssignment.from_flows``, as the evaluator does.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import importlib.machinery
 import importlib.util
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +74,8 @@ class SolveResult:
     wall_time_s: float
     gap: float | None = None
     message: str = ""
+    # the model ``solve`` ran; None for ``solve_arrays``' own results
+    model: MilpModel | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -212,7 +217,8 @@ def solve_arrays(c, a, row_lo, row_hi, integrality, lb, ub, cfg: SolverConfig) -
 
 
 def solve(model: MilpModel, cfg: SolverConfig | None = None) -> SolveResult:
-    return solve_arrays(*_model_arrays(model), cfg or SolverConfig())
+    """Solve ``model``; the result keeps it as ``model``."""
+    return replace(solve_arrays(*_model_arrays(model), cfg or SolverConfig()), model=model)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,7 @@ class CombinationSet:
     def __init__(self, menu: Sequence[float], combos: Sequence[Combination]):
         self.menu = tuple(menu)
         self.combos = tuple(combos)
+        self._consistent: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.combos)
@@ -94,14 +95,17 @@ class CombinationSet:
     def __getitem__(self, k: int) -> Combination:
         return self.combos[k]
 
-    def consistent_with(self, assigned_indices: Sequence[int]) -> list[int]:
+    def consistent_with(self, assigned_indices: Sequence[int]) -> tuple[int, ...]:
         """Combinations whose active patterns all match the assigned menu
-        indices (index 0 = pattern out of service)."""
-        out = []
-        for k, c in enumerate(self.combos):
-            if all(assigned_indices[p] == c.headway_indices[p] for p in c.active_patterns):
-                out.append(k)
-        return out
+        indices (index 0 = pattern out of service). Each assignment is
+        scanned once per set; later calls return the stored tuple."""
+        assigned = tuple(assigned_indices)
+        found = self._consistent.get(assigned)
+        if found is None:
+            found = self._consistent[assigned] = tuple(
+                k for k, c in enumerate(self.combos)
+                if all(assigned[p] == c.headway_indices[p] for p in c.active_patterns))
+        return found
 
 
 @lru_cache(maxsize=None)

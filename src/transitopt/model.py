@@ -529,9 +529,13 @@ def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
     """
     scenario = model.scenario
     opts = scenario.options
-    arcs: dict[tuple, set[tuple[int, int]]] = {}    # (t, r, p) -> arcs of the loop
-    headway_index: dict[tuple, int] = {}            # (t, r, p) -> menu position
-    for t in range(len(scenario.periods)):
+    nt, nr = len(scenario.periods), len(scenario.routes)
+    npat = max((route.n_patterns for route in scenario.routes), default=0)
+    nd_max = max((route.n_dir for route in scenario.routes), default=0)
+    on_loop = np.zeros((nt, nr, npat, nd_max, nd_max))   # [t, r, p, i, j]: 1.0 on the loop
+    headway_index = np.zeros((nt, nr, npat), dtype=np.int64)   # [t, r, p]: menu position
+    fleet = np.zeros((nr, nt))                                  # [r, t]: vehicles
+    for t in range(nt):
         for r, route in enumerate(scenario.routes):
             cell = plan.cell(r, t)
             if len(cell.patterns) != route.n_patterns:
@@ -545,24 +549,29 @@ def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
                                     f"outside menu of route {r}")
                 if opts.require_full_pattern and p == 0 and set(pat.stops) != set(range(nd)):
                     raise PlanError("model requires pattern 0 to serve every stop, plan does not")
-                loop = set(pat.arcs())
-                for i, j in sorted(loop):
+                for i, j in sorted(set(pat.arcs())):
                     if not (0 <= i < nd and 0 <= j < nd and route.arc_allowed(i, j)):
                         raise PlanError(f"plan uses arc ({i}, {j}) not allowed on route {r}")
-                arcs[(t, r, p)] = loop
-                headway_index[(t, r, p)] = pat.headway_index
+                    on_loop[t, r, p, i, j] = 1.0
+                headway_index[t, r, p] = pat.headway_index
+            fleet[r, t] = cell.fleet
 
+    def at(table: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """``table`` at each row of ``keys``, one column per axis."""
+        return table.take(keys @ (np.array(table.strides) // table.itemsize))
+
+    # each family's pinned values, one array pass over the block's key matrix
     pinned = {
-        "x": lambda key: 1.0 if (key[3], key[4]) in arcs[tuple(key[:3])] else 0.0,
-        "y": lambda key: 1.0 if key[3] == headway_index[tuple(key[:3])] else 0.0,
-        "n": lambda key: plan.cell(*key).fleet,
+        "x": lambda keys: at(on_loop, keys),
+        "y": lambda keys: (at(headway_index, keys[:, :3]) == keys[:, 3]).astype(np.float64),
+        "n": lambda keys: at(fleet, keys),
     }
 
     def pin(block: VarBlock) -> VarBlock:
         value = pinned.get(block.family)
         if value is None:
             return block
-        values = np.array([value(key) for key in block.keys.tolist()], dtype=np.float64)
+        values = value(block.keys)
         return replace(block, lb=values, ub=values.copy())
 
     return replace(model, var_blocks=[pin(b) for b in model.var_blocks])

@@ -199,7 +199,11 @@ def certify(scenario: Scenario, milp_result: SolveResult, *, cross_check: str = 
     one) or "all". Each distinct design is solved once: the best one is
     added only when the sample does not already hold it, and
     ``cross_checked`` counts the designs solved. Any disagreement beyond
-    1e-6 relative flags an internal inconsistency.
+    1e-6 relative flags an internal inconsistency. The designs are pinned on
+    the model ``milp_result`` was solved on when that model was built from
+    this ``scenario`` object, and on a new ``build_model(scenario)``
+    otherwise; ``fix_baseline`` sets every arc, headway and fleet bound, so
+    both price the same designs.
     """
     if cross_check not in ("none", "sample", "all"):
         raise ValueError(f"unknown cross_check mode {cross_check!r}")
@@ -231,7 +235,9 @@ def certify(scenario: Scenario, milp_result: SolveResult, *, cross_check: str = 
 
     cross_checked = 0
     if cross_check != "none" and (to_cross or best_plans):
-        base_model = build_model(scenario)
+        solved = milp_result.model
+        base_model = (solved if solved is not None and solved.scenario is scenario
+                      else build_model(scenario))
         cfg = SolverConfig()
         # each design is enumerated once, so identity finds the best in the sample
         if best_plans and not any(plan is best_plans[0] for plan, _ in to_cross):

@@ -1,4 +1,6 @@
+import random
 from dataclasses import replace
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -7,12 +9,14 @@ import pytest
 from transitopt import (
     BuildError, PlanError, ServicePlan, SolverConfig, assign_flows, big_m_flow,
     build_model, compute_metrics, decode_plan, enumerate_combinations, fix_baseline,
-    load_plan, model_stats, solve,
+    load_plan, load_scenario, model_stats, solve,
 )
 from transitopt.model import ROW_FAMILIES
+from transitopt.plan import PatternPlan, RoutePeriodPlan, loop_arcs, model_order
 
 from _blocks import rows_of, var_ids, var_labels
-from _factories import full_pattern_plan_doc, make_scenario, scenario_doc
+from _factories import (add_route, full_pattern_plan_doc, make_scenario, random_toy_doc,
+                        scenario_doc)
 
 
 def closed_form_variable_counts(n, n_patterns, menu_size, transfers, n_periods=1):
@@ -324,3 +328,101 @@ class TestFixBaseline:
         plan = load_plan(doc, scenario)
         result = solve(fix_baseline(model, plan), SolverConfig(time_limit_s=60))
         assert result.status == "infeasible"
+
+
+def pin_reference(model, plan):
+    """The values ``fix_baseline`` pins, one variable at a time: a lambda per
+    family called on each key. Keyed by each pinned block's first id."""
+    scenario = model.scenario
+    arcs, headway_index = {}, {}
+    for t in range(len(scenario.periods)):
+        for r in range(len(scenario.routes)):
+            for p, pat in enumerate(model_order(plan.cell(r, t).patterns)):
+                arcs[(t, r, p)] = set(pat.arcs())
+                headway_index[(t, r, p)] = pat.headway_index
+    pinned = {
+        "x": lambda key: 1.0 if (key[3], key[4]) in arcs[tuple(key[:3])] else 0.0,
+        "y": lambda key: 1.0 if key[3] == headway_index[tuple(key[:3])] else 0.0,
+        "n": lambda key: plan.cell(*key).fleet,
+    }
+    return {b.start: np.array([pinned[b.family](key) for key in b.keys.tolist()],
+                              dtype=np.float64)
+            for b in model.var_blocks if b.family in pinned}
+
+
+def random_plan(scenario, rng):
+    """A design per cell that ``fix_baseline`` accepts: random headway
+    indices and loops on allowed arcs, listed in any order, and a random
+    fleet (whole under ``integer_fleet``). Under ``require_full_pattern``
+    pattern 0 runs the full loop and no other pattern runs faster."""
+    opts = scenario.options
+    cells = []
+    for route in scenario.routes:
+        loops = [stops for size in range(2, route.n_dir + 1)
+                 for stops in combinations(range(route.n_dir), size)
+                 if all(route.arc_allowed(u, v) for u, v in loop_arcs(stops))]
+        row = []
+        for t in range(len(scenario.periods)):
+            menu = route.headway_menu(t)
+            fastest = rng.randint(1, len(menu)) if opts.require_full_pattern else 1
+            patterns = []
+            for p in range(route.n_patterns):
+                if p == 0 and opts.require_full_pattern:
+                    h, stops = fastest, tuple(range(route.n_dir))
+                else:
+                    h = rng.choice([0] + list(range(fastest, len(menu) + 1)))
+                    stops = rng.choice(loops) if h else ()
+                patterns.append(PatternPlan(stops=stops, headway=menu[h - 1] if h else None,
+                                            headway_index=h))
+            if not opts.require_full_pattern:
+                rng.shuffle(patterns)
+            fleet = float(rng.randint(0, 20)) if opts.integer_fleet else rng.uniform(0.0, 20.0)
+            row.append(RoutePeriodPlan(patterns=tuple(patterns), fleet=fleet))
+        cells.append(tuple(row))
+    return ServicePlan(cells=tuple(cells))
+
+
+def two_route_two_period_doc(full_pattern=False):
+    doc = scenario_doc(symmetry=False, period_hours=(1.0, 2.0), full_pattern=full_pattern,
+                       demand=(((0, 0, 2), 30.0), ((1, 1, 2), 15.0), ((1, 2, 0), 25.0)))
+    return add_route(doc, stops=("D", "E", "F", "G"), out_times=(2.0, 3.0, 4.0),
+                     in_times=(2.5, 3.5, 4.5), menu=(4.0, 6.0, 9.0), n_patterns=3,
+                     demand=(((0, 0, 3), 12.0), ((1, 3, 1), 8.0)))
+
+
+class TestPinnedBounds:
+    """``fix_baseline``'s array pins against ``pin_reference``: every pinned
+    block's ``lb`` and ``ub`` equal the reference values, and every other
+    block is shared with the model."""
+
+    CASES = {
+        "toy": lambda: random_toy_doc(3),
+        "toy-transfers": lambda: random_toy_doc(5, transfers=True, dwell_saving=0.5),
+        "two-periods": two_route_two_period_doc,
+        "full-pattern": lambda: random_toy_doc(13, full_pattern=True),
+        "full-pattern-two-periods": lambda: two_route_two_period_doc(full_pattern=True),
+        "integer-fleet": lambda: scenario_doc(integer_fleet=True, n_patterns=3),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_same_bounds_as_one_variable_at_a_time(self, case):
+        scenario = load_scenario(self.CASES[case]())
+        model = build_model(scenario)
+        rng = random.Random(case)
+        plans = [load_plan(full_pattern_plan_doc(scenario, headway_choice=choice), scenario)
+                 for choice in (0, -1)]
+        plans += [random_plan(scenario, rng) for _ in range(25)]
+        for plan in plans:
+            reference = pin_reference(model, plan)
+            pinned_blocks = 0
+            for block, fixed in zip(model.var_blocks, fix_baseline(model, plan).var_blocks):
+                values = reference.get(block.start)
+                if values is None:
+                    assert fixed is block
+                    continue
+                pinned_blocks += 1
+                assert fixed.lb.dtype == fixed.ub.dtype == np.float64
+                assert np.array_equal(fixed.lb, values) and np.array_equal(fixed.ub, values)
+                assert fixed.lb is not fixed.ub
+            # one x, y and n block per (period, route)
+            assert pinned_blocks == 3 * len(scenario.periods) * len(scenario.routes)

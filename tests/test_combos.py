@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +58,18 @@ class TestEnumeration:
         assert [cs[k].headway_indices for k in ids] == [(1, 0)]
         ids = cs.consistent_with((1, 2))
         assert [cs[k].headway_indices for k in ids] == [(0, 2), (1, 0), (1, 2)]
+
+    def test_consistent_with_is_stored_per_assignment(self):
+        cs = enumerate_combinations(2, (5.0, 7.0))
+        for assigned in product(range(3), repeat=2):
+            scan = tuple(k for k, c in enumerate(cs)
+                         if all(assigned[p] == c.headway_indices[p] for p in c.active_patterns))
+            first = cs.consistent_with(assigned)
+            assert first == scan and type(first) is tuple
+            assert cs.consistent_with(list(assigned)) is first
+        # the sets are shared per (n_patterns, menu), and so are the answers
+        assert enumerate_combinations(2, [5.0, 7.0]).consistent_with((1, 2)) is \
+            cs.consistent_with((1, 2))
 
 
 class TestPerceivedHeadway:

@@ -1,9 +1,10 @@
+import json
 from itertools import combinations_with_replacement, islice
 
 import pytest
 
 from transitopt import (
-    OracleSizeError, SolverConfig, assign_flows, build_model, certify,
+    OracleSizeError, SolveResult, SolverConfig, assign_flows, build_model, certify,
     compute_metrics, decode_plan, enumerate_plans, fix_baseline, load_plan, load_scenario,
     solve,
 )
@@ -303,6 +304,51 @@ class TestCertify:
         report = certify(scenario, result, cross_check="sample")
         assert (report.enumerated_count, report.unroutable_count) == (17, 15)
         assert report.verdict == "match"
+
+
+class TestCertifyOnTheSolvedModel:
+    """``certify`` pins its cross-checks on the model a result was solved on
+    when that model was built from the same scenario object, and builds one
+    otherwise; the reports are the same."""
+
+    @staticmethod
+    def scenario():
+        return tiny_scenario(menu=(5.0, 7.0), n_patterns=2, fleet_cap=30.0)
+
+    @pytest.mark.parametrize("mode", ["sample", "all"])
+    def test_one_build_only_without_the_solved_model(self, monkeypatch, mode):
+        scenario = self.scenario()
+        result = solve(build_model(scenario), SolverConfig(time_limit_s=60))
+        assert result.model.scenario is scenario
+
+        def refuse(scenario):
+            raise AssertionError("build_model called")
+        monkeypatch.setattr(oracle, "build_model", refuse)
+        reports = [certify(scenario, result, cross_check=mode)]
+
+        built = []
+        monkeypatch.setattr(oracle, "build_model",
+                            lambda scenario: built.append(scenario) or build_model(scenario))
+        twin = self.scenario()
+        assert twin == scenario and twin is not scenario
+        reports.append(certify(twin, result, cross_check=mode))
+        assert len(built) == 1 and built[0] is twin
+        handmade = SolveResult(result.status, result.objective, result.assignment,
+                               result.wall_time_s)
+        assert handmade.model is None
+        reports.append(certify(scenario, handmade, cross_check=mode))
+        assert len(built) == 2 and built[1] is scenario
+
+        texts = [json.dumps(report.to_dict(), sort_keys=True) for report in reports]
+        assert texts[1:] == texts[:1] * 2
+        assert reports[0].verdict == "match"
+        assert reports[0].cross_checked >= (2 if mode == "sample" else 3)
+
+    def test_result_repr_leaves_the_model_out(self):
+        scenario = self.scenario()
+        result = solve(build_model(scenario), SolverConfig(time_limit_s=60))
+        assert result.model is not None
+        assert "model" not in repr(result) and "MilpModel" not in repr(result)
 
 
 class TestRandomizedCertification:
