@@ -66,7 +66,7 @@ class SolverConfig:
             raise ValueError("rel_gap must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveResult:
     status: str                      # optimal | feasible | infeasible | timeout | error
     objective: float | None
@@ -75,7 +75,7 @@ class SolveResult:
     gap: float | None = None
     message: str = ""
     # the model ``solve`` ran; None for ``solve_arrays``' own results
-    model: MilpModel | None = field(default=None, repr=False, compare=False)
+    model: MilpModel | None = field(default=None, repr=False)
 
     @property
     def ok(self) -> bool:

@@ -26,24 +26,34 @@ class CombinationError(ValueError):
     """Raised for empty menus or all-out-of-service index vectors."""
 
 
+def _frequencies(headway_indices: Sequence[int], menu: Sequence[float]) -> list[float]:
+    """Each pattern's frequency (inverse headway), 0.0 where index 0 marks it
+    out of service; refuses an index outside the menu and a vector with no
+    pattern in service."""
+    freqs: list[float] = []
+    for h in headway_indices:
+        if h == 0:
+            freqs.append(0.0)
+            continue
+        if not 1 <= h <= len(menu):
+            raise CombinationError(f"headway index {h} outside menu of size {len(menu)}")
+        freqs.append(1.0 / menu[h - 1])
+    if not any(headway_indices):
+        raise CombinationError("combination must have at least one in-service pattern")
+    return freqs
+
+
 def perceived_headway(headway_indices: Sequence[int], menu: Sequence[float]) -> float:
     """Harmonic combination of the active headways (minutes).
 
     Index 0 marks an out-of-service pattern; at least one index must be
     nonzero. Equals the single active headway when only one pattern runs.
     """
-    active: list[float] = []
-    for h in headway_indices:
-        if h == 0:
-            continue
-        if not 1 <= h <= len(menu):
-            raise CombinationError(f"headway index {h} outside menu of size {len(menu)}")
-        active.append(menu[h - 1])
-    if not active:
-        raise CombinationError("combination must have at least one in-service pattern")
-    if len(active) == 1:
-        return active[0]
-    return 1.0 / sum(1.0 / v for v in active)
+    freqs = _frequencies(headway_indices, menu)
+    only, *more = (h for h in headway_indices if h)
+    if not more:
+        return menu[only - 1]
+    return 1.0 / sum(freqs)
 
 
 def frequency_shares(headway_indices: Sequence[int], menu: Sequence[float]) -> tuple[float, ...]:
@@ -52,19 +62,10 @@ def frequency_shares(headway_indices: Sequence[int], menu: Sequence[float]) -> t
     Active patterns receive flow proportional to their frequency (inverse
     headway); out-of-service patterns receive 0. Shares sum to 1.
     """
+    invs = _frequencies(headway_indices, menu)
     inv_total = 0.0
-    invs: list[float] = []
-    for h in headway_indices:
-        if h == 0:
-            invs.append(0.0)
-            continue
-        if not 1 <= h <= len(menu):
-            raise CombinationError(f"headway index {h} outside menu of size {len(menu)}")
-        v = 1.0 / menu[h - 1]
-        invs.append(v)
+    for v in invs:
         inv_total += v
-    if inv_total == 0.0:
-        raise CombinationError("combination must have at least one in-service pattern")
     return tuple(v / inv_total for v in invs)
 
 

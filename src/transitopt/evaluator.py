@@ -1,10 +1,13 @@
 """Passenger assignment for a fixed service plan, independent of the MILP.
 
 Given a frozen design (loops + headways), the cheapest flow routing is found
-without touching the model builder: when transfers and capacity are both off
-the problem separates per origin-destination pair and is solved in closed
-form; otherwise one small program per route and period covers every
-destination with demand. The program is written from the plan's loops, in
+without touching the model builder. Each route and period is first checked
+for a pair with demand that no path serves (``_check_routable``, the one
+place a design is refused for want of a path); then, when transfers and
+capacity are both off, the problem separates per origin-destination pair
+and is solved in closed form; otherwise one small program per route and
+period covers every destination with demand. Both routings read the plan's
+patterns as they are. The program is written from the plan's loops, in
 the design model's lean forms: one entering and one re-boarding flow per
 entry cell and combination, whose frequency shares are coefficients of each
 pattern's on-board balance; riding flows on the loops' forward arcs; one
@@ -30,14 +33,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
 
 import numpy as np
 
 from .backend import SolverConfig, SolveResult, csr_rows, solve_arrays
 from .combos import CombinationSet, enumerate_combinations
 from .model import RowBlock, row_block
-from .network import RouteSpec, Scenario
+from .network import Scenario
 from .plan import DecodeError, FlowAssignment, RoutePeriodPlan, ServicePlan, vehicle_need
 
 __all__ = [
@@ -82,44 +84,23 @@ def fleet_requirement(plan: ServicePlan, scenario: Scenario) -> dict[tuple[int, 
 
 
 # ---------------------------------------------------------------------------
-# Pattern geometry helpers
+# Closed-form assignment (no transfers, no capacity)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _PatternView:
-    p: int
-    stops: tuple[int, ...]
-    headway: float
-    pos: dict[int, int]
-
-
-def _pattern_views(route: RouteSpec, cell: RoutePeriodPlan) -> list[_PatternView]:
-    views = []
-    for p, pat in enumerate(cell.patterns):
-        if not pat.in_service:
-            continue
-        views.append(_PatternView(
-            p=p,
-            stops=pat.stops,
-            headway=pat.headway,
-            pos={s: k for k, s in enumerate(pat.stops)},
-        ))
-    return views
-
-
-def _ride_to_destination(view: _PatternView, tmat: list[list[float]],
+def _ride_to_destination(stops: tuple[int, ...], tmat: list[list[float]],
                          i: int, targets: tuple[int, int]):
-    """Ride pattern ``view`` from stop i to the first served destination stop.
+    """Ride the pattern serving ``stops`` from stop i to the first served
+    destination stop.
 
     Returns (minutes, arcs) or None when the destination is not reachable
     before the loop wraps back to its first stop.
     """
-    if i not in view.pos:
+    if i not in stops:
         return None
     cur = i
     minutes = 0.0
     arcs: list[tuple[int, int]] = []
-    for nxt in view.stops[view.pos[i] + 1:]:
+    for nxt in stops[stops.index(i) + 1:]:
         minutes += tmat[cur][nxt]
         arcs.append((cur, nxt))
         cur = nxt
@@ -128,10 +109,6 @@ def _ride_to_destination(view: _PatternView, tmat: list[list[float]],
     return None
 
 
-# ---------------------------------------------------------------------------
-# Closed-form assignment (no transfers, no capacity)
-# ---------------------------------------------------------------------------
-
 def _assign_direct(scenario: Scenario, plan: ServicePlan, t: int, r: int,
                    entry: dict[tuple, float], inter_stop: dict[tuple, float],
                    *_: dict[tuple, float]) -> None:
@@ -139,12 +116,11 @@ def _assign_direct(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     t, its entering and riding flows into the dicts ``_assign_lp`` fills; with
     transfers off there is no alighting or re-boarding flow."""
     route = scenario.routes[r]
-    cell = plan.cell(r, t)
+    patterns = plan.cell(r, t).patterns
     menu = route.headway_menu(t)
     combos = enumerate_combinations(route.n_patterns, menu)
-    assigned = tuple(pat.headway_index for pat in cell.patterns)
+    assigned = tuple(pat.headway_index for pat in patterns)
     avail = combos.consistent_with(assigned)
-    views = {v.p: v for v in _pattern_views(route, cell)}
     tmat = route.travel_time_matrix()
     gamma_w = scenario.gamma_wait
 
@@ -159,7 +135,7 @@ def _assign_direct(scenario: Scenario, plan: ServicePlan, t: int, r: int,
                 rides = []
                 ok = True
                 for p in combo.active_patterns:
-                    got = _ride_to_destination(views[p], tmat, i, (d_dir, d_mir))
+                    got = _ride_to_destination(patterns[p].stops, tmat, i, (d_dir, d_mir))
                     if got is None:
                         ok = False
                         break
@@ -171,8 +147,7 @@ def _assign_direct(scenario: Scenario, plan: ServicePlan, t: int, r: int,
                     cost += combo.shares[p] * minutes
                 if best is None or cost < best[0] - 1e-15:
                     best = (cost, i, c, rides)
-        if best is None:
-            raise UnroutableDemandError(t, r, o, d)
+        # never None: _check_routable found a pattern riding o to d, and it runs alone in avail
         _, i, c, rides = best
         entry[(t, r, d, i, c)] = riders
         for p, (_, arcs) in rides:
@@ -201,18 +176,19 @@ def milp(cost: np.ndarray, integrality: np.ndarray, rows: list[RowBlock]) -> Sol
     return solve_arrays(cost, a, lo, hi, integrality, np.zeros(n), ub, SolverConfig())
 
 
-def _check_routable(scenario: Scenario, t: int, r: int,
-                    views: Sequence[_PatternView]) -> None:
+def _check_routable(scenario: Scenario, t: int, r: int, cell: RoutePeriodPlan) -> None:
     """Name the first pair with demand that no path serves: one ride without
     transfers; with transfers on, rides joined by changes of pattern or of
-    direction."""
+    direction. ``assign_flows`` asks before either routing, so this is the
+    one place that refuses a design for want of a path."""
     route = scenario.routes[r]
     transfers = scenario.options.allow_transfers
+    served = [pat.stops for pat in cell.patterns if pat.in_service]
     # rides[s]: stops reached on one ride boarded at s, any pattern.
     rides: list[set[int]] = [set() for _ in range(route.n_dir)]
-    for view in views:
-        for k, s in enumerate(view.stops):
-            rides[s].update(view.stops[k + 1:])
+    for stops in served:
+        for k, s in enumerate(stops):
+            rides[s].update(stops[k + 1:])
 
     def reach(o: int) -> set[int]:
         """Direction stops that riders from physical stop o can get to."""
@@ -229,7 +205,7 @@ def _check_routable(scenario: Scenario, t: int, r: int,
             frontier.extend(rides[s] - seen)
             # A direction change only needs one available combination to
             # join, which exists as soon as any pattern is in service.
-            if views:
+            if served:
                 frontier.append(route.mirror(s))
         return seen
 
@@ -271,14 +247,13 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     if not dests:
         return
     cell = plan.cell(r, t)
-    views = _pattern_views(route, cell)
-    _check_routable(scenario, t, r, views)
+    in_service = [(p, pat) for p, pat in enumerate(cell.patterns) if pat.in_service]
     combos = enumerate_combinations(route.n_patterns, route.headway_menu(t))
     avail = combos.consistent_with(tuple(pat.headway_index for pat in cell.patterns))
     transfers = scenario.options.allow_transfers
-    nk, nv, na = len(dests), len(views), len(avail)
+    nk, nv, na = len(dests), len(in_service), len(avail)
     dest = np.array(dests)
-    pv = np.array([view.p for view in views])
+    pv = np.array([p for p, _ in in_service])
     # entering[k, i]: stop i can take riders to dests[k] (neither of its stops)
     stop = np.arange(nd)
     entering = (stop != dest[:, None]) & (stop != nd - 1 - dest[:, None])
@@ -316,8 +291,8 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
 
     # riding flows on each pattern's forward loop arcs that leave an entry stop
     tmat = route.travel_time_matrix()
-    arcs = [(v, u, w, tmat[u][w]) for v, view in enumerate(views)
-            for u, w in zip(view.stops, view.stops[1:])]
+    arcs = [(v, u, w, tmat[u][w]) for v, (_, pat) in enumerate(in_service)
+            for u, w in zip(pat.stops, pat.stops[1:])]
     arc_v, arc_u, arc_w = np.array([arc[:3] for arc in arcs]).T
     fl_k, fl_a = np.nonzero(entering[:, arc_u])
     fl_v, fl_u, fl_w = arc_v[fl_a], arc_u[fl_a], arc_w[fl_a]
@@ -355,7 +330,8 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     capacity = scenario.options.enforce_capacity
     if capacity:
         minutes = 60.0 * scenario.periods[t].duration_hours
-        per_period = np.array([route.vehicle_capacity * minutes / view.headway for view in views])
+        per_period = np.array([route.vehicle_capacity * minutes / pat.headway
+                               for _, pat in in_service])
         riding = fl_out[:, arc_v, arc_u].T              # [arc, k]
         ridden = (riding >= 0).any(axis=1)
         rows.append(row_block("arc_capacity", (), [(riding[ridden], 1.0)], "<=",
@@ -397,6 +373,7 @@ def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:
     flows: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
     for t in range(len(scenario.periods)):
         for r in range(len(scenario.routes)):
+            _check_routable(scenario, t, r, plan.cell(r, t))
             assign(scenario, plan, t, r, *flows)
     try:
         return FlowAssignment.from_flows(scenario, *flows)

@@ -408,6 +408,8 @@ def validate_scenario(s: Scenario) -> list[Violation]:
 
     if not s.periods:
         bad(Violation("periods", "at least one period is required"))
+    if not s.routes:
+        bad(Violation("routes", "at least one route is required"))
     for k, p in enumerate(s.periods):
         if p.id != k:
             bad(Violation(f"periods[{k}].id", f"period ids must be contiguous from 0, got {p.id}"))

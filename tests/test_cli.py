@@ -102,6 +102,7 @@ _VALUE_RULES = [
     (["routes", 0, "demand", 0, "riders"], -30.0,
      "routes[0].demand(t=0, o=0, d=2): riders must be >= 0"),
     (["periods", 0, "duration_hours"], 0.0, "periods[0].duration_hours: must be > 0"),
+    (["routes"], [], "routes: at least one route is required"),
 ]
 
 
@@ -112,7 +113,7 @@ class TestValueRules:
 
     @pytest.mark.parametrize("path, value, violation", _VALUE_RULES,
                              ids=["outbound", "inbound", "headway", "capacity", "dwell-saving",
-                                  "turnback", "riders", "duration"])
+                                  "turnback", "riders", "duration", "no-routes"])
     def test_wrong_sign_exit_one(self, tmp_path, capsys, path, value, violation):
         doc = scenario_doc()
         *parents, last = path
@@ -162,6 +163,25 @@ class TestNegativeArcTime:
         assert capsys.readouterr().out.splitlines() == [self.VIOLATION]
         assert main(["export", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err.splitlines() == [f"invalid: {self.VIOLATION}"]
+
+
+class TestNoRoutes:
+    """A scenario without routes, which no command can build a model for,
+    ends every command past `validate` and `export` (``_VALUE_RULES``) with
+    one `invalid:` line and exit 1."""
+
+    @pytest.mark.parametrize("command", ["solve", "evaluate", "compare", "oracle"])
+    def test_one_line_exit_one(self, tmp_path, capsys, command):
+        doc = scenario_doc()
+        doc["routes"] = []
+        scenario_path = write_doc(tmp_path, doc)
+        plan_path = write_doc(tmp_path, {"routes": []}, "plan.json")
+        extra = {"evaluate": ["--plan", str(plan_path)],
+                 "compare": ["--baseline", str(plan_path)]}.get(command, [])
+        assert main([command, "--scenario", str(scenario_path), "--out", str(tmp_path / "o"),
+                     *extra]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "invalid: routes: at least one route is required"]
 
 
 class TestFullPatternMask:

@@ -10,8 +10,8 @@ from transitopt import (
     fleet_requirement, load_plan, load_scenario, solve,
 )
 from transitopt.backend import csr_rows, solve_arrays
-from transitopt.evaluator import (InsufficientCapacityError, _assign_lp, _check_routable,
-                                  _pattern_views)
+from transitopt.evaluator import (InsufficientCapacityError, _assign_direct, _assign_lp,
+                                  _check_routable)
 from transitopt.model import SENSES, RowBlock
 from transitopt.plan import FlowAssignment
 
@@ -94,8 +94,8 @@ def assign_lp_reference(scenario, plan, t, r, fa):
     combos = enumerate_combinations(route.n_patterns, menu)
     assigned = tuple(pat.headway_index for pat in cell.patterns)
     avail = combos.consistent_with(assigned)
-    views = _pattern_views(route, cell)
-    fwd_arcs = {view.p: list(zip(view.stops, view.stops[1:])) for view in views}
+    served = [(p, pat) for p, pat in enumerate(cell.patterns) if pat.in_service]
+    fwd_arcs = {p: list(zip(pat.stops, pat.stops[1:])) for p, pat in served}
     arc_in = {p: {v: (u, v) for u, v in arcs} for p, arcs in fwd_arcs.items()}
     arc_out = {p: {u: (u, v) for u, v in arcs} for p, arcs in fwd_arcs.items()}
     tmat = route.travel_time_matrix()
@@ -107,7 +107,7 @@ def assign_lp_reference(scenario, plan, t, r, fa):
     dests = [d for d in range(route.n_physical) if dm.total_into(t, d) > 0.0]
     if not dests:
         return
-    _check_routable(scenario, t, r, views)
+    _check_routable(scenario, t, r, cell)
     choice = len(avail) > 1
 
     lp = MiniLp()
@@ -124,19 +124,19 @@ def assign_lp_reference(scenario, plan, t, r, fa):
                 w[(d, i, c)] = lp.var(cost=gamma_w * combos[c].perceived_headway / 2.0)
                 for p in combos[c].active_patterns:
                     a_[(d, i, c, p)] = lp.var()
-        for view in views:
-            for u, v in fwd_arcs[view.p]:
+        for p, _ in served:
+            for u, v in fwd_arcs[p]:
                 if u == d_dir or u == d_mir:
                     continue
-                l_[(d, view.p, u, v)] = lp.var(cost=tmat[u][v])
+                l_[(d, p, u, v)] = lp.var(cost=tmat[u][v])
             for s in (d_dir, d_mir):
-                b_[(d, s, view.p)] = lp.var()
+                b_[(d, s, p)] = lp.var()
         if opts.allow_transfers:
             for i in entry_stops:
                 for j in (i, route.mirror(i)):
-                    for view in views:
+                    for p, _ in served:
                         for c in avail:
-                            chi[(d, i, j, view.p, c)] = lp.var(
+                            chi[(d, i, j, p, c)] = lp.var(
                                 cost=gamma_x * (combos[c].perceived_headway / 2.0 + t_x))
 
         for o in range(route.n_physical):
@@ -158,9 +158,9 @@ def assign_lp_reference(scenario, plan, t, r, fa):
                 coeffs = [(w[(d, i, c)], 1.0)]
                 if opts.allow_transfers:
                     mi = route.mirror(i)
-                    for view in views:
-                        coeffs.append((chi[(d, i, i, view.p, c)], 1.0))
-                        coeffs.append((chi[(d, mi, i, view.p, c)], 1.0))
+                    for p, _ in served:
+                        coeffs.append((chi[(d, i, i, p, c)], 1.0))
+                        coeffs.append((chi[(d, mi, i, p, c)], 1.0))
                 coeffs += [(a_[(d, i, c, p)], -1.0) for p in combo.active_patterns]
                 lp.add(coeffs, "=", 0.0)
                 act = combo.active_patterns
@@ -170,38 +170,38 @@ def assign_lp_reference(scenario, plan, t, r, fa):
                     t2 = menu[combo.headway_indices[p2] - 1]
                     lp.add([(a_[(d, i, c, p1)], t1), (a_[(d, i, c, p2)], -t2)], "=", 0.0)
 
-        for view in views:
+        for p, _ in served:
             for s in entry_stops:
-                coeffs = [(a_[(d, s, c, view.p)], 1.0)
-                          for c in avail if view.p in combos[c].active_patterns]
-                arc = arc_in[view.p].get(s)
-                if arc and (d, view.p, arc[0], arc[1]) in l_:
-                    coeffs.append((l_[(d, view.p, arc[0], arc[1])], 1.0))
-                arc = arc_out[view.p].get(s)
+                coeffs = [(a_[(d, s, c, p)], 1.0)
+                          for c in avail if p in combos[c].active_patterns]
+                arc = arc_in[p].get(s)
+                if arc and (d, p, arc[0], arc[1]) in l_:
+                    coeffs.append((l_[(d, p, arc[0], arc[1])], 1.0))
+                arc = arc_out[p].get(s)
                 if arc:
-                    coeffs.append((l_[(d, view.p, arc[0], arc[1])], -1.0))
+                    coeffs.append((l_[(d, p, arc[0], arc[1])], -1.0))
                 if opts.allow_transfers:
                     for j in (s, route.mirror(s)):
                         for c in avail:
-                            coeffs.append((chi[(d, s, j, view.p, c)], -1.0))
+                            coeffs.append((chi[(d, s, j, p, c)], -1.0))
                 lp.add(coeffs, "=", 0.0)
             for s in (d_dir, d_mir):
-                coeffs = [(b_[(d, s, view.p)], -1.0)]
-                arc = arc_in[view.p].get(s)
-                if arc and (d, view.p, arc[0], arc[1]) in l_:
-                    coeffs.append((l_[(d, view.p, arc[0], arc[1])], 1.0))
+                coeffs = [(b_[(d, s, p)], -1.0)]
+                arc = arc_in[p].get(s)
+                if arc and (d, p, arc[0], arc[1]) in l_:
+                    coeffs.append((l_[(d, p, arc[0], arc[1])], 1.0))
                 lp.add(coeffs, "=", 0.0)
 
-        lp.add([(b_[(d, s, view.p)], 1.0) for view in views for s in (d_dir, d_mir)],
+        lp.add([(b_[(d, s, p)], 1.0) for p, _ in served for s in (d_dir, d_mir)],
                "=", big_m)
 
     if capacity:
         minutes = 60.0 * scenario.periods[t].duration_hours
-        for view in views:
-            per_period = route.vehicle_capacity * minutes / view.headway
-            for u, v in fwd_arcs[view.p]:
-                coeffs = [(l_[(d, view.p, u, v)], 1.0)
-                          for d in dests if (d, view.p, u, v) in l_]
+        for p, pat in served:
+            per_period = route.vehicle_capacity * minutes / pat.headway
+            for u, v in fwd_arcs[p]:
+                coeffs = [(l_[(d, p, u, v)], 1.0)
+                          for d in dests if (d, p, u, v) in l_]
                 if coeffs:
                     lp.add(coeffs, "<=", per_period)
 
@@ -239,6 +239,7 @@ def lp_flows(scenario, plan) -> FlowAssignment:
     flows = ({}, {}, {}, {})
     for t in range(len(scenario.periods)):
         for r in range(len(scenario.routes)):
+            _check_routable(scenario, t, r, plan.cell(r, t))
             _assign_lp(scenario, plan, t, r, *flows)
     return FlowAssignment.from_flows(scenario, *flows)
 
@@ -470,6 +471,81 @@ class TestAgainstWideProgram:
         assert bool(refused) == case.endswith("capacity")
 
 
+def two_route_doc(*, transfers=True):
+    """``two_period_doc`` with a second route X-Y carrying X -> Y in period 0
+    and Y -> X in period 1."""
+    doc = two_period_doc()
+    doc["options"]["allow_transfers"] = transfers
+    return add_route(doc, stops=("X", "Y"), out_times=(6.0,), in_times=(6.0,),
+                     menu=(4.0, 8.0), n_patterns=1, turnback_time=1.0,
+                     demand=(((0, 0, 1), 30.0), ((1, 1, 0), 12.0)))
+
+
+def two_route_refused_plan(scenario):
+    """Route 0 runs its full loop in period 0 and only A-B-A in period 1, so
+    B -> C and C -> B go unserved there; route 1 runs only Y-X in period 0,
+    so X -> Y goes unserved, and its full loop in period 1."""
+    return load_plan(plan_doc({(0, 0): [(tuple(range(6)), 7.0), None],
+                               (0, 1): [((0, 1, 4, 5), 7.0), None],
+                               (1, 0): [((2, 3), 8.0)], (1, 1): [((0, 1, 2, 3), 8.0)]},
+                              scenario), scenario)
+
+
+class TestOneRoutabilityCheck:
+    """``_check_routable`` is the one place a design is refused for want of a
+    path; ``assign_flows`` asks it for each period and route, in that order,
+    right before the cell's routing."""
+
+    @pytest.mark.parametrize("dwell_saving", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_closed_form_enters_every_pair_the_check_passes(self, seed, dwell_saving):
+        scenario = load_scenario(random_toy_doc(seed, dwell_saving=dwell_saving))
+        route = scenario.routes[0]
+        pairs = {(o, d): riders for (_, o, d), riders in scenario.demand[0].items()
+                 if riders > 0.0}
+        passed = refused = 0
+        for plan in enumerate_plans(scenario):
+            try:
+                _check_routable(scenario, 0, 0, plan.cell(0, 0))
+            except UnroutableDemandError:
+                refused += 1
+                continue
+            entry = {}
+            _assign_direct(scenario, plan, 0, 0, entry, {})
+            entered = {}
+            for (_, _, d, i, _), riders in entry.items():
+                pair = (route.physical_of(i), d)
+                entered[pair] = entered.get(pair, 0.0) + riders
+            assert entered == pairs
+            passed += 1
+        assert passed and refused
+
+    @pytest.mark.parametrize("transfers, routing", [
+        (False, assign_flows), (False, lp_flows), (True, assign_flows),
+    ], ids=["closed-form", "program", "transfers"])
+    def test_first_refused_pair_in_period_then_route_order(self, transfers, routing):
+        # period 0 route 1 (X -> Y) comes before period 1 route 0 (B -> C)
+        scenario = load_scenario(two_route_doc(transfers=transfers))
+        with pytest.raises(UnroutableDemandError) as err:
+            routing(scenario, two_route_refused_plan(scenario))
+        assert (err.value.t, err.value.r, err.value.o, err.value.d) == (0, 1, 0, 1)
+
+    @pytest.mark.parametrize("tight_route, error", [
+        (1, UnroutableDemandError), (0, InsufficientCapacityError),
+    ], ids=["same-cell", "earlier-cell"])
+    def test_refused_pair_and_room_in_cell_order(self, tight_route, error):
+        # one rider per vehicle: a cell without room and with an unserved
+        # pair is refused for the pair, and a cell without room that comes
+        # before it in the order is refused for its room
+        doc = two_route_doc()
+        doc["options"]["enforce_capacity"] = True
+        doc["routes"][tight_route]["capacity"] = 1.0
+        scenario = load_scenario(doc)
+        with pytest.raises(error, match="route 0 in period 0$" if tight_route == 0
+                           else "origin 0 -> destination 1 on route 1 in period 0"):
+            assign_flows(scenario, two_route_refused_plan(scenario))
+
+
 class TestCrossPathEquivalence:
     """The closed-form path and the program path must agree exactly."""
 
@@ -478,7 +554,12 @@ class TestCrossPathEquivalence:
         """``assign_flows`` (the closed form: transfers and capacity off) and
         the program give objectives within 1e-9 relative, with conservation
         residuals of at most 1e-9 on both, or refuse the same pair; True when
-        the plan is priced."""
+        the plan is priced.
+
+        Both routings are refused by the same ``_check_routable`` call, so
+        the refusal branch compares that check with itself; that the closed
+        form routes every pair the check passes is
+        ``TestOneRoutabilityCheck``'s to show."""
         try:
             direct = assign_flows(scenario, plan)
         except UnroutableDemandError as exc:

@@ -200,6 +200,12 @@ class TestValidateScenario:
     def test_clean_toy(self):
         assert validate_scenario(make_scenario()) == []
 
+    def test_routes_required(self):
+        doc = scenario_doc()
+        doc["routes"] = []
+        assert [str(v) for v in validate_scenario(load_scenario(doc))] == [
+            "routes: at least one route is required"]
+
     def test_descending_menu(self):
         s = make_scenario(menu=(7.0, 5.0))
         violations = validate_scenario(s)

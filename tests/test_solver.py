@@ -80,6 +80,15 @@ class TestSolve:
         r2 = solve(build_model(scenario), SolverConfig(time_limit_s=120))
         assert r1.objective == r2.objective
 
+    def test_equality_is_identity(self):
+        # the assignment is an array, so results compare as objects, not fields
+        model = build_model(make_scenario())
+        a = solve(model, SolverConfig(time_limit_s=120))
+        b = solve(model, SolverConfig(time_limit_s=120))
+        assert a.objective == b.objective
+        assert (a == b) is False
+        assert a == a
+
 
 class TestExport:
     def test_byte_identical_across_builds(self):
