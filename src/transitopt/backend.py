@@ -4,17 +4,19 @@ bundled binding, and solution decoding.
 ``csr_rows`` concatenates row blocks, as written, into one CSR matrix
 (plain numpy arrays) with two-sided row bounds; ``_model_arrays`` turns a
 built model into those arrays plus its objective, integrality and bounds.
-``solve_arrays`` is the one HiGHS call, for the model and the evaluator's
-assignment programs alike: it hands the arrays to the HiGHS binding that
-scipy ships (``scipy.optimize._highspy._core``), which ``_highs`` loads
-from its file on the first solve. Neither ``scipy.optimize`` nor
-``scipy.sparse`` is imported, and commands that never solve load no scipy
-module at all. ``solve`` runs a built model and keeps it on its result
-(``SolveResult.model``), so ``oracle.certify`` can pin designs on the model
-that was solved without building another. ``decode_plan`` turns the
-assignment back into domain objects, one variable block at a time, and
-derives the boarding, exit and transfer flows with
-``FlowAssignment.from_flows``, as the evaluator does.
+``solve_arrays`` is the one HiGHS call: it hands the arrays to the HiGHS
+binding that scipy ships (``scipy.optimize._highspy._core``), which
+``_highs`` loads from its file on the first solve. Neither
+``scipy.optimize`` nor ``scipy.sparse`` is imported, and commands that
+never solve load no scipy module at all. ``solve`` is the package's one way
+to it, for the design model and the evaluator's assignment programs alike:
+it runs a ``MilpModel`` and keeps it on its result (``SolveResult.model``),
+so ``oracle.certify`` can pin designs on the model that was solved without
+building another. ``read_flows`` reads the flow columns of a solved model
+or evaluator program back, and ``decode_plan`` turns the rest of the
+assignment into domain objects, one variable block at a time; both hand
+the flows to ``FlowAssignment.from_flows``, which derives the boarding,
+exit and transfer flows.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "SolverError",
     "DecodeError",
     "solve",
+    "read_flows",
     "decode_plan",
 ]
 
@@ -74,7 +77,8 @@ class SolveResult:
     wall_time_s: float
     gap: float | None = None
     message: str = ""
-    # the model ``solve`` ran; None for ``solve_arrays``' own results
+    # the model ``solve`` ran, a design model or an evaluator program;
+    # None for ``solve_arrays``' own results
     model: MilpModel | None = field(default=None, repr=False)
 
     @property
@@ -225,6 +229,27 @@ def solve(model: MilpModel, cfg: SolverConfig | None = None) -> SolveResult:
 # Decoding
 # ---------------------------------------------------------------------------
 
+def read_flows(model: MilpModel, x: np.ndarray) -> tuple[dict[tuple, float], ...]:
+    """The entering, riding, alighting and re-boarding flows of assignment
+    ``x``, as ``FlowAssignment.from_flows`` takes them: each value above 0
+    of the ``fw``, ``fl``, ``ft`` and ``fx`` columns, keyed as the column.
+    A value below ``-FLOW_CLAMP_TOL`` raises ``DecodeError``."""
+    flows: dict[str, dict[tuple, float]] = {"fw": {}, "fl": {}, "ft": {}, "fx": {}}
+    for b in model.var_blocks:
+        target = flows.get(b.family)
+        if target is None:
+            continue
+        vals = np.asarray(x[b.start:b.stop], dtype=np.float64)
+        negative = np.flatnonzero(vals < -FLOW_CLAMP_TOL)
+        if len(negative):
+            k = negative[0]
+            raise DecodeError(f"flow {tuple(b.keys[k].tolist())} is negative beyond "
+                              f"tolerance: {float(vals[k])}")
+        hit = np.flatnonzero(vals > 0.0)
+        target.update(zip(map(tuple, b.keys[hit].tolist()), vals[hit].tolist()))
+    return tuple(flows.values())
+
+
 def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, FlowAssignment]:
     """Turn a solved assignment back into domain objects, re-verifying the
     structural invariants; any violation raises instead of being repaired."""
@@ -233,11 +258,6 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
     scenario = model.scenario
     x = result.assignment
 
-    entry: dict[tuple, float] = {}                      # (t, r, d, i, c) -> riders
-    inter_stop: dict[tuple, float] = {}                 # (t, r, d, p, i, j) -> riders
-    alighting: dict[tuple, float] = {}                  # (t, r, d, p, i) -> riders
-    reboarding: dict[tuple, float] = {}                 # (t, r, d, i, c) -> riders
-    targets = {"fw": entry, "fl": inter_stop, "ft": alighting, "fx": reboarding}
     selected: dict[tuple, list[tuple[int, int]]] = {}   # (t, r, p) -> arcs picked
     picks: dict[tuple, list[int]] = {}                  # (t, r, p) -> headways picked
     chosen: dict[tuple, int] = {}                       # (t, r, i, d) -> combination
@@ -245,16 +265,7 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
     for b in model.var_blocks:
         family = b.family
         vals = np.asarray(x[b.start:b.stop], dtype=np.float64)
-        target = targets.get(family)
-        if target is not None:
-            negative = np.flatnonzero(vals < -FLOW_CLAMP_TOL)
-            if len(negative):
-                k = negative[0]
-                raise DecodeError(f"flow {tuple(b.keys[k].tolist())} is negative beyond "
-                                  f"tolerance: {float(vals[k])}")
-            hit = np.flatnonzero(vals > 0.0)
-            target.update(zip(map(tuple, b.keys[hit].tolist()), vals[hit].tolist()))
-        elif family == "n":
+        if family == "n":
             fleet.update(zip(map(tuple, b.keys.tolist()), vals.tolist()))
         elif family in ("x", "y", "z"):
             rounded = np.round(vals)
@@ -275,7 +286,7 @@ def decode_plan(model: MilpModel, result: SolveResult) -> tuple[ServicePlan, Flo
                         raise DecodeError(
                             f"entry stop {i} label {d}: two combinations picked ({prior} and {c})")
 
-    fa = FlowAssignment.from_flows(scenario, entry, inter_stop, alighting, reboarding)
+    fa = FlowAssignment.from_flows(scenario, *read_flows(model, x))
 
     cells: list[tuple[RoutePeriodPlan, ...]] = []
     for r, route in enumerate(scenario.routes):

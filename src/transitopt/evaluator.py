@@ -1,7 +1,7 @@
 """Passenger assignment for a fixed service plan, independent of the MILP.
 
 Given a frozen design (loops + headways), the cheapest flow routing is found
-without touching the model builder. Each route and period is first checked
+without building the design model. Each route and period is first checked
 for a pair with demand that no path serves (``_check_routable``, the one
 place a design is refused for want of a path); then, when transfers and
 capacity are both off, the problem separates per origin-destination pair
@@ -17,28 +17,28 @@ available combination, binary picks hold each entry stop to one
 combination for riders starting there and riders transferring there alike,
 as the design model does; with one combination (the full-pattern plan, any
 cell with one pattern in service) there is nothing to pick, and the
-program is an LP. Its rows are numpy index arrays assembled by the model's
-``row_block``; ``milp`` joins them with the backend's ``csr_rows`` and
-solves them with its ``solve_arrays``, the HiGHS call the design model uses
-(scipy's bundled HiGHS binding on numpy arrays; no scipy package is
-imported). Both routings, the closed form and the program, end in
-``FlowAssignment.from_flows``: they hand it their entering and riding flows
-(the program also its alighting and re-boarding flows), and it derives the
-boarding, exit and transfer keys, as for a solved model. Both price exactly
-the objective used by the design model: riding minutes plus weighted
-perceived waiting plus weighted transfer penalties.
+program is an LP. The program is a ``MilpModel`` assembled by the model's
+``Builder``, its variables the design model's ``z``, ``fw``, ``fx``,
+``ft`` and ``fl`` variables under the same keys; ``milp`` solves it with
+``backend.solve``, the one way into HiGHS, and ``backend.read_flows`` reads
+its flows back as it reads a solved design model's. Both routings, the
+closed form and the program, end in ``FlowAssignment.from_flows``: they
+hand it their entering and riding flows (the program also its alighting and
+re-boarding flows), and it derives the boarding, exit and transfer keys, as
+for a solved model. Both price exactly the objective used by the design
+model: riding minutes plus weighted perceived waiting plus weighted
+transfer penalties.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
-from .backend import SolverConfig, SolveResult, csr_rows, solve_arrays
+from .backend import SolveResult, read_flows, solve
 from .combos import CombinationSet, enumerate_combinations
-from .model import RowBlock, row_block
+from .model import Builder, MilpModel, id_table
 from .network import Scenario
 from .plan import DecodeError, FlowAssignment, RoutePeriodPlan, ServicePlan, vehicle_need
 
@@ -52,8 +52,6 @@ __all__ = [
     "fleet_requirement",
     "conservation_residuals",
 ]
-
-_FLOW_EPS = 1e-9
 
 
 class EvaluationError(RuntimeError):
@@ -161,19 +159,14 @@ def _assign_direct(scenario: Scenario, plan: ServicePlan, t: int, r: int,
 # Program assignment (transfers and/or capacity)
 # ---------------------------------------------------------------------------
 
-def milp(cost: np.ndarray, integrality: np.ndarray, rows: list[RowBlock]) -> SolveResult:
-    """Minimise ``cost`` over non-negative columns, binary where
-    ``integrality`` is 1, subject to ``rows``: the evaluator's one solve
-    call, through the backend's ``csr_rows`` and ``solve_arrays`` with the
-    design model's options and status mapping.
+def milp(model: MilpModel) -> SolveResult:
+    """Solve one of the evaluator's programs through ``backend.solve``, with
+    the design model's options and status mapping.
 
     Keep the name: ``perfbench/tracing.py`` wraps ``evaluator.milp`` to count
     and time the evaluator's programs, and ``--trace 1`` fails without it.
     """
-    n = len(cost)
-    a, lo, hi = csr_rows(rows, n)
-    ub = np.where(integrality == 1, 1.0, np.inf)
-    return solve_arrays(cost, a, lo, hi, integrality, np.zeros(n), ub, SolverConfig())
+    return solve(model)
 
 
 def _check_routable(scenario: Scenario, t: int, r: int, cell: RoutePeriodPlan) -> None:
@@ -220,26 +213,17 @@ def _check_routable(scenario: Scenario, t: int, r: int, cell: RoutePeriodPlan) -
             raise UnroutableDemandError(t, r, o, d)
 
 
-def _harvest(target: dict[tuple, float], x: np.ndarray, ids: np.ndarray, t: int, r: int,
-             *keys: np.ndarray) -> None:
-    """Add to ``target`` each column of ``ids`` above ``_FLOW_EPS``, keyed
-    (t, r, *keys) with one entry of each key array per column."""
-    vals = x[ids]
-    hit = np.flatnonzero(vals > _FLOW_EPS)
-    target.update(zip(zip(repeat(t), repeat(r), *(k[hit].tolist() for k in keys)),
-                      vals[hit].tolist()))
-
-
 def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
-               entry: dict[tuple, float], inter_stop: dict[tuple, float],
-               alighting: dict[tuple, float], reboarding: dict[tuple, float]) -> None:
+               *flows: dict[tuple, float]) -> None:
     """One program covering every destination with demand on route r in
     period t; its flows go into the four dicts ``FlowAssignment.from_flows``
     takes.
 
-    Each ``*id`` array maps a family's index tuple to column ids, -1 where
-    the column does not exist; k indexes the destinations with demand, v the
-    in-service patterns and a the available combinations."""
+    Its variables are the design model's ``z``, ``fw``, ``fx``, ``ft`` and
+    ``fl`` families, keyed as in ``VAR_KEYS`` with the plan's pattern
+    indices. Each ``*id`` array maps a family's index tuple to variable
+    ids, -1 where the variable does not exist; k indexes the destinations with
+    demand, v the in-service patterns and a the available combinations."""
     route = scenario.routes[r]
     dm = scenario.demand[r]
     n, nd = route.n_physical, route.n_dir
@@ -260,34 +244,23 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     # cells (k, i) with each available combination a, and balance rows (k, v, j)
     cell_k, cell_i, cell_a = np.nonzero(np.repeat(entering[:, :, None], na, axis=2))
     ob_k, ob_v, ob_j = np.nonzero(np.repeat(entering[:, None, :], nv, axis=1))
-    cell_c = np.array(avail)[cell_a]
+    cell_d, cell_c = dest[cell_k], np.array(avail)[cell_a]
 
-    costs: list[np.ndarray] = []
-
-    def columns(cost: np.ndarray) -> np.ndarray:
-        """Ids of new columns, one per entry of ``cost``."""
-        start = sum(map(len, costs))
-        costs.append(cost)
-        return np.arange(start, start + len(cost))
-
-    def lookup(shape: tuple, where: tuple, ids: np.ndarray) -> np.ndarray:
-        """Column ids by index tuple: ``ids`` at ``where``, -1 elsewhere."""
-        out = np.full(shape, -1)
-        out[where] = ids
-        return out
-
+    b = Builder()
     # one available combination needs no pick: the program is then an LP
     choice = na > 1
     if choice:
-        z_ids = columns(np.zeros(len(cell_k)))
+        z_ids = b.add_vars("z", "B", (t, r, cell_i, cell_d, cell_c))
     half = np.array([combos[c].perceived_headway / 2.0 for c in avail])
-    w_ids = columns(scenario.gamma_wait * half[cell_a])
-    wid = lookup((nk, nd, na), (cell_k, cell_i, cell_a), w_ids)
+    w_ids = b.add_vars("fw", "C", (t, r, cell_d, cell_i, cell_c))
+    b.add_objective(w_ids, scenario.gamma_wait * half[cell_a])
+    wid = id_table((nk, nd, na), (cell_k, cell_i, cell_a), w_ids)
     if transfers:
-        x_ids = columns(scenario.gamma_transfer * (half + scenario.transfer_time)[cell_a])
-        xid = lookup((nk, nd, na), (cell_k, cell_i, cell_a), x_ids)
-        ft_ids = columns(np.zeros(len(ob_k)))
-        ftid = lookup((nk, nv, nd), (ob_k, ob_v, ob_j), ft_ids)
+        x_ids = b.add_vars("fx", "C", (t, r, cell_d, cell_i, cell_c))
+        b.add_objective(x_ids, scenario.gamma_transfer * (half + scenario.transfer_time)[cell_a])
+        xid = id_table((nk, nd, na), (cell_k, cell_i, cell_a), x_ids)
+        ft_ids = b.add_vars("ft", "C", (t, r, dest[ob_k], pv[ob_v], ob_j))
+        ftid = id_table((nk, nv, nd), (ob_k, ob_v, ob_j), ft_ids)
 
     # riding flows on each pattern's forward loop arcs that leave an entry stop
     tmat = route.travel_time_matrix()
@@ -296,24 +269,21 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     arc_v, arc_u, arc_w = np.array([arc[:3] for arc in arcs]).T
     fl_k, fl_a = np.nonzero(entering[:, arc_u])
     fl_v, fl_u, fl_w = arc_v[fl_a], arc_u[fl_a], arc_w[fl_a]
-    fl_ids = columns(np.array([arc[3] for arc in arcs])[fl_a])
-    fl_out = lookup((nk, nv, nd), (fl_k, fl_v, fl_u), fl_ids)   # on the arc leaving a stop
-    fl_in = lookup((nk, nv, nd), (fl_k, fl_v, fl_w), fl_ids)    # on the arc reaching a stop
+    fl_ids = b.add_vars("fl", "C", (t, r, dest[fl_k], pv[fl_v], fl_u, fl_w))
+    b.add_objective(fl_ids, np.array([arc[3] for arc in arcs])[fl_a])
+    fl_out = id_table((nk, nv, nd), (fl_k, fl_v, fl_u), fl_ids)   # on the arc leaving a stop
+    fl_in = id_table((nk, nv, nd), (fl_k, fl_v, fl_w), fl_ids)    # on the arc reaching a stop
 
-    rows = []
     if choice:
         big_m = np.array([dm.total_into(t, d) for d in dests])
-        rows.append(row_block("one_combination", (), [(z_ids.reshape(-1, na), 1.0)],
-                              "<=", 1.0))
+        b.add_rows("one_combination", (), [(z_ids.reshape(-1, na), 1.0)], "<=", 1.0)
         boarders = [(w_ids, 1.0), (x_ids, 1.0)] if transfers else [(w_ids, 1.0)]
-        rows.append(row_block("board_gate", (), boarders + [(z_ids, -big_m[cell_k])],
-                              "<=", 0.0))
+        b.add_rows("board_gate", (), boarders + [(z_ids, -big_m[cell_k])], "<=", 0.0)
     # entries at both direction stops of each origin cover its demand
     dm_k, dm_o = np.nonzero(np.arange(n) != dest[:, None])
     dm_mir = nd - 1 - dm_o
-    rows.append(row_block("demand_entry", (), [(wid[dm_k, dm_o], 1.0), (wid[dm_k, dm_mir], 1.0)],
-                          "=", [dm.riders(t, o, dests[k])
-                                for k, o in zip(dm_k.tolist(), dm_o.tolist())]))
+    b.add_rows("demand_entry", (), [(wid[dm_k, dm_o], 1.0), (wid[dm_k, dm_mir], 1.0)], "=",
+               [dm.riders(t, o, dests[k]) for k, o in zip(dm_k.tolist(), dm_o.tolist())])
     # a cell's boarders split across the patterns of its combination by
     # frequency share; no balance at the destination's stops, where riders exit
     split = np.array([combos[c].shares for c in avail])[:, pv[ob_v]].T
@@ -323,10 +293,10 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     if transfers:
         groups.append((ft_ids, -1.0))
         # riders alighting at either direction stop of o board again at either
-        rows.append(row_block("transfer_balance", (),
-                              [(ftid[dm_k, :, dm_o], 1.0), (ftid[dm_k, :, dm_mir], 1.0),
-                               (xid[dm_k, dm_o], -1.0), (xid[dm_k, dm_mir], -1.0)], "=", 0.0))
-    rows.append(row_block("onboard_balance", (), groups, "=", 0.0))
+        b.add_rows("transfer_balance", (),
+                   [(ftid[dm_k, :, dm_o], 1.0), (ftid[dm_k, :, dm_mir], 1.0),
+                    (xid[dm_k, dm_o], -1.0), (xid[dm_k, dm_mir], -1.0)], "=", 0.0)
+    b.add_rows("onboard_balance", (), groups, "=", 0.0)
     capacity = scenario.options.enforce_capacity
     if capacity:
         minutes = 60.0 * scenario.periods[t].duration_hours
@@ -334,14 +304,11 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
                                for _, pat in in_service])
         riding = fl_out[:, arc_v, arc_u].T              # [arc, k]
         ridden = (riding >= 0).any(axis=1)
-        rows.append(row_block("arc_capacity", (), [(riding[ridden], 1.0)], "<=",
-                              per_period[arc_v[ridden]]))
+        b.add_rows("arc_capacity", (), [(riding[ridden], 1.0)], "<=",
+                   per_period[arc_v[ridden]])
 
-    cost = np.concatenate(costs)
-    integrality = np.zeros(len(cost), dtype=np.uint8)
-    if choice:
-        integrality[z_ids] = 1
-    res = milp(cost, integrality, rows)
+    program = b.model(scenario)
+    res = milp(program)
     if res.status == "infeasible":
         if capacity:
             raise InsufficientCapacityError(
@@ -350,13 +317,12 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
             f"flow assignment infeasible on route {r} period {t} (internal inconsistency)")
     if res.status != "optimal":
         raise EvaluationError(f"flow assignment solve failed: {res.message}")
-    x = res.assignment
-    cell_d = dest[cell_k]
-    _harvest(entry, x, w_ids, t, r, cell_d, cell_i, cell_c)
-    _harvest(inter_stop, x, fl_ids, t, r, dest[fl_k], pv[fl_v], fl_u, fl_w)
-    if transfers:
-        _harvest(alighting, x, ft_ids, t, r, dest[ob_k], pv[ob_v], ob_j)
-        _harvest(reboarding, x, x_ids, t, r, cell_d, cell_i, cell_c)
+    try:
+        solved = read_flows(program, res.assignment)
+    except DecodeError as exc:
+        raise EvaluationError(f"flow assignment on route {r} period {t}: {exc}") from exc
+    for target, got in zip(flows, solved):
+        target.update(got)
 
 
 def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:

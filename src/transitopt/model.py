@@ -53,8 +53,10 @@ __all__ = [
     "VarBlock",
     "RowBlock",
     "MilpModel",
+    "Builder",
     "var_block",
     "row_block",
+    "id_table",
     "build_model",
     "big_m_flow",
     "fix_baseline",
@@ -206,16 +208,14 @@ def var_block(family: str, kind: str, start: int, keys: Sequence, lb: Any = 0.0,
     position, an array or a value shared by all; ``lb`` and ``ub`` are per
     variable or shared, ``ub`` 1 for binaries and infinity otherwise unless
     given."""
-    columns = [np.asarray(k, dtype=np.int32) for k in keys]
-    size = max((c.size for c in columns if c.ndim), default=1)
-    matrix = np.empty((size, len(columns)), dtype=np.int32)
-    for k, column in enumerate(columns):
+    size = max((len(k) for k in keys if np.ndim(k)), default=1)
+    matrix = np.empty((size, len(keys)), dtype=np.int32)
+    for k, column in enumerate(keys):
         matrix[:, k] = column
     if ub is None:
         ub = 1.0 if kind == "B" else math.inf
-    lb, ub = (np.array(np.broadcast_to(np.asarray(v, dtype=np.float64), (size,)))
-              for v in (lb, ub))
-    return VarBlock(family, kind, start, matrix, lb, ub)
+    return VarBlock(family, kind, start, matrix, np.full(size, lb, dtype=np.float64),
+                    np.full(size, ub, dtype=np.float64))
 
 
 def row_block(family: str, keys: Sequence, terms: Sequence[tuple[Any, Any]], sense: Any,
@@ -246,7 +246,14 @@ def row_block(family: str, keys: Sequence, terms: Sequence[tuple[Any, Any]], sen
                     np.full(nrows, rhs, dtype=np.float64))
 
 
-class _Builder:
+def id_table(shape: tuple, where: tuple, ids: np.ndarray) -> np.ndarray:
+    """Variable ids by index tuple: ``ids`` at ``where``, -1 elsewhere."""
+    table = np.full(shape, -1, dtype=np.int64)
+    table[where] = ids
+    return table
+
+
+class Builder:
     """Collects a model's blocks: variables get consecutive ids, rows are
     exported grouped by family in ``ROW_FAMILIES`` order."""
 
@@ -300,7 +307,7 @@ def build_model(scenario: Scenario) -> MilpModel:
             "scenario is invalid: " + "; ".join(str(v) for v in violations[:10])
             + ("" if len(violations) <= 10 else f" (+{len(violations) - 10} more)")
         )
-    b = _Builder()
+    b = Builder()
     fleet_ids = np.zeros((len(scenario.periods), len(scenario.routes)), dtype=np.int64)
     for t in range(len(scenario.periods)):
         for r in range(len(scenario.routes)):
@@ -316,7 +323,7 @@ def build_model(scenario: Scenario) -> MilpModel:
     return b.model(scenario)
 
 
-def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
+def _add_route_period(b: Builder, scenario: Scenario, t: int, r: int) -> int:
     """Add the variables, objective terms and rows of route r in period t;
     return the id of its fleet variable.
 
@@ -364,8 +371,8 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
         ub = np.concatenate([fixed, rest])
     x_p = np.repeat(pats, len(arc_i))
     x_i, x_j = np.tile(arc_i, npat), np.tile(arc_j, npat)
-    xid = np.full((npat, nd, nd), -1, dtype=np.int64)
-    xid[x_p, x_i, x_j] = b.add_vars("x", "B", (t, r, x_p, x_i, x_j), lb, ub)
+    xid = id_table((npat, nd, nd), (x_p, x_i, x_j),
+                   b.add_vars("x", "B", (t, r, x_p, x_i, x_j), lb, ub))
 
     y_p, y_h = np.divmod(np.arange(npat * (m + 1)), m + 1)
     yid = b.add_vars("y", "B", (t, r, y_p, y_h)).reshape(npat, m + 1)
@@ -374,33 +381,29 @@ def _add_route_period(b: _Builder, scenario: Scenario, t: int, r: int) -> int:
     cyid = b.add_vars("cy", "C", (t, r, cy_p, cy_h + 1)).reshape(npat, m)  # [p, h - 1]
 
     z_i, z_d = np.nonzero(entry.T)                      # cells in (i, d) order
-    zid = np.full((nd, n, nc), -1, dtype=np.int64)
-    zid[z_i, z_d] = b.add_vars("z", "B", (t, r, np.repeat(z_i, nc), np.repeat(z_d, nc),
-                                          np.tile(np.arange(nc), len(z_i)))).reshape(-1, nc)
+    zid = id_table((nd, n, nc), (z_i, z_d),
+                   b.add_vars("z", "B", (t, r, np.repeat(z_i, nc), np.repeat(z_d, nc),
+                                         np.tile(np.arange(nc), len(z_i)))).reshape(-1, nc))
 
     fw_d, fw_i = np.repeat(ent_d, nc), np.repeat(ent_i, nc)
     fw_c = np.tile(np.arange(nc), n_ent)
     fw_ids = b.add_vars("fw", "C", (t, r, fw_d, fw_i, fw_c))
-    fwid = np.full((n, nd, nc), -1, dtype=np.int64)
-    fwid[ent_d, ent_i] = fw_ids.reshape(n_ent, nc)
+    fwid = id_table((n, nd, nc), (ent_d, ent_i), fw_ids.reshape(n_ent, nc))
 
     fl_d, fl_p, fl_a = np.nonzero(np.broadcast_to(entry[:, fwd_i][:, None, :],
                                                   (n, npat, len(fwd_i))))
     fl_i, fl_j = fwd_i[fl_a], fwd_j[fl_a]
     fl_ids = b.add_vars("fl", "C", (t, r, fl_d, fl_p, fl_i, fl_j))
-    flid = np.full((n, npat, nd, nd), -1, dtype=np.int64)
-    flid[fl_d, fl_p, fl_i, fl_j] = fl_ids
+    flid = id_table((n, npat, nd, nd), (fl_d, fl_p, fl_i, fl_j), fl_ids)
     fl_into = flid.transpose(0, 1, 3, 2)                # [d, p, j, i]
 
     ob_d, ob_p, ob_j = np.nonzero(np.broadcast_to(entry[:, None, :], (n, npat, nd)))
     if opts.allow_transfers:
         # alighting per on-board balance row, re-boarding per cell and combination
         ft_ids = b.add_vars("ft", "C", (t, r, ob_d, ob_p, ob_j))
-        ftid = np.full((n, npat, nd), -1, dtype=np.int64)
-        ftid[ob_d, ob_p, ob_j] = ft_ids
+        ftid = id_table((n, npat, nd), (ob_d, ob_p, ob_j), ft_ids)
         fx_ids = b.add_vars("fx", "C", (t, r, fw_d, fw_i, fw_c))
-        fxid = np.full((n, nd, nc), -1, dtype=np.int64)
-        fxid[ent_d, ent_i] = fx_ids.reshape(n_ent, nc)
+        fxid = id_table((n, nd, nc), (ent_d, ent_i), fx_ids.reshape(n_ent, nc))
 
     nid = int(b.add_vars("n", "I" if opts.integer_fleet else "C", (r, t))[0])
 

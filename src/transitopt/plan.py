@@ -51,7 +51,8 @@ class PatternPlan:
     ascending order; its vehicles run one loop through them in that order
     and close it from the last stop back to the first. ``headway`` is None
     and ``stops`` empty when the pattern is out of service.
-    ``headway_index`` is the 1-based menu position (0 = off).
+    ``headway_index`` is the 1-based menu position, 0 exactly when the
+    pattern is out of service.
     """
 
     stops: tuple[int, ...]
@@ -59,7 +60,11 @@ class PatternPlan:
     headway_index: int
 
     def __post_init__(self):
-        if self.headway is None:
+        off = self.headway is None
+        if (self.headway_index != 0) if off else (self.headway_index < 1):
+            raise PlanError(f"{'out-of' if off else 'in'}-service pattern has headway index "
+                            f"{self.headway_index}")
+        if off:
             if self.stops:
                 raise PlanError(f"out-of-service pattern serves stops {list(self.stops)}")
         elif len(self.stops) < 2 or any(u >= v for u, v in zip(self.stops, self.stops[1:])):

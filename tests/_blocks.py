@@ -37,13 +37,14 @@ def record_programs(monkeypatch) -> list[dict]:
     sizes = []
     milp = evaluator.milp
 
-    def recording(cost, integrality, rows):
+    def recording(model):
         by_family: dict[str, int] = {}
-        for b in rows:
+        for b in model.row_blocks:
             by_family[b.family] = by_family.get(b.family, 0) + len(b.rhs)
-        sizes.append({"columns": len(cost), "binaries": int(integrality.sum()),
-                      "rows": by_family, "nonzeros": sum(len(b.cols) for b in rows)})
-        return milp(cost, integrality, rows)
+        sizes.append({"columns": model.n_vars,
+                      "binaries": sum(len(b.lb) for b in model.var_blocks if b.kind == "B"),
+                      "rows": by_family, "nonzeros": sum(len(b.cols) for b in model.row_blocks)})
+        return milp(model)
 
     monkeypatch.setattr(evaluator, "milp", recording)
     return sizes

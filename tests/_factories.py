@@ -1,8 +1,13 @@
 """Scenario factories shared across the test suite.
 
 Everything goes through the JSON document form and load_scenario, so the
-loader is exercised by every test. Random toys keep gamma_transfer >=
-gamma_wait; ``random_toy_doc`` says why the oracle's enumeration covers them.
+loader is exercised by every test. Random toys keep the default weights,
+gamma_transfer 2.0 >= gamma_wait 1.5. Below gamma_wait, the model and the
+evaluator both admit phantom boarding: riders board a combination at a stop
+one of its patterns skips, wait its shorter joint headway, and leave that
+pattern at once to transfer. Both price the same too-low optimum, so the
+oracle, which prices with the evaluator, cannot see it. ``random_toy_doc``
+says why the oracle's enumeration is complete for them.
 """
 
 from __future__ import annotations

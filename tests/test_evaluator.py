@@ -1,3 +1,4 @@
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -9,13 +10,13 @@ from transitopt import (
     compute_metrics, conservation_residuals, decode_plan, enumerate_combinations, fix_baseline,
     fleet_requirement, load_plan, load_scenario, solve,
 )
-from transitopt.backend import csr_rows, solve_arrays
+from transitopt.backend import _model_arrays, csr_rows, solve_arrays
 from transitopt.evaluator import (InsufficientCapacityError, _assign_direct, _assign_lp,
                                   _check_routable)
 from transitopt.model import SENSES, RowBlock
-from transitopt.plan import FlowAssignment
+from transitopt.plan import FlowAssignment, model_order
 
-from _blocks import record_programs
+from _blocks import record_programs, var_labels
 from _factories import (add_route, full_pattern_plan_doc, make_scenario, random_toy_doc,
                         scenario_doc)
 from transitopt.oracle import enumerate_plans
@@ -762,13 +763,14 @@ class TestProgramKind:
     def record(monkeypatch):
         """What the evaluator hands HiGHS: (integrality, row_lo, row_hi) per solve."""
         seen = []
-        solve_arrays = evaluator.solve_arrays
+        milp = evaluator.milp
 
-        def recording(c, a, row_lo, row_hi, integrality, *rest):
-            seen.append((np.asarray(integrality), np.asarray(row_lo), np.asarray(row_hi)))
-            return solve_arrays(c, a, row_lo, row_hi, integrality, *rest)
+        def recording(model):
+            _, _, row_lo, row_hi, integrality, _, _ = _model_arrays(model)
+            seen.append((integrality, row_lo, row_hi))
+            return milp(model)
 
-        monkeypatch.setattr(evaluator, "solve_arrays", recording)
+        monkeypatch.setattr(evaluator, "milp", recording)
         return seen
 
     @pytest.mark.parametrize("capacity, gamma_transfer", [
@@ -822,3 +824,52 @@ class TestProgramKind:
             "rows": {"one_combination": 8, "board_gate": 24, "demand_entry": 4,
                      "transfer_balance": 4, "onboard_balance": 16},
         }]
+
+
+class TestProgramColumns:
+    """The program's columns are design-model columns, read back as the
+    decoder reads a solved model."""
+
+    @staticmethod
+    def two_pattern_transfers(monkeypatch):
+        """The two-pattern transfer plan, in model order, and the programs
+        the evaluator solves for it."""
+        programs = []
+        milp = evaluator.milp
+
+        def recording(model):
+            programs.append(model)
+            return milp(model)
+
+        monkeypatch.setattr(evaluator, "milp", recording)
+        scenario = make_scenario(symmetry=False)
+        plan = load_plan(plan_doc({(0, 0): [((0, 1, 2, 3, 4, 5), 5.0), ((0, 1, 4, 5), 7.0)]},
+                                  scenario), scenario)
+        assert model_order(plan.cell(0, 0).patterns) == plan.cell(0, 0).patterns
+        return scenario, plan, programs
+
+    def test_every_column_is_a_design_model_column(self, monkeypatch):
+        scenario, plan, programs = self.two_pattern_transfers(monkeypatch)
+        assign_flows(scenario, plan)
+        assert len(programs) == 1
+        labels = var_labels(programs[0])
+        assert {family for family, _ in labels} == {"z", "fw", "fx", "ft", "fl"}
+        assert len(set(labels)) == len(labels)
+        assert set(labels) <= set(var_labels(build_model(scenario)))
+
+    def test_negative_flow_is_refused(self, monkeypatch):
+        # a flow below -FLOW_CLAMP_TOL is an EvaluationError, never dropped
+        scenario, plan, programs = self.two_pattern_transfers(monkeypatch)
+        recording = evaluator.milp
+
+        def dipping(model):
+            res = recording(model)
+            x = res.assignment.copy()
+            x[next(b.start for b in model.var_blocks if b.family == "fl")] = -1e-6
+            return replace(res, assignment=x)
+
+        monkeypatch.setattr(evaluator, "milp", dipping)
+        with pytest.raises(EvaluationError, match=r"^flow assignment on route 0 period 0: "
+                                                  r"flow \(0, 0, 0, 0, 1, 2\) is negative "
+                                                  r"beyond tolerance: -1e-06$"):
+            assign_flows(scenario, plan)

@@ -120,18 +120,15 @@ def reference(c, indptr, cols, vals, sense, rhs, integrality, lb, ub, cfg):
     return status, res.fun if res.x is not None else None, res.x
 
 
-def rows_reference(c, blocks, integrality, lb, ub, cfg):
-    """``reference`` on the rows of ``blocks``, in order."""
+def model_reference(model, cfg):
+    """``reference`` on ``model``, its row blocks joined here in order."""
+    c, _, _, _, integrality, lb, ub = _model_arrays(model)
+    blocks = model.row_blocks
     offsets = np.cumsum([0] + [len(b.cols) for b in blocks])
     indptr = np.concatenate([[0]] + [b.indptr[1:] + at for b, at in zip(blocks, offsets)])
     return reference(c, indptr, *(np.concatenate([getattr(b, f) for b in blocks])
                                   for f in ("cols", "vals", "sense", "rhs")),
                      integrality, lb, ub, cfg)
-
-
-def model_reference(model, cfg):
-    c, _, _, _, integrality, lb, ub = _model_arrays(model)
-    return rows_reference(c, model.row_blocks, integrality, lb, ub, cfg)
 
 
 def assert_same(ours, ref):
@@ -216,8 +213,8 @@ class TestAgainstScipyMilp:
         # LP; a second pattern in service gives the program binary picks
         programs = []
 
-        def recording(cost, integrality, rows):
-            programs.append(((cost, integrality, rows), solve_program(cost, integrality, rows)))
+        def recording(model):
+            programs.append((model, solve_program(model)))
             return programs[-1][1]
 
         solve_program = evaluator.milp
@@ -229,12 +226,10 @@ class TestAgainstScipyMilp:
         for doc in (one, two):
             assign_flows(scenario, load_plan(doc, scenario))
         assert len(programs) == 2
-        for ((cost, integrality, rows), ours), picks in zip(programs, (False, True)):
+        for (model, ours), picks in zip(programs, (False, True)):
             assert ours.status == "optimal"
-            assert integrality.any() == picks
-            assert_same(ours, rows_reference(cost, rows, integrality, np.zeros(len(cost)),
-                                             np.where(integrality == 1, 1.0, np.inf),
-                                             SolverConfig()))
+            assert _model_arrays(model)[4].any() == picks
+            assert_same(ours, model_reference(model, SolverConfig()))
 
 
 class TestTimeLimit:

@@ -18,6 +18,16 @@ class TestLoopArcs:
             loop_arcs((3,))
 
 
+class TestHeadwayIndex:
+    @pytest.mark.parametrize("stops, headway, index", [
+        ((0, 1, 2, 3), 5.0, 0), ((0, 1, 2, 3), 5.0, -1), ((), None, 2), ((), None, -1),
+    ], ids=["in-service-0", "in-service-negative", "off-2", "off-negative"])
+    def test_index_disagreeing_with_service_is_refused(self, stops, headway, index):
+        # in service needs a menu position (>= 1), out of service needs 0
+        with pytest.raises(PlanError, match=rf"service pattern has headway index {index}$"):
+            PatternPlan(stops=stops, headway=headway, headway_index=index)
+
+
 class TestLoadPlan:
     def test_fleet_defaults_to_requirement(self):
         scenario = make_scenario()
