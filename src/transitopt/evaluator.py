@@ -1,33 +1,28 @@
 """Passenger assignment for a fixed service plan, independent of the MILP.
 
 Given a frozen design (loops + headways), the cheapest flow routing is found
-without building the design model. Each route and period is first checked
-for a pair with demand that no path serves (``_check_routable``, the one
-place a design is refused for want of a path); then, when transfers and
-capacity are both off, the problem separates per origin-destination pair
-and is solved in closed form; otherwise one small program per route and
-period covers every destination with demand. Both routings read the plan's
-patterns as they are. The program is written from the plan's loops, in
-the design model's lean forms: one entering and one re-boarding flow per
-entry cell and combination, whose frequency shares are coefficients of each
-pattern's on-board balance; riding flows on the loops' forward arcs; one
-transfer node per destination and physical stop; and exits implied where a
-ride reaches the destination. Where the plan leaves a cell more than one
-available combination, binary picks hold each entry stop to one
-combination for riders starting there and riders transferring there alike,
-as the design model does; with one combination (the full-pattern plan, any
-cell with one pattern in service) there is nothing to pick, and the
-program is an LP. The program is a ``MilpModel`` assembled by the model's
-``Builder``, its variables the design model's ``z``, ``fw``, ``fx``,
-``ft`` and ``fl`` variables under the same keys; ``milp`` solves it with
-``backend.solve``, the one way into HiGHS, and ``backend.read_flows`` reads
-its flows back as it reads a solved design model's. Both routings, the
-closed form and the program, end in ``FlowAssignment.from_flows``: they
-hand it their entering and riding flows (the program also its alighting and
-re-boarding flows), and it derives the boarding, exit and transfer keys, as
-for a solved model. Both price exactly the objective used by the design
-model: riding minutes plus weighted perceived waiting plus weighted
-transfer penalties.
+without building the design model. Each route and period is first checked:
+its patterns must fit the route (``plan.check_cell``, the rule ``load_plan``
+and ``model.fix_baseline`` apply too), and every pair with demand must have
+a path (``_check_routable``, the one place a design is refused for want of
+one). Then, when transfers and capacity are both off, the problem separates
+per origin-destination pair and is solved in closed form; otherwise one
+small program per route and period covers every destination with demand.
+The program is written from the plan's loops in the design model's lean
+forms: one entering and one re-boarding flow per entry cell and
+combination, whose frequency shares are coefficients of each pattern's
+on-board balance; riding flows on the loops' forward arcs; one transfer
+node per destination and physical stop; exits implied where a ride reaches
+the destination; and, where a cell leaves more than one available
+combination, binary picks that hold each entry stop to one combination, as
+the design model does (with one, the program is an LP). It is a
+``MilpModel`` from the model's ``Builder``, its variables the design
+model's ``z``, ``fw``, ``fx``, ``ft`` and ``fl`` under the same keys,
+solved by ``backend.solve`` and read back by ``backend.read_flows``. Both
+routings end in ``FlowAssignment.from_flows``, which derives the boarding,
+exit and transfer keys as for a solved model, and both price exactly the
+design model's objective: riding minutes plus weighted perceived waiting
+plus weighted transfer penalties.
 """
 
 from __future__ import annotations
@@ -40,7 +35,8 @@ from .backend import SolveResult, read_flows, solve
 from .combos import CombinationSet, enumerate_combinations
 from .model import Builder, MilpModel, id_table
 from .network import Scenario
-from .plan import DecodeError, FlowAssignment, RoutePeriodPlan, ServicePlan, vehicle_need
+from .plan import (DecodeError, FlowAssignment, RoutePeriodPlan, ServicePlan, check_cell,
+                   vehicle_need)
 
 __all__ = [
     "Metrics",
@@ -328,18 +324,21 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
 def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:
     """Cheapest passenger routing for a fixed plan.
 
-    Raises UnroutableDemandError naming the first origin-destination pair
-    that cannot be served under the plan, InsufficientCapacityError when the
-    plan cannot carry its demand within vehicle capacity, and EvaluationError
-    naming the period, route and stop when a solved program's transfer node
-    does not balance.
+    Raises PlanError for a cell that does not fit its route
+    (``plan.check_cell``), UnroutableDemandError naming the first
+    origin-destination pair that cannot be served under the plan,
+    InsufficientCapacityError when the plan cannot carry its demand within
+    vehicle capacity, and EvaluationError naming the period, route and stop
+    when a solved program's transfer node does not balance.
     """
     opts = scenario.options
     assign = _assign_lp if opts.allow_transfers or opts.enforce_capacity else _assign_direct
     flows: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
     for t in range(len(scenario.periods)):
-        for r in range(len(scenario.routes)):
-            _check_routable(scenario, t, r, plan.cell(r, t))
+        for r, route in enumerate(scenario.routes):
+            cell = plan.cell(r, t)
+            check_cell(route, t, cell.patterns)
+            _check_routable(scenario, t, r, cell)
             assign(scenario, plan, t, r, *flows)
     try:
         return FlowAssignment.from_flows(scenario, *flows)
@@ -392,13 +391,16 @@ class Metrics:
         }
 
 
+def _combo_sets(scenario: Scenario) -> dict[tuple[int, int], CombinationSet]:
+    """Each (period, route) cell's headway combinations."""
+    return {(t, r): enumerate_combinations(route.n_patterns, route.headway_menu(t))
+            for t in range(len(scenario.periods)) for r, route in enumerate(scenario.routes)}
+
+
 def compute_metrics(fa: FlowAssignment, scenario: Scenario, plan: ServicePlan) -> Metrics:
     """Recompose the objective from its three terms and derive averages."""
     tmats = {r: route.travel_time_matrix() for r, route in enumerate(scenario.routes)}
-    combo_sets: dict[tuple[int, int], CombinationSet] = {}
-    for t in range(len(scenario.periods)):
-        for r, route in enumerate(scenario.routes):
-            combo_sets[(t, r)] = enumerate_combinations(route.n_patterns, route.headway_menu(t))
+    combo_sets = _combo_sets(scenario)
 
     riding = 0.0
     for (t, r, d, p, i, j), v in fa.inter_stop.items():
@@ -444,11 +446,7 @@ def conservation_residuals(fa: FlowAssignment, scenario: Scenario,
     res = {"demand_entry": 0.0, "demand_exit": 0.0, "entry_board_balance": 0.0,
            "onboard_balance": 0.0, "arrive_exit_balance": 0.0, "boarding_split": 0.0}
 
-    combo_sets = {
-        (t, r): enumerate_combinations(route.n_patterns, route.headway_menu(t))
-        for t in range(len(scenario.periods))
-        for r, route in enumerate(scenario.routes)
-    }
+    combo_sets = _combo_sets(scenario)
     board_node: dict[tuple, dict[int, float]] = {}
     for (t, r, d, i, c, p), v in fa.boarding.items():
         board_node.setdefault((t, r, d, i, c), {})[p] = v
@@ -512,9 +510,6 @@ def conservation_residuals(fa: FlowAssignment, scenario: Scenario,
         onboard[(t, r, d, p, i)] = onboard.get((t, r, d, p, i), 0.0) - v
     for (t, r, d, i, j, p, c), v in fa.transfer.items():
         onboard[(t, r, d, p, i)] = onboard.get((t, r, d, p, i), 0.0) - v
-    exit_pat: dict[tuple, float] = {}
-    for (t, r, j, p), v in fa.exit.items():
-        exit_pat[(t, r, j, p)] = exit_pat.get((t, r, j, p), 0.0) + v
     for (t, r, d, p, s), v in onboard.items():
         route = scenario.routes[r]
         d_dir, d_mir = route.direction_stops_of(d)
@@ -528,8 +523,8 @@ def conservation_residuals(fa: FlowAssignment, scenario: Scenario,
         d_dir, d_mir = route.direction_stops_of(d)
         if j == d_dir or j == d_mir:
             arrive[(t, r, j, p)] = arrive.get((t, r, j, p), 0.0) + v
-    for key in set(arrive) | set(exit_pat):
-        diff = abs(arrive.get(key, 0.0) - exit_pat.get(key, 0.0))
+    for key in set(arrive) | set(fa.exit):
+        diff = abs(arrive.get(key, 0.0) - fa.exit.get(key, 0.0))
         res["arrive_exit_balance"] = max(res["arrive_exit_balance"], diff)
 
     return res

@@ -44,7 +44,7 @@ import numpy as np
 
 from .combos import enumerate_combinations
 from .network import Scenario, validate_scenario
-from .plan import PlanError, ServicePlan, model_order
+from .plan import PlanError, ServicePlan, check_cell, model_order
 
 __all__ = [
     "BuildError",
@@ -523,12 +523,14 @@ def _add_route_period(b: Builder, scenario: Scenario, t: int, r: int) -> int:
 def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
     """Pin all design variables (arcs, headways, fleet) to a given plan.
 
-    Each cell's patterns are pinned in ``model_order``, the one order of
-    them the ``headway_order`` rows admit. Flows, combination picks and
-    cycle minutes stay free (the pinned arcs determine the cycle minutes),
-    so solving the result evaluates the plan through the same machinery
-    that prices free designs. The result shares every block except the
-    bounds of the pinned families.
+    Raises ``PlanError`` for a cell that fails ``plan.check_cell``, or whose
+    first pattern in ``model_order`` is not the full loop when the model
+    requires one. Each cell's patterns are pinned in ``model_order``, the
+    one order of them the ``headway_order`` rows admit. Flows, combination
+    picks and cycle minutes stay free (the pinned arcs determine the cycle
+    minutes), so solving the result evaluates the plan through the same
+    machinery that prices free designs. The result shares every block
+    except the bounds of the pinned families.
     """
     scenario = model.scenario
     opts = scenario.options
@@ -541,20 +543,11 @@ def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
     for t in range(nt):
         for r, route in enumerate(scenario.routes):
             cell = plan.cell(r, t)
-            if len(cell.patterns) != route.n_patterns:
-                raise PlanError(f"plan has {len(cell.patterns)} patterns for route {r}, "
-                                f"model expects {route.n_patterns}")
-            menu = route.headway_menu(t)
-            nd = route.n_dir
+            check_cell(route, t, cell.patterns)
             for p, pat in enumerate(model_order(cell.patterns)):
-                if pat.headway_index > len(menu):
-                    raise PlanError(f"pattern {p} headway index {pat.headway_index} "
-                                    f"outside menu of route {r}")
-                if opts.require_full_pattern and p == 0 and set(pat.stops) != set(range(nd)):
+                if opts.require_full_pattern and p == 0 and pat.stops != route.full_loop():
                     raise PlanError("model requires pattern 0 to serve every stop, plan does not")
-                for i, j in sorted(set(pat.arcs())):
-                    if not (0 <= i < nd and 0 <= j < nd and route.arc_allowed(i, j)):
-                        raise PlanError(f"plan uses arc ({i}, {j}) not allowed on route {r}")
+                for i, j in pat.arcs():
                     on_loop[t, r, p, i, j] = 1.0
                 headway_index[t, r, p] = pat.headway_index
             fleet[r, t] = cell.fleet

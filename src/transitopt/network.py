@@ -148,9 +148,6 @@ class RouteSpec:
         steps.append(self.turnback_time)
         return tuple(steps)
 
-    def travel_time(self, i: int, j: int) -> float:
-        return arc_travel_time(self, i, j)
-
     @cached_property
     def _travel_times(self) -> tuple[memoryview, ...]:
         # one walk around the loop from each stop; a read-only table, so

@@ -18,8 +18,8 @@ from .combos import enumerate_combinations
 from .network import RouteSpec, Scenario, ScenarioError, _int, _list, _num, _obj
 
 __all__ = ["PatternPlan", "RoutePeriodPlan", "ServicePlan", "FlowAssignment",
-           "PlanError", "DecodeError", "load_plan", "loop_arcs", "model_order",
-           "vehicle_need"]
+           "PlanError", "DecodeError", "check_cell", "load_plan", "loop_arcs",
+           "model_order", "vehicle_need"]
 
 _HEADWAY_TOL = 1e-9
 NODE_TOL = 1e-6     # relative mismatch of a transfer node's alighters and boarders
@@ -80,7 +80,11 @@ class PatternPlan:
 
     def cycle_time(self, route: RouteSpec) -> float:
         """Minutes for one full vehicle rotation around the loop."""
-        return sum(route.travel_time(u, v) for u, v in self.arcs())
+        stops, nd = self.stops, route.n_dir
+        if stops and (stops[0] < 0 or stops[-1] >= nd):
+            raise ScenarioError(f"direction stops {list(stops)} out of range [0, {nd})")
+        tmat = route.travel_time_matrix()
+        return sum(tmat[u][v] for u, v in self.arcs())
 
 
 def vehicle_need(route: RouteSpec, patterns: Iterable[PatternPlan]) -> float:
@@ -95,6 +99,35 @@ def model_order(patterns: Iterable[PatternPlan]) -> tuple[PatternPlan, ...]:
     ones; ties keep their listed order. The model's ``headway_order`` rows
     admit a pattern list exactly when it is already in this order."""
     return tuple(sorted(patterns, key=lambda pat: pat.headway_index or math.inf))
+
+
+def _on_entry(value: float, entry: float) -> bool:
+    """``value`` is the menu ``entry``, to the tolerance plans are read with."""
+    return abs(value - entry) <= _HEADWAY_TOL * max(1.0, abs(entry))
+
+
+def check_cell(route: RouteSpec, t: int, patterns: tuple[PatternPlan, ...]) -> None:
+    """Raise ``PlanError`` unless ``patterns`` fit ``route`` in period t: one
+    per route pattern, each in service at an entry of the period's menu, on
+    the route's direction stops, along arcs it allows. ``load_plan``,
+    ``model.fix_baseline`` and ``evaluator.assign_flows`` all ask this."""
+    if len(patterns) != route.n_patterns:
+        raise PlanError(f"route {route.id} runs {route.n_patterns} pattern(s) in period {t}, "
+                        f"not {len(patterns)}")
+    menu, nd = route.headway_menu(t), route.n_dir
+    for p, pat in enumerate(patterns):
+        if not pat.in_service:
+            continue
+        k = pat.headway_index
+        if k > len(menu) or not _on_entry(pat.headway, menu[k - 1]):
+            raise PlanError(f"headway {pat.headway} is not entry {k} of the menu {list(menu)} "
+                            f"on route {route.id} (period {t}, pattern {p})")
+        # stops ascend, so its ends bound them; no arc walk without a mask
+        if pat.stops[0] < 0 or pat.stops[-1] >= nd or route.allowed_arcs is not None:
+            for u, v in pat.arcs():
+                if not (0 <= u < nd and 0 <= v < nd and route.arc_allowed(u, v)):
+                    raise PlanError(f"arc ({u}, {v}) not allowed on route {route.id} "
+                                    f"(period {t}, pattern {p}; direction stops 0..{nd - 1})")
 
 
 @dataclass(frozen=True)
@@ -142,13 +175,6 @@ class ServicePlan:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _lookup_headway_index(menu: tuple[float, ...], value: float, where: str) -> int:
-    for k, v in enumerate(menu):
-        if abs(v - value) <= _HEADWAY_TOL * max(1.0, abs(v)):
-            return k + 1
-    raise PlanError(f"{where}: headway {value} is not on the menu {list(menu)}")
-
-
 def _read(parse: Callable[[Any, str], Any], value: Any, where: str) -> Any:
     """``value`` read by the scenario loader's rule ``parse``, refusals
     raised as ``PlanError``."""
@@ -163,10 +189,10 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
 
     Stops are integers and headways and fleets finite numbers, read as the
     scenario loader reads them. Headways must come from the route/period
-    menu; an in-service pattern must serve valid direction stops forming an
-    allowed loop in stop order, listed from any of its stops, and is stored
-    in ascending order. A missing ``fleet`` defaults to the exact vehicle
-    requirement of the cell's patterns.
+    menu. An in-service pattern lists its stops once each, as one loop in
+    stop order from any of its stops, and is stored in ascending order;
+    each cell must then pass ``check_cell``. A missing ``fleet`` defaults
+    to the exact vehicle requirement of the cell's patterns.
     """
     routes_doc = _read(_obj, doc, "plan").get("routes")
     if not isinstance(routes_doc, list) or len(routes_doc) != len(scenario.routes):
@@ -184,8 +210,6 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
             pwhere = f"plan routes[{r}].periods[{t}]"
             pdoc = _read(_obj, pdoc, pwhere)
             pats_doc = _read(_list, pdoc.get("patterns", []), f"{pwhere}.patterns")
-            if len(pats_doc) != route.n_patterns:
-                raise PlanError(f"{pwhere} must describe exactly {route.n_patterns} pattern(s)")
             pats: list[PatternPlan] = []
             for p, pat_doc in enumerate(pats_doc):
                 where = f"{pwhere}.patterns[{p}]"
@@ -201,10 +225,17 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
                 if not stops:
                     raise PlanError(f"{where}: in-service pattern must serve stops")
                 headway = _read(_num, headway, f"{where}.headway")
-                hidx = _lookup_headway_index(menu, headway, where)
-                _check_loop(route, stops, where)
+                hidx = next((k for k, v in enumerate(menu, 1) if _on_entry(headway, v)), 0)
+                if not hidx:
+                    raise PlanError(f"{where}: headway {headway} is not on the menu {list(menu)}")
+                if len(set(stops)) != len(stops):
+                    raise PlanError(f"{where}: loop visits a stop twice: {list(stops)}")
+                # a rotation of ascending order turns back to a lower stop exactly once
+                if sum(u > v for u, v in loop_arcs(stops)) != 1:
+                    raise PlanError(f"{where}: stops {list(stops)} are not one loop in stop order")
                 pats.append(PatternPlan(stops=tuple(sorted(stops)), headway=headway,
                                         headway_index=hidx))
+            check_cell(route, t, tuple(pats))
             fleet = pdoc.get("fleet")
             if fleet is None:
                 fleet = vehicle_need(route, pats)
@@ -213,22 +244,6 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
             row.append(RoutePeriodPlan(patterns=tuple(pats), fleet=float(fleet)))
         cells.append(tuple(row))
     return ServicePlan(cells=tuple(cells))
-
-
-def _check_loop(route: RouteSpec, stops: tuple[int, ...], where: str) -> None:
-    nd = route.n_dir
-    for s in stops:
-        if not 0 <= s < nd:
-            raise PlanError(f"{where}: direction stop {s} out of range [0, {nd})")
-    if len(set(stops)) != len(stops):
-        raise PlanError(f"{where}: loop visits a stop twice: {list(stops)}")
-    arcs = loop_arcs(stops)
-    # a rotation of ascending order turns back to a lower stop exactly once
-    if sum(u > v for u, v in arcs) != 1:
-        raise PlanError(f"{where}: stops {list(stops)} are not one loop in stop order")
-    for u, v in arcs:
-        if not route.arc_allowed(u, v):
-            raise PlanError(f"{where}: arc ({u}, {v}) is not allowed on route {route.id}")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import pytest
 
 import transitopt.evaluator as evaluator
 from transitopt import (
-    EvaluationError, SolverConfig, UnroutableDemandError, assign_flows, build_model,
+    EvaluationError, PlanError, SolverConfig, UnroutableDemandError, assign_flows, build_model,
     compute_metrics, conservation_residuals, decode_plan, enumerate_combinations, fix_baseline,
     fleet_requirement, load_plan, load_scenario, solve,
 )
@@ -14,7 +14,8 @@ from transitopt.backend import _model_arrays, csr_rows, solve_arrays
 from transitopt.evaluator import (InsufficientCapacityError, _assign_direct, _assign_lp,
                                   _check_routable)
 from transitopt.model import SENSES, RowBlock
-from transitopt.plan import FlowAssignment, model_order
+from transitopt.plan import (FlowAssignment, PatternPlan, RoutePeriodPlan, ServicePlan,
+                             model_order)
 
 from _blocks import record_programs, var_labels
 from _factories import (add_route, full_pattern_plan_doc, make_scenario, random_toy_doc,
@@ -545,6 +546,99 @@ class TestOneRoutabilityCheck:
         with pytest.raises(error, match="route 0 in period 0$" if tight_route == 0
                            else "origin 0 -> destination 1 on route 1 in period 0"):
             assign_flows(scenario, two_route_refused_plan(scenario))
+
+
+def refuses(call, *args) -> bool:
+    """``call(*args)`` raises ``PlanError``; a refusal for want of a path or
+    of room is not one."""
+    try:
+        call(*args)
+    except PlanError:
+        return True
+    except (UnroutableDemandError, InsufficientCapacityError):
+        pass
+    return False
+
+
+def one_route_plan(*patterns: PatternPlan) -> ServicePlan:
+    """A one-route, one-period plan built in code, past ``load_plan``."""
+    return ServicePlan(cells=((RoutePeriodPlan(patterns=patterns, fleet=0.0),),))
+
+
+def broken(scenario, plan):
+    """``plan`` with its first in-service pattern broken each way a plan
+    built in code can break: a headway index past the menu, a headway that
+    is not its menu entry, a stop at n_dir."""
+    route = scenario.routes[0]
+    menu = route.headway_menu(0)
+    patterns = plan.cell(0, 0).patterns
+    p, pat = next((p, pat) for p, pat in enumerate(patterns) if pat.in_service)
+    for bad in (replace(pat, headway_index=len(menu) + 1),
+                replace(pat, headway=menu[len(menu) - pat.headway_index]),
+                replace(pat, stops=pat.stops + (route.n_dir,))):
+        yield one_route_plan(*patterns[:p], bad, *patterns[p + 1:])
+
+
+class TestOneFitRule:
+    """``plan.check_cell`` decides whether a plan fits its scenario, for
+    ``load_plan``, ``fix_baseline`` and ``assign_flows`` alike."""
+
+    @pytest.mark.parametrize("dwell_saving", [0.0, 0.5])
+    @pytest.mark.parametrize("transfers", [False, True], ids=["direct", "transfers"])
+    @pytest.mark.parametrize("seed", range(1, 11))
+    def test_evaluator_refuses_exactly_what_fix_baseline_does(self, seed, transfers,
+                                                               dwell_saving):
+        doc = random_toy_doc(seed, transfers=transfers, dwell_saving=dwell_saving)
+        scenario = load_scenario(doc)
+        model = build_model(scenario)
+        # the same toy with arc (0, 2) masked off, which some designs ride
+        nd = scenario.routes[0].n_dir
+        doc["routes"][0]["allowed_arcs"] = [[i != j and (i, j) != (0, 2) for j in range(nd)]
+                                            for i in range(nd)]
+        masked = load_scenario(doc)
+        masked_model = build_model(masked)
+        kept = cut = 0
+        for plan in enumerate_plans(scenario):
+            assert not refuses(assign_flows, scenario, plan)
+            assert not refuses(fix_baseline, model, plan)
+            for bad in broken(scenario, plan):
+                assert refuses(assign_flows, scenario, bad)
+                assert refuses(fix_baseline, model, bad)
+            rides = any((0, 2) in pat.arcs() for pat in plan.cell(0, 0).patterns)
+            assert refuses(assign_flows, masked, plan) == rides
+            assert refuses(fix_baseline, masked_model, plan) == rides
+            cut += rides
+            kept += not rides
+        assert kept and cut
+
+    @pytest.mark.parametrize("transfers", [False, True], ids=["direct", "transfers"])
+    def test_headway_index_past_the_menu(self, transfers):
+        scenario = make_scenario(symmetry=False, transfers=transfers)
+        cell = load_plan(full_pattern_plan_doc(scenario), scenario).cell(0, 0)
+        plan = one_route_plan(PatternPlan(cell.patterns[0].stops, 5.0, 9), *cell.patterns[1:])
+        with pytest.raises(PlanError, match="not entry 9 of the menu"):
+            assign_flows(scenario, plan)
+
+    def test_arc_the_mask_forbids(self):
+        mask = [[i != j and (i, j) != (0, 2) for j in range(6)] for i in range(6)]
+        scenario = load_scenario(scenario_doc(symmetry=False, transfers=False,
+                                              allowed_arcs=mask))
+        plan = one_route_plan(PatternPlan(tuple(range(6)), 5.0, 1),
+                              PatternPlan((0, 2, 3, 5), 7.0, 2))
+        for refused in (lambda: assign_flows(scenario, plan),
+                        lambda: fix_baseline(build_model(scenario), plan)):
+            with pytest.raises(PlanError, match=r"arc \(0, 2\) not allowed on route 0"):
+                refused()
+
+    def test_headway_off_its_menu_entry(self):
+        # waiting would be priced at entry 2 (7 min), the fleet at 5 min
+        scenario = make_scenario(symmetry=False)
+        cell = load_plan(full_pattern_plan_doc(scenario), scenario).cell(0, 0)
+        plan = one_route_plan(PatternPlan(cell.patterns[0].stops, 5.0, 2), *cell.patterns[1:])
+        for refused in (lambda: assign_flows(scenario, plan),
+                        lambda: fix_baseline(build_model(scenario), plan)):
+            with pytest.raises(PlanError, match=r"headway 5.0 is not entry 2 of the menu"):
+                refused()
 
 
 class TestCrossPathEquivalence:

@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from transitopt import PatternPlan, PlanError, load_plan, loop_arcs
+from transitopt import PatternPlan, PlanError, ScenarioError, load_plan, loop_arcs
+from transitopt.plan import check_cell
 
 from _factories import full_pattern_plan_doc, make_scenario
 
@@ -91,6 +94,57 @@ class TestLoadPlan:
         plan = load_plan(full_pattern_plan_doc(scenario), scenario)
         again = load_plan(plan.to_dict(), scenario)
         assert again == plan
+
+
+class TestCheckCell:
+    """The one rule for whether a cell's patterns fit their route, however
+    the plan was made."""
+
+    SCENARIO = make_scenario(symmetry=False)       # 6 direction stops, menu (5, 7)
+    OFF = PatternPlan(stops=(), headway=None, headway_index=0)
+
+    def check(self, *patterns):
+        check_cell(self.SCENARIO.routes[0], 0, patterns)
+
+    def test_fitting_cells_pass(self):
+        self.check(PatternPlan(tuple(range(6)), 5.0, 1), self.OFF)
+        self.check(PatternPlan((0, 2, 3, 5), 7.0, 2), PatternPlan((1, 4), 5.0, 1))
+        self.check(self.OFF, PatternPlan((0, 5), 7.0 * (1 + 1e-10), 2))
+
+    def test_pattern_count_is_the_routes(self):
+        with pytest.raises(PlanError, match="runs 2 pattern\\(s\\) in period 0, not 1"):
+            self.check(PatternPlan(tuple(range(6)), 5.0, 1))
+
+    @pytest.mark.parametrize("headway, index", [
+        (5.0, 3), (5.0, 2), (7.0, 1), (6.0, 1), (5.0 + 1e-6, 1), (math.nan, 1),
+    ], ids=["past-menu", "slower-entry", "faster-entry", "between", "off-tolerance", "nan"])
+    def test_headway_is_its_menu_entry(self, headway, index):
+        with pytest.raises(PlanError, match=rf"is not entry {index} of the menu \[5.0, 7.0\] "
+                                            r"on route 0 \(period 0, pattern 1\)"):
+            self.check(self.OFF, PatternPlan((0, 5), headway, index))
+
+    @pytest.mark.parametrize("stops, arc", [
+        ((-1, 2), (-1, 2)), ((0, 6), (0, 6)), ((0, 1, 2, 3, 4, 5, 6), (5, 6)),
+    ], ids=["negative", "n_dir", "past-full-loop"])
+    def test_stops_lie_on_the_route(self, stops, arc):
+        with pytest.raises(PlanError, match=rf"arc \({arc[0]}, {arc[1]}\) not allowed"):
+            self.check(PatternPlan(stops, 5.0, 1), self.OFF)
+
+    def test_load_plan_asks_it(self):
+        doc = full_pattern_plan_doc(self.SCENARIO)
+        doc["routes"][0]["periods"][0]["patterns"][0]["stops"] = [0, 1, 2, 3, 4, 5, 6]
+        with pytest.raises(PlanError, match=r"arc \(5, 6\) not allowed on route 0"):
+            load_plan(doc, self.SCENARIO)
+
+
+class TestCycleTime:
+    @pytest.mark.parametrize("stops", [(-1, 2), (0, 6)], ids=["negative", "n_dir"])
+    def test_stops_off_the_route_raise(self, stops):
+        # the time table's rows are sequences: -1 must not read the last one
+        route = make_scenario().routes[0]
+        assert route.n_dir == 6
+        with pytest.raises(ScenarioError, match="out of range"):
+            PatternPlan(stops, 5.0, 1).cycle_time(route)
 
 
 def in_stop_order(stops: list[int]) -> bool:
