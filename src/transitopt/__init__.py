@@ -18,8 +18,8 @@ from .lpio import write_lp
 from .model import (BuildError, MilpModel, Row, Var, big_m_flow, build_model,
                     fix_baseline, model_stats)
 from .network import (DemandMatrix, OptionFlags, PeriodSpec, RouteSpec,
-                      Scenario, ScenarioError, Violation, arc_travel_time,
-                      load_scenario, mirror_stop, validate_scenario)
+                      Scenario, ScenarioError, Violation, load_scenario,
+                      mirror_stop, validate_scenario)
 from .oracle import (InternalInconsistencyError, OracleReport, OracleSizeError,
                      certify, enumerate_plans)
 from .plan import (FlowAssignment, PatternPlan, PlanError, RoutePeriodPlan,

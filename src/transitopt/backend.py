@@ -15,8 +15,8 @@ so ``oracle.certify`` can pin designs on the model that was solved without
 building another. ``read_flows`` reads the flow columns of a solved model
 or evaluator program back, and ``decode_plan`` turns the rest of the
 assignment into domain objects, one variable block at a time; both hand
-the flows to ``FlowAssignment.from_flows``, which derives the boarding,
-exit and transfer flows.
+the flows to ``FlowAssignment.from_flows``, which checks the transfer
+nodes.
 """
 
 from __future__ import annotations

@@ -1,28 +1,27 @@
 """Passenger assignment for a fixed service plan, independent of the MILP.
 
 Given a frozen design (loops + headways), the cheapest flow routing is found
-without building the design model. Each route and period is first checked:
-its patterns must fit the route (``plan.check_cell``, the rule ``load_plan``
-and ``model.fix_baseline`` apply too), and every pair with demand must have
-a path (``_check_routable``, the one place a design is refused for want of
-one). Then, when transfers and capacity are both off, the problem separates
-per origin-destination pair and is solved in closed form; otherwise one
-small program per route and period covers every destination with demand.
-The program is written from the plan's loops in the design model's lean
-forms: one entering and one re-boarding flow per entry cell and
+without building the design model. The plan is first checked against its
+scenario (``plan.check_plan``, the rule ``load_plan`` and
+``model.fix_baseline`` apply too); then, per route and period, every pair
+with demand must have a path (``_check_routable``, the one place a design is
+refused for want of one). When transfers and capacity are both off, the
+problem separates per origin-destination pair and is solved in closed form;
+otherwise one small program per route and period covers every destination
+with demand. The program is written from the plan's loops in the design
+model's lean forms: one entering and one re-boarding flow per entry cell and
 combination, whose frequency shares are coefficients of each pattern's
-on-board balance; riding flows on the loops' forward arcs; one transfer
-node per destination and physical stop; exits implied where a ride reaches
-the destination; and, where a cell leaves more than one available
-combination, binary picks that hold each entry stop to one combination, as
-the design model does (with one, the program is an LP). It is a
-``MilpModel`` from the model's ``Builder``, its variables the design
-model's ``z``, ``fw``, ``fx``, ``ft`` and ``fl`` under the same keys,
-solved by ``backend.solve`` and read back by ``backend.read_flows``. Both
-routings end in ``FlowAssignment.from_flows``, which derives the boarding,
-exit and transfer keys as for a solved model, and both price exactly the
-design model's objective: riding minutes plus weighted perceived waiting
-plus weighted transfer penalties.
+on-board balance; riding flows on the loops' forward arcs; one transfer node
+per destination and physical stop; exits implied where a ride reaches the
+destination; and, where a cell leaves more than one available combination,
+binary picks that hold each entry stop to one combination, as the design
+model does (with one, the program is an LP). It is a ``MilpModel`` from the
+model's ``Builder``, its variables the design model's ``z``, ``fw``, ``fx``,
+``ft`` and ``fl`` under the same keys, solved by ``backend.solve`` and read
+back by ``backend.read_flows``. Both routings end in
+``FlowAssignment.from_flows``, which checks the transfer nodes as for a
+solved model, and both price exactly the design model's objective: riding
+minutes plus weighted perceived waiting plus weighted transfer penalties.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .backend import SolveResult, read_flows, solve
 from .combos import CombinationSet, enumerate_combinations
 from .model import Builder, MilpModel, id_table
 from .network import Scenario
-from .plan import (DecodeError, FlowAssignment, RoutePeriodPlan, ServicePlan, check_cell,
+from .plan import (DecodeError, FlowAssignment, RoutePeriodPlan, ServicePlan, check_plan,
                    vehicle_need)
 
 __all__ = [
@@ -324,21 +323,20 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
 def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:
     """Cheapest passenger routing for a fixed plan.
 
-    Raises PlanError for a cell that does not fit its route
-    (``plan.check_cell``), UnroutableDemandError naming the first
+    Raises PlanError for a plan that does not fit its scenario
+    (``plan.check_plan``), UnroutableDemandError naming the first
     origin-destination pair that cannot be served under the plan,
     InsufficientCapacityError when the plan cannot carry its demand within
     vehicle capacity, and EvaluationError naming the period, route and stop
     when a solved program's transfer node does not balance.
     """
+    check_plan(plan, scenario)
     opts = scenario.options
     assign = _assign_lp if opts.allow_transfers or opts.enforce_capacity else _assign_direct
     flows: tuple[dict, dict, dict, dict] = ({}, {}, {}, {})
     for t in range(len(scenario.periods)):
-        for r, route in enumerate(scenario.routes):
-            cell = plan.cell(r, t)
-            check_cell(route, t, cell.patterns)
-            _check_routable(scenario, t, r, cell)
+        for r in range(len(scenario.routes)):
+            _check_routable(scenario, t, r, plan.cell(r, t))
             assign(scenario, plan, t, r, *flows)
     try:
         return FlowAssignment.from_flows(scenario, *flows)
@@ -409,10 +407,10 @@ def compute_metrics(fa: FlowAssignment, scenario: Scenario, plan: ServicePlan) -
     for (t, r, d, i, c), v in fa.entry.items():
         waiting += v * combo_sets[(t, r)][c].perceived_headway / 2.0
     transfer = 0.0
-    for (t, r, d, i, j, p, c), v in fa.transfer.items():
+    for (t, r, d, i, c), v in fa.reboarding.items():
         transfer += v * (combo_sets[(t, r)][c].perceived_headway / 2.0 + scenario.transfer_time)
 
-    transfers_count = sum(fa.transfer.values())
+    transfers_count = sum(fa.reboarding.values())
     riders = scenario.total_riders()
     objective = (riding + scenario.gamma_wait * waiting + scenario.gamma_transfer * transfer)
     return Metrics(
@@ -437,94 +435,54 @@ def compute_metrics(fa: FlowAssignment, scenario: Scenario, plan: ServicePlan) -
 
 def conservation_residuals(fa: FlowAssignment, scenario: Scenario,
                            plan: ServicePlan) -> dict[str, float]:
-    """Worst violation of each balance family for an assignment.
+    """Worst violation, in riders, of each of the design model's balances
+    on an assignment:
 
-    boarding_split (frequency shares) is normalized by the larger
-    headway-scaled flow so the check is meaningful at any demand scale; the
-    others are absolute riders.
+    demand_entry:       entries at both direction stops of o against the
+                        riders from o to d
+    onboard_balance:    at each stop but d's, pattern p's share of the
+                        cell's entering and re-boarding riders plus its
+                        riding flow in, against its riding flow out plus
+                        its riders alighting to transfer
+    transfer_balance:   riders alighting to transfer at either direction
+                        stop of a physical stop against those boarding again
+    destination_inflow: riding flow into d's two stops against the riders
+                        into d
     """
-    res = {"demand_entry": 0.0, "demand_exit": 0.0, "entry_board_balance": 0.0,
-           "onboard_balance": 0.0, "arrive_exit_balance": 0.0, "boarding_split": 0.0}
-
     combo_sets = _combo_sets(scenario)
-    board_node: dict[tuple, dict[int, float]] = {}
-    for (t, r, d, i, c, p), v in fa.boarding.items():
-        board_node.setdefault((t, r, d, i, c), {})[p] = v
-    for (t, r, d, i, c), by_p in board_node.items():
-        combo = combo_sets[(t, r)][c]
-        menu = combo_sets[(t, r)].menu
-        act = combo.active_patterns
-        for a in range(len(act)):
-            for b in range(a + 1, len(act)):
-                p1, p2 = act[a], act[b]
-                v1 = menu[combo.headway_indices[p1] - 1] * by_p.get(p1, 0.0)
-                v2 = menu[combo.headway_indices[p2] - 1] * by_p.get(p2, 0.0)
-                scale = max(1.0, abs(v1), abs(v2))
-                res["boarding_split"] = max(res["boarding_split"], abs(v1 - v2) / scale)
+    stop_of = [route.physical_of for route in scenario.routes]
+    demand: dict[tuple, float] = {}     # (t, r, o, d)
+    onboard: dict[tuple, float] = {}    # (t, r, d, p, stop)
+    node: dict[tuple, float] = {}       # (t, r, d, physical stop)
+    inflow: dict[tuple, float] = {}     # (t, r, d)
 
-    entry_by_stop: dict[tuple, float] = {}
+    def add(table: dict[tuple, float], key: tuple, v: float) -> None:
+        table[key] = table.get(key, 0.0) + v
+
+    for r, dm in enumerate(scenario.demand):
+        for (t, o, d), riders in dm.items():
+            add(demand, (t, r, o, d), -riders)
+            add(inflow, (t, r, d), -riders)
     for (t, r, d, i, c), v in fa.entry.items():
-        key = (t, r, d, i)
-        entry_by_stop[key] = entry_by_stop.get(key, 0.0) + v
-    for r, route in enumerate(scenario.routes):
-        for t in range(len(scenario.periods)):
-            for o in range(route.n_physical):
-                for d in range(route.n_physical):
-                    if o == d:
-                        continue
-                    o_dir, o_mir = route.direction_stops_of(o)
-                    got = entry_by_stop.get((t, r, d, o_dir), 0.0)
-                    got += entry_by_stop.get((t, r, d, o_mir), 0.0)
-                    diff = abs(got - scenario.demand[r].riders(t, o, d))
-                    res["demand_entry"] = max(res["demand_entry"], diff)
-
-    exit_by_stop: dict[tuple, float] = {}
-    for (t, r, j, p), v in fa.exit.items():
-        key = (t, r, j)
-        exit_by_stop[key] = exit_by_stop.get(key, 0.0) + v
-    for r, route in enumerate(scenario.routes):
-        for t in range(len(scenario.periods)):
-            for d in range(route.n_physical):
-                d_dir, d_mir = route.direction_stops_of(d)
-                got = exit_by_stop.get((t, r, d_dir), 0.0) + exit_by_stop.get((t, r, d_mir), 0.0)
-                diff = abs(got - scenario.demand[r].total_into(t, d))
-                res["demand_exit"] = max(res["demand_exit"], diff)
-
-    # entries + transfers in == boardings, per combination node
-    node: dict[tuple, float] = {}
-    for (t, r, d, i, c), v in fa.entry.items():
-        node[(t, r, d, i, c)] = node.get((t, r, d, i, c), 0.0) + v
-    for (t, r, d, i, j, p, c), v in fa.transfer.items():
-        node[(t, r, d, j, c)] = node.get((t, r, d, j, c), 0.0) + v
-    for (t, r, d, i, c, p), v in fa.boarding.items():
-        node[(t, r, d, i, c)] = node.get((t, r, d, i, c), 0.0) - v
-    for v in node.values():
-        res["entry_board_balance"] = max(res["entry_board_balance"], abs(v))
-
-    # on-board balance per (t, r, d, p, stop), and exits at the destination
-    onboard: dict[tuple, float] = {}
-    for (t, r, d, i, c, p), v in fa.boarding.items():
-        onboard[(t, r, d, p, i)] = onboard.get((t, r, d, p, i), 0.0) + v
+        add(demand, (t, r, stop_of[r](i), d), v)
+    for boarders in (fa.entry, fa.reboarding):
+        for (t, r, d, i, c), v in boarders.items():
+            for p, share in enumerate(combo_sets[(t, r)][c].shares):
+                if share > 0.0:
+                    add(onboard, (t, r, d, p, i), share * v)
     for (t, r, d, p, i, j), v in fa.inter_stop.items():
-        onboard[(t, r, d, p, j)] = onboard.get((t, r, d, p, j), 0.0) + v
-        onboard[(t, r, d, p, i)] = onboard.get((t, r, d, p, i), 0.0) - v
-    for (t, r, d, i, j, p, c), v in fa.transfer.items():
-        onboard[(t, r, d, p, i)] = onboard.get((t, r, d, p, i), 0.0) - v
-    for (t, r, d, p, s), v in onboard.items():
-        route = scenario.routes[r]
-        d_dir, d_mir = route.direction_stops_of(d)
-        if s == d_dir or s == d_mir:
-            continue
-        res["onboard_balance"] = max(res["onboard_balance"], abs(v))
-    # arrivals at each destination stop must equal exits there
-    arrive: dict[tuple, float] = {}
-    for (t, r, d, p, i, j), v in fa.inter_stop.items():
-        route = scenario.routes[r]
-        d_dir, d_mir = route.direction_stops_of(d)
-        if j == d_dir or j == d_mir:
-            arrive[(t, r, j, p)] = arrive.get((t, r, j, p), 0.0) + v
-    for key in set(arrive) | set(fa.exit):
-        diff = abs(arrive.get(key, 0.0) - fa.exit.get(key, 0.0))
-        res["arrive_exit_balance"] = max(res["arrive_exit_balance"], diff)
+        add(onboard, (t, r, d, p, i), -v)
+        if stop_of[r](j) == d:
+            add(inflow, (t, r, d), v)
+        else:
+            add(onboard, (t, r, d, p, j), v)
+    for (t, r, d, p, i), v in fa.alighting.items():
+        add(onboard, (t, r, d, p, i), -v)
+        add(node, (t, r, d, stop_of[r](i)), v)
+    for (t, r, d, i, c), v in fa.reboarding.items():
+        add(node, (t, r, d, stop_of[r](i)), -v)
 
-    return res
+    tables = {"demand_entry": demand, "onboard_balance": onboard,
+              "transfer_balance": node, "destination_inflow": inflow}
+    return {family: max(map(abs, table.values()), default=0.0)
+            for family, table in tables.items()}

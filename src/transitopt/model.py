@@ -44,7 +44,7 @@ import numpy as np
 
 from .combos import enumerate_combinations
 from .network import Scenario, validate_scenario
-from .plan import PlanError, ServicePlan, check_cell, model_order
+from .plan import PlanError, ServicePlan, check_plan, model_order
 
 __all__ = [
     "BuildError",
@@ -523,16 +523,17 @@ def _add_route_period(b: Builder, scenario: Scenario, t: int, r: int) -> int:
 def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
     """Pin all design variables (arcs, headways, fleet) to a given plan.
 
-    Raises ``PlanError`` for a cell that fails ``plan.check_cell``, or whose
-    first pattern in ``model_order`` is not the full loop when the model
-    requires one. Each cell's patterns are pinned in ``model_order``, the
-    one order of them the ``headway_order`` rows admit. Flows, combination
-    picks and cycle minutes stay free (the pinned arcs determine the cycle
-    minutes), so solving the result evaluates the plan through the same
-    machinery that prices free designs. The result shares every block
-    except the bounds of the pinned families.
+    Raises ``PlanError`` for a plan that fails ``plan.check_plan``, or for
+    a cell whose first pattern in ``model_order`` is not the full loop when
+    the model requires one. Each cell's patterns are pinned in
+    ``model_order``, the one order of them the ``headway_order`` rows
+    admit. Flows, combination picks and cycle minutes stay free (the pinned
+    arcs determine the cycle minutes), so solving the result evaluates the
+    plan through the same machinery that prices free designs. The result
+    shares every block except the bounds of the pinned families.
     """
     scenario = model.scenario
+    check_plan(plan, scenario)
     opts = scenario.options
     nt, nr = len(scenario.periods), len(scenario.routes)
     npat = max((route.n_patterns for route in scenario.routes), default=0)
@@ -543,7 +544,6 @@ def fix_baseline(model: MilpModel, plan: ServicePlan) -> MilpModel:
     for t in range(nt):
         for r, route in enumerate(scenario.routes):
             cell = plan.cell(r, t)
-            check_cell(route, t, cell.patterns)
             for p, pat in enumerate(model_order(cell.patterns)):
                 if opts.require_full_pattern and p == 0 and pat.stops != route.full_loop():
                     raise PlanError("model requires pattern 0 to serve every stop, plan does not")

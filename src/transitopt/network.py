@@ -29,7 +29,6 @@ __all__ = [
     "DemandMatrix",
     "Scenario",
     "mirror_stop",
-    "arc_travel_time",
     "load_scenario",
     "validate_scenario",
 ]
@@ -168,28 +167,14 @@ class RouteSpec:
         return tuple(view[i * nd:(i + 1) * nd] for i in range(nd))
 
     def travel_time_matrix(self) -> tuple[memoryview, ...]:
-        """Minutes over ordered direction-stop pairs (0.0 on the diagonal),
-        computed once per route."""
+        """Minutes from direction stop i to j along the forward loop, at
+        ``[i][j]`` (0.0 on the diagonal): the steps between them, terminal
+        reversals included, less ``dwell_saving`` per stop passed without
+        serving. Computed once per route."""
         return self._travel_times
 
     def full_loop(self) -> tuple[int, ...]:
         return tuple(range(self.n_dir))
-
-
-def arc_travel_time(route: RouteSpec, i: int, j: int) -> float:
-    """Minutes from direction stop i to j along the forward loop path.
-
-    Sums elementary step times (terminal reversals included) and credits
-    ``dwell_saving`` once per direction stop passed without serving. Defined
-    for every ordered pair so that loop-closure arcs have a finite time even
-    though passenger flow never uses them.
-    """
-    nd = route.n_dir
-    if i == j:
-        raise ScenarioError("arc travel time undefined for i == j")
-    if not (0 <= i < nd and 0 <= j < nd):
-        raise ScenarioError(f"direction stop pair ({i}, {j}) out of range [0, {nd})")
-    return route.travel_time_matrix()[i][j]
 
 
 @dataclass(frozen=True)

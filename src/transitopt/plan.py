@@ -3,8 +3,8 @@
 A ServicePlan pins the design side of the problem: for every route, period,
 and pattern the direction stops served (one vehicle loop through them in
 ascending stop order) and the headway, plus the fleet allocated per route and
-period. A FlowAssignment holds the five flow families (entry, boarding,
-inter-stop, exit, transfer).
+period. A FlowAssignment holds the four flow families of the design model
+(entering, riding, alighting to transfer, re-boarding).
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping
 
-from .combos import enumerate_combinations
 from .network import RouteSpec, Scenario, ScenarioError, _int, _list, _num, _obj
 
 __all__ = ["PatternPlan", "RoutePeriodPlan", "ServicePlan", "FlowAssignment",
-           "PlanError", "DecodeError", "check_cell", "load_plan", "loop_arcs",
+           "PlanError", "DecodeError", "check_cell", "check_plan", "load_plan", "loop_arcs",
            "model_order", "vehicle_need"]
 
 _HEADWAY_TOL = 1e-9
@@ -109,8 +108,8 @@ def _on_entry(value: float, entry: float) -> bool:
 def check_cell(route: RouteSpec, t: int, patterns: tuple[PatternPlan, ...]) -> None:
     """Raise ``PlanError`` unless ``patterns`` fit ``route`` in period t: one
     per route pattern, each in service at an entry of the period's menu, on
-    the route's direction stops, along arcs it allows. ``load_plan``,
-    ``model.fix_baseline`` and ``evaluator.assign_flows`` all ask this."""
+    the route's direction stops, along arcs it allows. ``load_plan`` and
+    ``check_plan`` ask this of every cell."""
     if len(patterns) != route.n_patterns:
         raise PlanError(f"route {route.id} runs {route.n_patterns} pattern(s) in period {t}, "
                         f"not {len(patterns)}")
@@ -128,6 +127,35 @@ def check_cell(route: RouteSpec, t: int, patterns: tuple[PatternPlan, ...]) -> N
                 if not (0 <= u < nd and 0 <= v < nd and route.arc_allowed(u, v)):
                     raise PlanError(f"arc ({u}, {v}) not allowed on route {route.id} "
                                     f"(period {t}, pattern {p}; direction stops 0..{nd - 1})")
+
+
+def _check_fleet(fleet: float, where: str) -> None:
+    """Raise ``PlanError`` unless ``fleet`` is a finite number of vehicles,
+    0 or more."""
+    if not 0.0 <= fleet < math.inf:
+        raise PlanError(f"{where}: fleet {fleet} is not a finite number of vehicles >= 0")
+
+
+def _check_count(items: Any, n: int, where: str, what: str) -> None:
+    if not isinstance(items, (list, tuple)) or len(items) != n:
+        raise PlanError(f"{where} must describe exactly {n} {what}(s)")
+
+
+def check_plan(plan: ServicePlan, scenario: Scenario) -> None:
+    """Raise ``PlanError`` unless ``plan`` holds one cell per route and
+    period of ``scenario``, each passing ``check_cell`` and then holding a
+    finite fleet of 0 or more vehicles, cells in period order.
+    ``model.fix_baseline`` and ``evaluator.assign_flows`` ask this of every
+    plan; ``load_plan`` applies the same rules as it reads a document."""
+    nt = len(scenario.periods)
+    _check_count(plan.cells, len(scenario.routes), "plan", "route")
+    for r, row in enumerate(plan.cells):
+        _check_count(row, nt, f"plan routes[{r}]", "period")
+    for t in range(nt):
+        for r, route in enumerate(scenario.routes):
+            cell = plan.cell(r, t)
+            check_cell(route, t, cell.patterns)
+            _check_fleet(cell.fleet, f"plan routes[{r}].periods[{t}]")
 
 
 @dataclass(frozen=True)
@@ -192,18 +220,17 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
     menu. An in-service pattern lists its stops once each, as one loop in
     stop order from any of its stops, and is stored in ascending order;
     each cell must then pass ``check_cell``. A missing ``fleet`` defaults
-    to the exact vehicle requirement of the cell's patterns.
+    to the exact vehicle requirement of the cell's patterns; a given one
+    must not be negative.
     """
     routes_doc = _read(_obj, doc, "plan").get("routes")
-    if not isinstance(routes_doc, list) or len(routes_doc) != len(scenario.routes):
-        raise PlanError(f"plan must describe exactly {len(scenario.routes)} route(s)")
+    _check_count(routes_doc, len(scenario.routes), "plan", "route")
 
     cells: list[tuple[RoutePeriodPlan, ...]] = []
     for r, rdoc in enumerate(routes_doc):
         route = scenario.routes[r]
         periods_doc = _read(_obj, rdoc, f"plan routes[{r}]").get("periods")
-        if not isinstance(periods_doc, list) or len(periods_doc) != len(scenario.periods):
-            raise PlanError(f"plan routes[{r}] must describe exactly {len(scenario.periods)} period(s)")
+        _check_count(periods_doc, len(scenario.periods), f"plan routes[{r}]", "period")
         row: list[RoutePeriodPlan] = []
         for t, pdoc in enumerate(periods_doc):
             menu = route.headway_menu(t)
@@ -241,6 +268,7 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
                 fleet = vehicle_need(route, pats)
             else:
                 fleet = _read(_num, fleet, f"{pwhere}.fleet")
+                _check_fleet(fleet, pwhere)
             row.append(RoutePeriodPlan(patterns=tuple(pats), fleet=float(fleet)))
         cells.append(tuple(row))
     return ServicePlan(cells=tuple(cells))
@@ -248,70 +276,42 @@ def load_plan(doc: Mapping[str, Any], scenario: Scenario) -> ServicePlan:
 
 @dataclass(frozen=True)
 class FlowAssignment:
-    """Sparse flow values, keyed per family.
+    """Sparse flow values, keyed as the design model's flow columns.
 
-    entry:      (t, r, d, i, c)       riders entering stop i for physical
-                                      destination d under combination c
-    boarding:   (t, r, d, i, c, p)    riders boarding pattern p; derived
-                                      as p's frequency share of the
-                                      cell's boarders, its entering plus
-                                      its re-boarding riders
-    inter_stop: (t, r, d, p, i, j)    riders on board between stops
-    exit:       (t, r, j, p)          riders leaving the system at stop j
-                                      from pattern p; derived as the
-                                      riding flow of label physical_of(j)
-                                      into j on p
-    transfer:   (t, r, d, i, j, p, c) riders alighting pattern p at i and
-                                      re-boarding at j under combination c;
-                                      derived as a proportional split of
-                                      each node
+    entry:      (t, r, d, i, c)       ``fw``: riders entering stop i for
+                                      physical destination d under
+                                      combination c
+    inter_stop: (t, r, d, p, i, j)    ``fl``: riders on board between stops
+    alighting:  (t, r, d, p, i)       ``ft``: riders alighting pattern p at
+                                      i to transfer
+    reboarding: (t, r, d, i, c)       ``fx``: riders boarding again at i
+                                      under combination c
 
-    ``from_flows`` derives them, for the design model and the evaluator.
+    ``from_flows`` checks the transfer nodes, for the design model and the
+    evaluator.
     """
 
     entry: dict[tuple, float] = field(default_factory=dict)
-    boarding: dict[tuple, float] = field(default_factory=dict)
     inter_stop: dict[tuple, float] = field(default_factory=dict)
-    exit: dict[tuple, float] = field(default_factory=dict)
-    transfer: dict[tuple, float] = field(default_factory=dict)
+    alighting: dict[tuple, float] = field(default_factory=dict)
+    reboarding: dict[tuple, float] = field(default_factory=dict)
 
     @classmethod
     def from_flows(cls, scenario: Scenario, entry: dict[tuple, float],
                    inter_stop: dict[tuple, float], alighting: dict[tuple, float],
                    reboarding: dict[tuple, float]) -> FlowAssignment:
-        """The assignment of ``entry`` and ``inter_stop`` riders with its
-        boarding, exit and transfer keys, given the riders ``alighting``
-        pattern p at stop i to transfer, keyed (t, r, d, p, i), and
-        ``reboarding`` at i under combination c, keyed (t, r, d, i, c). A
-        transfer node (t, r, d, physical stop) whose two sides differ by more
+        """The assignment of these four flows. A transfer node (t, r, d,
+        physical stop) whose alighting and re-boarding riders differ by more
         than ``NODE_TOL`` relative raises ``DecodeError``."""
-        fa = cls(entry=entry, inter_stop=inter_stop)
-        boarders = dict(entry)                          # (t, r, d, i, c) -> riders
-        for key, v in reboarding.items():
-            boarders[key] = boarders.get(key, 0.0) + v
-        for (t, r, d, i, c), v in boarders.items():
-            route = scenario.routes[r]
-            shares = enumerate_combinations(route.n_patterns, route.headway_menu(t))[c].shares
-            fa.boarding.update(((t, r, d, i, c, p), share * v)
-                               for p, share in enumerate(shares) if share > 0.0)
-
-        # riders leave at the first stop of their destination their ride reaches
         stop_of = [route.physical_of for route in scenario.routes]
-        for (t, r, d, p, i, j), v in inter_stop.items():
-            if stop_of[r](j) == d:
-                fa.exit[(t, r, j, p)] = fa.exit.get((t, r, j, p), 0.0) + v
-
-        # node (t, r, d, physical stop): alighters (i, p) and boarders (j, c)
-        nodes: dict[tuple, tuple[list, list]] = {}
+        nodes: dict[tuple, list[float]] = {}      # node -> [alighted, boarded]
         for (t, r, d, p, i), v in alighting.items():
-            nodes.setdefault((t, r, d, stop_of[r](i)), ([], []))[0].append((i, p, v))
+            nodes.setdefault((t, r, d, stop_of[r](i)), [0.0, 0.0])[0] += v
         for (t, r, d, j, c), v in reboarding.items():
-            nodes.setdefault((t, r, d, stop_of[r](j)), ([], []))[1].append((j, c, v))
-        for (t, r, d, o), (out, into) in nodes.items():
-            alighted, boarded = sum(v for *_, v in out), sum(v for *_, v in into)
+            nodes.setdefault((t, r, d, stop_of[r](j)), [0.0, 0.0])[1] += v
+        for (t, r, d, o), (alighted, boarded) in nodes.items():
             if abs(alighted - boarded) > NODE_TOL * max(1.0, boarded):
                 raise DecodeError(f"period {t} route {r} stop {o} label {d}: {alighted} riders "
                                   f"alight to transfer, {boarded} board")
-            fa.transfer.update(((t, r, d, i, j, p, c), a * w / boarded)
-                               for i, p, a in out for j, c, w in into)
-        return fa
+        return cls(entry=entry, inter_stop=inter_stop, alighting=alighting,
+                   reboarding=reboarding)

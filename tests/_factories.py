@@ -7,7 +7,8 @@ evaluator both admit phantom boarding: riders board a combination at a stop
 one of its patterns skips, wait its shorter joint headway, and leave that
 pattern at once to transfer. Both price the same too-low optimum, so the
 oracle, which prices with the evaluator, cannot see it. ``random_toy_doc``
-says why the oracle's enumeration is complete for them.
+says why the oracle's enumeration is complete for them, and
+``off_pattern_boardings`` finds phantom boardings in an assignment.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ from __future__ import annotations
 import random
 from math import ceil
 
-from transitopt import Scenario, load_scenario
+from transitopt import Scenario, ServicePlan, enumerate_combinations, load_scenario
+from transitopt.backend import FLOW_CLAMP_TOL
+from transitopt.plan import FlowAssignment
 
 
 def scenario_doc(
@@ -206,3 +209,21 @@ def full_pattern_plan_doc(scenario: Scenario, headway_choice: int = -1) -> dict:
             periods.append({"period": t, "patterns": patterns})
         routes.append({"route": r, "periods": periods})
     return {"routes": routes}
+
+
+def off_pattern_boardings(flows: FlowAssignment, scenario: Scenario,
+                          plan: ServicePlan) -> list[tuple[str, tuple, float]]:
+    """(column, key, riders) of each entering (``fw``) or re-boarding
+    (``fx``) flow above ``FLOW_CLAMP_TOL`` whose combination has an active
+    pattern that skips its stop; empty when every rider boards where the
+    combination's patterns all stop."""
+    found = []
+    for column, family in (("fw", flows.entry), ("fx", flows.reboarding)):
+        for (t, r, d, i, c), v in family.items():
+            route = scenario.routes[r]
+            combo = enumerate_combinations(route.n_patterns, route.headway_menu(t))[c]
+            patterns = plan.cell(r, t).patterns
+            if v > FLOW_CLAMP_TOL and any(i not in patterns[p].stops
+                                          for p in combo.active_patterns):
+                found.append((column, (t, r, d, i, c), v))
+    return found

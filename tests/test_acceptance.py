@@ -23,8 +23,8 @@ from transitopt import (
 from transitopt.cli import main as cli_main
 from transitopt.model import MilpModel
 
-from _factories import (add_route, city_doc, full_pattern_plan_doc, random_toy_doc,
-                        scenario_doc)
+from _factories import (add_route, city_doc, full_pattern_plan_doc,
+                        off_pattern_boardings, random_toy_doc, scenario_doc)
 
 DIRECT_SEEDS = list(range(1001, 1015))      # 14 toys without transfers
 TRANSFER_SEEDS = list(range(2001, 2007))    # 6 toys with transfers
@@ -171,6 +171,7 @@ def test_criterion_04_oracle_equivalence(registry):
 def test_criterion_05_cross_module_recomputation(registry):
     worst_rel = 0.0
     worst_resid = 0.0
+    off_pattern = []
     for rec in registry:
         fa = assign_flows(rec.scenario, rec.plan)
         m = compute_metrics(fa, rec.scenario, rec.plan)
@@ -179,9 +180,11 @@ def test_criterion_05_cross_module_recomputation(registry):
         for flows in (rec.flows, fa):
             for family, resid in conservation_residuals(flows, rec.scenario, rec.plan).items():
                 worst_resid = max(worst_resid, resid)
-    ok = worst_rel <= REL and worst_resid <= 1e-6
+            off_pattern += off_pattern_boardings(flows, rec.scenario, rec.plan)
+    ok = worst_rel <= REL and worst_resid <= 1e-6 and not off_pattern
     _report(5, "evaluator equals solver objective", ok,
-            f"worst relative {worst_rel:.2e}, worst residual {worst_resid:.2e}")
+            f"worst relative {worst_rel:.2e}, worst residual {worst_resid:.2e}, "
+            f"{len(off_pattern)} boardings where a pattern skips the stop")
     assert ok
 
 

@@ -364,7 +364,8 @@ class TestPlanOrder:
 
 class TestPlanValues:
     """Plan stops are integers and headways and fleets finite numbers, as in
-    scenarios; anything else is one `invalid plan:` line and exit 1."""
+    scenarios, and fleets not negative; anything else is one `invalid plan:`
+    line and exit 1."""
 
     @pytest.mark.parametrize("field, value, message", [
         ("stop", "a", "stops[1]: expected an integer, got 'a'"),
@@ -372,7 +373,10 @@ class TestPlanValues:
         ("stop", True, "stops[1]: expected an integer, got True"),
         ("headway", "x", "headway: expected a number, got 'x'"),
         ("fleet", "x", "fleet: expected a number, got 'x'"),
-    ], ids=["stop-text", "stop-fraction", "stop-bool", "headway-text", "fleet-text"])
+        ("fleet", float("nan"), "fleet: must be a finite number, got nan"),
+        ("fleet", -3.0, "fleet -3.0 is not a finite number of vehicles >= 0"),
+    ], ids=["stop-text", "stop-fraction", "stop-bool", "headway-text", "fleet-text", "fleet-nan",
+            "fleet-negative"])
     def test_bad_value_exit_one(self, tmp_path, capsys, field, value, message):
         path = write_doc(tmp_path, scenario_doc(symmetry=False, n_patterns=1))
         plan = full_pattern_plan_doc(load_scenario(path))

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from itertools import islice
 
@@ -18,8 +19,8 @@ from transitopt.plan import (FlowAssignment, PatternPlan, RoutePeriodPlan, Servi
                              model_order)
 
 from _blocks import record_programs, var_labels
-from _factories import (add_route, full_pattern_plan_doc, make_scenario, random_toy_doc,
-                        scenario_doc)
+from _factories import (add_route, full_pattern_plan_doc, make_scenario,
+                        off_pattern_boardings, random_toy_doc, scenario_doc)
 from transitopt.oracle import enumerate_plans
 
 
@@ -88,7 +89,9 @@ class MiniLp:
 def assign_lp_reference(scenario, plan, t, r, fa):
     """The program of route r in period t with a boarding copy per pattern
     tied by share equalities, exit flows with their rows and a transfer flow
-    per (d, i, j, p, c), built row by row; fills every family of ``fa``."""
+    per (d, i, j, p, c), built row by row; fills the four families of
+    ``fa``, each transfer flow counted once alighting p at i and once
+    boarding again at j."""
     route = scenario.routes[r]
     cell = plan.cell(r, t)
     nd = route.n_dir
@@ -218,14 +221,14 @@ def assign_lp_reference(scenario, plan, t, r, fa):
         raise EvaluationError(f"flow assignment solve failed: {res.message}")
     x = res.assignment.tolist()
 
-    for target, ids in ((fa.entry, w), (fa.boarding, a_), (fa.inter_stop, l_),
-                        (fa.transfer, chi)):
+    for target, ids in ((fa.entry, w), (fa.inter_stop, l_)):
         for key, idx in ids.items():
             if x[idx] > 1e-9:
                 target[(t, r, *key)] = x[idx]
-    for (d, s, p), idx in b_.items():
+    for (d, i, j, p, c), idx in chi.items():
         if x[idx] > 1e-9:
-            fa.exit[(t, r, s, p)] = fa.exit.get((t, r, s, p), 0.0) + x[idx]
+            for target, key in ((fa.alighting, (t, r, d, p, i)), (fa.reboarding, (t, r, d, j, c))):
+                target[key] = target.get(key, 0.0) + x[idx]
 
 
 def reference_flows(scenario, plan) -> FlowAssignment:
@@ -273,9 +276,9 @@ class TestHandExamples:
         plan = load_plan(plan_doc({(0, 0): [((0, 1, 2, 3), 5.0), ((0, 1, 2, 3), 10.0)]},
                                   scenario), scenario)
         fa = assign_flows(scenario, plan)
-        boardings = {p: v for (t, r, d, i, c, p), v in fa.boarding.items()}
-        assert boardings[0] == pytest.approx(20.0)
-        assert boardings[1] == pytest.approx(10.0)
+        # each pattern carries its frequency share of the 30 riders A -> B
+        riding = {(p, i, j): v for (t, r, d, p, i, j), v in fa.inter_stop.items()}
+        assert riding == pytest.approx({(0, 0, 1): 20.0, (1, 0, 1): 10.0})
         (key,) = fa.entry.keys()
         c = key[-1]
         from transitopt import enumerate_combinations
@@ -290,7 +293,7 @@ class TestHandExamples:
         fa = assign_flows(scenario, plan)
         m = compute_metrics(fa, scenario, plan)
         assert m.objective == 0.0
-        assert not fa.entry and not fa.boarding and not fa.inter_stop
+        assert fa == FlowAssignment()
 
     def test_transfer_required_journey(self):
         # pattern 0 covers A-B, pattern 1 covers B-C; A->C must change at B
@@ -641,6 +644,46 @@ class TestOneFitRule:
                 refused()
 
 
+class TestOnePlanShapeRule:
+    """``plan.check_plan`` refuses a plan built in code whose routes or
+    periods are not the scenario's, or whose fleet is not a finite number
+    of vehicles, for ``fix_baseline`` and ``assign_flows`` alike, as
+    ``load_plan`` refuses such a document."""
+
+    @staticmethod
+    def refused(scenario, plan, message):
+        for refused in (lambda: assign_flows(scenario, plan),
+                        lambda: fix_baseline(build_model(scenario), plan)):
+            with pytest.raises(PlanError, match=f"^{message}$"):
+                refused()
+
+    @pytest.mark.parametrize("routes, periods, message", [
+        (0, 1, r"plan must describe exactly 1 route\(s\)"),
+        (2, 1, r"plan must describe exactly 1 route\(s\)"),
+        (1, 0, r"plan routes\[0\] must describe exactly 1 period\(s\)"),
+        (1, 2, r"plan routes\[0\] must describe exactly 1 period\(s\)"),
+    ], ids=["no-route", "extra-route", "no-period", "extra-period"])
+    def test_routes_and_periods_are_the_scenarios(self, routes, periods, message):
+        scenario = make_scenario(symmetry=False)
+        cell = load_plan(full_pattern_plan_doc(scenario), scenario).cell(0, 0)
+        self.refused(scenario, ServicePlan(cells=((cell,) * periods,) * routes), message)
+
+    @pytest.mark.parametrize("fleet", [math.nan, math.inf, -math.inf, -3.0])
+    def test_fleet_is_a_finite_number_of_vehicles(self, fleet):
+        scenario = make_scenario(symmetry=False)
+        cell = load_plan(full_pattern_plan_doc(scenario), scenario).cell(0, 0)
+        self.refused(scenario, ServicePlan(cells=((replace(cell, fleet=fleet),),)),
+                     rf"plan routes\[0\]\.periods\[0\]: fleet {fleet} is not a finite "
+                     r"number of vehicles >= 0")
+
+    def test_patterns_refused_before_the_fleet(self):
+        scenario = make_scenario(symmetry=False)
+        cell = load_plan(full_pattern_plan_doc(scenario), scenario).cell(0, 0)
+        patterns = (PatternPlan(cell.patterns[0].stops, 5.0, 2), *cell.patterns[1:])
+        plan = ServicePlan(cells=((RoutePeriodPlan(patterns=patterns, fleet=-3.0),),))
+        self.refused(scenario, plan, r"headway 5.0 is not entry 2 of the menu .*")
+
+
 class TestCrossPathEquivalence:
     """The closed-form path and the program path must agree exactly."""
 
@@ -766,10 +809,12 @@ class TestAgainstSolver:
         model = build_model(scenario)
         result = solve(model, SolverConfig(time_limit_s=300))
         assert result.status == "optimal"
-        plan, _ = decode_plan(model, result)
+        plan, flows = decode_plan(model, result)
         fa = assign_flows(scenario, plan)
         m = compute_metrics(fa, scenario, plan)
         assert m.objective == pytest.approx(result.objective, rel=1e-6)
+        for assignment in (flows, fa):
+            assert not off_pattern_boardings(assignment, scenario, plan)
 
     def test_three_headways_split_by_inexact_shares(self):
         # a pool of 8 vehicles runs the three patterns at 5, 7 and 10
@@ -783,10 +828,13 @@ class TestAgainstSolver:
         assert result.status == "optimal"
         plan, flows = decode_plan(model, result)
         assert sorted(pat.headway for pat in plan.cell(0, 0).patterns) == [5.0, 7.0, 10.0]
-        m = compute_metrics(assign_flows(scenario, plan), scenario, plan)
+        evaluated = assign_flows(scenario, plan)
+        m = compute_metrics(evaluated, scenario, plan)
         assert m.objective == pytest.approx(result.objective, rel=1e-9)
         for family, worst in conservation_residuals(flows, scenario, plan).items():
             assert worst <= 1e-9, (family, worst)
+        for assignment in (flows, evaluated):
+            assert not off_pattern_boardings(assignment, scenario, plan)
 
     @pytest.mark.parametrize("gamma_transfer, optimum", [(2.0, 835.0), (1.5, 780.0)],
                              ids=["transfer-weighs-more", "equal-weights"])
@@ -808,10 +856,13 @@ class TestAgainstSolver:
                                             ((0, 1, 6, 7), 10.0)]}, scenario), scenario)
         fa = assign_flows(scenario, plan)
         assert {k[3] for k in fa.entry} == {0, 1}
-        assert {k[4] for k in fa.transfer} == {1}
-        fixed = solve(fix_baseline(build_model(scenario), plan), SolverConfig(time_limit_s=60))
+        assert {k[3] for k in fa.reboarding} == {1}
+        model = fix_baseline(build_model(scenario), plan)
+        fixed = solve(model, SolverConfig(time_limit_s=60))
         assert fixed.status == "optimal"
         assert fixed.objective == pytest.approx(optimum, rel=1e-9)
+        for assignment in (decode_plan(model, fixed)[1], fa):
+            assert not off_pattern_boardings(assignment, scenario, plan)
         assert compute_metrics(fa, scenario, plan).objective == pytest.approx(optimum, rel=1e-9)
 
     def test_capacity_binds_when_enabled(self):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from transitopt import (
-    RouteSpec, ScenarioError, arc_travel_time, load_scenario, mirror_stop,
+    RouteSpec, ScenarioError, load_scenario, mirror_stop,
     validate_scenario,
 )
 
@@ -60,38 +60,32 @@ class TestMirror:
             assert n <= mirror_stop(i, n_dir) < n_dir
 
 
-class TestArcTravelTime:
+class TestTravelTimeMatrix:
     def test_adjacent_link(self):
-        route = simple_route()
-        assert arc_travel_time(route, 0, 1) == pytest.approx(3.0)
-        assert arc_travel_time(route, 1, 2) == pytest.approx(4.0)
+        tmat = simple_route().travel_time_matrix()
+        assert tmat[0][1] == pytest.approx(3.0)
+        assert tmat[1][2] == pytest.approx(4.0)
 
     def test_skip_arc_with_dwell_saving(self):
-        route = simple_route(dwell=0.5)
+        tmat = simple_route(dwell=0.5).travel_time_matrix()
         # two links, one intermediate stop skipped
-        assert arc_travel_time(route, 0, 2) == pytest.approx(3.0 + 4.0 - 0.5)
+        assert tmat[0][2] == pytest.approx(3.0 + 4.0 - 0.5)
 
     def test_closure_arc_is_turnback_only(self):
-        route = simple_route(turnback=2.0)
-        assert arc_travel_time(route, 5, 0) == pytest.approx(2.0)
-        assert arc_travel_time(route, 2, 3) == pytest.approx(2.0)
+        tmat = simple_route(turnback=2.0).travel_time_matrix()
+        assert tmat[5][0] == pytest.approx(2.0)
+        assert tmat[2][3] == pytest.approx(2.0)
 
     def test_inbound_links_use_inbound_times(self):
-        route = simple_route()
+        tmat = simple_route().travel_time_matrix()
         # inbound_times is indexed by the lower physical stop: [B->A, C->B]
         # stop 3 is physical C inbound, so 3->4 rides the C->B link
-        assert arc_travel_time(route, 3, 4) == pytest.approx(3.0)
-        assert arc_travel_time(route, 4, 5) == pytest.approx(4.0)
-
-    def test_rejects_self_loop(self):
-        with pytest.raises(ScenarioError):
-            arc_travel_time(simple_route(), 2, 2)
+        assert tmat[3][4] == pytest.approx(3.0)
+        assert tmat[4][5] == pytest.approx(4.0)
 
     def test_composition_rule(self):
-        route = simple_route(dwell=0.7)
-        direct = arc_travel_time(route, 0, 2)
-        composed = arc_travel_time(route, 0, 1) + arc_travel_time(route, 1, 2)
-        assert direct == pytest.approx(composed - 0.7)
+        tmat = simple_route(dwell=0.7).travel_time_matrix()
+        assert tmat[0][2] == pytest.approx(tmat[0][1] + tmat[1][2] - 0.7)
 
     @given(st.integers(min_value=2, max_value=6), st.data())
     def test_cycle_time_invariant_without_dwell_saving(self, n, data):
@@ -107,10 +101,8 @@ class TestArcTravelTime:
         nd = 2 * n
         # any decomposition of the loop into arcs preserves the cycle time
         stops = sorted(rng.sample(range(nd), rng.randint(2, nd)))
-        cycle = sum(
-            arc_travel_time(route, stops[k], stops[(k + 1) % len(stops)])
-            for k in range(len(stops))
-        )
+        tmat = route.travel_time_matrix()
+        cycle = sum(tmat[stops[k]][stops[(k + 1) % len(stops)]] for k in range(len(stops)))
         assert cycle == pytest.approx(full, rel=1e-12)
 
     @given(st.integers(min_value=2, max_value=6), st.data())
@@ -136,7 +128,6 @@ class TestArcTravelTime:
                 for j in range(route.n_dir):
                     if i != j:
                         assert mat[i][j] == walk_time(route, i, j)
-                        assert arc_travel_time(route, i, j) == mat[i][j]
 
 
 class TestLoadScenario:

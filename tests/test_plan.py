@@ -89,6 +89,14 @@ class TestLoadPlan:
         with pytest.raises(PlanError, match="pattern"):
             load_plan(doc, scenario)
 
+    def test_patterns_refused_before_the_fleet(self):
+        scenario = make_scenario()
+        doc = full_pattern_plan_doc(scenario)
+        doc["routes"][0]["periods"][0]["patterns"][0]["headway"] = 6.5
+        doc["routes"][0]["periods"][0]["fleet"] = -3.0
+        with pytest.raises(PlanError, match="not on the menu"):
+            load_plan(doc, scenario)
+
     def test_round_trip_through_dict(self):
         scenario = make_scenario()
         plan = load_plan(full_pattern_plan_doc(scenario), scenario)

@@ -5,14 +5,14 @@ import pytest
 
 from transitopt import (
     SolverConfig, assign_flows, build_model, compute_metrics, conservation_residuals,
-    decode_plan, fix_baseline, load_plan, model_stats, solve, write_lp,
+    decode_plan, enumerate_combinations, fix_baseline, load_plan, model_stats, solve, write_lp,
 )
 from transitopt.backend import DecodeError
 from transitopt.model import MilpModel, row_block, var_block
 
 from _blocks import var_ids
-from _factories import (full_pattern_plan_doc, ladder_doc, make_scenario, random_toy_doc,
-                        scenario_doc)
+from _factories import (full_pattern_plan_doc, ladder_doc, make_scenario,
+                        off_pattern_boardings, random_toy_doc, scenario_doc)
 from transitopt import load_scenario
 
 
@@ -306,18 +306,58 @@ class TestTransferDecode:
     def test_direction_and_pattern_changes_decode_exactly(self):
         scenario, plan, model, result = self.solved()
         _, flows = decode_plan(model, result)
-        # (destination, alight stop, board stop, alight pattern) -> riders
-        changes: dict[tuple, float] = {}
-        for (t, r, d, i, j, p, c), v in flows.transfer.items():
-            changes[(d, i, j, p)] = changes.get((d, i, j, p), 0.0) + v
-        assert changes == pytest.approx({(3, 2, 2, 0): 10.0, (0, 2, 5, 0): 20.0,
-                                         (0, 5, 5, 1): 30.0}, rel=1e-9)
+        # (destination, alight pattern, alight stop) -> riders: A -> D off
+        # pattern 0 at C outbound, B -> A off pattern 0 there too, D -> A
+        # off pattern 1 at C inbound
+        alighting = {(d, p, i): v for (t, r, d, p, i), v in flows.alighting.items()}
+        assert alighting == pytest.approx({(3, 0, 2): 10.0, (0, 0, 2): 20.0, (0, 1, 5): 30.0},
+                                          rel=1e-9)
+        # (destination, board stop) -> riders: A -> D board again at C
+        # outbound, the two groups for A together at C inbound
+        reboarding: dict[tuple, float] = {}
+        for (t, r, d, j, c), v in flows.reboarding.items():
+            reboarding[(d, j)] = reboarding.get((d, j), 0.0) + v
+        assert reboarding == pytest.approx({(3, 2): 10.0, (0, 5): 50.0}, rel=1e-9)
         for family, worst in conservation_residuals(flows, scenario, plan).items():
             assert worst <= 1e-9, (family, worst)
         assert compute_metrics(flows, scenario, plan).objective == pytest.approx(
             result.objective, rel=1e-9)
-        evaluated = compute_metrics(assign_flows(scenario, plan), scenario, plan)
-        assert evaluated.objective == pytest.approx(result.objective, rel=1e-9)
+        evaluated = assign_flows(scenario, plan)
+        assert compute_metrics(evaluated, scenario, plan).objective == pytest.approx(
+            result.objective, rel=1e-9)
+        for assignment in (flows, evaluated):
+            assert not off_pattern_boardings(assignment, scenario, plan)
+
+    @pytest.mark.parametrize("column", ["fw", "fl-ride", "ft", "fl-arrive"])
+    def test_each_residual_family_reports_its_rows(self, column):
+        # one more rider on one decoded flow: the balance it is named for
+        # reports that rider. Entering, alighting and arriving riders sit in
+        # on-board balance rows too, which report their share of the rider;
+        # a family whose rows the column does not enter stays at rounding.
+        scenario, plan, model, result = self.solved()
+        _, flows = decode_plan(model, result)
+        physical_of = scenario.routes[0].physical_of
+        rides = [key for key in flows.inter_stop if physical_of(key[-1]) != key[2]]
+        arrives = [key for key in flows.inter_stop if physical_of(key[-1]) == key[2]]
+        family, values, key = {
+            "fw": ("demand_entry", flows.entry, min(flows.entry)),
+            "fl-ride": ("onboard_balance", flows.inter_stop, min(rides)),
+            "ft": ("transfer_balance", flows.alighting, min(flows.alighting)),
+            "fl-arrive": ("destination_inflow", flows.inter_stop, min(arrives)),
+        }[column]
+        values[key] += 1.0
+        onboard = 1.0
+        if column == "fw":
+            t, r, c = key[0], key[1], key[-1]
+            route = scenario.routes[r]
+            onboard = max(enumerate_combinations(route.n_patterns,
+                                                 route.headway_menu(t))[c].shares)
+        expected = {"onboard_balance": onboard, family: 1.0}
+        residuals = conservation_residuals(flows, scenario, plan)
+        assert set(residuals) == {"demand_entry", "onboard_balance", "transfer_balance",
+                                  "destination_inflow"}
+        for name, worst in residuals.items():
+            assert worst == pytest.approx(expected.get(name, 0.0), abs=1e-9), name
 
     def test_node_whose_alighters_and_boarders_differ_is_refused(self):
         from transitopt import SolveResult
