@@ -26,11 +26,13 @@ class CombinationError(ValueError):
     """Raised for empty menus or all-out-of-service index vectors."""
 
 
-def _frequencies(headway_indices: Sequence[int], menu: Sequence[float]) -> list[float]:
+def _frequencies(headway_indices: Sequence[int], menu: Sequence[float]) -> tuple[list, float]:
     """Each pattern's frequency (inverse headway), 0.0 where index 0 marks it
-    out of service; refuses an index outside the menu and a vector with no
-    pattern in service."""
+    out of service, and their total added left to right, not by ``sum``, which
+    compensates from Python 3.12; refuses an index outside the menu and a
+    vector with no pattern in service."""
     freqs: list[float] = []
+    total = 0.0
     for h in headway_indices:
         if h == 0:
             freqs.append(0.0)
@@ -38,9 +40,10 @@ def _frequencies(headway_indices: Sequence[int], menu: Sequence[float]) -> list[
         if not 1 <= h <= len(menu):
             raise CombinationError(f"headway index {h} outside menu of size {len(menu)}")
         freqs.append(1.0 / menu[h - 1])
+        total += freqs[-1]
     if not any(headway_indices):
         raise CombinationError("combination must have at least one in-service pattern")
-    return freqs
+    return freqs, total
 
 
 def perceived_headway(headway_indices: Sequence[int], menu: Sequence[float]) -> float:
@@ -49,11 +52,11 @@ def perceived_headway(headway_indices: Sequence[int], menu: Sequence[float]) -> 
     Index 0 marks an out-of-service pattern; at least one index must be
     nonzero. Equals the single active headway when only one pattern runs.
     """
-    freqs = _frequencies(headway_indices, menu)
+    _, total = _frequencies(headway_indices, menu)
     only, *more = (h for h in headway_indices if h)
     if not more:
         return menu[only - 1]
-    return 1.0 / sum(freqs)
+    return 1.0 / total
 
 
 def frequency_shares(headway_indices: Sequence[int], menu: Sequence[float]) -> tuple[float, ...]:
@@ -62,11 +65,8 @@ def frequency_shares(headway_indices: Sequence[int], menu: Sequence[float]) -> t
     Active patterns receive flow proportional to their frequency (inverse
     headway); out-of-service patterns receive 0. Shares sum to 1.
     """
-    invs = _frequencies(headway_indices, menu)
-    inv_total = 0.0
-    for v in invs:
-        inv_total += v
-    return tuple(v / inv_total for v in invs)
+    freqs, total = _frequencies(headway_indices, menu)
+    return tuple(v / total for v in freqs)
 
 
 @dataclass(frozen=True)

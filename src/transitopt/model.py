@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Any, Sequence
 
 import numpy as np
@@ -102,7 +102,7 @@ ROW_FAMILIES = (
     "fleet_pool",           # per-period fleet draw within the vehicle pool
     "fleet_hours",          # duration-weighted fleet within vehicle-hours
     "one_combination",      # at most one combination per entry stop and label
-    "combination_menu",     # combination only if its headways are picked
+    "combination_menu",     # per cell, p and h: picks that run p at h only if y[p, h]
     "board_gate",           # entries + transfer boardings only under the picked combination
     "demand_entry",         # entries at both direction stops cover demand
     "onboard_balance",      # boardings + riding in == riding out + alightings
@@ -340,7 +340,7 @@ def _add_route_period(b: Builder, scenario: Scenario, t: int, r: int) -> int:
     combos = enumerate_combinations(npat, menu)
     nc = len(combos)
     tmat = np.array(route.travel_time_matrix(), dtype=np.float64)
-    t_full = sum(route.adjacent_times())
+    *_, t_full = accumulate(route.adjacent_times())     # left to right: sum() compensates from 3.12
     mirror = nd - 1 - np.arange(nd)
     dests = np.arange(n)
     pats = np.arange(npat)
@@ -353,10 +353,6 @@ def _add_route_period(b: Builder, scenario: Scenario, t: int, r: int) -> int:
     entry = (np.arange(nd) != dests[:, None]) & (np.arange(nd) != mirror[:n, None])
     ent_d, ent_i = np.nonzero(entry)                    # cells in (d, i) order
     n_ent = len(ent_d)
-    # (combination, active pattern) pairs in combination order
-    cp_c, cp_p = np.array([(c, p) for c, combo in enumerate(combos)
-                           for p in combo.active_patterns], dtype=np.int64).reshape(-1, 2).T
-    ncp = len(cp_c)
     shares = np.array([combo.shares for combo in combos])          # [c, p]
 
     big_m = np.array([big_m_flow(scenario, r, t, d) for d in range(n)], dtype=np.float64)
@@ -483,11 +479,15 @@ def _add_route_period(b: Builder, scenario: Scenario, t: int, r: int) -> int:
     # --- combinations ---------------------------------------------------
     b.add_rows("one_combination", (t, r, z_i, z_d), [(zid[z_i, z_d], 1.0)], "<=", 1.0)
 
-    pick_y = yid[cp_p, [combos[c].headway_indices[p] for c, p in zip(cp_c, cp_p)]]
-    m_i, m_d = np.repeat(z_i, ncp), np.repeat(z_d, ncp)
-    m_c, m_p = np.tile(cp_c, len(z_i)), np.tile(cp_p, len(z_i))
-    b.add_rows("combination_menu", (t, r, m_i, m_d, m_c, m_p),
-               [(zid[m_i, m_d, m_c], 1.0), (np.tile(pick_y, len(z_i)), -1.0)], "<=", 0.0)
+    # a cell picks at most one combination, so one row per pattern p and
+    # entry h caps all its picks that run p at h: (m + 1)^(npat - 1) of them
+    runs = np.array([combo.headway_indices for combo in combos])              # [c, p]
+    runs_at = np.array([np.flatnonzero(runs[:, p] == h) for p, h in zip(cy_p, cy_h + 1)])
+    m_i, m_d = np.repeat(z_i, len(cy_p)), np.repeat(z_d, len(cy_p))
+    m_p, m_h = np.tile(cy_p, len(z_i)), np.tile(cy_h + 1, len(z_i))
+    b.add_rows("combination_menu", (t, r, m_i, m_d, m_p, m_h),
+               [(zid[z_i, z_d][:, runs_at].reshape(len(m_i), -1), 1.0), (yid[m_p, m_h], -1.0)],
+               "<=", 0.0)
 
     # a cell's boarders are its entries plus its transfer boardings
     boarders = [(ids, 1.0) for ids in ([fw_ids, fx_ids] if opts.allow_transfers else [fw_ids])]

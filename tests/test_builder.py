@@ -88,7 +88,6 @@ class TestRowCounts:
         n, patterns, m = 3, 2, 2
         s = 2 * n
         n_combos = (m + 1) ** patterns - 1
-        actives = patterns * m * (m + 1) ** (patterns - 1)
         fl_per = comb(s, 2) - (s - 1)
         scenario = make_scenario(symmetry=False)
         rows = model_stats(build_model(scenario))["rows"]["by_family"]
@@ -104,7 +103,7 @@ class TestRowCounts:
         assert rows["fleet_pool"] == 1
         assert rows["fleet_hours"] == 1
         assert rows["one_combination"] == n * (s - 2)
-        assert rows["combination_menu"] == n * (s - 2) * actives
+        assert rows["combination_menu"] == n * (s - 2) * patterns * m
         assert rows["board_gate"] == n * (s - 2) * n_combos
         assert rows["demand_entry"] == n * (n - 1)
         assert rows["onboard_balance"] == n * patterns * (s - 2)
@@ -160,6 +159,35 @@ class TestShareCoefficients:
                 assert seen[v] == (
                     {("board_gate", (t, r, d, i, c)), (own_row[family], (t, r, min(i, 5 - i), d))}
                     | {("onboard_balance", (t, r, d, p, i)) for p in combos[c].active_patterns})
+
+
+class TestCombinationMenu:
+    def test_one_row_per_cell_pattern_and_entry(self):
+        # a cell picks at most one combination, so one row per pattern p and
+        # menu entry h caps all the cell's picks that run p at h by y[p, h]
+        menu = (5.0, 7.0)
+        model = build_model(make_scenario(menu=menu, n_patterns=2))
+        combos = enumerate_combinations(2, menu)
+        labels = var_labels(model)
+        rows = list(rows_of(model, "combination_menu"))
+        cells = sorted({(i, d) for _, _, i, d, _ in var_ids(model, "z")})
+        assert len(cells) == 12
+        assert [key[2:] for key, *_ in rows] == [
+            (i, d, p, h) for i, d in cells for p in range(2) for h in range(1, 3)]
+        for (t, r, i, d, p, h), terms, sense, rhs in rows:
+            assert (sense, rhs) == ("<=", 0.0)
+            assert [(labels[v], a) for v, a in terms] == [
+                (("z", (t, r, i, d, c)), 1.0)
+                for c, combo in enumerate(combos) if combo.headway_indices[p] == h
+            ] + [(("y", (t, r, p, h)), -1.0)]
+
+
+def test_cycle_gate_bound_added_left_to_right():
+    # the loop's six step minutes add to 22.299999999999997 left to right on
+    # every interpreter; ``sum`` of floats compensates from Python 3.12: 22.3
+    model = build_model(load_scenario(random_toy_doc(1)))
+    assert {a for _, terms, _, _ in rows_of(model, "cycle_gate") for _, a in terms} == {
+        1.0, -22.299999999999997}
 
 
 class TestTransferNodes:

@@ -38,6 +38,22 @@ class TestRelaxation:
         assert relaxed.status == "optimal"
         assert relaxed.objective >= bound - 1e-9
 
+    @pytest.mark.parametrize("seed, transfers, bound", [
+        (6, False, 421.91818181818184),
+        (35, False, 677.0041379310344),
+        (7, True, 219.8117088607595),
+    ])
+    def test_toy_root_bound_never_weakens(self, seed, transfers, bound):
+        # the LP relaxation of toys whose bound rose when combination_menu
+        # summed a cell's picks per pattern and menu entry: a change of
+        # formulation may raise it, never lower it
+        model = build_model(load_scenario(random_toy_doc(seed, transfers=transfers)))
+        c, a, lo, hi, integrality, lb, ub = _model_arrays(model)
+        relaxed = solve_arrays(c, a, lo, hi, np.zeros_like(integrality), lb, ub,
+                               SolverConfig(time_limit_s=120))
+        assert relaxed.status == "optimal"
+        assert relaxed.objective >= bound - 1e-6
+
 
 class TestModelWellFormed:
     def test_rows_reference_registered_variables_only(self):

@@ -2,13 +2,10 @@
 size of the city model, and the size of the evaluator's program for the
 city's full-pattern plan.
 
-The pins were last taken when the families the other rows imply were
-deleted (``loop_visit_cap``; the exit flow ``fb`` with ``demand_exit`` and
-``arrive_exit_balance``; the boarding copy ``fa`` with
-``entry_board_balance``): those rows go, and ``board_gate`` and
-``onboard_balance`` read ``fw`` (and ``fx``) where they read ``fa``. Every
-other row is unchanged. Any change to the LP text or to a family's size
-shows up here.
+The pins were last taken when ``combination_menu`` went from one row per
+(cell, combination, active pattern) to one row per (cell, pattern, menu
+entry), which sums the old rows of one pattern and entry. Every other row is
+unchanged. Any change to the LP text or to a family's size shows up here.
 """
 
 import hashlib
@@ -20,29 +17,30 @@ from transitopt import (assign_flows, build_model, fix_baseline, load_plan, load
 
 from _blocks import record_programs
 from _factories import city_doc, full_pattern_plan_doc, random_toy_doc
+from test_builder import two_route_two_period_doc
 
 LP_SHA256 = {
-    "transfers-off-1": "7f1c226670db056b81154e344aab844a39992b66f87fa4893d2a4e227592d963",
-    "transfers-off-2": "167522053465131fa543d69eb0cb4a8a1439c8cbbb3f333fa4394029ff6ad577",
-    "transfers-off-3": "d6aa0428838ca755358a45f84b444e5c738306112636bc3369813ea24f9d8b98",
-    "transfers-on-dwell-1": "0c0ace80d72a187f598a3d52f2ba31e680157ad458654def47408ee2cfdb93e8",
-    "transfers-on-dwell-2": "0c12177f3df37abd1538336e246a416b4d795912da202a1dee1d2c698dfb375d",
-    "transfers-on-dwell-3": "54e003738854267ef73efda18313579c4cb621a55aabc08552c3d6c3322d559f",
-    "capacity-1": "ed6f0777d18723beebe88a1f18c162b5d1ddd84d5d7481da173d602086af5cbb",
-    "capacity-2": "f8e295a6bb5b5e77f446739e7c0ede1c7c86f04015b0d1cb83db69170cf67e46",
-    "capacity-3": "252c8633d3369c600dd15617b1c1e7c407e31822b81e2533c58d5086c87ba2fe",
-    "two-periods-1": "61da6f1c1d1d20488a9848c94fb63f659b9e9e405f08438b9249871be2863f8b",
-    "two-periods-2": "20efc0fe363177848df98d0ba3543a9bd54aecf1f4b9397f140e406d961371ca",
-    "two-periods-3": "1338335ca17aa1eb6f102ae05c43f4a82d29a0b413ffc86cb4ab2cd90beb3513",
-    "integer-fleet-1": "fbc12a8623eeb8552107685d16ff02259239f0f963d91bf23e3746ee82147755",
-    "integer-fleet-2": "5b538aaa417902539ca489a914fb1bfc0c83e5e85c7812f66093ef1c86898092",
-    "integer-fleet-3": "9e84d8b366758b890652ef026e0c07cf5a5a8f7b1fd60557434209e5567cc029",
-    "symmetry-1": "41f087bed3d2de2762b9296fdf571536272561c9ba30373f521ba899420cc8da",
-    "symmetry-2": "5a6eb8b387498519cea83c370e4e08afe0b0a36ae3f2debd031bd00ef381d27c",
-    "symmetry-3": "99bd23d47211a2f444d88630beebe65ebe9e51f0ad643a740a28036eb7c1deba",
-    "fixed-baseline-1": "dc652f004d2e6035f1ae91716a5ded44f0196ccd59603f73c03eb59b4dba92ed",
-    "fixed-baseline-2": "f11f3f6b14f49cc0eb0fbc9ab227319975d3bd9161cb46eab982493a6244a183",
-    "fixed-baseline-3": "39ae3889e766b2842dda5fa2d1244df6277349108e2698cbdd4c21f232bd33f3",
+    "transfers-off-1": "9855d136a3b3a17fd1926fe98e84687f684fb780a545af6c4d934009c99dee46",
+    "transfers-off-2": "65e261821d00921cdc44f9c9630d660d7ea433d5285dee102010c3246147b61b",
+    "transfers-off-3": "c50458fa9f56cebec8a35629060b151ad4d091b51f0ec6c0f9b3e676007c849c",
+    "transfers-on-dwell-1": "2f33ca989f19d9a70c1c77e81af6173437efcff5778262289010b85d785e7b07",
+    "transfers-on-dwell-2": "aed151e35a4f2799cca37f72afc919dda9746034b3526b104709278dbb653f12",
+    "transfers-on-dwell-3": "5aa2602d2d5a836e2f185e198b829504cd51ed1758304f0131086a4135e60605",
+    "capacity-1": "52e3c7ff448063f4c78d0133feca26722771079f571fe9da1a2950f8487b93a3",
+    "capacity-2": "38b977d71ff0b19d1eb89eb2506cfdead59141cb6045fd8de4c6de32e5680348",
+    "capacity-3": "f6f64f9924f2e6c7df55acfd32dc61d13f40977859eb0530629160debcd4f562",
+    "two-periods-1": "90fde99de9832a63dcb2bdbee4ded39ed3a3a6b87ed5fc0e53078d589766ff00",
+    "two-periods-2": "a180b4f7eff0f47ec3d73dfe5e5185626ac8ad6b09f62d812b22b25483dd0701",
+    "two-periods-3": "03feb585441eb6f12ca9580ab1fc8f52b00966d6e93b8344a5abe74f0daffdb6",
+    "integer-fleet-1": "00879d782fa0d6495f14533b55faaf2eccdee6546866a2252b3b7dc92252a0b1",
+    "integer-fleet-2": "0b6f1a9810a3a44da7d695116144ed75b0b15b545995fa940062f5891f42a456",
+    "integer-fleet-3": "b5e47ba29a48cc6ab58d36fffc37bfde37aceb37b4031cfc631878fd8816ce2b",
+    "symmetry-1": "72b246aceb36ed93319a2f0e1cfcba34d3ace880e170c6a481a8939dc369d27d",
+    "symmetry-2": "76985fe815d6c5e712a975f847db31dbc7babadccfa24510a661c88af3cfd59b",
+    "symmetry-3": "832587dadec5e293f2bf854cd100e693f2be796d90d264602e608b2ca28592d8",
+    "fixed-baseline-1": "b35acc8dfac62399aa88fe6bfbfddb12fefb188ea415f38eb169dba27dcce029",
+    "fixed-baseline-2": "1a5a8e68a8d6c5053daf38f0d197d40516e50dbc84d135465242f38619f3d36c",
+    "fixed-baseline-3": "231e14223a85bbb7b93a6a06f70cec275092bca4d16bc3b45876cc163019debd",
 }
 
 
@@ -76,8 +74,19 @@ def test_lp_text_pinned(case):
     assert hashlib.sha256(write_lp(model).encode()).hexdigest() == LP_SHA256[case]
 
 
+# The second route runs three patterns on the menu (4, 6, 9), so its
+# perceived headways add three frequencies; their total must not depend on
+# the interpreter (``sum`` of floats is compensated from Python 3.12).
+THREE_PATTERN_LP_SHA256 = "cd55f2f13e5643e3a5d35120eb9f42fa91ed0c1d7db56e61a94d7ef28f0896f3"
+
+
+def test_three_pattern_lp_text_pinned():
+    data = write_lp(build_model(load_scenario(two_route_two_period_doc()))).encode()
+    assert hashlib.sha256(data).hexdigest() == THREE_PATTERN_LP_SHA256
+
+
 # sha256 and length of the city model's LP text
-CITY_LP = ("c59d5448ab083d2df21ed29bed0c34123230b76831d658ab606995e0554323df", 70_266_290)
+CITY_LP = ("f74a1e9e9b35d73597dc9cd8bc53778f2a75116b7d95b3095ed0c50cd332ac7f", 68_715_986)
 
 
 def test_city_lp_text_pinned():
@@ -95,17 +104,17 @@ def test_city_model_stats_pinned():
                           "fl": 307020, "ft": 7224, "fx": 28896, "n": 1},
         },
         "rows": {
-            "total": 393895,
+            "total": 364999,
             "by_family": {
                 "loop_balance": 172, "loop_wrap": 2,
                 "ride_arc_gate": 307020, "pattern_symmetry": 0, "one_headway": 2,
                 "headway_order": 2, "cycle_gate": 4, "cycle_split": 2, "arc_capacity": 0,
                 "fleet_need": 1, "fleet_pool": 1, "fleet_hours": 1, "one_combination": 3612,
-                "combination_menu": 43344, "board_gate": 28896, "demand_entry": 1806,
+                "combination_menu": 14448, "board_gate": 28896, "demand_entry": 1806,
                 "onboard_balance": 7224, "transfer_balance": 1806,
             },
         },
-        "nonzeros": 1633261,
+        "nonzeros": 1604365,
     }
 
 
