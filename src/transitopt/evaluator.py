@@ -448,6 +448,10 @@ def conservation_residuals(fa: FlowAssignment, scenario: Scenario,
                         stop of a physical stop against those boarding again
     destination_inflow: riding flow into d's two stops against the riders
                         into d
+
+    ``plan`` is not read: the assignment and the scenario determine every
+    balance. The argument stays so that existing three-argument calls keep
+    working.
     """
     combo_sets = _combo_sets(scenario)
     stop_of = [route.physical_of for route in scenario.routes]

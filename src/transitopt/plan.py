@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Any, Callable, Iterable, Mapping
 
 from .network import RouteSpec, Scenario, ScenarioError, _int, _list, _num, _obj
@@ -83,13 +85,20 @@ class PatternPlan:
         if stops and (stops[0] < 0 or stops[-1] >= nd):
             raise ScenarioError(f"direction stops {list(stops)} out of range [0, {nd})")
         tmat = route.travel_time_matrix()
-        return sum(tmat[u][v] for u, v in self.arcs())
+        return _added(tmat[u][v] for u, v in self.arcs())
 
 
 def vehicle_need(route: RouteSpec, patterns: Iterable[PatternPlan]) -> float:
     """Vehicles that run ``patterns`` on ``route``: cycle time over headway,
     summed across in-service patterns in pattern order."""
-    return sum(pat.cycle_time(route) / pat.headway for pat in patterns if pat.in_service)
+    return _added(pat.cycle_time(route) / pat.headway for pat in patterns if pat.in_service)
+
+
+def _added(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0, as ``sum`` does before Python
+    3.12; from 3.12 ``sum`` of floats is compensated, which can change the
+    last digit and with it the LP text."""
+    return reduce(operator.add, values, 0)
 
 
 def model_order(patterns: Iterable[PatternPlan]) -> tuple[PatternPlan, ...]:

@@ -1,10 +1,13 @@
 import math
+import operator
+from functools import reduce
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from transitopt import PatternPlan, PlanError, ScenarioError, load_plan, loop_arcs
-from transitopt.plan import check_cell
+from transitopt.plan import check_cell, vehicle_need
 
 from _factories import full_pattern_plan_doc, make_scenario
 
@@ -153,6 +156,30 @@ class TestCycleTime:
         assert route.n_dir == 6
         with pytest.raises(ScenarioError, match="out of range"):
             PatternPlan(stops, 5.0, 1).cycle_time(route)
+
+    # Minutes whose left-to-right sum, 0.6000000000000001, is not their
+    # correctly rounded sum, 0.6, which Python 3.12's compensated sum() gives.
+    MINUTES = (0.1, 0.2, 0.3)
+    LEFT_TO_RIGHT = reduce(operator.add, MINUTES)
+
+    def test_minutes_tell_the_two_sums_apart(self):
+        assert self.LEFT_TO_RIGHT != math.fsum(self.MINUTES)
+
+    def test_cycle_time_adds_left_to_right(self):
+        a, b, c = self.MINUTES
+        route = SimpleNamespace(n_dir=3, travel_time_matrix=lambda: [[0.0, a, 0.0],
+                                                                     [0.0, 0.0, b],
+                                                                     [c, 0.0, 0.0]])
+        assert PatternPlan((0, 1, 2), 5.0, 1).cycle_time(route) == self.LEFT_TO_RIGHT
+
+    def test_vehicle_need_adds_left_to_right(self):
+        # three two-stop loops, each a / b / c minutes out and 0 back, every 1 minute
+        a, b, c = self.MINUTES
+        route = SimpleNamespace(n_dir=3, travel_time_matrix=lambda: [[0.0, a, b],
+                                                                     [0.0, 0.0, c],
+                                                                     [0.0, 0.0, 0.0]])
+        patterns = [PatternPlan(stops, 1.0, 1) for stops in ((0, 1), (0, 2), (1, 2))]
+        assert vehicle_need(route, patterns) == self.LEFT_TO_RIGHT
 
 
 def in_stop_order(stops: list[int]) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from transitopt import (
     SolverConfig, assign_flows, build_model, compute_metrics, conservation_residuals,
     decode_plan, enumerate_combinations, fix_baseline, load_plan, model_stats, solve, write_lp,
 )
+from transitopt import lpio
 from transitopt.backend import DecodeError
 from transitopt.model import MilpModel, row_block, var_block
 
@@ -14,6 +16,7 @@ from _blocks import var_ids
 from _factories import (full_pattern_plan_doc, ladder_doc, make_scenario,
                         off_pattern_boardings, random_toy_doc, scenario_doc)
 from transitopt import load_scenario
+from test_pins import LP_SHA256, variant_doc
 
 
 def assert_highs_round_trip(model, tmp_path):
@@ -182,6 +185,62 @@ class TestExport:
         assert "x_t0_r0_p0_i0_j1" in text
         assert "y_t0_r0_p0_h0" in text
         assert "n_r0_t0" in text
+
+
+class TestSlices:
+    """The writer renders in slices of at most ``lpio._SLICE_TERMS`` terms;
+    where the slices fall changes how the text is joined, never its bytes.
+    A budget of 1 or 7 terms cuts the toys' blocks and their objective (one
+    line per slice) and leaves rows longer than the budget alone."""
+
+    BUDGETS = [1, 7, lpio._SLICE_TERMS]
+
+    @pytest.fixture(scope="class")
+    def ladder(self):
+        return build_model(load_scenario(ladder_doc(6, 7, transfers=True)))
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("case", ["transfers-off-1", "transfers-on-dwell-2", "two-periods-3"])
+    def test_pinned_toys_keep_their_bytes(self, monkeypatch, case, budget):
+        variant, seed = case.rsplit("-", 1)
+        model = build_model(load_scenario(variant_doc(int(seed), variant)))
+        monkeypatch.setattr(lpio, "_SLICE_TERMS", budget)
+        assert hashlib.sha256(write_lp(model).encode()).hexdigest() == LP_SHA256[case]
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_ladder_keeps_its_bytes(self, monkeypatch, ladder, budget):
+        whole = write_lp(ladder)
+        monkeypatch.setattr(lpio, "_SLICE_TERMS", budget)
+        assert write_lp(ladder) == whole
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    def test_every_chunk_ends_a_line(self, monkeypatch, ladder, budget):
+        monkeypatch.setattr(lpio, "_SLICE_TERMS", budget)
+        chunks = list(lpio.lp_chunks(ladder))
+        assert all(chunk.endswith("\n") for chunk in chunks)
+        assert "".join(chunks) == write_lp(ladder)
+
+    @pytest.mark.parametrize("budget", [1, 7, 100])
+    def test_slices_are_whole_rows_within_the_budget(self, monkeypatch, ladder, budget):
+        monkeypatch.setattr(lpio, "_SLICE_TERMS", budget)
+        for block in ladder.row_blocks:
+            indptr = block.indptr
+            nrows = len(indptr) - 1
+            slices = lpio._slices(indptr)
+            assert [a for a, _ in slices] == [0] + [b for _, b in slices[:-1]]
+            assert slices[-1][1] == nrows
+            for a, b in slices:
+                assert indptr[b] - indptr[a] <= budget or b == a + 1
+                # the next row would not have fitted
+                assert b == nrows or indptr[b + 1] - indptr[a] > budget
+
+    def test_small_budget_cuts_blocks_and_objective(self, monkeypatch, ladder):
+        whole = list(lpio.lp_chunks(ladder))
+        monkeypatch.setattr(lpio, "_SLICE_TERMS", 7)
+        cut = list(lpio.lp_chunks(ladder))
+        assert len(cut) > len(whole)
+        # the objective opens the second chunk and continues in the third
+        assert cut[1].startswith(" obj:") and cut[2].startswith("  ")
 
 
 class TestLadderOptima:
