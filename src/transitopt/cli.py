@@ -58,19 +58,16 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _sha256(path: Path) -> str:
-    with path.open("rb") as f:
-        return hashlib.file_digest(f, "sha256").hexdigest()
-
-
 class _Run:
     """One command's --out directory: every file under it goes through
     ``write_chunks``, and ``manifest.json`` is written however the ``with``
-    block is left (a return, ``_Exit`` or an exception)."""
+    block is left (a return, ``_Exit`` or an exception). ``scenario_sha256``
+    is the digest ``_read_json`` took of the scenario's bytes."""
 
-    def __init__(self, args, command: str):
+    def __init__(self, args, command: str, scenario_sha256: str):
         self.command = command
         self.args = args
+        self.scenario_sha256 = scenario_sha256
         self.out = Path(args.out)
         try:
             self.out.mkdir(parents=True, exist_ok=True)
@@ -107,11 +104,10 @@ class _Run:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        scenario = Path(self.args.scenario)
         manifest = {
             "command": self.command,
-            "scenario_path": str(scenario),
-            "scenario_sha256": _sha256(scenario) if scenario.is_file() else None,
+            "scenario_path": str(Path(self.args.scenario)),
+            "scenario_sha256": self.scenario_sha256,
             "options_overrides": _override_dict(self.args),
             "out_dir": str(self.out),
             "started_at": self.started,
@@ -146,23 +142,25 @@ def _override_dict(args) -> dict:
             if getattr(args, name) is not None}
 
 
-def _read_json(path: str, what: str) -> Any:
-    """The parsed JSON file; unreadable or malformed ends with EXIT_IO."""
+def _read_json(path: str, what: str) -> tuple[Any, str]:
+    """The parsed JSON file and the SHA-256 of the bytes parsed, read once,
+    so a pipe is hashed too; unreadable or malformed ends with EXIT_IO."""
     p = Path(path)
     try:
-        text = p.read_text()
+        data = p.read_bytes()
     except OSError as exc:
         _err(f"error: cannot read {what} file {p}: {exc}")
         raise _Exit(EXIT_IO) from exc
     try:
-        return json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
+        return json.loads(data), hashlib.sha256(data).hexdigest()
+    except ValueError as exc:  # JSONDecodeError, bad UTF-8, or an integer past the digit limit
         _err(f"error: {p}: not valid JSON ({exc})")
         raise _Exit(EXIT_IO) from exc
 
 
-def _load_scenario(args) -> Scenario:
-    doc = _read_json(args.scenario, "scenario")
+def _load_scenario(args) -> tuple[Scenario, str]:
+    """The scenario with the command line's overrides, and its digest."""
+    doc, digest = _read_json(args.scenario, "scenario")
     try:
         scenario = load_scenario(doc)
     except ScenarioError as exc:
@@ -171,17 +169,17 @@ def _load_scenario(args) -> Scenario:
     overrides = _override_dict(args)
     if overrides:
         scenario = replace(scenario, options=replace(scenario.options, **overrides))
-    return scenario
+    return scenario, digest
 
 
-def _validated(args) -> Scenario:
-    scenario = _load_scenario(args)
+def _validated(args) -> tuple[Scenario, str]:
+    scenario, digest = _load_scenario(args)
     violations = validate_scenario(scenario)
     if violations:
         for v in violations:
             _err(f"invalid: {v}")
         raise _Exit(EXIT_INVALID)
-    return scenario
+    return scenario, digest
 
 
 def _solver_config(args) -> SolverConfig:
@@ -234,7 +232,7 @@ def _metrics_csv(metrics_dict: dict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_validate(args) -> int:
-    scenario = _load_scenario(args)
+    scenario, _ = _load_scenario(args)
     violations = validate_scenario(scenario)
     for v in violations:
         print(str(v))
@@ -287,8 +285,8 @@ def _solve_pipeline(scenario: Scenario, cfg: SolverConfig, run: _Run):
 
 def cmd_solve(args) -> int:
     cfg = _solver_config(args)
-    scenario = _validated(args)
-    with _Run(args, "solve") as run:
+    scenario, digest = _validated(args)
+    with _Run(args, "solve", digest) as run:
         result, plan, metrics = _solve_pipeline(scenario, cfg, run)
         run.write_text("plan.json", plan.to_json())
         _write_metrics(run, scenario, plan, metrics)
@@ -298,7 +296,7 @@ def cmd_solve(args) -> int:
 
 
 def _load_plan_file(path: str, scenario: Scenario) -> ServicePlan:
-    doc = _read_json(path, "plan")
+    doc, _ = _read_json(path, "plan")
     try:
         return load_plan(doc, scenario)
     except PlanError as exc:
@@ -307,13 +305,18 @@ def _load_plan_file(path: str, scenario: Scenario) -> ServicePlan:
 
 
 def cmd_evaluate(args) -> int:
-    scenario = _validated(args)
+    scenario, digest = _validated(args)
     plan = _load_plan_file(args.plan, scenario)
-    with _Run(args, "evaluate") as run:
+    with _Run(args, "evaluate", digest) as run:
         metrics = _price(run, scenario, plan, "infeasible")
         _write_metrics(run, scenario, plan, metrics)
     print(f"objective {metrics.objective}")
     return EXIT_OK
+
+
+# The Metrics fields comparison.json gives a percent change for, besides the
+# fleet of each route and period.
+_COMPARED = ("objective", "avg_riding_time_min", "avg_wait_time_min", "number_of_transfers")
 
 
 def _percent(new: float, old: float) -> float | None:
@@ -324,31 +327,21 @@ def _percent(new: float, old: float) -> float | None:
 
 def cmd_compare(args) -> int:
     cfg = _solver_config(args)
-    scenario = _validated(args)
+    scenario, digest = _validated(args)
     baseline_plan = _load_plan_file(args.baseline, scenario)
-    with _Run(args, "compare") as run:
+    with _Run(args, "compare", digest) as run:
         base_metrics = _price(run, scenario, baseline_plan, "infeasible baseline")
         _, plan, metrics = _solve_pipeline(scenario, cfg, run)
         run.write_text("plan.json", plan.to_json())
         _write_metrics(run, scenario, plan, metrics)
-        base_fleet = base_metrics.fleet_by_route_period
-        opt_fleet = metrics.fleet_by_route_period
-        comparison = {
-            "baseline": base_metrics.to_dict(),
-            "optimized": metrics.to_dict(),
-            "percent_change": {
-                "objective": _percent(metrics.objective, base_metrics.objective),
-                "avg_riding_time_min": _percent(metrics.avg_riding_min, base_metrics.avg_riding_min),
-                "avg_wait_time_min": _percent(metrics.avg_waiting_min, base_metrics.avg_waiting_min),
-                "number_of_transfers": _percent(metrics.transfers_count, base_metrics.transfers_count),
-                "fleet_by_route_period": {
-                    f"route{r}_period{t}": _percent(opt_fleet[(r, t)], base_fleet[(r, t)])
-                    for (r, t) in sorted(opt_fleet)
-                },
-            },
-        }
-        run.write_json("comparison.json", comparison)
-    delta = comparison["percent_change"]["objective"]
+        base, optimized = base_metrics.to_dict(), metrics.to_dict()
+        change = {key: _percent(optimized[key], base[key]) for key in _COMPARED}
+        change["fleet_by_route_period"] = {
+            cell: _percent(fleet, base["fleet_by_route_period"][cell])
+            for cell, fleet in optimized["fleet_by_route_period"].items()}
+        run.write_json("comparison.json",
+                       {"baseline": base, "optimized": optimized, "percent_change": change})
+    delta = change["objective"]
     print(f"baseline {base_metrics.objective} optimized {metrics.objective} "
           f"delta {delta if delta is None else round(delta, 4)}%")
     return EXIT_OK
@@ -356,8 +349,8 @@ def cmd_compare(args) -> int:
 
 def cmd_oracle(args) -> int:
     cfg = _solver_config(args)
-    scenario = _validated(args)
-    with _Run(args, "oracle") as run:
+    scenario, digest = _validated(args)
+    with _Run(args, "oracle", digest) as run:
         try:
             plans = enumerate_plans(scenario)    # the size checks, before the solve
         except OracleSizeError as exc:
@@ -372,8 +365,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_export(args) -> int:
-    scenario = _validated(args)
-    with _Run(args, "export") as run:
+    scenario, digest = _validated(args)
+    with _Run(args, "export", digest) as run:
         model = build_model(scenario)
         run.write_chunks("model.lp", lp_chunks(model))
         stats = model_stats(model)

@@ -13,6 +13,8 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
+from .network import _added
+
 __all__ = [
     "Combination",
     "CombinationSet",
@@ -28,22 +30,16 @@ class CombinationError(ValueError):
 
 def _frequencies(headway_indices: Sequence[int], menu: Sequence[float]) -> tuple[list, float]:
     """Each pattern's frequency (inverse headway), 0.0 where index 0 marks it
-    out of service, and their total added left to right, not by ``sum``, which
-    compensates from Python 3.12; refuses an index outside the menu and a
-    vector with no pattern in service."""
+    out of service, and their total added left to right; refuses an index
+    outside the menu and a vector with no pattern in service."""
     freqs: list[float] = []
-    total = 0.0
     for h in headway_indices:
-        if h == 0:
-            freqs.append(0.0)
-            continue
-        if not 1 <= h <= len(menu):
+        if h and not 1 <= h <= len(menu):
             raise CombinationError(f"headway index {h} outside menu of size {len(menu)}")
-        freqs.append(1.0 / menu[h - 1])
-        total += freqs[-1]
+        freqs.append(1.0 / menu[h - 1] if h else 0.0)
     if not any(headway_indices):
         raise CombinationError("combination must have at least one in-service pattern")
-    return freqs, total
+    return freqs, _added(freqs)
 
 
 def perceived_headway(headway_indices: Sequence[int], menu: Sequence[float]) -> float:

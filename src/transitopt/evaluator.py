@@ -33,7 +33,7 @@ import numpy as np
 from .backend import SolveResult, read_flows, solve
 from .combos import CombinationSet, enumerate_combinations
 from .model import Builder, MilpModel, id_table
-from .network import Scenario
+from .network import Scenario, _added
 from .plan import (DecodeError, FlowAssignment, RoutePeriodPlan, ServicePlan, check_plan,
                    vehicle_need)
 
@@ -350,9 +350,10 @@ def assign_flows(scenario: Scenario, plan: ServicePlan) -> FlowAssignment:
 
 @dataclass(frozen=True)
 class Metrics:
-    """Totals and per-rider averages of one assignment.
+    """Totals and per-rider averages of one assignment, named as in
+    ``metrics.json``.
 
-    avg_waiting_min is the unweighted perceived wait per rider (half the
+    avg_wait_time_min is the unweighted perceived wait per rider (half the
     combination headway at entry); the waiting-cost weight appears only in
     the objective.
     """
@@ -363,30 +364,17 @@ class Metrics:
     waiting_weighted_total: float
     transfer_perceived_total: float
     transfer_weighted_total: float
-    transfers_count: float
+    number_of_transfers: float
     riders_total: float
-    avg_riding_min: float
-    avg_waiting_min: float
-    avg_journey_min: float
+    avg_riding_time_min: float
+    avg_wait_time_min: float
+    avg_journey_time_min: float
     fleet_by_route_period: dict[tuple[int, int], float]
 
     def to_dict(self) -> dict:
-        return {
-            "objective": self.objective,
-            "riding_minutes_total": self.riding_minutes_total,
-            "waiting_perceived_total": self.waiting_perceived_total,
-            "waiting_weighted_total": self.waiting_weighted_total,
-            "transfer_perceived_total": self.transfer_perceived_total,
-            "transfer_weighted_total": self.transfer_weighted_total,
-            "number_of_transfers": self.transfers_count,
-            "riders_total": self.riders_total,
-            "avg_riding_time_min": self.avg_riding_min,
-            "avg_wait_time_min": self.avg_waiting_min,
-            "avg_journey_time_min": self.avg_journey_min,
-            "fleet_by_route_period": {
-                f"route{r}_period{t}": v for (r, t), v in sorted(self.fleet_by_route_period.items())
-            },
-        }
+        """The fields by name, each fleet keyed ``route{r}_period{t}``."""
+        return {**vars(self), "fleet_by_route_period": {
+            f"route{r}_period{t}": v for (r, t), v in sorted(self.fleet_by_route_period.items())}}
 
 
 def _combo_sets(scenario: Scenario) -> dict[tuple[int, int], CombinationSet]:
@@ -410,7 +398,6 @@ def compute_metrics(fa: FlowAssignment, scenario: Scenario, plan: ServicePlan) -
     for (t, r, d, i, c), v in fa.reboarding.items():
         transfer += v * (combo_sets[(t, r)][c].perceived_headway / 2.0 + scenario.transfer_time)
 
-    transfers_count = sum(fa.reboarding.values())
     riders = scenario.total_riders()
     objective = (riding + scenario.gamma_wait * waiting + scenario.gamma_transfer * transfer)
     return Metrics(
@@ -420,11 +407,11 @@ def compute_metrics(fa: FlowAssignment, scenario: Scenario, plan: ServicePlan) -
         waiting_weighted_total=scenario.gamma_wait * waiting,
         transfer_perceived_total=transfer,
         transfer_weighted_total=scenario.gamma_transfer * transfer,
-        transfers_count=transfers_count,
+        number_of_transfers=_added(fa.reboarding.values()),
         riders_total=riders,
-        avg_riding_min=riding / riders if riders > 0 else 0.0,
-        avg_waiting_min=waiting / riders if riders > 0 else 0.0,
-        avg_journey_min=(riding + waiting + transfer) / riders if riders > 0 else 0.0,
+        avg_riding_time_min=riding / riders if riders > 0 else 0.0,
+        avg_wait_time_min=waiting / riders if riders > 0 else 0.0,
+        avg_journey_time_min=(riding + waiting + transfer) / riders if riders > 0 else 0.0,
         fleet_by_route_period=fleet_requirement(plan, scenario),
     )
 

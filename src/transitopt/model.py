@@ -37,13 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Any, Sequence
 
 import numpy as np
 
 from .combos import enumerate_combinations
-from .network import Scenario, validate_scenario
+from .network import Scenario, _added, validate_scenario
 from .plan import PlanError, ServicePlan, check_plan, model_order
 
 __all__ = [
@@ -340,7 +340,7 @@ def _add_route_period(b: Builder, scenario: Scenario, t: int, r: int) -> int:
     combos = enumerate_combinations(npat, menu)
     nc = len(combos)
     tmat = np.array(route.travel_time_matrix(), dtype=np.float64)
-    *_, t_full = accumulate(route.adjacent_times())     # left to right: sum() compensates from 3.12
+    t_full = _added(route.adjacent_times())
     mirror = nd - 1 - np.arange(nd)
     dests = np.arange(n)
     pats = np.arange(npat)

@@ -12,13 +12,12 @@ wrap-around step that closes the loop.
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 from array import array
 from dataclasses import dataclass, field, fields
-from functools import cached_property
-from pathlib import Path
-from typing import Any, Iterator, Mapping
+from functools import cached_property, reduce
+from typing import Any, Iterable, Iterator, Mapping
 
 __all__ = [
     "ScenarioError",
@@ -47,6 +46,14 @@ class Violation:
 
     def __str__(self) -> str:
         return f"{self.field}: {self.rule}"
+
+
+def _added(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0, as ``sum`` does before Python
+    3.12; from 3.12 ``sum`` of floats is compensated, which can change the
+    last digit and with it the LP text. The package adds its float totals
+    with this, so every Python version gives the same bits."""
+    return reduce(operator.add, values, 0)
 
 
 def mirror_stop(i: int, n_dir: int) -> int:
@@ -194,10 +201,10 @@ class DemandMatrix:
         return float(self.entries.get((t, o, d), 0.0))
 
     def total_into(self, t: int, d: int) -> float:
-        return sum(v for (tt, _, dd), v in self.entries.items() if tt == t and dd == d)
+        return _added(v for (tt, _, dd), v in self.entries.items() if tt == t and dd == d)
 
     def total(self) -> float:
-        return sum(self.entries.values())
+        return _added(self.entries.values())
 
 
 @dataclass(frozen=True)
@@ -215,7 +222,7 @@ class Scenario:
     options: OptionFlags = OptionFlags()
 
     def total_riders(self) -> float:
-        return sum(dm.total() for dm in self.demand)
+        return _added(dm.total() for dm in self.demand)
 
 
 # ---------------------------------------------------------------------------
@@ -326,26 +333,15 @@ def _parse_route(doc: Mapping[str, Any], idx: int) -> tuple[RouteSpec, DemandMat
     return route, DemandMatrix(entries)
 
 
-def load_scenario(source: str | Path | Mapping[str, Any]) -> Scenario:
-    """Build a Scenario from a JSON document (path or already-parsed mapping).
+def load_scenario(doc: Mapping[str, Any]) -> Scenario:
+    """Build a Scenario from a parsed JSON document; reading the file is the
+    caller's (the CLI's) part, and a path is refused like any non-object.
 
     What a document needs to become a Scenario (keys, types, finite
     numbers, one record per demand pair, known options) is checked here
     and refused with a ScenarioError naming the offending path. Every value
     rule, signs and mask shape included, is validate_scenario's alone.
     """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer literal past the digit limit
-            raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    else:
-        doc = source
     doc = _obj(doc, "scenario")
 
     periods: list[PeriodSpec] = []

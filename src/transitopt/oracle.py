@@ -23,7 +23,7 @@ from .backend import SolveResult, SolverConfig, solve
 from .evaluator import (InsufficientCapacityError, UnroutableDemandError, assign_flows,
                         compute_metrics)
 from .model import build_model, fix_baseline
-from .network import RouteSpec, Scenario
+from .network import RouteSpec, Scenario, _added
 from .plan import PatternPlan, RoutePeriodPlan, ServicePlan, loop_arcs
 
 __all__ = [
@@ -161,7 +161,7 @@ def enumerate_plans(scenario: Scenario) -> Iterator[ServicePlan]:
             f"{total}+ designs exceed the enumeration limit of {MAX_DESIGNS}")
     return (ServicePlan(cells=tuple((cell,) for cell in combo))
             for combo in product(*(cells for cells, _ in per_route))
-            if _fits(scenario, sum(cell.fleet for cell in combo)))
+            if _fits(scenario, _added(cell.fleet for cell in combo)))
 
 
 @dataclass
@@ -176,16 +176,8 @@ class OracleReport:
     cross_checked: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "best_objective": self.best_objective,
-            "best_plans": [p.to_dict() for p in self.best_plans],
-            "enumerated_count": self.enumerated_count,
-            "unroutable_count": self.unroutable_count,
-            "milp_objective": self.milp_objective,
-            "verdict": self.verdict,
-            "delta": self.delta,
-            "cross_checked": self.cross_checked,
-        }
+        """The fields by name, each best plan as its plan document."""
+        return {**vars(self), "best_plans": [p.to_dict() for p in self.best_plans]}
 
 
 def certify(scenario: Scenario, milp_result: SolveResult, *, cross_check: str = "sample",

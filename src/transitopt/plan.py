@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Any, Callable, Iterable, Mapping
 
-from .network import RouteSpec, Scenario, ScenarioError, _int, _list, _num, _obj
+from .network import RouteSpec, Scenario, ScenarioError, _added, _int, _list, _num, _obj
 
 __all__ = ["PatternPlan", "RoutePeriodPlan", "ServicePlan", "FlowAssignment",
            "PlanError", "DecodeError", "check_cell", "check_plan", "load_plan", "loop_arcs",
@@ -92,13 +90,6 @@ def vehicle_need(route: RouteSpec, patterns: Iterable[PatternPlan]) -> float:
     """Vehicles that run ``patterns`` on ``route``: cycle time over headway,
     summed across in-service patterns in pattern order."""
     return _added(pat.cycle_time(route) / pat.headway for pat in patterns if pat.in_service)
-
-
-def _added(values: Iterable[float]) -> float:
-    """``values`` added left to right from 0, as ``sum`` does before Python
-    3.12; from 3.12 ``sum`` of floats is compensated, which can change the
-    last digit and with it the LP text."""
-    return reduce(operator.add, values, 0)
 
 
 def model_order(patterns: Iterable[PatternPlan]) -> tuple[PatternPlan, ...]:

@@ -32,12 +32,17 @@ def write_doc(tmp_path, doc, name="scenario.json"):
     return path
 
 
+def read_scenario(path):
+    """The scenario in the file at ``path``, parsed as the CLI parses it."""
+    return load_scenario(json.loads(path.read_bytes()))
+
+
 def _unroutable(tmp_path):
     """A scenario with one demand pair (period 0, route 0, stop 0 -> 2) and a
     plan whose only pattern never serves stop C."""
     path = write_doc(tmp_path, scenario_doc(n_patterns=1, transfers=False,
                                             demand=(((0, 0, 2), 10.0),)))
-    plan = full_pattern_plan_doc(load_scenario(path))
+    plan = full_pattern_plan_doc(read_scenario(path))
     plan["routes"][0]["periods"][0]["patterns"][0]["stops"] = [0, 1, 4, 5]
     return path, write_doc(tmp_path, plan, "plan.json")
 
@@ -67,6 +72,13 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["validate", "--scenario", str(path)]) == 2
+
+    def test_bad_utf8_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"a": "\xff"}')
+        assert main(["validate", "--scenario", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {path}: not valid JSON")
 
     def test_overlong_integer_exit_two(self, tmp_path, capsys):
         # past CPython's int digit limit json raises a plain ValueError
@@ -205,7 +217,7 @@ class TestFullPatternMask:
     @pytest.mark.parametrize("command", ["export", "solve", "evaluate", "compare", "oracle"])
     def test_one_line_exit_one(self, masked, tmp_path, capsys, command):
         # the plan skips stop 1, so it never takes the forbidden arc
-        plan = full_pattern_plan_doc(load_scenario(masked))
+        plan = full_pattern_plan_doc(read_scenario(masked))
         plan["routes"][0]["periods"][0]["patterns"][0]["stops"] = [0, 2, 3, 4, 5]
         plan_path = write_doc(tmp_path, plan, "plan.json")
         extra = {"evaluate": ["--plan", str(plan_path)],
@@ -291,7 +303,7 @@ class TestSolve:
 
 class TestEvaluate:
     def test_metrics_written(self, scenario_file, tmp_path, capsys):
-        scenario = load_scenario(scenario_file)
+        scenario = read_scenario(scenario_file)
         plan_path = write_doc(tmp_path, full_pattern_plan_doc(scenario), "plan.json")
         out = tmp_path / "run"
         assert main(["evaluate", "--scenario", str(scenario_file),
@@ -304,7 +316,7 @@ class TestEvaluate:
         doc = scenario_doc(n_patterns=1, transfers=False,
                            demand=(((0, 0, 2), 10.0),))
         path = write_doc(tmp_path, doc)
-        scenario = load_scenario(path)
+        scenario = read_scenario(path)
         plan = full_pattern_plan_doc(scenario)
         # short-turn the only pattern so stop C is never served
         plan["routes"][0]["periods"][0]["patterns"][0]["stops"] = [0, 1, 4, 5]
@@ -325,7 +337,7 @@ class TestEvaluate:
     def test_insufficient_capacity_exit_three(self, tmp_path, capsys):
         path = write_doc(tmp_path, scenario_doc(enforce_capacity=True, capacity=1.0,
                                                 symmetry=False))
-        plan_path = write_doc(tmp_path, full_pattern_plan_doc(load_scenario(path)), "plan.json")
+        plan_path = write_doc(tmp_path, full_pattern_plan_doc(read_scenario(path)), "plan.json")
         assert main(["evaluate", "--scenario", str(path), "--plan", str(plan_path),
                      "--out", str(tmp_path / "o")]) == 3
         assert capsys.readouterr().err == (
@@ -337,7 +349,7 @@ class TestEvaluate:
                      "--out", str(tmp_path / "o")]) == 2
 
     def test_plan_not_on_menu_exit_one(self, scenario_file, tmp_path):
-        scenario = load_scenario(scenario_file)
+        scenario = read_scenario(scenario_file)
         plan = full_pattern_plan_doc(scenario)
         plan["routes"][0]["periods"][0]["patterns"][0]["headway"] = 6.0
         plan_path = write_doc(tmp_path, plan, "plan.json")
@@ -351,7 +363,7 @@ class TestPlanOrder:
     @pytest.mark.parametrize("command", ["evaluate", "compare"])
     def test_out_of_order_plan_exit_one(self, tmp_path, capsys, command):
         path = write_doc(tmp_path, scenario_doc(symmetry=False, n_patterns=1))
-        plan = full_pattern_plan_doc(load_scenario(path))
+        plan = full_pattern_plan_doc(read_scenario(path))
         plan["routes"][0]["periods"][0]["patterns"][0]["stops"] = [0, 2, 1, 3, 4, 5]
         plan_path = write_doc(tmp_path, plan, "plan.json")
         flag = "--plan" if command == "evaluate" else "--baseline"
@@ -379,7 +391,7 @@ class TestPlanValues:
             "fleet-negative"])
     def test_bad_value_exit_one(self, tmp_path, capsys, field, value, message):
         path = write_doc(tmp_path, scenario_doc(symmetry=False, n_patterns=1))
-        plan = full_pattern_plan_doc(load_scenario(path))
+        plan = full_pattern_plan_doc(read_scenario(path))
         cell = plan["routes"][0]["periods"][0]
         if field == "stop":
             cell["patterns"][0]["stops"][1] = value
@@ -455,7 +467,7 @@ class TestDocumentShapes:
 
 class TestCompare:
     def test_optimizer_never_loses(self, scenario_file, tmp_path, capsys):
-        scenario = load_scenario(scenario_file)
+        scenario = read_scenario(scenario_file)
         plan_path = write_doc(tmp_path, full_pattern_plan_doc(scenario), "base.json")
         out = tmp_path / "run"
         assert main(["compare", "--scenario", str(scenario_file),
@@ -476,7 +488,7 @@ class TestCompare:
     def test_baseline_insufficient_capacity_exit_three(self, tmp_path, capsys):
         path = write_doc(tmp_path, scenario_doc(enforce_capacity=True, capacity=1.0,
                                                 symmetry=False))
-        plan_path = write_doc(tmp_path, full_pattern_plan_doc(load_scenario(path)), "base.json")
+        plan_path = write_doc(tmp_path, full_pattern_plan_doc(read_scenario(path)), "base.json")
         out = tmp_path / "o"
         assert main(["compare", "--scenario", str(path), "--baseline", str(plan_path),
                      "--out", str(out)]) == 3
@@ -571,7 +583,7 @@ class TestSolverSettings:
         ("--gap", "1"), ("--gap", "nan"),
     ])
     def test_bad_setting_exit_one(self, scenario_file, tmp_path, capsys, command, flag, value):
-        plan_path = write_doc(tmp_path, full_pattern_plan_doc(load_scenario(scenario_file)),
+        plan_path = write_doc(tmp_path, full_pattern_plan_doc(read_scenario(scenario_file)),
                               "plan.json")
         out = tmp_path / "o"
         extra = ["--baseline", str(plan_path)] if command == "compare" else []
@@ -647,7 +659,7 @@ class TestManifestOnEveryExit:
     @pytest.mark.parametrize("command, code", _EXITS, ids=[f"{c}-{e}" for c, e in _EXITS])
     def test_manifest_written(self, tmp_path, monkeypatch, command, code):
         scenario_path = write_doc(tmp_path, scenario_doc())
-        plan_path = write_doc(tmp_path, full_pattern_plan_doc(load_scenario(scenario_path)),
+        plan_path = write_doc(tmp_path, full_pattern_plan_doc(read_scenario(scenario_path)),
                               "plan.json")
         if code == 1:    # more designs than the oracle enumerates
             scenario_path = write_doc(tmp_path, scenario_doc(menu=(4.0, 5.0, 6.0)))
@@ -702,7 +714,7 @@ class TestUnwritableArtifact:
     def test_unwritable_manifest(self, scenario_file, tmp_path, monkeypatch, capsys, fails):
         # a manifest that cannot be written is exit 2, unless a failure ended
         # the command first: that failure keeps its exit code and its line
-        plan_path = write_doc(tmp_path, full_pattern_plan_doc(load_scenario(scenario_file)),
+        plan_path = write_doc(tmp_path, full_pattern_plan_doc(read_scenario(scenario_file)),
                               "plan.json")
         if fails:
             def broken(scenario, plan):
@@ -745,6 +757,20 @@ class TestExport:
             assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
         assert manifest["scenario_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
+    def test_piped_scenario_is_hashed(self, tmp_path):
+        # a pipe is no regular file: the digest is of the bytes parsed
+        data = json.dumps(scenario_doc()).encode()
+        out = tmp_path / "run"
+        src = Path(transitopt.__file__).resolve().parent.parent
+        done = subprocess.run([sys.executable, "-m", "transitopt.cli", "export",
+                               "--scenario", "/dev/stdin", "--out", str(out)],
+                              input=data, capture_output=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 0, done.stderr
+        manifest = _checked_manifest(out)
+        assert manifest["scenario_path"] == "/dev/stdin"
+        assert manifest["scenario_sha256"] == hashlib.sha256(data).hexdigest()
+
 
 class TestLazyScipy:
     """Commands that never solve load no scipy module; commands that solve
@@ -776,7 +802,7 @@ class TestLazyScipy:
     def test_solving_commands_load_only_the_binding(self, scenario_file, tmp_path, command):
         argv = [command, "--scenario", str(scenario_file), "--out", str(tmp_path / "o")]
         if command == "evaluate":  # transfers on: one assignment program
-            plan = full_pattern_plan_doc(load_scenario(scenario_file))
+            plan = full_pattern_plan_doc(read_scenario(scenario_file))
             argv += ["--plan", str(write_doc(tmp_path, plan, "plan.json"))]
         codes, modules = self.scipy_modules_after([argv])
         assert codes == [0]

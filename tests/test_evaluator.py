@@ -261,10 +261,10 @@ class TestHandExamples:
         fa = assign_flows(scenario, plan)
         m = compute_metrics(fa, scenario, plan)
         assert m.objective == pytest.approx(30 * 12 + 1.5 * 5 * 30)  # 585
-        assert m.avg_riding_min == pytest.approx(12.0)
-        assert m.avg_waiting_min == pytest.approx(5.0)
-        assert m.transfers_count == 0.0
-        assert m.avg_journey_min == pytest.approx(17.0)
+        assert m.avg_riding_time_min == pytest.approx(12.0)
+        assert m.avg_wait_time_min == pytest.approx(5.0)
+        assert m.number_of_transfers == 0.0
+        assert m.avg_journey_time_min == pytest.approx(17.0)
 
     def test_two_pattern_frequency_split(self):
         scenario = make_scenario(
@@ -285,7 +285,7 @@ class TestHandExamples:
         combos = enumerate_combinations(2, (5.0, 10.0))
         assert combos[c].perceived_headway == pytest.approx(10.0 / 3.0)
         m = compute_metrics(fa, scenario, plan)
-        assert m.avg_waiting_min == pytest.approx(10.0 / 6.0)
+        assert m.avg_wait_time_min == pytest.approx(10.0 / 6.0)
 
     def test_zero_demand_all_zero(self):
         scenario = make_scenario(demand=())
@@ -309,7 +309,7 @@ class TestHandExamples:
         m = compute_metrics(fa, scenario, plan)
         # wait 1.5*3 + ride 3 + transfer 2*(4+3) + ride 4, all times 10 riders
         assert m.objective == pytest.approx(10 * (4.5 + 3 + 14 + 4))
-        assert m.transfers_count == pytest.approx(10.0)
+        assert m.number_of_transfers == pytest.approx(10.0)
 
     def test_unbalanced_transfer_node_is_an_evaluation_error(self, monkeypatch):
         # the same design, its alighters doubled before the flow split
@@ -770,8 +770,8 @@ class TestScalingAndConservation:
         m2 = compute_metrics(assign_flows(s2, p2), s2, p2)
         assert m2.objective == pytest.approx(2 * m1.objective, rel=1e-9)
         assert m2.riding_minutes_total == pytest.approx(2 * m1.riding_minutes_total, rel=1e-9)
-        assert m2.avg_riding_min == pytest.approx(m1.avg_riding_min, rel=1e-9)
-        assert m2.avg_waiting_min == pytest.approx(m1.avg_waiting_min, rel=1e-9)
+        assert m2.avg_riding_time_min == pytest.approx(m1.avg_riding_time_min, rel=1e-9)
+        assert m2.avg_wait_time_min == pytest.approx(m1.avg_wait_time_min, rel=1e-9)
 
     @pytest.mark.parametrize("transfers", [False, True])
     def test_evaluator_conservation(self, transfers):
