@@ -55,9 +55,10 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     """Solve parameters. rel_gap 0.0 asks for a proven optimum. HiGHS checks
-    ``time_limit_s`` only after presolve and the root LP, so small limits are
-    overshot: the test factories' ``ladder_doc(6, 7, transfers=True)`` at
-    0.05 s returns ``timeout`` after 0.3 to 0.4 s on a 2-core machine."""
+    ``time_limit_s`` only between presolve, the root LP and the search, so a
+    limit that falls in the root LP is overshot: the test factories'
+    ``ladder_doc(10, 7, transfers=True)`` at 0.1 s mostly returns ``timeout``
+    after 0.9 to 1.1 s on a 2-core machine."""
 
     time_limit_s: float = 600.0
     rel_gap: float = 0.0

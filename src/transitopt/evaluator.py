@@ -10,12 +10,15 @@ problem separates per origin-destination pair and is solved in closed form;
 otherwise one small program per route and period covers every destination
 with demand. The program is written from the plan's loops in the design
 model's lean forms: one entering and one re-boarding flow per entry cell and
-combination, whose frequency shares are coefficients of each pattern's
-on-board balance; riding flows on the loops' forward arcs; one transfer node
-per destination and physical stop; exits implied where a ride reaches the
-destination; and, where a cell leaves more than one available combination,
-binary picks that hold each entry stop to one combination, as the design
-model does (with one, the program is an LP). It is a ``MilpModel`` from the
+combination whose patterns all stop at the cell's entry stop, as the design
+model's ``combination_served`` rows allow, with frequency shares that are
+coefficients of each pattern's on-board balance at the stops it serves;
+riding flows on the loops' forward arcs; one transfer node per destination
+and physical stop; exits implied where a ride reaches the destination; and,
+where a cell is offered more than one combination, binary picks that hold
+each entry stop to one combination, as the design model does (with no such
+cell, the program is an LP). The closed form rides only patterns that stop
+at the entry stop too. It is a ``MilpModel`` from the
 model's ``Builder``, its variables the design model's ``z``, ``fw``, ``fx``,
 ``ft`` and ``fl`` under the same keys, solved by ``backend.solve`` and read
 back by ``backend.read_flows``. Both routings end in
@@ -191,10 +194,9 @@ def _check_routable(scenario: Scenario, t: int, r: int, cell: RoutePeriodPlan) -
                 continue
             seen.add(s)
             frontier.extend(rides[s] - seen)
-            # A direction change only needs one available combination to
-            # join, which exists as soon as any pattern is in service.
-            if served:
-                frontier.append(route.mirror(s))
+            # A direction change boards again at the mirror stop, which needs
+            # a pattern that stops there: rides[] of any other stop is empty.
+            frontier.append(route.mirror(s))
         return seen
 
     # what an origin reaches does not depend on the destination
@@ -218,7 +220,8 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     ``fl`` families, keyed as in ``VAR_KEYS`` with the plan's pattern
     indices. Each ``*id`` array maps a family's index tuple to variable
     ids, -1 where the variable does not exist; k indexes the destinations with
-    demand, v the in-service patterns and a the available combinations."""
+    demand, v the in-service patterns and a the available combinations, of
+    which an entry stop offers those whose patterns all stop there."""
     route = scenario.routes[r]
     dm = scenario.demand[r]
     n, nd = route.n_physical, route.n_dir
@@ -236,16 +239,27 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     # entering[k, i]: stop i can take riders to dests[k] (neither of its stops)
     stop = np.arange(nd)
     entering = (stop != dest[:, None]) & (stop != nd - 1 - dest[:, None])
-    # cells (k, i) with each available combination a, and balance rows (k, v, j)
-    cell_k, cell_i, cell_a = np.nonzero(np.repeat(entering[:, :, None], na, axis=2))
-    ob_k, ob_v, ob_j = np.nonzero(np.repeat(entering[:, None, :], nv, axis=1))
+    # stops[v, i]: pattern v stops at i; stop i offers the combinations whose
+    # patterns all stop there, so no rider boards a pattern where it skips
+    stops = np.zeros((nv, nd), dtype=bool)
+    for v, (_, pat) in enumerate(in_service):
+        stops[v, list(pat.stops)] = True
+    holds = np.array([combos[c].shares for c in avail])[:, pv] > 0.0          # [a, v]
+    offered = ~(holds[None, :, :] & ~stops.T[:, None, :]).any(axis=2)        # [i, a]
+    # cells (k, i) with each combination a offered there, and balance rows
+    # (k, v, j) where pattern v stops
+    cell_k, cell_i, cell_a = np.nonzero(entering[:, :, None] & offered[None, :, :])
+    ob_k, ob_v, ob_j = np.nonzero(entering[:, None, :] & stops[None, :, :])
     cell_d, cell_c = dest[cell_k], np.array(avail)[cell_a]
 
     b = Builder()
-    # one available combination needs no pick: the program is then an LP
-    choice = na > 1
-    if choice:
-        z_ids = b.add_vars("z", "B", (t, r, cell_i, cell_d, cell_c))
+    # a stop offered one combination needs no pick; with no stop offered
+    # more, the program is an LP
+    picking = offered.sum(axis=1) > 1
+    pick = picking[cell_i]
+    if pick.any():
+        z_ids = b.add_vars("z", "B", (t, r, cell_i[pick], cell_d[pick], cell_c[pick]))
+        zid = id_table((nk, nd, na), (cell_k[pick], cell_i[pick], cell_a[pick]), z_ids)
     half = np.array([combos[c].perceived_headway / 2.0 for c in avail])
     w_ids = b.add_vars("fw", "C", (t, r, cell_d, cell_i, cell_c))
     b.add_objective(w_ids, scenario.gamma_wait * half[cell_a])
@@ -269,13 +283,17 @@ def _assign_lp(scenario: Scenario, plan: ServicePlan, t: int, r: int,
     fl_out = id_table((nk, nv, nd), (fl_k, fl_v, fl_u), fl_ids)   # on the arc leaving a stop
     fl_in = id_table((nk, nv, nd), (fl_k, fl_v, fl_w), fl_ids)    # on the arc reaching a stop
 
-    if choice:
+    if pick.any():
         big_m = np.array([dm.total_into(t, d) for d in dests])
-        b.add_rows("one_combination", (), [(z_ids.reshape(-1, na), 1.0)], "<=", 1.0)
-        boarders = [(w_ids, 1.0), (x_ids, 1.0)] if transfers else [(w_ids, 1.0)]
-        b.add_rows("board_gate", (), boarders + [(z_ids, -big_m[cell_k])], "<=", 0.0)
-    # entries at both direction stops of each origin cover its demand
-    dm_k, dm_o = np.nonzero(np.arange(n) != dest[:, None])
+        one_k, one_i = np.nonzero(entering & picking)
+        b.add_rows("one_combination", (), [(zid[one_k, one_i], 1.0)], "<=", 1.0)
+        boarders = [(ids[pick], 1.0) for ids in ([w_ids, x_ids] if transfers else [w_ids])]
+        b.add_rows("board_gate", (), boarders + [(z_ids, -big_m[cell_k[pick]])], "<=", 0.0)
+    # entries at both direction stops of each origin cover its demand; an
+    # origin no pattern stops at has none (``_check_routable`` refused it if
+    # it had riders)
+    served = stops.any(axis=0)
+    dm_k, dm_o = np.nonzero((np.arange(n) != dest[:, None]) & (served[:n] | served[::-1][:n]))
     dm_mir = nd - 1 - dm_o
     b.add_rows("demand_entry", (), [(wid[dm_k, dm_o], 1.0), (wid[dm_k, dm_mir], 1.0)], "=",
                [dm.riders(t, o, dests[k]) for k, o in zip(dm_k.tolist(), dm_o.tolist())])

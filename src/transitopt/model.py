@@ -8,7 +8,9 @@ The model couples, per route and period:
 * cycle minutes per (pattern, headway), nonzero only under the picked
   headway, that price vehicle requirements linearly,
 * a combination pick per (entry stop, destination) that fixes which patterns
-  riders may board and the perceived headway they wait,
+  riders may board and the perceived headway they wait, and may hold a
+  pattern only where it stops (a stop-served column per pattern and stop,
+  the count of its arcs leaving that stop, caps the cell's picks holding it),
 * destination-labeled flows for entering, riding and (optionally)
   transferring riders through one node per physical stop; a cell's boarders
   are its entering plus its re-boarding riders, each pattern's frequency
@@ -78,6 +80,7 @@ VAR_KEYS = {
     "x": ("t", "r", "p", "i", "j"),             # pattern arc                      binary
     "y": ("t", "r", "p", "h"),                  # headway pick, h=0 means off      binary
     "cy": ("t", "r", "p", "h"),                 # cycle minutes under headway h>=1 continuous
+    "sv": ("t", "r", "p", "i"),                 # 1 where pattern p stops at i, 0 continuous
     "z": ("t", "r", "i", "d", "c"),             # combination pick                 binary
     "fw": ("t", "r", "d", "i", "c"),            # entry flow
     "fl": ("t", "r", "d", "p", "i", "j"),       # inter-stop (riding) flow
@@ -103,6 +106,8 @@ ROW_FAMILIES = (
     "fleet_hours",          # duration-weighted fleet within vehicle-hours
     "one_combination",      # at most one combination per entry stop and label
     "combination_menu",     # per cell, p and h: picks that run p at h only if y[p, h]
+    "stop_served",          # sv[p, i] == arcs of pattern p leaving stop i
+    "combination_served",   # per cell and p: picks that hold p only if sv[p, i]
     "board_gate",           # entries + transfer boardings only under the picked combination
     "demand_entry",         # entries at both direction stops cover demand
     "onboard_balance",      # boardings + riding in == riding out + alightings
@@ -376,6 +381,9 @@ def _add_route_period(b: Builder, scenario: Scenario, t: int, r: int) -> int:
     cy_p, cy_h = np.divmod(np.arange(npat * m), m)
     cyid = b.add_vars("cy", "C", (t, r, cy_p, cy_h + 1)).reshape(npat, m)  # [p, h - 1]
 
+    pj_p, pj_j = np.divmod(np.arange(npat * nd), nd)
+    svid = b.add_vars("sv", "C", (t, r, pj_p, pj_j)).reshape(npat, nd)
+
     z_i, z_d = np.nonzero(entry.T)                      # cells in (i, d) order
     zid = id_table((nd, n, nc), (z_i, z_d),
                    b.add_vars("z", "B", (t, r, np.repeat(z_i, nc), np.repeat(z_d, nc),
@@ -413,7 +421,6 @@ def _add_route_period(b: Builder, scenario: Scenario, t: int, r: int) -> int:
         b.add_objective(fx_ids, np.tile(change, n_ent))
 
     # --- pattern structure -------------------------------------------
-    pj_p, pj_j = np.divmod(np.arange(npat * nd), nd)
     arcs_into = xid.transpose(0, 2, 1).reshape(npat * nd, nd)   # row (p, j): x[p, i, j]
     arcs_out = xid.reshape(npat * nd, nd)                       # row (p, j): x[p, j, k]
     b.add_rows("loop_balance", (t, r, pj_p, pj_j),
@@ -487,6 +494,17 @@ def _add_route_period(b: Builder, scenario: Scenario, t: int, r: int) -> int:
     m_p, m_h = np.tile(cy_p, len(z_i)), np.tile(cy_h + 1, len(z_i))
     b.add_rows("combination_menu", (t, r, m_i, m_d, m_p, m_h),
                [(zid[z_i, z_d][:, runs_at].reshape(len(m_i), -1), 1.0), (yid[m_p, m_h], -1.0)],
+               "<=", 0.0)
+
+    # Riders consider only patterns that stop where they wait (Spiess and
+    # Florian 1989): a cell's picks that hold p are capped by whether p
+    # stops there, the count of p's arcs leaving i, at most 1 on one loop.
+    b.add_rows("stop_served", (t, r, pj_p, pj_j), [(svid.ravel(), 1.0), (arcs_out, -1.0)],
+               "=", 0.0)
+    holds = np.array([np.flatnonzero(runs[:, p]) for p in pats])               # [p, c with p]
+    s_i, s_d, s_p = np.repeat(z_i, npat), np.repeat(z_d, npat), np.tile(pats, len(z_i))
+    b.add_rows("combination_served", (t, r, s_i, s_d, s_p),
+               [(zid[z_i, z_d][:, holds].reshape(len(s_i), -1), 1.0), (svid[s_p, s_i], -1.0)],
                "<=", 0.0)
 
     # a cell's boarders are its entries plus its transfer boardings

@@ -2,13 +2,15 @@
 
 Everything goes through the JSON document form and load_scenario, so the
 loader is exercised by every test. Random toys keep the default weights,
-gamma_transfer 2.0 >= gamma_wait 1.5. Below gamma_wait, the model and the
-evaluator both admit phantom boarding: riders board a combination at a stop
-one of its patterns skips, wait its shorter joint headway, and leave that
-pattern at once to transfer. Both price the same too-low optimum, so the
-oracle, which prices with the evaluator, cannot see it. ``random_toy_doc``
-says why the oracle's enumeration is complete for them, and
-``off_pattern_boardings`` finds phantom boardings in an assignment.
+gamma_transfer 2.0 >= gamma_wait 1.5, unless asked for others. Neither the
+model nor the evaluator lets riders pick a combination at a stop one of its
+patterns skips; without that rule, a transfer cheaper than a wait would pay
+for phantom boarding: riders board at the skipped stop, wait the shorter
+joint headway and leave that pattern at once to transfer, and both paths
+priced the same too-low optimum, which the oracle, pricing with the
+evaluator, could not see. ``random_toy_doc`` says why the oracle's
+enumeration is complete for its toys, and ``off_pattern_boardings`` finds
+phantom boardings in an assignment.
 """
 
 from __future__ import annotations
@@ -109,7 +111,8 @@ def add_route(doc: dict, *, stops, out_times, in_times, menu, n_patterns,
 
 
 def random_toy_doc(seed: int, *, transfers: bool = False, full_pattern: bool = False,
-                   dwell_saving: float = 0.0) -> dict:
+                   dwell_saving: float = 0.0, gamma_transfer: float = 2.0,
+                   transfer_time: float = 3.0) -> dict:
     """Small randomized single-route instance for oracle certification.
 
     The fleet pool always admits the full pattern at the largest menu
@@ -146,6 +149,8 @@ def random_toy_doc(seed: int, *, transfers: bool = False, full_pattern: bool = F
         vehicle_hours_cap=ceil(fleet_cap),
         turnback_time=turnback,
         dwell_saving=dwell_saving,
+        gamma_transfer=gamma_transfer,
+        transfer_time=transfer_time,
         transfers=transfers,
         symmetry=True,
         full_pattern=full_pattern,

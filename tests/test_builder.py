@@ -28,6 +28,7 @@ def closed_form_variable_counts(n, n_patterns, menu_size, transfers, n_periods=1
         "x": n_patterns * arcs,
         "y": n_patterns * (menu_size + 1),
         "cy": n_patterns * menu_size,
+        "sv": n_patterns * s,
         "z": n_combos * n * (s - 2),
         "fw": n_combos * n * (s - 2),
         "fl": n * n_patterns * (comb(s, 2) - (s - 1)),
@@ -104,6 +105,8 @@ class TestRowCounts:
         assert rows["fleet_hours"] == 1
         assert rows["one_combination"] == n * (s - 2)
         assert rows["combination_menu"] == n * (s - 2) * patterns * m
+        assert rows["stop_served"] == patterns * s
+        assert rows["combination_served"] == n * (s - 2) * patterns
         assert rows["board_gate"] == n * (s - 2) * n_combos
         assert rows["demand_entry"] == n * (n - 1)
         assert rows["onboard_balance"] == n * patterns * (s - 2)
@@ -180,6 +183,35 @@ class TestCombinationMenu:
                 (("z", (t, r, i, d, c)), 1.0)
                 for c, combo in enumerate(combos) if combo.headway_indices[p] == h
             ] + [(("y", (t, r, p, h)), -1.0)]
+
+
+class TestCombinationServed:
+    @pytest.mark.parametrize("n_patterns", [2, 3])
+    def test_picks_holding_a_pattern_need_it_to_stop(self, n_patterns):
+        # one row per cell and pattern p caps the cell's picks in which p is
+        # active by sv[p, i], itself fixed to the count of p's arcs leaving i
+        menu = (5.0, 7.0)
+        model = build_model(make_scenario(menu=menu, n_patterns=n_patterns,
+                                          symmetry=n_patterns == 2))
+        combos = enumerate_combinations(n_patterns, menu)
+        labels = var_labels(model)
+        served = var_ids(model, "sv")
+        assert sorted(key[2:] for key in served) == [
+            (p, i) for p in range(n_patterns) for i in range(6)]
+        for (t, r, p, i), terms, sense, rhs in rows_of(model, "stop_served"):
+            assert (sense, rhs) == ("=", 0.0)
+            assert [(labels[v], a) for v, a in terms] == [(("sv", (t, r, p, i)), 1.0)] + [
+                (("x", (t, r, p, i, j)), -1.0) for j in range(6) if j != i]
+        rows = list(rows_of(model, "combination_served"))
+        cells = sorted({(i, d) for _, _, i, d, _ in var_ids(model, "z")})
+        assert [key[2:] for key, *_ in rows] == [
+            (i, d, p) for i, d in cells for p in range(n_patterns)]
+        for (t, r, i, d, p), terms, sense, rhs in rows:
+            assert (sense, rhs) == ("<=", 0.0)
+            assert [(labels[v], a) for v, a in terms] == [
+                (("z", (t, r, i, d, c)), 1.0)
+                for c, combo in enumerate(combos) if p in combo.active_patterns
+            ] + [(("sv", (t, r, p, i)), -1.0)]
 
 
 def test_cycle_gate_bound_added_left_to_right():

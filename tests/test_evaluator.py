@@ -836,6 +836,26 @@ class TestAgainstSolver:
         for assignment in (flows, evaluated):
             assert not off_pattern_boardings(assignment, scenario, plan)
 
+    def test_no_boarding_where_a_pattern_skips(self):
+        # pattern 0 skips B both ways at 5 min, the full loop runs at 7.
+        # Riders B -> C can only wait for the full loop: 10 x (1.5 x 3.5 +
+        # 4.0) = 92.5. Boarding the joint 5-and-7 combination at B, then
+        # leaving pattern 0 at once for a transfer that costs 0.1 per
+        # perceived minute, priced 65.375.
+        scenario = make_scenario(demand=(((0, 1, 2), 10.0),), gamma_transfer=0.1,
+                                 transfer_time=0.0, transfers=True, fleet_cap=40.0,
+                                 dwell_saving=0.5)
+        plan = load_plan(plan_doc({(0, 0): [((0, 2, 3, 5), 5.0), ((0, 1, 2, 3, 4, 5), 7.0)]},
+                                  scenario), scenario)
+        fa = assign_flows(scenario, plan)
+        assert compute_metrics(fa, scenario, plan).objective == pytest.approx(92.5, rel=1e-9)
+        model = build_model(scenario)
+        fixed = solve(fix_baseline(model, plan), SolverConfig(time_limit_s=60))
+        assert fixed.status == "optimal"
+        assert fixed.objective == pytest.approx(92.5, rel=1e-9)
+        for assignment in (decode_plan(model, fixed)[1], fa):
+            assert not off_pattern_boardings(assignment, scenario, plan)
+
     @pytest.mark.parametrize("gamma_transfer, optimum", [(2.0, 835.0), (1.5, 780.0)],
                              ids=["transfer-weighs-more", "equal-weights"])
     def test_origin_and_transfer_boarders_share_a_cell(self, gamma_transfer, optimum):
@@ -955,9 +975,12 @@ class TestProgramKind:
 
     def test_two_pattern_transfer_program_size(self, monkeypatch):
         # destinations C (40 riders in) and A (20), 6 direction stops, two
-        # patterns in service: per destination 4 entry stops x 3
-        # combinations of picks, entries and re-boardings, 2 x 4 alightings,
-        # and 6 riding flows; no boarding copies, exit flows or
+        # patterns in service, the second skipping C: per destination 4
+        # entry stops, each offered the combinations whose patterns all stop
+        # there, 3 where both stop and 1 at C (for A), so 18 picks and 20
+        # entries and re-boardings; 14 alightings, one per destination,
+        # entry stop and pattern stopping there, and 6 riding flows per
+        # destination; no boarding copies, exit flows or
         # pattern-to-combination transfer flows, and no rows for them
         sizes = record_programs(monkeypatch)
         scenario = make_scenario(symmetry=False)
@@ -965,9 +988,9 @@ class TestProgramKind:
                                   scenario), scenario)
         assign_flows(scenario, plan)
         assert sizes == [{
-            "columns": 100, "binaries": 24, "nonzeros": 261,
-            "rows": {"one_combination": 8, "board_gate": 24, "demand_entry": 4,
-                     "transfer_balance": 4, "onboard_balance": 16},
+            "columns": 84, "binaries": 18, "nonzeros": 213,
+            "rows": {"one_combination": 6, "board_gate": 18, "demand_entry": 4,
+                     "transfer_balance": 4, "onboard_balance": 14},
         }]
 
 

@@ -233,13 +233,13 @@ class TestAgainstScipyMilp:
 
 
 class TestTimeLimit:
-    """A transfers-on rung that takes seconds to prove (ladder n = 6) under
+    """A transfers-on rung that takes seconds to prove (ladder n = 10) under
     limits far below that. Which status comes back depends on the machine,
     so either is accepted, but each must keep its contract."""
 
     @pytest.mark.parametrize("limit", [0.01, 2.0])
     def test_feasible_or_timeout(self, limit):
-        model = build_model(load_scenario(ladder_doc(6, 7, transfers=True)))
+        model = build_model(load_scenario(ladder_doc(10, 7, transfers=True)))
         result = solve(model, SolverConfig(time_limit_s=limit))
         assert result.status in ("feasible", "timeout")
         if result.status == "feasible":

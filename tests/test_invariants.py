@@ -27,10 +27,12 @@ class TestRelaxation:
         assert relaxed.status == "optimal"  # bounded: big-M choices are sane
         assert relaxed.objective <= milp_result.objective + 1e-6
 
-    @pytest.mark.parametrize("n, bound", [(3, 721.525), (4, 1139.625)])
+    @pytest.mark.parametrize("n, bound", [(3, 721.525), (4, 1150.3477272727)])
     def test_ladder_root_bound_never_weakens(self, n, bound):
         # the LP relaxation of the corridor rungs with transfers on, as
-        # first measured: a change of formulation may raise it, never lower it
+        # first measured: a change of formulation may raise it, never lower
+        # it. n = 4 rose from 1139.625 when a cell's picks were held to the
+        # patterns that stop at its entry stop.
         model = build_model(load_scenario(ladder_doc(n, 7, transfers=True)))
         c, a, lo, hi, integrality, lb, ub = _model_arrays(model)
         relaxed = solve_arrays(c, a, lo, hi, np.zeros_like(integrality), lb, ub,

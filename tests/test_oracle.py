@@ -11,7 +11,8 @@ from transitopt import (
 from transitopt import oracle
 from transitopt.plan import PatternPlan, RoutePeriodPlan, model_order, vehicle_need
 
-from _factories import full_pattern_plan_doc, make_scenario, random_toy_doc, scenario_doc
+from _factories import (full_pattern_plan_doc, make_scenario, off_pattern_boardings,
+                        random_toy_doc, scenario_doc)
 
 
 def tiny_scenario(**kw):
@@ -368,3 +369,26 @@ class TestRandomizedCertification:
         report = certify(scenario, result, cross_check="sample")
         assert report.verdict == "match", (
             f"seed {seed}: oracle {report.best_objective} vs solver {report.milp_objective}")
+
+
+class TestCheapTransfers:
+    """Transfers cheaper than waiting (``gamma_transfer`` 0.1 against
+    ``gamma_wait`` 1.5, ``transfer_time`` 0) with dwell credits. Before
+    combinations were held to stops where their patterns all stop, these
+    toys' optima boarded a pattern at a stop it skips, 0.002 to 4.7 % below
+    the honest optimum, and the oracle, pricing the same way, agreed on all
+    but seed 1."""
+
+    @pytest.mark.parametrize("seed", [1, 6, 11, 15, 30, 37])
+    def test_certified_without_phantom_boardings(self, seed):
+        scenario = load_scenario(random_toy_doc(seed, transfers=True, dwell_saving=0.5,
+                                                gamma_transfer=0.1, transfer_time=0.0))
+        model = build_model(scenario)
+        result = solve(model, SolverConfig(time_limit_s=300))
+        assert result.status == "optimal"
+        report = certify(scenario, result, cross_check="sample")
+        assert report.verdict == "match", (
+            f"seed {seed}: oracle {report.best_objective} vs solver {report.milp_objective}")
+        plan, flows = decode_plan(model, result)
+        for assignment in (flows, assign_flows(scenario, plan)):
+            assert not off_pattern_boardings(assignment, scenario, plan)

@@ -2,10 +2,15 @@
 size of the city model, and the size of the evaluator's program for the
 city's full-pattern plan.
 
-The pins were last taken when ``combination_menu`` went from one row per
-(cell, combination, active pattern) to one row per (cell, pattern, menu
-entry), which sums the old rows of one pattern and entry. Every other row is
-unchanged. Any change to the LP text or to a family's size shows up here.
+The pins were last taken when a cell's picks were held to the patterns
+that stop at its entry stop: a continuous ``sv`` column per (pattern, stop),
+fixed to the count of the pattern's arcs leaving the stop by one
+``stop_served`` row, and one ``combination_served`` row per (cell, pattern)
+capping the picks that hold the pattern by it. Every model has the two
+new families, so every LP text changes; every other row is unchanged. The city
+gains 172 columns, 7,396 rows and 65,360 nonzeros, and its text 1,726,976
+bytes (+2.5 %). Any change to the LP text or to a family's size shows up
+here.
 """
 
 import hashlib
@@ -20,27 +25,27 @@ from _factories import city_doc, full_pattern_plan_doc, random_toy_doc
 from test_builder import two_route_two_period_doc
 
 LP_SHA256 = {
-    "transfers-off-1": "9855d136a3b3a17fd1926fe98e84687f684fb780a545af6c4d934009c99dee46",
-    "transfers-off-2": "65e261821d00921cdc44f9c9630d660d7ea433d5285dee102010c3246147b61b",
-    "transfers-off-3": "c50458fa9f56cebec8a35629060b151ad4d091b51f0ec6c0f9b3e676007c849c",
-    "transfers-on-dwell-1": "2f33ca989f19d9a70c1c77e81af6173437efcff5778262289010b85d785e7b07",
-    "transfers-on-dwell-2": "aed151e35a4f2799cca37f72afc919dda9746034b3526b104709278dbb653f12",
-    "transfers-on-dwell-3": "5aa2602d2d5a836e2f185e198b829504cd51ed1758304f0131086a4135e60605",
-    "capacity-1": "52e3c7ff448063f4c78d0133feca26722771079f571fe9da1a2950f8487b93a3",
-    "capacity-2": "38b977d71ff0b19d1eb89eb2506cfdead59141cb6045fd8de4c6de32e5680348",
-    "capacity-3": "f6f64f9924f2e6c7df55acfd32dc61d13f40977859eb0530629160debcd4f562",
-    "two-periods-1": "90fde99de9832a63dcb2bdbee4ded39ed3a3a6b87ed5fc0e53078d589766ff00",
-    "two-periods-2": "a180b4f7eff0f47ec3d73dfe5e5185626ac8ad6b09f62d812b22b25483dd0701",
-    "two-periods-3": "03feb585441eb6f12ca9580ab1fc8f52b00966d6e93b8344a5abe74f0daffdb6",
-    "integer-fleet-1": "00879d782fa0d6495f14533b55faaf2eccdee6546866a2252b3b7dc92252a0b1",
-    "integer-fleet-2": "0b6f1a9810a3a44da7d695116144ed75b0b15b545995fa940062f5891f42a456",
-    "integer-fleet-3": "b5e47ba29a48cc6ab58d36fffc37bfde37aceb37b4031cfc631878fd8816ce2b",
-    "symmetry-1": "72b246aceb36ed93319a2f0e1cfcba34d3ace880e170c6a481a8939dc369d27d",
-    "symmetry-2": "76985fe815d6c5e712a975f847db31dbc7babadccfa24510a661c88af3cfd59b",
-    "symmetry-3": "832587dadec5e293f2bf854cd100e693f2be796d90d264602e608b2ca28592d8",
-    "fixed-baseline-1": "b35acc8dfac62399aa88fe6bfbfddb12fefb188ea415f38eb169dba27dcce029",
-    "fixed-baseline-2": "1a5a8e68a8d6c5053daf38f0d197d40516e50dbc84d135465242f38619f3d36c",
-    "fixed-baseline-3": "231e14223a85bbb7b93a6a06f70cec275092bca4d16bc3b45876cc163019debd",
+    "transfers-off-1": "b0c61d90b92ef20abab5d012fbc0d41a4efdd6be1579cfea97d6de39f08443f1",
+    "transfers-off-2": "24bf2dfcb5c9ec1d90f9627a687420fb4cfe87c2979c02c96b4e5bbeb5b17872",
+    "transfers-off-3": "e91a25593c09eddd6c51b3a1255ce22bd39cbea70c0b68871b22244caf2fd1af",
+    "transfers-on-dwell-1": "c7ab81e0ffba65b5cce25e61ccbe2091295c5fef9fe396aa9d01e51bbae6f56b",
+    "transfers-on-dwell-2": "a499ac7d71b872fa10742847026082f8861bc09ee9292fecc1740463b4461cfa",
+    "transfers-on-dwell-3": "d931f30be7beb37acafa71d17752c4192bf5eefa1f132f9daa4a62092c562cfa",
+    "capacity-1": "13caa964eeda38c6a94a53f35af8032c99759c50016983b6ae05c264039a933e",
+    "capacity-2": "0472647db9815eb150543b2fce1f0818d79e6efb67386c10afffcfdd69ec7250",
+    "capacity-3": "452944e8e0262c648e39134ada43e21a4d62d69aaf097ce08ffa0ee77b661a81",
+    "two-periods-1": "4f3404c9a665f464959e209f807809d1064b300654a1f6b35bae3f025b77a058",
+    "two-periods-2": "956d6284cf51d238d9b67d72190b0fba2cf61017bf17f0eeb1e1ddfe4e87792c",
+    "two-periods-3": "430d9c4475ba1889be5d2efd18ed679f2778c73a5bb15baba00a2ebea2da11a1",
+    "integer-fleet-1": "ea3b653d89a8ed0aad1cb2431a7b56d368ecb895342dc3e5a6050b231a52fceb",
+    "integer-fleet-2": "a4b65c338e77ef8555fb90e255449e1f6f67140febf7cf59b8b103b220c1c6b6",
+    "integer-fleet-3": "03e4f9b572a01e060974a2c5dc08b78bec75ed3aa3f0b4af6b45ad10880830ee",
+    "symmetry-1": "a599ddfe72a431cf918b8d5d60bb5c5711d2890d344950a81d7468174714477d",
+    "symmetry-2": "4a26321817108697f8966cbeb5d26d95609a11697e930d9f2850f9f34e3c2d24",
+    "symmetry-3": "486a2e5f7232ce5d92a0359e49cfb2bd795ca83ae77f69a4da9978cdb4a3c245",
+    "fixed-baseline-1": "fe22d23553eb46ab3b1b00af58bf47900f6007ccae732d1a034bf7ee0fe03da8",
+    "fixed-baseline-2": "2377f94dadf4dc4893c8873429064216e3c82835c6e9d5abd9b1266469cf495a",
+    "fixed-baseline-3": "93eb2933758a652f28acdf17e4425b1dae2723f17ca50e469027755b55f289ce",
 }
 
 
@@ -77,7 +82,7 @@ def test_lp_text_pinned(case):
 # The second route runs three patterns on the menu (4, 6, 9), so its
 # perceived headways add three frequencies; their total must not depend on
 # the interpreter (``sum`` of floats is compensated from Python 3.12).
-THREE_PATTERN_LP_SHA256 = "cd55f2f13e5643e3a5d35120eb9f42fa91ed0c1d7db56e61a94d7ef28f0896f3"
+THREE_PATTERN_LP_SHA256 = "6bab27764db2656f7e08a6834eefae1e2d9649f8225594d25dd70f3488d26a85"
 
 
 def test_three_pattern_lp_text_pinned():
@@ -86,7 +91,7 @@ def test_three_pattern_lp_text_pinned():
 
 
 # sha256 and length of the city model's LP text
-CITY_LP = ("f74a1e9e9b35d73597dc9cd8bc53778f2a75116b7d95b3095ed0c50cd332ac7f", 68_715_986)
+CITY_LP = ("2c7c86299701ed594c5fe2319fe564a512b4f0eed5aa836b3057b3b2cbf949fc", 70_442_962)
 
 
 def test_city_lp_text_pinned():
@@ -98,23 +103,24 @@ def test_city_model_stats_pinned():
     stats = model_stats(build_model(load_scenario(city_doc())))
     assert stats == {
         "variables": {
-            "total": 415563,
-            "by_kind": {"binary": 43522, "continuous": 372041, "integer": 0},
-            "by_family": {"x": 14620, "y": 6, "cy": 4, "z": 28896, "fw": 28896,
+            "total": 415735,
+            "by_kind": {"binary": 43522, "continuous": 372213, "integer": 0},
+            "by_family": {"x": 14620, "y": 6, "cy": 4, "sv": 172, "z": 28896, "fw": 28896,
                           "fl": 307020, "ft": 7224, "fx": 28896, "n": 1},
         },
         "rows": {
-            "total": 364999,
+            "total": 372395,
             "by_family": {
                 "loop_balance": 172, "loop_wrap": 2,
                 "ride_arc_gate": 307020, "pattern_symmetry": 0, "one_headway": 2,
                 "headway_order": 2, "cycle_gate": 4, "cycle_split": 2, "arc_capacity": 0,
                 "fleet_need": 1, "fleet_pool": 1, "fleet_hours": 1, "one_combination": 3612,
-                "combination_menu": 14448, "board_gate": 28896, "demand_entry": 1806,
+                "combination_menu": 14448, "stop_served": 172, "combination_served": 7224,
+                "board_gate": 28896, "demand_entry": 1806,
                 "onboard_balance": 7224, "transfer_balance": 1806,
             },
         },
-        "nonzeros": 1604365,
+        "nonzeros": 1669725,
     }
 
 
