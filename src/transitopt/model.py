@@ -80,7 +80,7 @@ VAR_KEYS = {
     "x": ("t", "r", "p", "i", "j"),             # pattern arc                      binary
     "y": ("t", "r", "p", "h"),                  # headway pick, h=0 means off      binary
     "cy": ("t", "r", "p", "h"),                 # cycle minutes under headway h>=1 continuous
-    "sv": ("t", "r", "p", "i"),                 # 1 where pattern p stops at i, 0 continuous
+    "sv": ("t", "r", "p", "i"),                 # pattern stops at i: 1, else 0  continuous
     "z": ("t", "r", "i", "d", "c"),             # combination pick                 binary
     "fw": ("t", "r", "d", "i", "c"),            # entry flow
     "fl": ("t", "r", "d", "p", "i", "j"),       # inter-stop (riding) flow
